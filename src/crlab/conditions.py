@@ -299,8 +299,3 @@ def two_weight_counts(n: int, k: int, q: int, w: int):
     if mu1.denominator == 1 and mu2.denominator == 1 and mu1 >= 0 and mu2 >= 0:
         return int(mu1), int(mu2)
     return mu1, mu2
-
-
-def two_weight_counts_integral(n: int, k: int, q: int, w: int) -> bool:
-    mu = two_weight_counts(n, k, q, w)
-    return isinstance(mu[0], int)

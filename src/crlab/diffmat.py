@@ -19,6 +19,11 @@ Two coordinate systems are used for Phi:
   only F_p-linear and verifiably fails scalar closure already for
   p = 2, l = h = 2.)
 
+Group arithmetic on whole arrays of entries goes through q x q addition
+and subtraction tables from :func:`crlab.field.digit_table`; the
+element-level ``FieldSpec`` methods are used only where single entries
+are combined.
+
 Every constructed matrix is re-verified exhaustively before it is
 returned; a verification failure indicates an implementation bug and
 raises immediately.
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import budgets
 from .codes import CodewordMatrix, LinearCode
-from .field import FieldSpec, field_create
+from .field import FieldSpec, digit_table, field_create
 from .matrix import MatGF
 
 # direct all-pairs Eq-(3.1) checking is bounded by N^2 * n elementary ops
@@ -62,24 +67,6 @@ class DifferenceMatrix:
         return f"DifferenceMatrix(D({self.q},{self.mu}))"
 
 
-def _sub_table(f: FieldSpec) -> np.ndarray:
-    q = f.q
-    t = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            t[a, b] = f.sub(a, b)
-    return t
-
-
-def _add_table(f: FieldSpec) -> np.ndarray:
-    q = f.q
-    t = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            t[a, b] = f.add(a, b)
-    return t
-
-
 def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     """Exhaustive check over all row pairs."""
     M = np.asarray(entries, dtype=np.int64)
@@ -90,7 +77,7 @@ def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     if side % q:
         return False
     mu = side // q
-    sub = _sub_table(group_field)
+    sub = digit_table(group_field, -1)
     for i in range(side):
         diffs = sub[M[i + 1:], M[i]]
         if diffs.size == 0:
@@ -215,7 +202,7 @@ def normalize_dm(dm: DifferenceMatrix) -> DifferenceMatrix:
     constant shifts).  Both operations preserve the difference property;
     the map is idempotent.
     """
-    sub = _sub_table(dm.group_field)
+    sub = digit_table(dm.group_field, -1)
     ent = dm.entries
     ent = sub[ent, ent[:, :1]]
     ent = sub[ent, ent[:1, :]]
@@ -252,7 +239,7 @@ def dm_code(dm: DifferenceMatrix) -> DMCode:
     n = q * mu
     N = q * q * mu
     budgets.check_enum(N * n, "difference-matrix code entries")
-    addt = _add_table(f)
+    addt = digit_table(f)
     blocks = [addt[dm.entries, g] for g in range(q)]
     stacked = np.concatenate(blocks, axis=0)
 

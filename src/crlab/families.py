@@ -553,15 +553,13 @@ def _greedy_classes(rows, q: int, n: int, node_cap: int = 200000):
 
 # -- parameter-level family matching ----------------------------------------
 
-def family_match(report) -> list:
-    """Every family whose parameters fit the given report.
-
-    The report needs attributes n, k, q, dual_weights (iterable) and ia
-    (IntersectionArray or None); matching is parameter-level, not
-    monomial-equivalence-level.  Returns (family, params) pairs."""
-    n, k, q = report.n, report.k, report.q
-    dual_weights = frozenset(report.dual_weights)
-    ia = report.ia
+def family_match(n: int, k: int, q: int, dual_weights,
+                 ia: IntersectionArray | None) -> list:
+    """Every family whose parameters fit an [n, k]_q code whose dual has
+    the nonzero weights dual_weights (iterable) and whose intersection
+    array is ia (None matches any array).  Matching is parameter-level,
+    not monomial-equivalence-level.  Returns (family, params) pairs."""
+    dual_weights = frozenset(dual_weights)
     out = []
 
     def ia_fits(predicted: IntersectionArray) -> bool:

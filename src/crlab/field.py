@@ -14,9 +14,20 @@ alpha is the smallest primitive root.
 
 The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
 tables of size q are precomputed at creation for O(1) mul/inv.
+
+Addition is digit-wise mod p on these encodings, and so is addition of
+any vector of field elements packed in base q = p^m: such a vector is a
+base-p integer with one digit per coordinate coefficient.  That
+digit-wise sum (and difference) lives only in :func:`digit_add`, which
+works on Python ints and on int64 numpy arrays alike; the syndrome graph
+(``regularity``) calls it directly, and the q x q group tables of
+``diffmat`` and of the element methods here come from
+:func:`digit_table`, which is built on it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 Q_LIMIT = 1 << 20
 
@@ -37,6 +48,30 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def digit_add(a, b, p: int, ndigits: int, sign: int = 1):
+    """a + sign*b digit-wise mod p, for base-p integers of ndigits digits.
+
+    a and b may be Python ints or int64 numpy arrays (broadcasting as
+    usual); sign = -1 gives subtraction and digit_add(0, b, ..., -1) the
+    negation.  For p = 2 every sign is the same XOR.
+    """
+    if p == 2:
+        return a ^ b
+    out = 0
+    place = 1
+    for _ in range(ndigits):
+        # a // place and b // place agree with the wanted digits mod p
+        out += (a // place + sign * (b // place)) % p * place
+        place *= p
+    return out
+
+
+def digit_table(f: "FieldSpec", sign: int = 1) -> np.ndarray:
+    """q x q int64 table of a + sign*b over the elements of f."""
+    e = np.arange(f.q, dtype=np.int64)
+    return digit_add(e[:, None], e, f.p, f.m, sign)
 
 
 def _digits(value: int, p: int, m: int) -> list[int]:
@@ -112,11 +147,9 @@ class FieldSpec:
             log[a] = i
         self.discrete_log = tuple(log)
         if p != 2 and self.q <= _ADD_TABLE_MAX_Q:
-            self._add_table = tuple(
-                tuple(self._add_slow(a, b) for b in range(self.q))
-                for a in range(self.q)
-            )
-            self._neg_table = tuple(self._neg_slow(a) for a in range(self.q))
+            self._add_table = tuple(map(tuple, digit_table(self).tolist()))
+            self._neg_table = tuple(
+                digit_add(0, np.arange(self.q), p, m, -1).tolist())
         else:
             self._add_table = None
             self._neg_table = None
@@ -128,35 +161,14 @@ class FieldSpec:
             return a ^ b
         if self._add_table is not None:
             return self._add_table[a][b]
-        return self._add_slow(a, b)
-
-    def _add_slow(self, a: int, b: int) -> int:
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return digit_add(a, b, self.p, self.m)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self._neg_table is not None:
             return self._neg_table[a]
-        return self._neg_slow(a)
-
-    def _neg_slow(self, a: int) -> int:
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            out += ((p - a % p) % p) * mul
-            a //= p
-            mul *= p
-        return out
+        return digit_add(0, a, self.p, self.m, -1)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:

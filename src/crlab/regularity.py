@@ -12,10 +12,13 @@ counts is equivalent to constancy over vectors.  The reduction is
 oracle-tested against :func:`brute_subconstituents`, which works on the
 full vector space and never looks at syndromes.
 
-Syndromes are packed as integers in mixed radix q (digit j weighs q^j).
-For p = 2 the packed vectors add by XOR, which both the BFS and the
-counting pass exploit through numpy; for odd p the spaces met in practice
-are tiny and a generic digit-wise path is used.
+Syndromes are packed as integers in radix q (coordinate j weighs q^j).
+With q = p^m a packed syndrome is a base-p integer of r*m digits, and
+syndrome addition is digit-wise mod p: the syndrome graph is a Cayley
+graph on F_p^(rm) whose connection set is the set of column deltas.  The
+BFS and the counting pass both add deltas to whole arrays of syndromes
+with :func:`crlab.field.digit_add` (XOR for p = 2), one numpy path for
+every characteristic.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import budgets
 from .codes import LinearCode, CodewordMatrix
-from .field import FieldSpec
+from .field import digit_add
 
 
 @dataclass(frozen=True)
@@ -102,38 +105,22 @@ class SyndromeProfile:
                 deltas.append(packed)
         self.deltas = deltas
 
+        p, ndigits = f.p, r * f.m
         levels = np.full(size, -1, dtype=np.int8)
         levels[0] = 0
-        if f.p == 2:
-            frontier = np.array([0], dtype=np.int64)
-            depth = 0
-            seen = 1
-            while frontier.size and seen < size:
-                depth += 1
-                mask = np.zeros(size, dtype=bool)
-                for d in deltas:
-                    mask[frontier ^ d] = True
-                mask &= levels < 0
-                nxt = np.nonzero(mask)[0]
-                levels[nxt] = depth
-                seen += nxt.size
-                frontier = nxt
-        else:
-            add = _packed_adder(f, q, r)
-            frontier = [0]
-            depth = 0
-            seen = 1
-            while frontier and seen < size:
-                depth += 1
-                nxt = []
-                for s in frontier:
-                    for d in deltas:
-                        t = add(s, d)
-                        if levels[t] < 0:
-                            levels[t] = depth
-                            nxt.append(t)
-                            seen += 1
-                frontier = nxt
+        frontier = np.array([0], dtype=np.int64)
+        depth = 0
+        seen = 1
+        while frontier.size and seen < size:
+            depth += 1
+            mask = np.zeros(size, dtype=bool)
+            for d in deltas:
+                mask[digit_add(frontier, d, p, ndigits)] = True
+            mask &= levels < 0
+            nxt = np.nonzero(mask)[0]
+            levels[nxt] = depth
+            seen += nxt.size
+            frontier = nxt
         if seen != size:
             raise AssertionError("syndrome BFS did not reach every coset")
         self.levels = levels
@@ -158,40 +145,14 @@ class SyndromeProfile:
             return (np.zeros(1, dtype=np.int64),) * 2
         down = np.zeros(self.size, dtype=np.int64)
         up = np.zeros(self.size, dtype=np.int64)
-        if self.code.field.p == 2:
-            idx = np.arange(self.size, dtype=np.int64)
-            lv = levels.astype(np.int16)
-            for d in self.deltas:
-                nb = lv[idx ^ d]
-                down += nb == lv - 1
-                up += nb == lv + 1
-        else:
-            add = _packed_adder(self.code.field, self.q, self.r)
-            for s in range(self.size):
-                l = int(levels[s])
-                dn = upc = 0
-                for d in self.deltas:
-                    lt = int(levels[add(s, d)])
-                    if lt == l - 1:
-                        dn += 1
-                    elif lt == l + 1:
-                        upc += 1
-                down[s] = dn
-                up[s] = upc
+        p, ndigits = self.code.field.p, self.r * self.code.field.m
+        idx = np.arange(self.size, dtype=np.int64)
+        lv = levels.astype(np.int16)
+        for d in self.deltas:
+            nb = lv[digit_add(idx, d, p, ndigits)]
+            down += nb == lv - 1
+            up += nb == lv + 1
         return down, up
-
-
-def _packed_adder(f: FieldSpec, q: int, r: int):
-    def add(a: int, b: int) -> int:
-        out = 0
-        mul = 1
-        for _ in range(r):
-            out += f.add(a % q, b % q) * mul
-            a //= q
-            b //= q
-            mul *= q
-        return out
-    return add
 
 
 def syndrome_profile(code: LinearCode) -> SyndromeProfile:

@@ -103,22 +103,12 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
         antipodal_dual=anti.holds,
         uniformly_packed=rho == s,
         oa_strength=oa,
-        family_matches=tuple(family_match(_ReportView(
-            n=code.n, k=code.k, q=code.q,
-            dual_weights=dual_wd.nonzero_weights, ia=reg.ia))),
+        family_matches=tuple(family_match(
+            code.n, code.k, code.q, dual_wd.nonzero_weights, reg.ia)),
         conditions=_conditions_side(code, wd, dual, dual_wd),
         warnings=tuple(warnings),
     )
     return report
-
-
-@dataclass(frozen=True)
-class _ReportView:
-    n: int
-    k: int
-    q: int
-    dual_weights: tuple
-    ia: IntersectionArray | None
 
 
 def _conditions_side(code, wd, dual, dual_wd) -> ConditionsSide | None:

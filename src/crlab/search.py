@@ -170,10 +170,16 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     field = field_create(p, m)
     points = projective_points(field, r)
     P = len(points)
-    candidates = math.comb(P + n_max - 1, n_max)
+    if projective:
+        # every searched level counts; C(P, n) falls again past n = P/2
+        candidates = sum(math.comb(P, n) for n in range(max(r, 2), n_max + 1))
+        kind = "column sets"
+    else:
+        candidates = math.comb(P + n_max - 1, n_max)
+        kind = "column multisets"
     if candidates > CENSUS_CANDIDATE_CAP:
         raise budgets.BudgetExceeded(
-            f"census would scan about {candidates} column multisets, over "
+            f"census would scan about {candidates} {kind}, over "
             f"the cap {CENSUS_CANDIDATE_CAP}")
 
     messages = [_decode(v, q, r) for v in range(1, q ** r)]
@@ -284,9 +290,7 @@ def _census_complete(field, points, chosen, weights, n, survivors, q, r):
 
     fams: tuple = ()
     if dual_k >= 1 and rho is not None:
-        report = _MiniReport(n=n, k=dual_k, q=q,
-                             dual_weights=key_weights, ia=ia)
-        fams = tuple(family_match(report))
+        fams = tuple(family_match(n, dual_k, q, key_weights, ia))
     survivors[key] = CensusEntry(
         q=q, r=r, n=n, weights=key_weights,
         rho=rho if rho is not None else -1,
@@ -315,24 +319,13 @@ def _repetition_annotation(chosen, n, weights, q, r) -> tuple:
     if d % s or n % s:
         return ()
     n0 = n // s
-    report = _MiniReport(n=n0, k=n0 - r, q=q,
-                         dual_weights=(d // s, n0), ia=None)
-    matches = tuple(family_match(report))
+    matches = tuple(family_match(n0, n0 - r, q, (d // s, n0), None))
     return (s, matches) if matches else ()
 
 
 def _bump(entry: CensusEntry) -> CensusEntry:
     from dataclasses import replace
     return replace(entry, count=entry.count + 1)
-
-
-@dataclass(frozen=True)
-class _MiniReport:
-    n: int
-    k: int
-    q: int
-    dual_weights: tuple
-    ia: IntersectionArray | None
 
 
 @dataclass(frozen=True)

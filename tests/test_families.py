@@ -216,21 +216,11 @@ def test_simplex_partition_additive_pdm_reassembly():
 
 
 def test_family_match_ext_hamming_overlap():
-    class Report:
-        pass
-    r = Report()
-    r.n, r.k, r.q = 8, 4, 2
-    r.dual_weights = (4, 8)
-    r.ia = complete_regularity(cr1_extended_hamming(3).cr_code).ia
-    tags = [f for f, _ in family_match(r)]
+    ia = complete_regularity(cr1_extended_hamming(3).cr_code).ia
+    tags = [f for f, _ in family_match(8, 4, 2, (4, 8), ia)]
     assert "CR1" in tags and "CR2" in tags
 
 
 def test_family_match_respects_ia():
-    class Report:
-        pass
-    r = Report()
-    r.n, r.k, r.q = 8, 4, 2
-    r.dual_weights = (4, 8)
-    r.ia = ia_formula("CR4", q=8)   # a wrong array
-    assert family_match(r) == []
+    wrong = ia_formula("CR4", q=8)
+    assert family_match(8, 4, 2, (4, 8), wrong) == []

@@ -1,8 +1,11 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from crlab.field import Q_LIMIT, field_create, field_from_modulus, is_prime
+from crlab.field import (Q_LIMIT, digit_add, field_create, field_from_modulus,
+                         is_prime)
 
 
 # golden moduli pinned by the deterministic search
@@ -60,7 +63,8 @@ def test_primitivity_exhaustive():
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
                                  (2, 4), (7, 1), (2, 5), (2, 6), (3, 4),
-                                 (5, 2), (2, 8), (2, 9), (3, 5), (7, 2)])
+                                 (5, 2), (2, 8), (2, 9), (3, 5), (7, 2),
+                                 (3, 6)])
 def test_field_axioms_exhaustive_small(p, m):
     """Inverses for every nonzero element; axioms on a full triple product
     for tiny fields and on a structured sample for the larger ones."""
@@ -78,6 +82,46 @@ def test_field_axioms_exhaustive_small(p, m):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
+def test_digit_add_matches_field(p, m):
+    """The array kernel agrees with the scalar field methods, and an
+    r*m-digit packed add is the coordinate-wise field add in base q."""
+    f = field_create(p, m)
+    q = f.q
+    if q <= 32:
+        pairs = list(itertools.product(range(q), repeat=2))
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+        pairs += [(0, q - 1), (q - 1, q - 1), (1, q - 1)]
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    assert digit_add(a, b, p, m).tolist() == [f.add(x, y) for x, y in pairs]
+    assert digit_add(a, b, p, m, -1).tolist() == \
+        [f.sub(x, y) for x, y in pairs]
+    assert digit_add(0, a, p, m, -1).tolist() == [f.neg(x) for x, _ in pairs]
+    # the field tables are built from the kernel, so pin it to the group law
+    for x, y in pairs[:300]:
+        assert f.add(f.sub(x, y), y) == x and f.add(x, f.neg(x)) == 0
+        assert f.coeffs(f.add(x, y)) == tuple(
+            (u + v) % p for u, v in zip(f.coeffs(x), f.coeffs(y)))
+
+    r = 3
+
+    def pack(vec):
+        return sum(x * q ** j for j, x in enumerate(vec))
+
+    rng = random.Random(7 * q)
+    us = [[rng.randrange(q) for _ in range(r)] for _ in range(200)]
+    vs = [[rng.randrange(q) for _ in range(r)] for _ in range(200)]
+    want = [pack([f.add(x, y) for x, y in zip(u, v)]) for u, v in zip(us, vs)]
+    pu = np.array([pack(u) for u in us], dtype=np.int64)
+    pv = np.array([pack(v) for v in vs], dtype=np.int64)
+    assert digit_add(pu, pv, p, r * m).tolist() == want
+    assert [digit_add(pack(u), pack(v), p, r * m)
+            for u, v in zip(us, vs)] == want
 
 
 def test_pow_conventions():

@@ -187,7 +187,8 @@ def test_odd_characteristic_generic_path():
 
 
 def test_random_codes_syndrome_vs_brute():
-    cases = [(2, 8, 3), (2, 9, 4), (3, 6, 3), (4, 5, 2), (5, 5, 2)]
+    cases = [(2, 8, 3), (2, 9, 4), (3, 6, 3), (4, 5, 2), (5, 5, 2),
+             (9, 5, 2)]
     for i, (q, n, k) in enumerate(cases):
         from crlab.conditions import prime_power
         p, m = prime_power(q)

@@ -135,6 +135,22 @@ def test_census_budget_cap():
         search_antipodal_duals(4, 4, 30)
 
 
+def test_census_budget_counts_sets_when_projective():
+    """A set census is sized by the sets on every searched level, not by
+    the multiset count C(P + n_max - 1, n_max); PG(2, 2) has only 7
+    points."""
+    wide = search_antipodal_duals(2, 3, 60, projective=True)
+    narrow = search_antipodal_duals(2, 3, 7, projective=True)
+    assert wide == narrow
+
+
+def test_census_budget_projective_counts_middle_levels():
+    """C(40, 40) = 1, but the levels near n = 20 of PG(3, 3) hold about
+    1.4e11 sets; the refusal must see them."""
+    with pytest.raises(budgets.BudgetExceeded, match="column sets"):
+        search_antipodal_duals(3, 4, 40, projective=True)
+
+
 def test_classify_report_rendering():
     table = classify_report(2, 3, 6)
     text = render_table(table)
