@@ -2,7 +2,10 @@
 
 Duals, weight distributions (direct enumeration and MacWilliams
 transform), two-weight / antipodal predicates, complementary codes and
-the projective dual transform.  All arithmetic is exact; the MacWilliams
+the projective dual transform.  A code and its dual point at each other
+(C^perp^perp = C), so a dual is never eliminated twice.  Weight data is
+enumerated on the side of smaller dimension only; the MacWilliams
+transform gives the other side.  All arithmetic is exact; the MacWilliams
 transform runs in big integers and treats any fractional intermediate as
 a hard error, never rounding.
 """
@@ -108,6 +111,7 @@ class LinearCode:
                                         MatGF.identity(self.field, self.n))
             else:
                 self._dual = LinearCode(self.field, self.G.null_space())
+            self._dual._dual = self
         return self._dual
 
     def contains(self, vec) -> bool:
@@ -141,20 +145,14 @@ class LinearCode:
         return self._wd
 
     def weight_distribution_auto(self) -> WeightDistribution:
-        """Direct enumeration when affordable, MacWilliams from the dual side
-        otherwise.  Large-dimension codes are never enumerated directly."""
-        if self._wd is not None:
-            return self._wd
-        if self.q ** self.k <= budgets.enum_budget():
+        """Enumerate the side of smaller dimension (the code itself when
+        k <= n - k); the MacWilliams transform gives the other side.  The
+        transform is not cached: `weight_distribution()` stays a direct
+        enumeration under its own budget check."""
+        if self.k <= self.n - self.k:
             return self.weight_distribution()
         dual = self.dual()
-        if self.q ** dual.k > budgets.enum_budget():
-            raise budgets.BudgetExceeded(
-                f"neither side of [{self.n},{self.k}]_{self.q} fits the "
-                f"enumeration budget (raise {budgets.ENUM_BUDGET_VAR})")
-        self._wd = macwilliams(dual.weight_distribution(),
-                               self.n, dual.k, self.q)
-        return self._wd
+        return macwilliams(dual.weight_distribution(), self.n, dual.k, self.q)
 
     def min_distance(self) -> int:
         d = self.weight_distribution_auto().d

@@ -11,7 +11,7 @@ from .field import FieldSpec
 
 
 class MatGF:
-    __slots__ = ("field", "rows", "nrows", "ncols", "_rref_cache")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_rref_cache", "_rank")
 
     def __init__(self, field: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -32,6 +32,7 @@ class MatGF:
         self.nrows = len(rows)
         self.ncols = ncols
         self._rref_cache = None
+        self._rank = None
 
     @classmethod
     def empty(cls, field: FieldSpec, ncols: int) -> "MatGF":
@@ -41,6 +42,7 @@ class MatGF:
         m.nrows = 0
         m.ncols = ncols
         m._rref_cache = ((), 0, ())
+        m._rank = 0
         return m
 
     @classmethod
@@ -97,13 +99,16 @@ class MatGF:
 
     @property
     def rank(self) -> int:
-        return self.rref()[1]
+        """The rank null_space() certified for this matrix, else the RREF's."""
+        return self.rref()[1] if self._rank is None else self._rank
 
     def null_space(self) -> "MatGF":
         """Basis matrix B with self . B^t = 0, rank(B) = ncols - rank(self).
 
         Returned as a (ncols - rank) x ncols matrix; zero rows when self has
-        full column rank.
+        full column rank.  The identity sits on the free columns, so B has
+        full row rank by construction; B records it, and B.rank runs no
+        elimination.
         """
         f = self.field
         red, rank, pivots = self.rref()
@@ -117,7 +122,9 @@ class MatGF:
             for i, pc in enumerate(pivots):
                 v[pc] = f.neg(red[i][fc])
             basis.append(v)
-        return MatGF(f, basis)
+        ns = MatGF(f, basis)
+        ns._rank = len(free)
+        return ns
 
     def row_space_equal(self, other: "MatGF") -> bool:
         if self.field != other.field or self.ncols != other.ncols:

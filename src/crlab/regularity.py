@@ -336,8 +336,7 @@ def _pack(vec, q: int) -> int:
     return out
 
 
-def oa_strength(matrix: CodewordMatrix, q: int,
-                max_work: int | None = None) -> int:
+def oa_strength(matrix: CodewordMatrix, q: int) -> int:
     """Largest t such that every t-column projection hits every q-ary
     t-tuple exactly N/q^t times.  Column subsets are scanned in
     lexicographic order with early exit on the first violation."""
@@ -351,12 +350,6 @@ def oa_strength(matrix: CodewordMatrix, q: int,
         if N % (q ** t):
             return t - 1
         lam = N // (q ** t)
-        if max_work is not None:
-            import math
-            if math.comb(n, t) * N > max_work:
-                raise budgets.BudgetExceeded(
-                    f"orthogonal-array strength check at t = {t} exceeds "
-                    f"the work cap {max_work}")
         ok = True
         for cols in itertools.combinations(range(n), t):
             counts: dict = {}

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from crlab import budgets
+from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
                          complementary_generator, concatenate,
                          equidistant_check, is_antipodal_two_weight,
                          is_projective, low_weight_min_distance, macwilliams,
                          max_column_multiplicity, projective_dual_transform,
                          WeightDistribution)
+from crlab.families import cr4_bose_bush, random_code
 from crlab.field import field_create
 from crlab.matrix import MatGF
 
@@ -233,6 +234,64 @@ def test_enumeration_budget(monkeypatch):
     # the auto path falls back to the 2-dimensional dual
     wd = code.weight_distribution_auto()
     assert sum(wd.counts) == 2 ** 8
+    # the reverse order: the auto path's transform must not stand in for
+    # a direct enumeration afterwards
+    code = LinearCode.from_rows(
+        f, [[1 if i == j else 0 for j in range(10)] for i in range(8)])
+    assert code.weight_distribution_auto() == wd
+    with pytest.raises(budgets.BudgetExceeded, match=budgets.ENUM_BUDGET_VAR):
+        code.weight_distribution()
+
+
+def test_auto_enumerates_the_smaller_side(monkeypatch):
+    span_weights = codes._span_weights
+    words = []
+
+    def counting(field, G):
+        for w in span_weights(field, G):
+            words.append(w)
+            yield w
+
+    monkeypatch.setattr(codes, "_span_weights", counting)
+    inst = cr4_bose_bush(8)
+    cr = inst.cr_code                        # [10,7]_8
+    wd = cr.weight_distribution_auto()
+    assert len(words) == 8 ** 3
+    assert wd == macwilliams(inst.two_weight_code.weight_distribution(),
+                             10, 3, 8)
+    # k = n - k: the code itself is enumerated
+    f = field_create(2, 1)
+    half = LinearCode.from_rows(f, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    words.clear()
+    assert half.weight_distribution_auto().counts == (1, 0, 2, 0, 1)
+    assert len(words) == 4 and half._dual is None
+
+
+def test_dual_pairs_share_one_elimination(family_grid, monkeypatch):
+    """C^perp^perp is C itself, and the null-space basis carries the rank
+    the construction certifies: no elimination runs on it."""
+    for entry in family_grid:
+        assert entry.tw.dual() is entry.cr and entry.cr.dual() is entry.tw
+        fresh = MatGF(entry.cr.field, entry.cr.G.rows)
+        assert entry.cr.G.rank == fresh.rank == entry.cr.k, entry.label
+
+    rref = matrix._rref
+    calls = []
+
+    def counting(f, rows, ncols):
+        calls.append(len(rows))
+        return rref(f, rows, ncols)
+
+    monkeypatch.setattr(matrix, "_rref", counting)
+    for i, (p, m) in enumerate([(3, 1), (5, 1), (7, 1), (3, 2)] * 3):
+        f = field_create(p, m)
+        n = 4 + i % 4
+        code = random_code(f, n, 1 + i % (n - 1), seed=700 + i)
+        calls.clear()                       # G's RREF is cached by now
+        dual = code.dual()
+        assert dual.dual() is code
+        assert dual.G.rank == n - code.k and calls == []
+        assert MatGF(f, dual.G.rows).rank == n - code.k
 
 
 def test_projective_iff_dual_distance_3(family_grid):

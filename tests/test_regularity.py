@@ -157,6 +157,35 @@ def test_oa_strength_unbalanced_column():
     assert oa_strength(m, 2) == 0
 
 
+def test_report_oa_strength_matches_brute_force(family_grid):
+    """The report reads the strength off d(C^perp) - 1; the brute-force
+    column-subset scan is the oracle, on every grid side and random code
+    where it is cheap, a zero-column code (strength 0) and the full space
+    (strength n)."""
+    from crlab.report import build_code_report
+    cases = [c for entry in family_grid for c in (entry.tw, entry.cr)]
+    for i, (p, m) in enumerate([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                (2, 3), (3, 2)] * 3):
+        f = field_create(p, m)
+        n = 3 + i % 5
+        cases.append(random_code(f, n, 1 + i % (n - 1), seed=900 + i))
+    f = field_create(3, 1)
+    zero_col = LinearCode.from_rows(f, [(1, 0, 1, 2), (0, 0, 1, 1)])
+    full = LinearCode(f, MatGF.identity(f, 3))
+    cases += [zero_col, full]
+    checked = 0
+    for c in cases:
+        if c.q ** c.k * 2 ** c.n > 1 << 17 or c.q ** (c.n - c.k) > 1 << 16:
+            continue
+        rep = build_code_report(c)
+        assert rep.oa_strength == oa_strength(CodewordMatrix.from_code(c),
+                                              c.q), c
+        checked += 1
+    assert checked >= 50
+    assert build_code_report(zero_col).oa_strength == 0
+    assert build_code_report(full).oa_strength == 3
+
+
 def test_packing_radius_le_rho(family_grid):
     for entry in family_grid:
         # the completely regular side: rho = 2 is already profiled
