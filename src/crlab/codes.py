@@ -229,8 +229,22 @@ def krawtchouk(n: int, q: int, j: int, i: int) -> int:
     return acc
 
 
+def krawtchouk_column(n: int, q: int, i: int) -> list:
+    """K_0(i), ..., K_n(i) by the three-term recurrence
+    (j+1) K_{j+1} = ((n-j)(q-1) + j - q i) K_j - (q-1)(n-j+1) K_{j-1};
+    every division is exact."""
+    col = [1]
+    prev, cur = 0, 1
+    for j in range(n):
+        prev, cur = cur, (((n - j) * (q - 1) + j - q * i) * cur
+                          - (q - 1) * (n - j + 1) * prev) // (j + 1)
+        col.append(cur)
+    return col
+
+
 def macwilliams(wd: WeightDistribution, n: int, k: int, q: int) -> WeightDistribution:
-    """Dual weight distribution via the MacWilliams transform.
+    """Dual weight distribution via the MacWilliams transform, in O(n s)
+    big-int steps for s nonzero input entries.
 
     Any non-integer or negative output entry signals an inconsistent input
     distribution and raises ValueError.
@@ -240,18 +254,18 @@ def macwilliams(wd: WeightDistribution, n: int, k: int, q: int) -> WeightDistrib
     if sum(wd.counts) != q ** k:
         raise ValueError("input distribution does not sum to q^k")
     size = q ** k
+    acc = [0] * (n + 1)
+    for i, a in enumerate(wd.counts):
+        if a:
+            for j, kji in enumerate(krawtchouk_column(n, q, i)):
+                acc[j] += a * kji
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i in range(n + 1):
-            a = wd.counts[i]
-            if a:
-                acc += a * krawtchouk(n, q, j, i)
-        if acc % size != 0:
+    for j, total in enumerate(acc):
+        if total % size != 0:
             raise ValueError(
-                f"MacWilliams output B_{j} = {acc}/{size} is not an integer; "
+                f"MacWilliams output B_{j} = {total}/{size} is not an integer; "
                 f"input distribution is inconsistent")
-        b = acc // size
+        b = total // size
         if b < 0:
             raise ValueError(
                 f"MacWilliams output B_{j} = {b} is negative; "

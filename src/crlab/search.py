@@ -1,10 +1,16 @@
 """Desk-scale exhaustive searches.
 
 * arcs / hyperovals in PG(2, q) by lexicographic backtracking with
-  collinearity pruning over precomputed line bitsets;
+  collinearity pruning over line bitsets: the line through each pair of
+  points is read from a table filled once from the incidence masks, and
+  a branch ends when fewer free points remain than the arc still needs;
 * a census of all antipodal two-weight column multisets for small
   (q, r, n), each survivor's dual run through the covering-radius and
   complete-regularity machinery and matched against the known families.
+  Its messages are the points of PG(r-1, q), one per scalar class: a
+  message and its nonzero multiples have the same weight, so the weight
+  values of the code -- all the census looks at -- come from q - 1 times
+  fewer messages.
 
 Matching is parameter-level (n, k, q, weight set, intersection array),
 not monomial-equivalence-level; census tables note this.  Entries whose
@@ -17,10 +23,11 @@ family fits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import budgets
-from .codes import LinearCode, normalize_point, projective_points
+from .codes import LinearCode, projective_points
 from .field import FieldSpec, field_create
 from .matrix import MatGF
 from .regularity import IntersectionArray, complete_regularity
@@ -34,43 +41,30 @@ CENSUS_CANDIDATE_CAP = 1 << 26
 
 
 class PlaneGeometry:
-    """Points and lines of PG(2, q) with incidence bitsets."""
+    """Points and lines of PG(2, q) with incidence bitsets;
+    ``pair_line[i][j]`` is the mask of the line through points i != j."""
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.points = projective_points(field, 3)
-        self.index = {p: i for i, p in enumerate(self.points)}
         n = len(self.points)
         self.line_mask = []
+        self.pair_line = [[0] * n for _ in range(n)]
         for coef in self.points:  # lines are dual points
-            mask = 0
+            on_line = []
             for i, p in enumerate(self.points):
                 acc = 0
                 for a, b in zip(coef, p):
                     if a and b:
                         acc = field.add(acc, field.mul(a, b))
                 if acc == 0:
-                    mask |= 1 << i
+                    on_line.append(i)
+            mask = sum(1 << i for i in on_line)
             self.line_mask.append(mask)
-        self._pair_line: dict = {}
-
-    def line_through(self, i: int, j: int) -> int:
-        """Bitmask of the unique line through two distinct points."""
-        key = (i, j) if i < j else (j, i)
-        cached = self._pair_line.get(key)
-        if cached is not None:
-            return cached
-        f = self.field
-        a = self.points[i]
-        b = self.points[j]
-        coef = (
-            f.sub(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
-            f.sub(f.mul(a[2], b[0]), f.mul(a[0], b[2])),
-            f.sub(f.mul(a[0], b[1]), f.mul(a[1], b[0])),
-        )
-        mask = self.line_mask[self.index[normalize_point(f, coef)]]
-        self._pair_line[key] = mask
-        return mask
+            for i in on_line:
+                row = self.pair_line[i]
+                for j in on_line:
+                    row[j] = mask
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,8 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
     if q > ARC_Q_MAX:
         raise ValueError(f"arc search is desk-bounded to q <= {ARC_Q_MAX}")
     geom = PlaneGeometry(field_create(p, m))
-    npts = len(geom.points)
+    pair_line = geom.pair_line
+    all_points = (1 << len(geom.points)) - 1
 
     found: list = []
     count = 0
@@ -100,13 +95,19 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
             if not found:
                 found.append(tuple(geom.points[i] for i in arc))
             return not count_all
-        for i in range(start, npts):
-            if forbidden >> i & 1:
-                continue
-            extra = 0
+        # every completion takes its points from the free ones above start
+        free = ~forbidden & all_points >> start << start
+        if free.bit_count() < target_size - len(arc):
+            return False
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            row = pair_line[i]
+            extra = low
             for j in arc:
-                extra |= geom.line_through(i, j)
-            if extend(arc + [i], forbidden | extra | (1 << i), i + 1):
+                extra |= row[j]
+            if extend(arc + [i], forbidden | extra, i + 1):
                 return True
         return False
 
@@ -182,12 +183,12 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
             f"census would scan about {candidates} {kind}, over "
             f"the cap {CENSUS_CANDIDATE_CAP}")
 
-    messages = [_decode(v, q, r) for v in range(1, q ** r)]
-    nmsg = len(messages)
+    # a message's weight is shared by its nonzero multiples, so one
+    # representative per scalar class gives every weight value
     hits = []
     for pt in points:
         row = []
-        for msg in messages:
+        for msg in points:
             acc = 0
             for a, b in zip(msg, pt):
                 if a and b:
@@ -196,58 +197,35 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
         hits.append(row)
 
     survivors: dict = {}
+    add = operator.add
 
     for n in range(max(r, 2), n_max + 1):
-        weights = [0] * nmsg
         chosen: list = []
 
-        def recurse(start: int):
+        def recurse(start: int, weights: list):
             depth = len(chosen)
             if depth == n:
                 _census_complete(field, points, chosen, weights, n,
                                  survivors, q, r)
                 return
-            remaining = n - depth
-            low = None
-            high = None
-            full = False
-            for w in weights:
-                if w == depth:
-                    full = True
-                    continue
-                if low is None or w < low:
-                    low = w
-                if high is None or w > high:
-                    high = w
-            # messages already missed must finish on one common weight
-            if high is not None and high - low > remaining:
-                return
+            missed = [w for w in weights if w != depth]
             # the full weight n must stay reachable by some message
-            if not full and depth:
+            if depth and len(missed) == len(weights):
+                return
+            # messages already missed must finish on one common weight
+            if missed and max(missed) - min(missed) > n - depth:
                 return
             for i in range(start, P):
                 chosen.append(i)
-                hrow = hits[i]
-                for v in range(nmsg):
-                    weights[v] += hrow[v]
-                recurse(i if not projective else i + 1)
-                for v in range(nmsg):
-                    weights[v] -= hrow[v]
+                recurse(i if not projective else i + 1,
+                        list(map(add, weights, hits[i])))
                 chosen.pop()
 
-        recurse(0)
+        recurse(0, [0] * P)
 
     out = sorted(survivors.values(),
                  key=lambda e: (e.n, e.weights, not e.trivial))
     return out
-
-
-def _decode(v: int, q: int, r: int) -> tuple:
-    out = []
-    for _ in range(r):
-        out.append(v % q)
-        v //= q
-    return tuple(out)
 
 
 def _census_complete(field, points, chosen, weights, n, survivors, q, r):

@@ -6,7 +6,8 @@ from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
                          complementary_generator, concatenate,
                          equidistant_check, is_antipodal_two_weight,
-                         is_projective, low_weight_min_distance, macwilliams,
+                         is_projective, krawtchouk, krawtchouk_column,
+                         low_weight_min_distance, macwilliams,
                          max_column_multiplicity, projective_dual_transform,
                          WeightDistribution)
 from crlab.families import cr4_bose_bush, random_code
@@ -76,6 +77,18 @@ def test_macwilliams_rejects_inconsistent():
     bad = WeightDistribution((1, 2, 0, 1, 0), q=2, k=2)
     with pytest.raises(ValueError):
         macwilliams(bad, 4, 2, 2)
+    negative = WeightDistribution((1, 0, 3), q=2, k=2)  # B = (1, -1, 1)
+    with pytest.raises(ValueError, match="negative"):
+        macwilliams(negative, 2, 2, 2)
+
+
+def test_krawtchouk_recurrence_matches_binomial_sum():
+    """The transform's recurrence columns equal the closed-form sum."""
+    for q in (2, 3, 4, 5, 8):
+        for n in range(41):
+            for i in range(n + 1):
+                assert krawtchouk_column(n, q, i) == \
+                    [krawtchouk(n, q, j, i) for j in range(n + 1)], (n, q, i)
 
 
 def test_antipodal_predicate():

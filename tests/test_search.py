@@ -30,6 +30,31 @@ def test_hyperoval_q16():
     assert res.exists and len(res.witness) == 18
 
 
+def test_hyperoval_witnesses_pinned():
+    """The first witness in DFS order is fixed; these are the tuples the
+    search has always printed, so a change of visiting order shows."""
+    assert search_arcs(4, 6).witness == (
+        (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 3), (1, 3, 2))
+    assert search_arcs(16, 18).witness == (
+        (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1), (1, 2, 3), (1, 3, 2),
+        (1, 4, 8), (1, 5, 11), (1, 6, 13), (1, 7, 9), (1, 8, 10),
+        (1, 9, 5), (1, 10, 14), (1, 11, 15), (1, 12, 4), (1, 13, 6),
+        (1, 14, 12), (1, 15, 7))
+
+
+def test_oval_counts_are_conic_counts():
+    """Segre: for odd q every oval of PG(2, q) is a conic, and PG(2, q)
+    has q^2 (q^3 - 1) conics."""
+    for q in (3, 5, 7):
+        assert search_arcs(q, q + 1, count_all=True).count == \
+            q * q * (q ** 3 - 1), q
+
+
+def test_hyperoval_count_q4():
+    """PG(2, 4) has 168 hyperovals."""
+    assert search_arcs(4, 6, count_all=True).count == 168
+
+
 def test_arc_counting_mode():
     # ovals of PG(2,2): count of canonical 4-arcs = number of frames
     res = search_arcs(2, 4, count_all=True)
@@ -69,45 +94,55 @@ def test_census_repetition_annotation_doubled_frames():
     assert s == 2 and any(f == "CR1" for f, _ in matches)
 
 
+def _naive_census(f, q, r, n_max, combos):
+    """(n, weights) -> count by rescanning every nonzero message."""
+    points = projective_points(f, r)
+    naive = {}
+    for n in range(2, n_max + 1):
+        for combo in combos(range(len(points)), n):
+            cols = [points[i] for i in combo]
+            G = MatGF(f, list(zip(*cols)))
+            if G.rank != r:
+                continue
+            ws = set()
+            for v in range(1, q ** r):
+                msg = []
+                x = v
+                for _ in range(r):
+                    msg.append(x % q)
+                    x //= q
+                w = 0
+                for pt in cols:
+                    acc = 0
+                    for a, b in zip(msg, pt):
+                        if a and b:
+                            acc = f.add(acc, f.mul(a, b))
+                    if acc:
+                        w += 1
+                ws.add(w)
+            ws = sorted(ws)
+            if len(ws) == 2 and ws[1] == n and ws[0] > 0:
+                key = (n, tuple(ws))
+                naive[key] = naive.get(key, 0) + 1
+    return naive
+
+
 def test_census_matches_naive_enumeration():
-    """The incremental-pruning enumerator agrees with a naive rescan."""
-    for (q, p, m, r, n_max) in [(2, 2, 1, 2, 5), (2, 2, 1, 3, 6),
-                                (3, 3, 1, 2, 5)]:
-        f = field_create(p, m)
-        points = projective_points(f, r)
-        naive = {}
-        for n in range(2, n_max + 1):
-            for combo in itertools.combinations_with_replacement(
-                    range(len(points)), n):
-                cols = [points[i] for i in combo]
-                G = MatGF(f, list(zip(*cols)))
-                if G.rank != r:
-                    continue
-                ws = set()
-                for v in range(1, q ** r):
-                    msg = []
-                    x = v
-                    for _ in range(r):
-                        msg.append(x % q)
-                        x //= q
-                    w = 0
-                    for pt in cols:
-                        acc = 0
-                        for a, b in zip(msg, pt):
-                            if a and b:
-                                acc = f.add(acc, f.mul(a, b))
-                        if acc:
-                            w += 1
-                    ws.add(w)
-                ws = sorted(ws)
-                if len(ws) == 2 and ws[1] == n and ws[0] > 0:
-                    key = (n, tuple(ws))
-                    naive[key] = naive.get(key, 0) + 1
+    """The incremental-pruning enumerator, which keeps one message per
+    scalar class, agrees with a naive rescan of all q^r - 1 messages;
+    GF(4) and GF(5) have classes of 3 and 4 messages."""
+    cases = [(2, 2, 1, 2, 5, False), (2, 2, 1, 3, 6, False),
+             (3, 3, 1, 2, 5, False), (4, 2, 2, 2, 5, False),
+             (5, 5, 1, 2, 5, False), (3, 3, 1, 3, 6, True)]
+    for (q, p, m, r, n_max, projective) in cases:
+        combos = (itertools.combinations if projective
+                  else itertools.combinations_with_replacement)
+        naive = _naive_census(field_create(p, m), q, r, n_max, combos)
         mine = {}
-        for e in search_antipodal_duals(q, r, n_max):
+        for e in search_antipodal_duals(q, r, n_max, projective=projective):
             key = (e.n, e.weights)
             mine[key] = mine.get(key, 0) + e.count
-        assert mine == naive, (q, r, n_max)
+        assert mine == naive, (q, r, n_max, projective)
 
 
 def test_census_finds_bose_bush():
