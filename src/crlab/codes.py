@@ -8,6 +8,17 @@ enumerated on the side of smaller dimension only; the MacWilliams
 transform gives the other side.  All arithmetic is exact; the MacWilliams
 transform runs in big integers and treats any fractional intermediate as
 a hard error, never rounding.
+
+Enumerated weight data comes from a numpy kernel that weighs one message
+per scalar class (first nonzero coordinate 1) and counts each weight
+q - 1 times.  The trailing generator rows are spanned once into a block
+of at most ``_BLOCK_CELLS`` cells; every message led by one of the
+remaining rows is a prefix word added to that whole block, so memory
+stays bounded by the block whatever q^k is.  Products come from the
+field's log/antilog arrays and sums from :func:`crlab.field.digit_add`.
+``codewords()`` still materialises every word as a tuple; it is the
+input of the brute-force oracles and the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -16,9 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import budgets
-from .field import FieldSpec
+from .field import FieldSpec, digit_add
 from .matrix import MatGF
+
+# words x coordinates in the weight kernel's spanned block
+_BLOCK_CELLS = 1 << 18
 
 
 class WeightDistribution:
@@ -133,15 +149,14 @@ class LinearCode:
         return list(_span(self.field, self.G))
 
     def weight_distribution(self) -> WeightDistribution:
-        """Exact counts by direct enumeration of all q^k codewords."""
+        """Exact counts by direct enumeration: one message per scalar
+        class of the q^k, each weight counted q - 1 times."""
         if self._wd is None:
             budgets.check_enum(
                 self.q ** self.k,
                 f"weight distribution of [{self.n},{self.k}]_{self.q} code")
-            counts = [0] * (self.n + 1)
-            for w in _span_weights(self.field, self.G):
-                counts[w] += 1
-            self._wd = WeightDistribution(counts, self.q, self.k)
+            self._wd = WeightDistribution(
+                _weight_counts(self.field, self.G), self.q, self.k)
         return self._wd
 
     def weight_distribution_auto(self) -> WeightDistribution:
@@ -177,9 +192,65 @@ def _span(field: FieldSpec, G: MatGF):
     return words
 
 
-def _span_weights(field: FieldSpec, G: MatGF):
-    for w in _span(field, G):
-        yield sum(1 for x in w if x)
+def _weight_counts(field: FieldSpec, G: MatGF) -> list:
+    """A_0 .. A_n of the code spanned by the independent rows of G.
+
+    Only the messages whose first nonzero coordinate is 1 are weighed.
+    Those led by one of the t trailing rows are slices of the block
+    spanned by those rows; each message led by one of the h = k - t
+    leading rows is a prefix word added to the whole block.  t is the
+    largest value with q^t * n <= _BLOCK_CELLS, but at most k - 1.
+    """
+    q, n, k = field.q, G.ncols, G.nrows
+    counts = np.zeros(n + 1, dtype=np.int64)
+    if k:
+        # holds the digit sums inside digit_add (each below 2q)
+        dtype = np.min_scalar_type(2 * q)
+        rows = np.array(G.rows, dtype=dtype)
+        t = 0
+        while t < k - 1 and q ** (t + 1) * n <= _BLOCK_CELLS:
+            t += 1
+        h = k - t
+        block = _span_block(field, rows[h:])
+        for s in range(t):
+            counts += _weight_histogram(block[q ** s:2 * q ** s])
+        for i in range(h):
+            for word in _prefix_words(field, rows[i], rows[i + 1:h]):
+                counts += _weight_histogram(
+                    digit_add(block, word, field.p, field.m))
+        counts *= q - 1
+    counts[0] = 1
+    return counts.tolist()
+
+
+def _span_block(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """All q^t combinations of the t rows, one per array row: the
+    combination with coefficients c_0 .. c_(t-1) sits at index
+    sum_i c_i q^(t-1-i), so those led by row i (c_i = 1 and zero before
+    it) fill [q^(t-1-i), 2 q^(t-1-i))."""
+    elements = np.arange(field.q)[:, None]
+    block = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        mults = field.mul_array(elements, row).astype(rows.dtype)
+        block = digit_add(mults[:, None], block, field.p, field.m)
+        block = block.reshape(-1, rows.shape[1])
+    return block
+
+
+def _prefix_words(field: FieldSpec, word: np.ndarray, rows: np.ndarray):
+    """word plus each combination of the rows, depth first."""
+    if not len(rows):
+        yield word
+        return
+    for c in range(field.q):
+        mult = field.mul_array(c, rows[0]).astype(word.dtype)
+        yield from _prefix_words(
+            field, digit_add(word, mult, field.p, field.m), rows[1:])
+
+
+def _weight_histogram(words: np.ndarray) -> np.ndarray:
+    return np.bincount(np.count_nonzero(words, axis=1),
+                       minlength=words.shape[1] + 1)
 
 
 class CodewordMatrix:

@@ -19,8 +19,10 @@ Two coordinate systems are used for Phi:
   only F_p-linear and verifiably fails scalar closure already for
   p = 2, l = h = 2.)
 
-Group arithmetic on whole arrays of entries goes through q x q addition
-and subtraction tables from :func:`crlab.field.digit_table`; the
+The multiplication table F is one broadcast over the big field's
+log/antilog arrays (:meth:`crlab.field.FieldSpec.mul_array`).  Group
+arithmetic on whole arrays of entries goes through q x q addition and
+subtraction tables from :func:`crlab.field.digit_table`; the
 element-level ``FieldSpec`` methods are used only where single entries
 are combined.
 
@@ -68,22 +70,31 @@ class DifferenceMatrix:
 
 
 def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
-    """Exhaustive check over all row pairs."""
-    M = np.asarray(entries, dtype=np.int64)
+    """Exhaustive check over all row pairs.
+
+    Row i is checked against every later row at once: the differences
+    come from one gather on the flat subtraction table, each row pair's
+    differences are offset into its own q bins, and one bincount must
+    give mu in every bin."""
+    M = np.asarray(entries, dtype=np.intp)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
     q = group_field.q
     side = M.shape[0]
     if side % q:
         return False
+    if M.size and (M.min() < 0 or M.max() >= q):
+        return False
     mu = side // q
-    sub = digit_table(group_field, -1)
-    for i in range(side):
-        diffs = sub[M[i + 1:], M[i]]
-        if diffs.size == 0:
-            break
-        counts = np.apply_along_axis(np.bincount, 1, diffs, minlength=q)
-        if not (counts == mu).all():
+    key = np.min_scalar_type(side * q)
+    sub = digit_table(group_field, -1).astype(key).ravel()
+    scaled = M * q
+    offsets = (np.arange(side, dtype=key) * q)[:, None]
+    for i in range(side - 1):
+        later = side - 1 - i
+        keys = sub[scaled[i + 1:] + M[i]]
+        keys += offsets[:later]
+        if not (np.bincount(keys.ravel(), minlength=later * q) == mu).all():
             return False
     return True
 
@@ -178,14 +189,8 @@ def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
     tower = l > 1 and h % l == 0
     phi = _phi_table(big, small, tower)
 
-    qu = big.q
-    log = np.array(big.discrete_log, dtype=np.int64)
-    antilog = np.array(big.alpha_powers, dtype=np.int64)
-    F = np.zeros((qu, qu), dtype=np.int64)
-    nz = np.arange(1, qu)
-    for i in range(1, qu):
-        F[i, 1:] = antilog[(log[i] + log[nz]) % (qu - 1)]
-    D = phi[F]
+    elements = np.arange(big.q)
+    D = phi[big.mul_array(elements[:, None], elements)]
 
     if not is_difference_matrix(D, small):
         raise AssertionError(

@@ -13,13 +13,16 @@ For m = 1 the polynomial machinery degenerates to arithmetic mod p and
 alpha is the smallest primitive root.
 
 The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
-tables of size q are precomputed at creation for O(1) mul/inv.
+tables of size q are precomputed at creation for O(1) mul/inv.  Their
+numpy counterparts behind :meth:`FieldSpec.mul_array` (whole arrays of
+products, for the weight kernel, the difference-matrix multiplication
+table and the syndrome deltas) are built on first use, once per field.
 
 Addition is digit-wise mod p on these encodings, and so is addition of
 any vector of field elements packed in base q = p^m: such a vector is a
 base-p integer with one digit per coordinate coefficient.  That
 digit-wise sum (and difference) lives only in :func:`digit_add`, which
-works on Python ints and on int64 numpy arrays alike; the syndrome graph
+works on Python ints and on integer numpy arrays alike; the syndrome graph
 (``regularity``) calls it directly, and the q x q group tables of
 ``diffmat`` and of the element methods here come from
 :func:`digit_table`, which is built on it.
@@ -53,9 +56,10 @@ def is_prime(n: int) -> bool:
 def digit_add(a, b, p: int, ndigits: int, sign: int = 1):
     """a + sign*b digit-wise mod p, for base-p integers of ndigits digits.
 
-    a and b may be Python ints or int64 numpy arrays (broadcasting as
-    usual); sign = -1 gives subtraction and digit_add(0, b, ..., -1) the
-    negation.  For p = 2 every sign is the same XOR.
+    a and b may be Python ints or integer numpy arrays (broadcasting as
+    usual) whose dtype holds 2 p^ndigits, signed when sign = -1; sign = -1
+    gives subtraction and digit_add(0, b, ..., -1) the negation.  For
+    p = 2 every sign is the same XOR.
     """
     if p == 2:
         return a ^ b
@@ -132,7 +136,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "q", "modulus", "alpha", "alpha_powers", "discrete_log",
-        "_add_table", "_neg_table",
+        "_add_table", "_neg_table", "_log_arrays",
     )
 
     def __init__(self, p: int, m: int, modulus, alpha_powers):
@@ -153,6 +157,7 @@ class FieldSpec:
         else:
             self._add_table = None
             self._neg_table = None
+        self._log_arrays = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -180,6 +185,27 @@ class FieldSpec:
             return 0
         log = self.discrete_log
         return self.alpha_powers[(log[a] + log[b]) % (self.q - 1)]
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise a*b over integer arrays of elements (broadcasting
+        as usual), as intp.
+
+        Reads log/antilog arrays built on first use, once per field: zero
+        takes the log 2(q-1), past the sum of any two nonzero logs, and
+        the antilog array is zero from there on, so no product needs a
+        mask or a reduction mod q-1.  Two threads racing on the first use
+        build equal arrays.
+        """
+        if self._log_arrays is None:
+            z = 2 * (self.q - 1)
+            log = np.array(self.discrete_log, dtype=np.intp)
+            log[0] = z
+            powers = np.array(self.alpha_powers, dtype=np.intp)
+            antilog = np.zeros(2 * z + 1, dtype=np.intp)
+            antilog[:z] = np.tile(powers, 2)
+            self._log_arrays = (log, antilog)
+        log, antilog = self._log_arrays
+        return antilog[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:

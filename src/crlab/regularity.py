@@ -80,7 +80,7 @@ class SyndromeProfile:
     def _build(self):
         code = self.code
         f = code.field
-        q, r, n = self.q, self.r, code.n
+        q, r = self.q, self.r
         size = q ** r
         self.size = size
 
@@ -92,17 +92,13 @@ class SyndromeProfile:
             return
 
         H = code.dual().G  # parity-check rows of `code`
-        # one delta per (column i, nonzero gamma): the syndrome of gamma*e_i
-        deltas = []
-        for j in range(n):
-            col = H.column(j)
-            for gamma in range(1, q):
-                packed = 0
-                mul = 1
-                for x in col:
-                    packed += f.mul(gamma, x) * mul
-                    mul *= q
-                deltas.append(packed)
+        # one delta per (column j, nonzero gamma), j outer: the packed
+        # syndrome of gamma*e_j
+        cols = np.array(H.rows, dtype=np.intp).T
+        gammas = np.arange(1, q)[:, None]
+        places = q ** np.arange(r, dtype=np.int64)
+        products = f.mul_array(cols[:, None, :], gammas)
+        deltas = (products @ places).ravel().tolist()
         self.deltas = deltas
 
         p, ndigits = f.p, r * f.m

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -257,27 +258,101 @@ def test_enumeration_budget(monkeypatch):
 
 
 def test_auto_enumerates_the_smaller_side(monkeypatch):
-    span_weights = codes._span_weights
-    words = []
+    weight_counts = codes._weight_counts
+    sides = []
 
     def counting(field, G):
-        for w in span_weights(field, G):
-            words.append(w)
-            yield w
+        sides.append(field.q ** G.nrows)
+        return weight_counts(field, G)
 
-    monkeypatch.setattr(codes, "_span_weights", counting)
+    monkeypatch.setattr(codes, "_weight_counts", counting)
     inst = cr4_bose_bush(8)
     cr = inst.cr_code                        # [10,7]_8
     wd = cr.weight_distribution_auto()
-    assert len(words) == 8 ** 3
+    assert sides == [8 ** 3]
     assert wd == macwilliams(inst.two_weight_code.weight_distribution(),
                              10, 3, 8)
     # k = n - k: the code itself is enumerated
     f = field_create(2, 1)
     half = LinearCode.from_rows(f, [(1, 1, 0, 0), (0, 0, 1, 1)])
-    words.clear()
+    sides.clear()
     assert half.weight_distribution_auto().counts == (1, 0, 2, 0, 1)
-    assert len(words) == 4 and half._dual is None
+    assert sides == [4] and half._dual is None
+
+
+def _counts_from_codewords(code):
+    counts = [0] * (code.n + 1)
+    for w in code.codewords():
+        counts[sum(1 for x in w if x)] += 1
+    return tuple(counts)
+
+
+def _kernel_cases():
+    """Seeded random codes with q^k <= 2^12, plus k = 0, k = 1, k = n and
+    a zero column."""
+    cases = []
+    for i, (p, m) in enumerate([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                (2, 3), (3, 2), (5, 2), (3, 3)]):
+        f = field_create(p, m)
+        for j in range(4):
+            n = 3 + (i + j) % 7
+            k = 1 + j % n
+            while f.q ** k > 1 << 12:
+                k -= 1
+            cases.append(random_code(f, n, k, seed=100 * i + j))
+        cases.append(LinearCode(f, MatGF.empty(f, 4)))
+        cases.append(random_code(f, 5, 1, seed=i))
+        k = 1
+        while f.q ** (k + 1) <= 1 << 12 and k < 4:
+            k += 1
+        cases.append(LinearCode(f, MatGF.identity(f, k)))
+        zero_col = [row[:2] + (0,) + row[2:]
+                    for row in random_code(f, 5, 2, seed=50 + i).G.rows]
+        cases.append(LinearCode.from_rows(f, zero_col))
+    return cases
+
+
+def test_weight_kernel_matches_codewords(family_grid):
+    """The one-message-per-scalar-class kernel against counts taken from
+    every codeword, on the grid sides with q^k <= 2^12 and on random
+    codes over GF(2, 3, 4, 5, 7, 8, 9, 25, 27)."""
+    checked = 0
+    for entry in family_grid:
+        for code in (entry.tw, entry.cr):
+            if code.q ** code.k <= 1 << 12:
+                assert code.weight_distribution().counts == \
+                    _counts_from_codewords(code), entry.label
+                checked += 1
+    assert checked >= 30
+    for code in _kernel_cases():
+        assert code.weight_distribution().counts == \
+            _counts_from_codewords(code), code
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40])
+def test_weight_kernel_head_tail_split(monkeypatch, cells):
+    """A small block forces prefix walks over several leading rows."""
+    monkeypatch.setattr(codes, "_BLOCK_CELLS", cells)
+    for code in _kernel_cases():
+        if code.q ** code.k <= 1 << 10:
+            fresh = LinearCode(code.field, code.G)
+            assert fresh.weight_distribution().counts == \
+                _counts_from_codewords(code), code
+
+
+def test_weight_kernel_memory_is_bounded():
+    """2^20 words in bounded memory: the [40,20]_2 distribution equals the
+    MacWilliams transform of its dual's."""
+    code = random_code(field_create(2, 1), 40, 20, seed=3)
+    dual_wd = code.dual().weight_distribution()
+    tracemalloc.start()
+    try:
+        wd = code.weight_distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wd == macwilliams(dual_wd, 40, 20, 2)
+    assert peak < 32 << 20
 
 
 def test_dual_pairs_share_one_elimination(family_grid, monkeypatch):

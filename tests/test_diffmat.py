@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,43 @@ def test_exhaustive_verification_up_to_256():
     for (p, l, h) in cases:
         dm = difference_matrix(p, l, h)   # verification runs internally
         assert dm.side == p ** (l + h)
+
+
+def _naive_is_difference_matrix(entries, f):
+    rows = [tuple(int(x) for x in r) for r in entries]
+    side = len(rows)
+    if any(len(r) != side for r in rows) or side % f.q:
+        return False
+    mu = side // f.q
+    for i, j in itertools.combinations(range(side), 2):
+        diffs = Counter(f.sub(a, b) for a, b in zip(rows[j], rows[i]))
+        if any(diffs[g] != mu for g in range(f.q)):
+            return False
+    return True
+
+
+def test_check_matches_per_pair_counter():
+    """The one-bincount-per-row check against a per-pair Counter, on every
+    D(p^l, p^h) with side <= 64 and on broken copies of each."""
+    cases = [(p, l, u - l) for p in (2, 3, 5, 7) for u in range(2, 7)
+             if p ** u <= 64 for l in range(1, u)]
+    assert len(cases) == 20
+    for p, l, h in cases:
+        dm = difference_matrix(p, l, h)
+        f, M, q = dm.group_field, dm.entries, dm.q
+        assert is_difference_matrix(M, f)
+        assert _naive_is_difference_matrix(M, f)
+        last_cell = M.copy()
+        last_cell[-1, -1] = (last_cell[-1, -1] + 1) % q
+        # every pair but the last one the loop visits still passes
+        duplicated = M.copy()
+        duplicated[-1] = M[-2]
+        for bad in (last_cell, duplicated, M[:, :-1], M[:-1, :-1]):
+            assert not _naive_is_difference_matrix(bad, f), (p, l, h)
+            assert not is_difference_matrix(bad, f), (p, l, h)
+        out_of_range = M.copy()
+        out_of_range[0, 0] = q
+        assert not is_difference_matrix(out_of_range, f)
 
 
 def test_invalid_parameters():

@@ -84,6 +84,19 @@ def test_field_axioms_exhaustive_small(p, m):
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2),
+                                 (2, 8), (3, 5)])
+def test_mul_array_matches_field(p, m):
+    """The cached log/antilog arrays give every product, zero included,
+    and are built once per field."""
+    f = field_create(p, m)
+    e = np.arange(f.q)
+    assert f.mul_array(e[:, None], e).tolist() == \
+        [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
+    tables = f._log_arrays
+    assert f.mul_array(0, f.q - 1) == 0 and f._log_arrays is tables
+
+
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
 def test_digit_add_matches_field(p, m):
     """The array kernel agrees with the scalar field methods, and an
