@@ -22,8 +22,8 @@ Addition is digit-wise mod p on these encodings, and so is addition of
 any vector of field elements packed in base q = p^m: such a vector is a
 base-p integer with one digit per coordinate coefficient.  That
 digit-wise sum (and difference) lives only in :func:`digit_add`, which
-works on Python ints and on integer numpy arrays alike; the syndrome graph
-(``regularity``) calls it directly, and the q x q group tables of
+works on Python ints and on integer numpy arrays alike; the weight
+kernel (``codes``) calls it directly, and the q x q group tables of
 ``diffmat`` and of the element methods here come from
 :func:`digit_table`, which is built on it.
 """

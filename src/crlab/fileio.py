@@ -22,6 +22,7 @@ exact integers, rationals appear as "num/den" strings.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,6 +297,18 @@ def report_to_json(report: CodeReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
+@functools.cache
+def _report_validator():
+    """REPORT_SCHEMA, checked and compiled once per process."""
+    from jsonschema import Draft202012Validator
+    Draft202012Validator.check_schema(REPORT_SCHEMA)
+    return Draft202012Validator(REPORT_SCHEMA)
+
+
 def validate_report_dict(doc: dict) -> None:
-    import jsonschema
-    jsonschema.validate(doc, REPORT_SCHEMA)
+    """Raise the best-matching jsonschema.ValidationError, as
+    jsonschema.validate does, unless doc is a valid report."""
+    from jsonschema.exceptions import best_match
+    error = best_match(_report_validator().iter_errors(doc))
+    if error is not None:
+        raise error

@@ -12,24 +12,39 @@ counts is equivalent to constancy over vectors.  The reduction is
 oracle-tested against :func:`brute_subconstituents`, which works on the
 full vector space and never looks at syndromes.
 
-Syndromes are packed as integers in radix q (coordinate j weighs q^j).
-With q = p^m a packed syndrome is a base-p integer of r*m digits, and
-syndrome addition is digit-wise mod p: the syndrome graph is a Cayley
-graph on F_p^(rm) whose connection set is the set of column deltas.  The
-BFS and the counting pass both add deltas to whole arrays of syndromes
-with :func:`crlab.field.digit_add` (XOR for p = 2), one numpy path for
-every characteristic.
+Syndromes are packed in radix q (coordinate j weighs q^j); with q = p^m a
+packed syndrome is a base-p integer of N = r*m digits added digit-wise
+mod p.  The syndrome graph is thus a Cayley graph on F_p^N whose
+connection multiset D holds the n(q-1) column deltas gamma*h_j (a zero
+column gives self-loops, a repeated column repeated deltas).  D = -D, so
+the convolution conv_j = 1_D * 1_(L_j) counts, at each syndrome, the moves
+into the level L_j of coset-leader weight j.  L_(j+1) is the support of
+conv_j minus the earlier levels (L_0 = {0}, conv_0 = 1_D); on L_j the
+down count is conv_(j-1) and the up count conv_(j+1), which on the last
+level but one is |D| - down - conv_(rho-1).  So the profile costs
+2*rho - 1 transforms (1_D once, then one forward and one inverse per
+0 < j < rho), each a length-p DFT along every base-p digit.
+
+The DFT is taken modulo a prime P = 1 (mod p), which holds the p-th roots
+of unity, so all arithmetic is exact integers; for p = 2 the root is -1
+and the transform is the Walsh-Hadamard transform.  P is the smallest such
+prime above 2^b, b the bit length of |D|: a count lies in [0, |D|] and
+|D| < P, so it is its own least residue.  Values carry a bound on their
+size and are reduced mod P only when a stage or product could overflow;
+buffers are int32 when a stage on reduced values fits int32, else int64
+(a larger |D| than int64 allows, about 2^30, is refused).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import budgets
 from .codes import LinearCode, CodewordMatrix
-from .field import digit_add
+from .field import is_prime
 
 
 @dataclass(frozen=True)
@@ -66,8 +81,62 @@ class IntersectionArray:
         return "{%s;%s}" % (bs, cs)
 
 
+@functools.lru_cache(maxsize=None)
+def _ring(p: int, bits: int) -> tuple:
+    """(P, w, dtype): the smallest prime P = 1 (mod p) above 2^bits, the
+    powers w[e] = root^e of a primitive p-th root of unity mod P as
+    residues of least absolute value (w = [1, -1] for p = 2), and the
+    narrower of int32/int64 in which a stage on reduced values, or the
+    product of two reduced values, cannot overflow."""
+    P = (1 << bits) + 1 + (-(1 << bits)) % p
+    while not is_prime(P):
+        P += p
+    root = next(x for a in range(2, P) if (x := pow(a, (P - 1) // p, P)) != 1)
+    w = [(pow(root, e, P) + P // 2) % P - P // 2 for e in range(p)]
+    for dtype in (np.int32, np.int64):
+        if sum(map(abs, w)) * P * P <= np.iinfo(dtype).max:
+            return P, w, dtype
+    raise ValueError(f"no int64 transform modulus above 2^{bits} for p = {p}")
+
+
+def _dft(x, y, w, sign: int, P: int, bound: int, ndigits: int):
+    """Length-p DFT mod P with roots w[sign*j*k] along each of the ndigits
+    base-p digits of the flat buffer x, y being the other buffer; returns
+    (result, free buffer, bound on |result|) given |x| <= bound.
+
+    A stage reads the top digit as the contiguous rows x[j] and writes
+    the transformed digit as the lowest one of y, so after ndigits stages
+    every digit is back in place.  x is reduced mod P only when the next
+    stage could overflow its dtype."""
+    p = len(w)
+    m = x.size // p
+    growth, limit = sum(map(abs, w)), np.iinfo(x.dtype).max
+    # only p = 2 has no root other than +-1 to multiply by
+    scratch = np.empty(m if p > 2 else 0, dtype=x.dtype)
+    for _ in range(ndigits):
+        if bound * growth > limit:
+            np.remainder(x, P, out=x)
+            bound = P - 1
+        src, dst = x.reshape(p, m), y.reshape(m, p)
+        for k in range(p):
+            out, acc = dst[:, k], src[0]
+            for j in range(1, p):
+                root = w[sign * j * k % p]
+                if root == 1:
+                    np.add(acc, src[j], out=out)
+                elif root == -1:
+                    np.subtract(acc, src[j], out=out)
+                else:
+                    np.add(acc, np.multiply(src[j], root, out=scratch), out=out)
+                acc = out
+        x, y = y, x
+        bound *= growth
+    return x, y, bound
+
+
 class SyndromeProfile:
-    """Coset-leader levels for every syndrome of a linear code."""
+    """Coset-leader levels for every syndrome of a linear code, with the
+    per-syndrome down and up neighbor counts."""
 
     def __init__(self, code: LinearCode):
         self.code = code
@@ -89,6 +158,7 @@ class SyndromeProfile:
             self.deltas = []
             self.rho = 0
             self.level_coset_counts = {0: 1}
+            self._down = self._up = np.zeros(1, dtype=np.int32)
             return
 
         H = code.dual().G  # parity-check rows of `code`
@@ -98,31 +168,58 @@ class SyndromeProfile:
         gammas = np.arange(1, q)[:, None]
         places = q ** np.arange(r, dtype=np.int64)
         products = f.mul_array(cols[:, None, :], gammas)
-        deltas = (products @ places).ravel().tolist()
-        self.deltas = deltas
+        deltas = (products @ places).ravel()
+        self.deltas = deltas.tolist()
 
-        p, ndigits = f.p, r * f.m
+        total, ndigits = deltas.size, r * f.m
+        P, w, dtype = _ring(f.p, total.bit_length())
         levels = np.full(size, -1, dtype=np.int8)
         levels[0] = 0
-        frontier = np.array([0], dtype=np.int64)
+        down = np.zeros(size, dtype=np.int32)
+        up = np.zeros(size, dtype=np.int32)
+        conv = np.bincount(deltas, minlength=size).astype(dtype)
+        spare = np.empty_like(conv)
+        counts = {0: 1}
+        d_hat = None
         depth = 0
-        seen = 1
-        while frontier.size and seen < size:
+        while True:
+            # conv = conv_depth.  Masked stores are products with 0/1
+            # masks into cells still 0 (-1 in levels): no branch per cell
+            if depth:
+                up += np.multiply(conv, levels == depth - 1, out=spare)
+            fresh = conv > 0
+            fresh &= levels < 0
+            counts[depth + 1] = int(np.count_nonzero(fresh))
+            if not counts[depth + 1]:
+                raise AssertionError("syndrome BFS did not reach every coset")
+            levels += fresh.view(np.int8) * np.int8(depth + 2)
+            down += np.multiply(conv, fresh, out=spare)
+            if sum(counts.values()) == size:
+                break
+            if d_hat is None:  # F(1_D) p^(-N): the inverses need no scaling
+                conv, spare, _ = _dft(conv, spare, w, 1, P, total, ndigits)
+                conv %= P
+                conv *= pow(f.p, -ndigits, P)
+                conv %= P
+                d_hat = conv.astype(np.int32)
+            np.copyto(conv, fresh)
+            conv, spare, bound = _dft(conv, spare, w, 1, P, 1, ndigits)
+            if bound * P > np.iinfo(dtype).max:
+                conv %= P
+                bound = P
+            conv *= d_hat
+            conv, spare, _ = _dft(conv, spare, w, -1, P, bound * P, ndigits)
+            conv %= P
             depth += 1
-            mask = np.zeros(size, dtype=bool)
-            for d in deltas:
-                mask[digit_add(frontier, d, p, ndigits)] = True
-            mask &= levels < 0
-            nxt = np.nonzero(mask)[0]
-            levels[nxt] = depth
-            seen += nxt.size
-            frontier = nxt
-        if seen != size:
-            raise AssertionError("syndrome BFS did not reach every coset")
+        # up on L_depth, the last level but one: |D| - down - conv_depth
+        conv += down
+        np.subtract(total, conv, out=conv)
+        up += np.multiply(conv, levels == depth, out=conv)
+
         self.levels = levels
-        self.rho = int(levels.max())
-        vals, counts = np.unique(levels, return_counts=True)
-        self.level_coset_counts = {int(v): int(c) for v, c in zip(vals, counts)}
+        self.rho = depth + 1
+        self.level_coset_counts = counts
+        self._down, self._up = down, up
 
     def coset_counts(self) -> dict:
         """Number of cosets at each level 0..rho."""
@@ -134,21 +231,9 @@ class SyndromeProfile:
         return {l: c * size_coset for l, c in self.level_coset_counts.items()}
 
     def neighbor_level_counts(self):
-        """(down, up) arrays: per syndrome, the number of (i, gamma) moves
-        landing one level lower / higher."""
-        levels = self.levels
-        if self.r == 0:
-            return (np.zeros(1, dtype=np.int64),) * 2
-        down = np.zeros(self.size, dtype=np.int64)
-        up = np.zeros(self.size, dtype=np.int64)
-        p, ndigits = self.code.field.p, self.r * self.code.field.m
-        idx = np.arange(self.size, dtype=np.int64)
-        lv = levels.astype(np.int16)
-        for d in self.deltas:
-            nb = lv[digit_add(idx, d, p, ndigits)]
-            down += nb == lv - 1
-            up += nb == lv + 1
-        return down, up
+        """(down, up) int32 arrays: per syndrome, the number of (i, gamma)
+        moves landing one level lower / higher."""
+        return self._down, self._up
 
 
 def syndrome_profile(code: LinearCode) -> SyndromeProfile:

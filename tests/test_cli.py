@@ -130,6 +130,45 @@ def test_dm_command(tmp_path, capsys):
     assert (p, l, h) == (2, 1, 1) and dm.side == 4
 
 
+def test_dm_verify_runs_the_check_once(monkeypatch, capsys):
+    """The construction is a theorem and is not re-checked: `--verify`
+    runs the exhaustive check exactly once, and without it none runs."""
+    from crlab import diffmat
+    calls = []
+    check = diffmat.is_difference_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(diffmat, "is_difference_matrix", counting)
+    assert run(["dm", "--p", "2", "--l", "2", "--h", "2", "--verify"]) == 0
+    assert "difference matrix: OK" in capsys.readouterr().out
+    assert len(calls) == 1
+    assert run(["dm", "--p", "3", "--l", "1", "--h", "1"]) == 0
+    assert "difference matrix" not in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_report_schema_rejects_bad_documents(tmp_path, capsys):
+    """The once-compiled validator still rejects a wrong schema number and
+    a missing required key, every time it is asked."""
+    import jsonschema
+    path = tmp_path / "bb4.gfc"
+    fileio.write_gfc(path, cr4_bose_bush(4).cr_code)
+    assert run(["report", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fileio.validate_report_dict(doc)
+    for _ in range(2):
+        with pytest.raises(jsonschema.ValidationError):
+            fileio.validate_report_dict(dict(doc, schema=2))
+        missing = dict(doc)
+        del missing["rho"]
+        with pytest.raises(jsonschema.ValidationError, match="'rho'"):
+            fileio.validate_report_dict(missing)
+    fileio.validate_report_dict(doc)
+
+
 def test_bounds_command_exit_codes(capsys):
     assert run(["bounds", "--q", "4", "--n", "6", "--d", "4", "--N", "64"]) == 0
     text = capsys.readouterr().out

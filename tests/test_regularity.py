@@ -1,14 +1,20 @@
-import pytest
+import tracemalloc
 
-from crlab import budgets
+import numpy as np
+import pytest
+from conftest import build_instance
+
+from crlab import budgets, families
 from crlab.codes import CodewordMatrix, LinearCode
+from crlab.conditions import prime_power
 from crlab.families import cr1_extended_hamming, cr4_bose_bush, random_code
-from crlab.field import field_create
+from crlab.field import digit_add, field_create
 from crlab.matrix import MatGF
 from crlab.regularity import (brute_subconstituents, complete_regularity,
                               covering_radius, external_distance,
                               oa_strength, packing_radius, syndrome_profile,
-                              up_wide_check, IntersectionArray)
+                              up_wide_check, IntersectionArray,
+                              SyndromeProfile)
 
 
 def ext_hamming():
@@ -205,7 +211,7 @@ def test_syndrome_budget(monkeypatch):
         syndrome_profile(code)
 
 
-def test_odd_characteristic_generic_path():
+def test_odd_characteristic_matches_brute():
     f = field_create(3, 1)
     code = LinearCode.from_rows(f, [(1, 1, 1), (0, 1, 2)]).dual()
     res = complete_regularity(code)
@@ -228,3 +234,171 @@ def test_random_codes_syndrome_vs_brute():
         assert a.is_completely_regular == b.is_completely_regular
         if a.ia is not None:
             assert a.ia.same_array(b.ia)
+
+
+# -- the transform kernel against the per-delta loops ------------------------
+
+def loop_profile(code):
+    """(levels, down, up) by one pass per column delta: a BFS over each
+    frontier, then one count over all q^r syndromes per delta.  The
+    deltas are built here from scalar field operations."""
+    f, q, r = code.field, code.q, code.n - code.k
+    size = q ** r
+    if r == 0:
+        return (np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64),
+                np.zeros(1, dtype=np.int64))
+    H = code.dual().G.rows
+    deltas = [sum(f.mul(gamma, row[j]) * q ** i for i, row in enumerate(H))
+              for j in range(code.n) for gamma in range(1, q)]
+    p, ndigits = f.p, r * f.m
+    levels = np.full(size, -1, dtype=np.int8)
+    levels[0] = 0
+    frontier = np.array([0], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        mask = np.zeros(size, dtype=bool)
+        for d in deltas:
+            mask[digit_add(frontier, d, p, ndigits)] = True
+        mask &= levels < 0
+        frontier = np.nonzero(mask)[0]
+        levels[frontier] = depth
+    assert (levels >= 0).all()
+    down = np.zeros(size, dtype=np.int64)
+    up = np.zeros(size, dtype=np.int64)
+    idx = np.arange(size, dtype=np.int64)
+    lv = levels.astype(np.int16)
+    below, above = lv - 1, lv + 1
+    for d in deltas:
+        nb = lv[digit_add(idx, d, p, ndigits)]
+        down += nb == below
+        up += nb == above
+    return levels, down, up
+
+
+def assert_matches_loops(code, prof=None, label=""):
+    """The profile (prof, when it is already built) against the loops."""
+    prof = prof if prof is not None else SyndromeProfile(code)
+    levels, down, up = loop_profile(code)
+    got_down, got_up = prof.neighbor_level_counts()
+    assert np.array_equal(prof.levels, levels), label
+    assert np.array_equal(got_down, down), label
+    assert np.array_equal(got_up, up), label
+    assert prof.rho == int(levels.max()), label
+    vals, counts = np.unique(levels, return_counts=True)
+    assert prof.level_coset_counts == dict(zip(vals.tolist(),
+                                               counts.tolist())), label
+
+
+def test_kernel_matches_loops_on_grid(family_grid):
+    """Every grid side with at most 2^21 syndromes."""
+    checked = 0
+    for entry in family_grid:
+        for code, prof in ((entry.cr, entry.cr_result.profile),
+                           (entry.tw, None)):
+            if code.q ** (code.n - code.k) <= 1 << 21:
+                assert_matches_loops(code, prof, entry.label)
+                checked += 1
+    assert checked >= 50
+
+
+# The `construct` workload's families (perfbench/workloads.py::CONSTRUCT);
+# only their completely regular sides have at most 2^21 syndromes.
+CONSTRUCT_SIDES = (
+    [("bose-bush", {"q": 32})]
+    + [("denniston", {"q": 32, "h": h}) for h in (2, 4, 8)]
+    + [("delsarte", {"q": 16}), ("ext-hamming", {"m": 8}),
+       ("mds-dual", {"q": 25, "n": 25}), ("mds-dual", {"q": 27, "n": 27})]
+    + [("dm-dual", {"p": p, "l": l, "h": h})
+       for (p, l, h) in ((2, 2, 4), (2, 3, 3), (3, 1, 2), (5, 1, 1))]
+)
+
+
+def test_kernel_matches_loops_on_construct_sides():
+    for kind, params in CONSTRUCT_SIDES:
+        inst = build_instance(kind, params)
+        for code in (inst.cr_code, inst.two_weight_code):
+            if code.q ** (code.n - code.k) <= 1 << 21:
+                assert_matches_loops(code, label=(kind, params))
+
+
+def test_kernel_matches_loops_on_random_codes():
+    """Seeded random codes over fields of characteristic 2, 3, 5 and 7,
+    prime and extension, both sides of each."""
+    shapes = {2: (9, 3), 3: (7, 3), 4: (6, 2), 5: (6, 3), 7: (5, 2),
+              8: (5, 2), 9: (5, 2), 25: (4, 2), 27: (4, 2)}
+    for i, (q, (n, k)) in enumerate(shapes.items()):
+        f = field_create(*prime_power(q))
+        for seed in (700 + i, 800 + i):
+            code = random_code(f, n, k, seed=seed)
+            assert_matches_loops(code, label=(q, seed))
+            assert_matches_loops(code.dual(), label=(q, seed, "dual"))
+
+
+def test_kernel_matches_loops_past_the_int32_buffers():
+    """Long codes whose |D| forces int64 buffers, at p = 2, 3, 5 and 7."""
+    from crlab.regularity import _ring
+    for i, (q, n, r) in enumerate(((32, 530, 2), (9, 256, 2), (25, 50, 2),
+                                   (7, 100, 3))):
+        f = field_create(*prime_power(q))
+        code = random_code(f, n, r, seed=900 + i).dual()
+        assert _ring(f.p, (n * (q - 1)).bit_length())[2] is np.int64
+        assert_matches_loops(code, label=(q, n, r))
+
+
+def test_kernel_matches_loops_on_multisets():
+    """A zero column (self-loops) and repeated columns make D a true
+    multiset; r = 0 and k = 0 are the two ends."""
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        f = field_create(p, m)
+        zero_col = LinearCode.from_rows(f, [(1, 0, 1, 1, 0), (0, 0, 1, 1, 1)])
+        repeated = LinearCode.from_rows(f, [(1, 1, 0, 1, 1), (0, 0, 1, 1, 1)])
+        full = LinearCode(f, MatGF.identity(f, 3))
+        zero_code = full.dual()
+        assert (full.n - full.k, zero_code.k) == (0, 0)
+        for code in (zero_col, zero_col.dual(), repeated, repeated.dual(),
+                     full, zero_code):
+            assert_matches_loops(code, label=(p, m, code.n, code.k))
+    # the parity-check columns of a code are the generator columns of its
+    # dual: here a zero column (q - 1 zero deltas) and a repeated one
+    f = field_create(3, 1)
+    deltas = SyndromeProfile(
+        LinearCode.from_rows(f, [(1, 0, 2, 2), (0, 0, 1, 1)]).dual()).deltas
+    assert deltas.count(0) == 2 and deltas[4:6] == deltas[6:8]
+
+
+def test_q64_families_completely_regular():
+    """Bose-Bush 64, Delsarte 64 and Denniston (64, 2): 2^18 syndromes
+    each, intersection arrays by the restated formulas."""
+    q = 64
+    n_del = q * (q - 1) // 2
+    cases = [
+        (families.cr4_bose_bush(q),
+         ((q + 2) * (q - 1), q * q - 1), (1, q + 2)),
+        (families.cr5_delsarte(q),
+         ((q - 1) * n_del, (q - 2) * (q + 1) * (q + 2) // 4),
+         (1, q * (q - 1) * (q - 2) // 4)),
+        (families.cr6_denniston(q, 2),
+         ((q - 1) * (q + 2), (q + 1) * (q - 1)), (1, q + 2)),
+    ]
+    for inst, b, c in cases:
+        res = complete_regularity(inst.cr_code)
+        assert res.profile.size == 1 << 18
+        assert res.is_completely_regular, inst.family
+        assert (res.ia.rho, res.ia.b, res.ia.c) == (2, b, c), inst.family
+
+
+def test_profile_memory_of_the_2_18_two_weight_side():
+    """The [8,2]_8 two-weight side of mds-dual(8, 8): 2^18 syndromes,
+    rho = 6, eleven transforms; profile plus counts stay under 16 MB."""
+    code = families.cr3_mds_dual(8, 8).two_weight_code
+    code.dual()
+    tracemalloc.start()
+    try:
+        prof = SyndromeProfile(code)
+        prof.neighbor_level_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prof.size, prof.rho) == (1 << 18, 6)
+    assert peak < 16 << 20
