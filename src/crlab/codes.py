@@ -23,6 +23,7 @@ against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,13 +130,6 @@ class LinearCode:
                 self._dual = LinearCode(self.field, self.G.null_space())
             self._dual._dual = self
         return self._dual
-
-    def contains(self, vec) -> bool:
-        """Membership test through the parity-check matrix."""
-        H = self.dual().G
-        if H.nrows == 0:
-            return True
-        return all(x == 0 for x in H.mul_vec(vec))
 
     # -- enumeration ------------------------------------------------------
 
@@ -281,10 +275,6 @@ class CodewordMatrix:
         return f"CodewordMatrix({self.N} x {self.n} over GF({self.field.q}))"
 
 
-def dual(code: LinearCode) -> LinearCode:
-    return code.dual()
-
-
 def hamming_distance(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
@@ -387,17 +377,16 @@ def normalize_point(field: FieldSpec, vec):
 
 def projective_points(field: FieldSpec, k: int) -> list:
     """All points of PG(k-1, q) as canonical representatives, in
-    lexicographic order of the representative tuples."""
-    budgets.check_enum(field.q ** k, f"PG({k - 1},{field.q}) point enumeration")
-    pts = set()
-    for enc in range(1, field.q ** k):
-        vec = []
-        e = enc
-        for _ in range(k):
-            vec.append(e % field.q)
-            e //= field.q
-        pts.add(normalize_point(field, tuple(vec)))
-    return sorted(pts)
+    lexicographic order of the representative tuples.
+
+    The representatives are (0, ..., 0, 1, tail) for every tail; a later
+    leading 1 sorts first, and each lead's tails come in product order."""
+    q = field.q
+    budgets.check_enum((q ** k - 1) // (q - 1),
+                       f"PG({k - 1},{q}) point enumeration")
+    return [(0,) * lead + (1,) + tail
+            for lead in range(k - 1, -1, -1)
+            for tail in itertools.product(range(q), repeat=k - 1 - lead)]
 
 
 def is_projective(code: LinearCode) -> bool:
@@ -503,10 +492,6 @@ def _message_codeword(code: LinearCode, message) -> tuple:
     return tuple(word)
 
 
-def min_distance(code: LinearCode) -> int:
-    return code.min_distance()
-
-
 def equidistant_check(obj) -> int | None:
     """The common pairwise distance if all pairwise distances agree, else None.
 
@@ -543,8 +528,6 @@ def low_weight_min_distance(code: LinearCode, w_max: int) -> int | None:
     Independent of the weight-distribution path: candidates are checked by
     parity alone, so this also works when q^k is far over the enumeration
     budget."""
-    import itertools
-
     f = code.field
     H = code.dual().G
     if H.nrows == 0:
@@ -567,6 +550,5 @@ def low_weight_min_distance(code: LinearCode, w_max: int) -> int | None:
 
 def _nonzero_tuples(field: FieldSpec, w: int):
     # first entry fixed to 1: weights are invariant under global scaling
-    import itertools
     for rest in itertools.product(range(1, field.q), repeat=w - 1):
         yield (1,) + rest

@@ -197,10 +197,6 @@ class ComplementValuations:
     def some_valuation_equality(self) -> bool:
         return self.val_eq_d or self.val_eq_c
 
-    @property
-    def both_gcd_equalities(self) -> bool:
-        return self.gcd_eq_d and self.gcd_eq_c
-
 
 def complement_valuation_check(n: int, k: int, d: int, q: int, s: int) -> ComplementValuations:
     """Valuation and gcd conditions tying a two-weight {d, n} code to its

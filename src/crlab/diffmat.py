@@ -8,16 +8,25 @@ entry's coefficient vector.
 
 Two coordinate systems are used for Phi:
 
-* l does not divide h: coefficients in the power basis of GF(p^u) over
-  GF(p), i.e. plain truncation of the base-p digits.  The resulting
-  matrix is additive.
+* l does not divide h, or l = 1: coefficients in the power basis of
+  GF(p^u) over GF(p), i.e. plain truncation of the base-p digits.  The
+  resulting matrix is additive.
 * l divides h: coefficients over the embedded subfield K = GF(p^l), in
   the K-basis {1, beta, ..., beta^(u/l - 1)} with beta the canonical
   primitive element.  Keeping the first l base-p coordinates of this
   adapted system makes Phi K-linear, so the induced code is closed under
   GF(p^l) scalars, i.e. linear.  (The plain power-basis truncation is
   only F_p-linear and verifiably fails scalar closure already for
-  p = 2, l = h = 2.)
+  p = 2, l = h = 2.)  For l = 1 both systems are the same.
+
+Generator rows: when l divides h, row x of D is (Phi(x y))_y, and Phi is
+K-linear, so x -> row x is K-linear and the rows of D are the K-span of
+the u/l rows at x = beta^j.  The code {D + g} of all translates is
+therefore the GF(p^l)-linear code spanned by those rows and the
+all-ones row, of dimension u/l + 1;
+:func:`crlab.families.cr2_dm_dual` builds it from exactly these rows.
+:func:`dm_code` stacks all q^2 mu translates explicitly, for the tests
+that compare the two and for codeword-level checks.
 
 The multiplication table F is one broadcast over the big field's
 log/antilog arrays (:meth:`crlab.field.FieldSpec.mul_array`).  Group
@@ -40,12 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import budgets
-from .codes import CodewordMatrix, LinearCode
-from .field import FieldSpec, digit_table, field_create
-from .matrix import MatGF
-
-# direct all-pairs Eq-(3.1) checking is bounded by N^2 * n elementary ops
-_DICHOTOMY_DIRECT_WORK = 1 << 29
+from .codes import CodewordMatrix
+from .field import FieldSpec, digit_add, digit_table, field_create
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,6 @@ class DifferenceMatrix:
     @property
     def side(self) -> int:
         return self.q * self.mu
-
-    def row_tuples(self):
-        return [tuple(int(x) for x in row) for row in self.entries]
 
     def __repr__(self):
         return f"DifferenceMatrix(D({self.q},{self.mu}))"
@@ -135,44 +137,21 @@ def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> list:
 
 
 def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
-    """Phi(e) for every element of the big field, exploiting F_p-linearity:
-    Phi(e) = sum_i digit_i(e) * Phi(x^i) computed in the small field."""
-    p, u, l = big.p, big.m, small.m
+    """Phi(e) for every element e of the big field.
+
+    Plain truncation keeps the first l base-p digits.  In tower
+    coordinates, e = sum_j sigma(c_j) alpha^j (j < u/l) with c_j in the
+    small field, and Phi(e) = c_0: enumerating all coefficient tuples
+    (c_0 most significant) reaches every element exactly once."""
     if not tower:
-        basis_img = [(p ** i if i < l else 0) for i in range(u)]
-    else:
-        sigma = _subfield_embedding(big, small)
-        k_dim = u // l
-        cols = []
-        for j in range(k_dim):
-            beta_j = big.pow(big.alpha, j)
-            for i in range(l):
-                b = big.mul(sigma[small.pow(small.alpha, i)], beta_j)
-                cols.append(big.coeffs(b))
-        # columns of the change-of-basis matrix over GF(p); invert it
-        gfp = field_create(p, 1)
-        Mrows = [[cols[c][r] for c in range(u)] for r in range(u)]
-        aug = [Mrows[r] + [1 if r == c else 0 for c in range(u)]
-               for r in range(u)]
-        red, rank, _ = MatGF(gfp, aug).rref()
-        if rank != u:
-            raise AssertionError("tower basis is singular")
-        inv = [row[u:] for row in red]
-        basis_img = []
-        for i in range(u):
-            digits = [0] * u
-            digits[i] = 1
-            coords = [sum(inv[r][c] * digits[c] for c in range(u)) % p
-                      for r in range(u)]
-            basis_img.append(small.from_coeffs(coords[:l]))
+        return np.arange(big.q, dtype=np.int64) % small.q
+    sigma = np.array(_subfield_embedding(big, small), dtype=np.int64)
+    words = sigma
+    for j in range(1, big.m // small.m):
+        scaled = big.mul_array(sigma, big.pow(big.alpha, j))
+        words = digit_add(words[:, None], scaled, big.p, big.m).ravel()
     tab = np.empty(big.q, dtype=np.int64)
-    for e in range(big.q):
-        digits = big.coeffs(e)
-        acc = 0
-        for d, img in zip(digits, basis_img):
-            if d and img:
-                acc = small.add(acc, small.mul(d, img))
-        tab[e] = acc
+    tab[words] = np.arange(big.q) // (big.q // small.q)
     return tab
 
 
@@ -208,103 +187,19 @@ def normalize_dm(dm: DifferenceMatrix) -> DifferenceMatrix:
     return DifferenceMatrix(group_field=dm.group_field, mu=dm.mu, entries=ent)
 
 
-@dataclass(frozen=True)
-class DMCode:
-    """Stacked translates of a difference matrix: an (n, q^2 mu) code with
-    n = q mu, weights {mu(q-1), n}."""
+def dm_code(dm: DifferenceMatrix) -> CodewordMatrix:
+    """The translates D + g for all g in the group, stacked: q^2 mu rows
+    of length n = q mu, row i of D + g at index g * q mu + i.
 
-    matrix: CodewordMatrix
-    linear: LinearCode | None
-    dichotomy_mode: str  # "direct" (all row pairs compared) or "derived"
-
-    @property
-    def is_linear(self) -> bool:
-        return self.linear is not None
-
-
-def dm_code(dm: DifferenceMatrix) -> DMCode:
-    """Stack the translates D + g for all g in the group and check the
-    two-value row-distance property (q*mu against (q-1)*mu).
-
-    When all pairwise distances fit the direct work cap they are compared
-    literally; beyond it the property follows from the difference
-    property plus the translate arithmetic (the number of agreements
-    between r_i + g1 and r_j + g2 is the number of positions where
-    r_i - r_j equals g2 - g1, which the difference property pins to mu for
-    i != j), and the mode is reported as "derived".
-    """
-    f = dm.group_field
-    q, mu = dm.q, dm.mu
-    n = q * mu
-    N = q * q * mu
-    budgets.check_enum(N * n, "difference-matrix code entries")
-    addt = digit_table(f)
-    blocks = [addt[dm.entries, g] for g in range(q)]
-    stacked = np.concatenate(blocks, axis=0)
-
-    if N * N * n <= _DICHOTOMY_DIRECT_WORK:
-        mode = "direct"
-        base = np.arange(N) % dm.side
-        for i in range(N - 1):
-            dist = (stacked[i + 1:] != stacked[i]).sum(axis=1)
-            same = base[i + 1:] == base[i]
-            want = np.where(same, n, (q - 1) * mu)
-            if not (dist == want).all():
-                j = int(np.nonzero(dist != want)[0][0]) + i + 1
-                raise AssertionError(
-                    f"row-distance dichotomy fails for rows {i}, {j}; "
-                    "this is a bug")
-    else:
-        mode = "derived"
-
-    rows = [tuple(int(x) for x in r) for r in stacked]
-    matrix = CodewordMatrix(f, rows)
-    linear = _extract_linear(f, rows)
-    return DMCode(matrix=matrix, linear=linear, dichotomy_mode=mode)
-
-
-def additive_span_basis(f: FieldSpec, rows):
-    """(basis, closed): a prime-field basis of the additive span of the
-    rows, and whether the row set is itself that span (i.e. a group)."""
-    row_set = set(rows)
-    n = len(rows[0])
-    zero = (0,) * n
-    if zero not in row_set:
-        return [], False
-    basis = []
-    span = {zero}
-    for r in rows:
-        if r in span:
-            continue
-        basis.append(r)
-        new = set()
-        for s in span:
-            acc = s
-            for _ in range(f.p - 1):
-                acc = tuple(f.add(a, b) for a, b in zip(acc, r))
-                new.add(acc)
-        span |= new
-        if len(span) > len(row_set):
-            return basis, False
-    return basis, span == row_set
-
-
-def _extract_linear(f: FieldSpec, rows) -> LinearCode | None:
-    """The spanned LinearCode when the row set is closed under addition and
-    scalar multiplication; None otherwise."""
-    row_set = set(rows)
-    basis, closed = additive_span_basis(f, rows)
-    if not closed:
-        return None
-    for c in range(2, f.q):
-        for b in basis:
-            scaled = tuple(f.mul(c, x) for x in b)
-            if scaled not in row_set:
-                return None
-    code = LinearCode.from_spanning_rows(f, list(row_set))
-    if f.q ** code.k != len(row_set):
-        return None
-    return code
+    Two rows are at distance n (the same row of D, different g) or
+    mu(q-1) (different rows of D): r_i + g1 and r_j + g2 agree where
+    r_i - r_j = g2 - g1, which the difference property pins to mu
+    positions for i != j."""
+    q = dm.q
+    budgets.check_enum(q * dm.side * dm.side, "difference-matrix code entries")
+    addt = digit_table(dm.group_field)
+    stacked = np.concatenate([addt[dm.entries, g] for g in range(q)])
+    return CodewordMatrix(dm.group_field, stacked.tolist())
 
 
 def dm_equidistant_code(dm: DifferenceMatrix) -> CodewordMatrix:

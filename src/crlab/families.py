@@ -5,7 +5,9 @@ Each constructor returns a FamilyInstance holding the two-weight code
 (the antipodal side), its completely regular dual, and the predicted
 weight set and intersection array.  Predictions are verified by the test
 suite, not silently trusted at construction; the cheap structural
-safety nets (column counts, weight sets of the small side) do run here.
+safety nets (column counts, weight sets of the small side, the CR.2
+dimension) do run here.  CR.2 is built from the all-ones row and u/l
+rows of its difference matrix, not from the q^2 mu stacked translates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .codes import (CodewordMatrix, LinearCode, hamming_distance,
                     projective_dual_transform)
-from .diffmat import DifferenceMatrix, dm_code, difference_matrix, \
+from .diffmat import DifferenceMatrix, difference_matrix, \
     is_difference_matrix
 from .field import FieldSpec, field_create
 from .matrix import MatGF
@@ -110,14 +112,24 @@ def cr1_extended_hamming(m: int) -> FamilyInstance:
 
 def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
     """Linear difference-matrix code over GF(p^l) (needs l | h) and its
-    completely regular dual."""
+    completely regular dual.
+
+    The code of all translates D + g is GF(p^l)-linear and spanned by the
+    all-ones row and the rows of D at alpha^j, j < u/l (u = l + h), the
+    basis over GF(p^l) in which Phi is linear (see :mod:`crlab.diffmat`),
+    so it is built from those u/l + 1 rows."""
     if h % l:
         raise ValueError("need l | h for a linear difference-matrix code")
-    built = dm_code(difference_matrix(p, l, h))
-    if built.linear is None:
+    dm = difference_matrix(p, l, h)
+    big = field_create(p, l + h)
+    k_dim = (l + h) // l
+    rows = [[1] * dm.side] + [dm.entries[big.pow(big.alpha, j)].tolist()
+                              for j in range(k_dim)]
+    tw = LinearCode.from_spanning_rows(dm.group_field, rows)
+    if tw.k != k_dim + 1:
         raise AssertionError(
-            "difference-matrix rows did not span a linear code; this is a bug")
-    tw = built.linear
+            f"generator rows span dimension {tw.k}, expected u/l + 1 = "
+            f"{k_dim + 1}; this is a bug")
     q = p ** l
     n = tw.n
     mu = p ** h
@@ -459,8 +471,26 @@ def _simplex_fail(reason: str) -> SimplexPartition:
 
 
 def _is_additive(rows, f: FieldSpec) -> bool:
-    from .diffmat import additive_span_basis
-    return additive_span_basis(f, rows)[1]
+    """Whether the row set is an additive group: its additive span, grown
+    one generator at a time, must end equal to it and never outgrow it."""
+    row_set = set(rows)
+    zero = (0,) * len(rows[0])
+    if zero not in row_set:
+        return False
+    span = {zero}
+    for r in rows:
+        if r in span:
+            continue
+        new = set()
+        for s in span:
+            acc = s
+            for _ in range(f.p - 1):
+                acc = tuple(f.add(a, b) for a, b in zip(acc, r))
+                new.add(acc)
+        span |= new
+        if len(span) > len(row_set):
+            return False
+    return span == row_set
 
 
 def _partition_classes(rows, f: FieldSpec, q: int, n: int):

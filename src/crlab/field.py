@@ -212,9 +212,6 @@ class FieldSpec:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.alpha_powers[(-self.discrete_log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0, with the convention a^0 = 1 (including 0^0 = 1)."""
         if e < 0:
@@ -245,14 +242,6 @@ class FieldSpec:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
-    def validate_element(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element of GF({self.q})")
-        return a
 
     # -- identity -----------------------------------------------------------
 

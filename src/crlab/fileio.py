@@ -63,8 +63,11 @@ class GfcParseError(ValueError):
 
 def read_gfc(path) -> ParsedCode:
     warnings = []
-    with open(path) as fh:
-        raw = fh.readlines()
+    try:
+        with open(path) as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise GfcParseError(f"{path}: not a text file ({exc.reason})") from exc
     lines = []
     for idx, ln in enumerate(raw, start=1):
         stripped = ln.split("#", 1)[0].strip()
@@ -86,11 +89,13 @@ def read_gfc(path) -> ParsedCode:
         raise GfcParseError(
             f"{path}:{lineno}: expected {m + 1} modulus coefficients, "
             f"got {len(coeffs)}")
-    canonical = field_create(p, m)
-    if tuple(coeffs) == canonical.modulus:
-        field = canonical
-    else:
-        field = field_from_modulus(p, m, coeffs)
+    try:
+        canonical = field_create(p, m)
+        field = (canonical if tuple(coeffs) == canonical.modulus
+                 else field_from_modulus(p, m, coeffs))
+    except ValueError as exc:
+        raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
+    if tuple(coeffs) != canonical.modulus:
         warnings.append(
             f"non-canonical modulus {tuple(coeffs)} accepted "
             f"(canonical is {canonical.modulus})")
@@ -99,7 +104,10 @@ def read_gfc(path) -> ParsedCode:
     parts = head.split()
     if len(parts) != 3 or parts[0] != "code":
         raise GfcParseError(f"{path}:{lineno}: malformed code line")
-    k, n = int(parts[1]), int(parts[2])
+    try:
+        k, n = int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
     if k < 1 or n < 1:
         raise GfcParseError(f"{path}:{lineno}: need k >= 1 and n >= 1")
     if len(lines) != 2 + k:
@@ -138,18 +146,26 @@ def write_dm(path, dm: DifferenceMatrix, p: int, l: int, h: int) -> None:
 
 
 def read_dm(path) -> tuple[DifferenceMatrix, tuple[int, int, int]]:
+    """Parse a .dm file; ValueError naming the path on malformed input."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()
                  and not ln.lstrip().startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: empty dm file")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "dm":
         raise ValueError(f"{path}: malformed dm header")
-    p, l, h = int(head[1]), int(head[2]), int(head[3])
+    try:
+        p, l, h = int(head[1]), int(head[2]), int(head[3])
+        field = field_create(p, l)
+        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     side = p ** (l + h)
-    rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
     if len(rows) != side or any(len(r) != side for r in rows):
         raise ValueError(f"{path}: expected a {side}x{side} matrix")
-    field = field_create(p, l)
+    if any(not 0 <= x < field.q for r in rows for x in r):
+        raise ValueError(f"{path}: entry out of range for GF({field.q})")
     return (DifferenceMatrix(group_field=field, mu=p ** h,
                              entries=np.array(rows, dtype=np.int64)),
             (p, l, h))

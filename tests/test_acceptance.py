@@ -4,6 +4,8 @@ tolerance.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 
 import time
 
+import numpy as np
+
 from crlab.codes import (LinearCode, is_projective, macwilliams,
                          max_column_multiplicity, normalize_point)
 from crlab.conditions import (power_decomposition, two_weight_counts, cardinality_window_check,
@@ -13,6 +15,7 @@ from crlab.families import (bush_closed_form_matrix, cr4_bose_bush, cr5_delsarte
                             cr6_denniston, ia_formula, random_code,
                             simplex_partition)
 from crlab.field import field_create
+from crlab.matrix import MatGF
 from crlab.regularity import brute_subconstituents, complete_regularity
 from crlab.search import search_antipodal_duals, search_arcs
 
@@ -221,10 +224,27 @@ def test_criterion_3_macwilliams_round_trip(family_grid):
              extra=f"{direct} both-sides, {transform_only} transform-side")
 
 
+def _dichotomy_failure(p, l, h):
+    """The first row pair of the stacked translates whose distance is not
+    n (translates of one row of D) or (q-1)mu (any other pair), or None;
+    every pair is compared."""
+    dm = difference_matrix(p, l, h)
+    q, mu, side = dm.q, dm.mu, dm.side
+    rows = np.array(dm_code(dm).rows)
+    base = np.arange(len(rows)) % side
+    for i in range(len(rows) - 1):
+        dist = (rows[i + 1:] != rows[i]).sum(axis=1)
+        want = np.where(base[i + 1:] == base[i], side, (q - 1) * mu)
+        bad = np.nonzero(dist != want)[0]
+        if len(bad):
+            return i, i + 1 + int(bad[0])
+    return None
+
+
 def test_criterion_4_difference_matrices():
     """Exhaustive verification for all p^(l+h) <= 256; the row-distance
-    dichotomy compared literally on all row pairs wherever the direct
-    check runs (all p^(l+h) <= 64); PDM detection and difference-matrix
+    dichotomy compared literally on all row pairs for all p^(l+h) <= 64;
+    linearity (|S| = q^rank S), PDM detection and difference-matrix
     reassembly for the linear difference-matrix codes."""
     failures = []
     cases = []
@@ -241,18 +261,18 @@ def test_criterion_4_difference_matrices():
 
     direct_cases = [(p, l, h) for (p, l, h) in cases if p ** (l + h) <= 64]
     for (p, l, h) in direct_cases:
-        built = dm_code(difference_matrix(p, l, h))
-        if built.dichotomy_mode != "direct":
-            failures.append(f"dm_code({p},{l},{h}) did not compare all "
-                            "row pairs directly")
+        pair = _dichotomy_failure(p, l, h)
+        if pair is not None:
+            failures.append(f"dm_code({p},{l},{h}): row-distance dichotomy "
+                            f"fails for rows {pair}")
 
     linear_cases = [(p, l, h) for (p, l, h) in direct_cases if h % l == 0]
     for (p, l, h) in linear_cases:
         built = dm_code(difference_matrix(p, l, h))
-        if built.linear is None:
+        if built.N != built.field.q ** MatGF(built.field, built.rows).rank:
             failures.append(f"dm_code({p},{l},{h}) is not linear")
             continue
-        sp = simplex_partition(built.matrix, p ** l)
+        sp = simplex_partition(built, p ** l)
         if not (sp.is_simplex_partition and sp.pdm):
             failures.append(f"dm_code({p},{l},{h}): PDM not detected")
         elif sp.dm_reassembled is None or not is_difference_matrix(

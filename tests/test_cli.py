@@ -55,6 +55,39 @@ def test_gfc_parse_errors(tmp_path):
         fileio.read_gfc(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("field 2 1 poly 1 1\ncode a 3\n1 0 1\n", 2),
+    ("field 4 1 poly 1 1\ncode 1 3\n1 0 1\n", 1),            # 4 is not prime
+    ("field 2 4 poly 1 1 1 1 1\ncode 1 3\n1 0 1\n", 1),      # not primitive
+], ids=["code-line", "p-not-prime", "non-primitive-modulus"])
+def test_report_malformed_gfc_exits_2(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.gfc"
+    path.write_text(text)
+    assert run(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ")
+
+
+def test_report_binary_gfc_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.gfc"
+    path.write_bytes(b"\xff\xfe field")
+    assert run(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a text file")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty"),
+    ("dm 2 1 1\n0 0 0 0\n0 1 0 x\n0 0 1 1\n0 1 1 0\n", "invalid literal"),
+    ("dm 2 1 1\n0 0 0 0\n0 1 0 2\n0 0 1 1\n0 1 1 0\n", "out of range"),
+], ids=["empty", "non-integer", "out-of-range"])
+def test_read_dm_malformed(tmp_path, text, message):
+    path = tmp_path / "bad.dm"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as exc:
+        fileio.read_dm(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_construct_and_report(tmp_path, capsys):
     out = tmp_path / "bb4.gfc"
     assert run(["construct", "--family", "bose-bush", "--q", "4",

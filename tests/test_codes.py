@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
                          equidistant_check, is_antipodal_two_weight,
                          is_projective, krawtchouk, krawtchouk_column,
                          low_weight_min_distance, macwilliams,
-                         max_column_multiplicity, projective_dual_transform,
+                         max_column_multiplicity, normalize_point,
+                         projective_dual_transform, projective_points,
                          WeightDistribution)
 from crlab.families import cr4_bose_bush, random_code
 from crlab.field import field_create
@@ -119,6 +121,27 @@ def test_is_projective():
     assert not is_projective(scal)  # column 2 = alpha * column 1
     zero_col = LinearCode.from_rows(f, [(1, 0, 0), (0, 0, 1)])
     assert not is_projective(zero_col)
+
+
+@pytest.mark.parametrize("p,m,k", [(2, 1, 1), (2, 1, 2), (2, 1, 5), (3, 1, 3),
+                                   (5, 1, 3), (7, 1, 2), (2, 2, 3), (2, 3, 3),
+                                   (3, 2, 2), (2, 2, 4)])
+def test_projective_points_are_the_sorted_normalized_vectors(p, m, k):
+    f = field_create(p, m)
+    want = sorted({normalize_point(f, v)
+                   for v in itertools.product(range(f.q), repeat=k) if any(v)})
+    assert projective_points(f, k) == want
+    assert len(want) == (f.q ** k - 1) // (f.q - 1)
+
+
+def test_projective_points_budget_counts_points(monkeypatch):
+    """PG(2, 32) has 1057 points; enumerating them needs no budget for
+    the 32768 vectors of GF(32)^3."""
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "1057")
+    assert len(projective_points(field_create(2, 5), 3)) == 1057
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "1056")
+    with pytest.raises(budgets.BudgetExceeded):
+        projective_points(field_create(2, 5), 3)
 
 
 def test_complementary_bose_bush():

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crlab.codes import equidistant_check
+from crlab.codes import LinearCode, equidistant_check
+from crlab.matrix import MatGF
 from crlab.diffmat import (difference_matrix, dm_code, dm_equidistant_code,
                            is_difference_matrix, normalize_dm)
 from crlab.field import field_create
@@ -61,23 +62,29 @@ def test_normalize_d211():
     assert is_difference_matrix(norm.entries, norm.group_field)
 
 
+def _spanned_dimension(matrix):
+    """rank of the rows when they form a linear code (|S| = q^rank, since
+    S is contained in its span), else None."""
+    rank = MatGF(matrix.field, matrix.rows).rank
+    return rank if matrix.N == matrix.field.q ** rank else None
+
+
 def test_dm_code_211_is_even_weight_code():
     built = dm_code(difference_matrix(2, 1, 1))
-    assert built.matrix.N == 8 and built.matrix.n == 4
-    assert set(built.matrix.rows) == {
+    assert built.N == 8 and built.n == 4
+    assert set(built.rows) == {
         (0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 1, 0),
         (1, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0), (1, 0, 0, 1)}
-    assert built.linear is not None and built.linear.k == 3
-    assert built.dichotomy_mode == "direct"
+    assert _spanned_dimension(built) == 3
 
 
 def test_dm_code_221_additive_not_linear():
     """D(4,2) gives the additive (8, 32, {6,8})_4 code whose size is not a
-    power of 4; only the codeword matrix comes back."""
+    power of 4, so it is not linear."""
     built = dm_code(difference_matrix(2, 2, 1))
-    assert built.matrix.N == 32 and built.matrix.n == 8
-    assert built.linear is None
-    ws = sorted(set(w for w in built.matrix.weights() if w))
+    assert built.N == 32 and built.n == 8
+    assert _spanned_dimension(built) is None
+    ws = sorted(set(w for w in built.weights() if w))
     assert ws == [6, 8]
     # meets the simplex-partitionable bound with equality: N/q = bound
     from crlab.conditions import gray_rankin_holds
@@ -87,8 +94,8 @@ def test_dm_code_221_additive_not_linear():
 
 def test_dm_code_222_linear_tower():
     built = dm_code(difference_matrix(2, 2, 2))
-    assert built.linear is not None
-    code = built.linear
+    assert _spanned_dimension(built) == 3
+    code = LinearCode.from_spanning_rows(built.field, built.rows)
     assert (code.n, code.k, code.q) == (16, 3, 4)
     assert code.weight_distribution().sparse() == {0: 1, 12: 60, 16: 3}
 
@@ -108,11 +115,12 @@ def test_dm_equidistant_plotkin_equality():
 def test_dm_code_oa_strength_at_least_2():
     for (p, l, h) in [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 2, 1)]:
         built = dm_code(difference_matrix(p, l, h))
-        assert oa_strength(built.matrix, p ** l) >= 2
+        assert oa_strength(built, p ** l) >= 2
 
 
-def test_exhaustive_verification_up_to_256():
-    """Every (p, l, h) with p^(l+h) <= 256 builds and verifies."""
+def test_builds_every_matrix_up_to_256():
+    """Every (p, l, h) with p^(l+h) <= 256 builds a matrix of side
+    p^(l+h); the exhaustive check of each is acceptance criterion 4."""
     cases = []
     for p in (2, 3, 5, 7, 11, 13):
         u = 2
@@ -122,7 +130,7 @@ def test_exhaustive_verification_up_to_256():
             u += 1
     assert len(cases) > 30
     for (p, l, h) in cases:
-        dm = difference_matrix(p, l, h)   # verification runs internally
+        dm = difference_matrix(p, l, h)
         assert dm.side == p ** (l + h)
 
 
@@ -203,5 +211,4 @@ def test_plain_truncation_is_not_scalar_closed():
             break
     assert escaped
     # while the tower coordinates used by difference_matrix stay closed
-    built = dm_code(difference_matrix(2, 2, 2))
-    assert built.linear is not None
+    assert _spanned_dimension(dm_code(difference_matrix(2, 2, 2))) == 3

@@ -57,6 +57,58 @@ def test_cr2_instances():
         cr2_dm_dual(2, 2, 3)   # l does not divide h
 
 
+def test_cr2_generator_rows_span_the_translates():
+    """The u/l + 1 generator rows span exactly the code of all translates
+    D + g: the same RREF basis for every l | h with p^(l+h) <= 256, and
+    the same codeword set for p^(l+h) <= 64."""
+    cases = [(p, l, u - l) for p in (2, 3, 5, 7, 11, 13) for u in range(2, 9)
+             if p ** u <= 256 for l in range(1, u) if (u - l) % l == 0]
+    assert len(cases) == 22
+    for p, l, h in cases:
+        tw = cr2_dm_dual(p, l, h).two_weight_code
+        stacked = dm_code(difference_matrix(p, l, h))
+        spanned = LinearCode.from_spanning_rows(stacked.field, stacked.rows)
+        assert tw.G.rows == spanned.G.rows, (p, l, h)
+        if p ** (l + h) <= 64:
+            assert set(tw.codewords()) == set(stacked.rows), (p, l, h)
+
+
+def test_cr2_reduces_only_its_generator_rows(monkeypatch):
+    """cr2_dm_dual stacks no translates and row-reduces no matrix with
+    more than u/l + 1 rows."""
+    from crlab import diffmat, families, matrix
+    heights = []
+    rref = matrix._rref
+
+    def recording(f, rows, ncols):
+        heights.append(len(rows))
+        return rref(f, rows, ncols)
+
+    def refuse(dm):
+        raise AssertionError("dm_code called")
+
+    monkeypatch.setattr(matrix, "_rref", recording)
+    monkeypatch.setattr(diffmat, "dm_code", refuse)
+    monkeypatch.setattr(families, "dm_code", refuse, raising=False)
+    for p, l, h in [(2, 1, 3), (2, 2, 4), (2, 3, 3), (3, 1, 2), (5, 1, 1)]:
+        heights.clear()
+        cr2_dm_dual(p, l, h)
+        assert heights and max(heights) <= (l + h) // l + 1, (p, l, h)
+
+
+@pytest.mark.parametrize("p,l,h", [(2, 4, 8), (5, 1, 4)])
+def test_cr2_side_4096_class_constructs(p, l, h):
+    """Sides the stacked translates made the enumeration budget refuse
+    (16 * 4096^2 and 5 * 3125^2 entries) now build, and their duals are
+    completely regular with the CR.2 intersection array."""
+    inst = cr2_dm_dual(p, l, h)
+    q = p ** l
+    assert inst.two_weight_code.k == (l + h) // l + 1
+    ia = complete_regularity(inst.cr_code).ia
+    assert ia is not None
+    assert ia.same_array(ia_formula("CR2", q=q, n=q * p ** h))
+
+
 def test_cr3_region():
     inst = cr3_mds_dual(4, 4)
     assert set(inst.two_weight_code.weight_distribution().nonzero_weights) \
@@ -180,7 +232,7 @@ def test_antipodal_form_matches_weight_predicate(family_grid):
 
 def test_simplex_partition_dm_code():
     built = dm_code(difference_matrix(2, 1, 1))
-    sp = simplex_partition(built.matrix, 2)
+    sp = simplex_partition(built, 2)
     assert sp.is_simplex_partition and len(sp.classes) == 4
     assert sp.pdm and sp.dm_reassembled is not None
     assert is_difference_matrix(sp.dm_reassembled.entries,
@@ -200,15 +252,15 @@ def test_simplex_partition_removed_translate():
     built = dm_code(d33)
     dropped = {tuple((int(x) + 1) % 3 for x in row)
                for row in d33.entries.tolist()}
-    rows = [r for r in built.matrix.rows if r not in dropped]
-    sub = CodewordMatrix(built.matrix.field, rows)
+    rows = [r for r in built.rows if r not in dropped]
+    sub = CodewordMatrix(built.field, rows)
     sp = simplex_partition(sub, 3)
     assert sp.class_size == 2 and not sp.is_simplex_partition and not sp.pdm
 
 
 def test_simplex_partition_additive_pdm_reassembly():
     built = dm_code(difference_matrix(2, 2, 1))   # additive (8,32,{6,8})_4
-    sp = simplex_partition(built.matrix, 4)
+    sp = simplex_partition(built, 4)
     assert sp.is_simplex_partition and sp.pdm
     assert sp.dm_reassembled is not None
     assert is_difference_matrix(sp.dm_reassembled.entries,
