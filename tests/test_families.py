@@ -97,7 +97,7 @@ def test_cr2_reduces_only_its_generator_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("p,l,h", [(2, 4, 8), (5, 1, 4)])
-def test_cr2_side_4096_class_constructs(p, l, h):
+def test_cr2_constructs_sides_the_stacking_refused(p, l, h):
     """Sides the stacked translates made the enumeration budget refuse
     (16 * 4096^2 and 5 * 3125^2 entries) now build, and their duals are
     completely regular with the CR.2 intersection array."""
