@@ -15,8 +15,17 @@ from . import budgets, conditions, diffmat, families, fileio, search
 from .codes import complementary_code, max_column_multiplicity
 from .report import build_code_report
 
-_FAMILY_NAMES = ["ext-hamming", "dm-dual", "mds-dual", "bose-bush",
-                 "delsarte", "denniston"]
+# --family -> (builder in crlab.families, required arguments, even q only);
+# builders are looked up by name at call time, so wrappers installed on
+# the families module see the call
+_FAMILIES = {
+    "ext-hamming": ("cr1_extended_hamming", ("m",), False),
+    "dm-dual": ("cr2_dm_dual", ("q", "l", "h"), False),
+    "mds-dual": ("cr3_mds_dual", ("q", "n"), False),
+    "bose-bush": ("cr4_bose_bush", ("q",), True),
+    "delsarte": ("cr5_delsarte", ("q",), True),
+    "denniston": ("cr6_denniston", ("q", "h"), True),
+}
 
 
 def main(argv=None) -> int:
@@ -41,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a family instance")
-    c.add_argument("--family", required=True, choices=_FAMILY_NAMES)
+    c.add_argument("--family", required=True, choices=list(_FAMILIES))
     c.add_argument("--q", type=int, help="field size (prime p for dm-dual)")
     c.add_argument("--m", type=int, help="extension degree (ext-hamming)")
     c.add_argument("--l", type=int, help="group exponent l (dm-dual)")
@@ -111,29 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_construct(args, parser) -> int:
-    fam = args.family
+    builder, required, even_q_only = _FAMILIES[args.family]
+    _need(parser, args, *required)
+    if even_q_only:
+        _reject_odd_q(parser, args.q)
     try:
-        if fam == "ext-hamming":
-            _need(parser, args, "m")
-            inst = families.cr1_extended_hamming(args.m)
-        elif fam == "dm-dual":
-            _need(parser, args, "q", "l", "h")
-            inst = families.cr2_dm_dual(args.q, args.l, args.h)
-        elif fam == "mds-dual":
-            _need(parser, args, "q", "n")
-            inst = families.cr3_mds_dual(args.q, args.n)
-        elif fam == "bose-bush":
-            _need(parser, args, "q")
-            _reject_odd_q(parser, args.q)
-            inst = families.cr4_bose_bush(args.q)
-        elif fam == "delsarte":
-            _need(parser, args, "q")
-            _reject_odd_q(parser, args.q)
-            inst = families.cr5_delsarte(args.q)
-        else:
-            _need(parser, args, "q", "h")
-            _reject_odd_q(parser, args.q)
-            inst = families.cr6_denniston(args.q, args.h)
+        inst = getattr(families, builder)(
+            *(getattr(args, name) for name in required))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -269,10 +262,7 @@ def cmd_dm(args, parser) -> int:
 
 def cmd_bounds(args, parser) -> int:
     q, n, d, N = args.q, args.n, args.d, args.N
-    checks = conditions.cardinality_window_check(n, N, d, q)
-    checks.append(conditions.plotkin_holds(n, d, q, N))
-    checks.append(conditions.gray_rankin_holds(n, d, q, N))
-    checks.append(conditions.max_distance_holds(n, d, q, N))
+    checks = conditions.bound_checks(n, N, d, q)
     violated = False
     for ch in checks:
         if not ch.applicable:

@@ -18,7 +18,8 @@ stays bounded by the block whatever q^k is.  Products come from the
 field's log/antilog arrays and sums from :func:`crlab.field.digit_add`.
 ``codewords()`` still materialises every word as a tuple; it is the
 input of the brute-force oracles and the reference the kernel is tested
-against.
+against.  The projective dual transform weighs every point of
+PG(k-1, q) as a message with one :meth:`crlab.field.FieldSpec.matmul`.
 """
 
 from __future__ import annotations
@@ -462,10 +463,10 @@ def projective_dual_transform(code: LinearCode, a: Fraction,
     a = Fraction(a)
     b = Fraction(b)
     f = code.field
+    points = projective_points(f, code.k)
+    weights = np.count_nonzero(f.matmul(points, code.G.rows), axis=1)
     cols = []
-    for p in projective_points(f, code.k):
-        word = _message_codeword(code, p)
-        w = sum(1 for x in word if x)
+    for p, w in zip(points, weights.tolist()):
         m = a * w + b
         if m.denominator != 1 or m < 0:
             raise ValueError(
@@ -479,17 +480,6 @@ def projective_dual_transform(code: LinearCode, a: Fraction,
         raise ValueError(
             f"transform columns span only rank {G.rank} < k = {code.k}")
     return LinearCode(f, G)
-
-
-def _message_codeword(code: LinearCode, message) -> tuple:
-    f = code.field
-    word = [0] * code.n
-    for c, row in zip(message, code.G.rows):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    word[j] = f.add(word[j], f.mul(c, x))
-    return tuple(word)
 
 
 def equidistant_check(obj) -> int | None:

@@ -180,6 +180,14 @@ def cardinality_window_check(n: int, N: int, d: int, q: int) -> list[ConditionCh
     return out
 
 
+def bound_checks(n: int, N: int, d: int, q: int) -> list[ConditionCheck]:
+    """The cardinality window, Plotkin, Gray-Rankin and maximum-distance
+    checks of a code of length n, size N and minimum distance d."""
+    return cardinality_window_check(n, N, d, q) + [
+        plotkin_holds(n, d, q, N), gray_rankin_holds(n, d, q, N),
+        max_distance_holds(n, d, q, N)]
+
+
 @dataclass(frozen=True)
 class ComplementValuations:
     val_d: int

@@ -28,8 +28,14 @@ all-ones row, of dimension u/l + 1;
 :func:`dm_code` stacks all q^2 mu translates explicitly, for the tests
 that compare the two and for codeword-level checks.
 
-The multiplication table F is one broadcast over the big field's
-log/antilog arrays (:meth:`crlab.field.FieldSpec.mul_array`).  Group
+:func:`shortening` returns the two fields and the table of Phi;
+:func:`difference_matrix` reads the whole of F through it and
+:func:`crlab.families.cr2_dm_dual` only the u/l generator rows, so the
+CR.2 builder never holds the full matrix.  The multiplication table F
+is one broadcast over the big field's log/antilog arrays
+(:meth:`crlab.field.FieldSpec.mul_array`), and the subfield embedding
+behind the tower coordinates is one
+:meth:`crlab.field.FieldSpec.matmul` of digit vectors.  Group
 arithmetic on whole arrays of entries goes through q x q addition and
 subtraction tables from :func:`crlab.field.digit_table`; the
 element-level ``FieldSpec`` methods are used only where single entries
@@ -103,7 +109,7 @@ def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     return True
 
 
-def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> list:
+def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> np.ndarray:
     """sigma(e) for every e in the small field, as elements of the big one.
 
     sigma sends the small field's primitive element to the canonically
@@ -124,16 +130,10 @@ def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> list:
     if not roots:
         raise AssertionError("small modulus has no root in the big field")
     root = roots[0]
-    alpha_img = [big.pow(root, i) for i in range(small.m)]
-    table = []
-    for e in range(small.q):
-        digits = small.coeffs(e)
-        acc = 0
-        for d, im in zip(digits, alpha_img):
-            if d:
-                acc = big.add(acc, big.mul(d, im))
-        table.append(acc)
-    return table
+    alpha_img = [[big.pow(root, i)] for i in range(small.m)]
+    # the base-p digits of e are its coefficients, in the prime subfield
+    digits = np.arange(small.q)[:, None] // p ** np.arange(small.m) % p
+    return big.matmul(digits, alpha_img)[:, 0]
 
 
 def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
@@ -145,7 +145,7 @@ def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
     (c_0 most significant) reaches every element exactly once."""
     if not tower:
         return np.arange(big.q, dtype=np.int64) % small.q
-    sigma = np.array(_subfield_embedding(big, small), dtype=np.int64)
+    sigma = _subfield_embedding(big, small)
     words = sigma
     for j in range(1, big.m // small.m):
         scaled = big.mul_array(sigma, big.pow(big.alpha, j))
@@ -155,18 +155,21 @@ def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
     return tab
 
 
+def shortening(p: int, l: int, h: int) -> tuple:
+    """(GF(p^(l+h)), GF(p^l), Phi): row x of D(p^l, p^h) is
+    Phi[x * y] over the big field's elements y."""
+    big = field_create(p, l + h)
+    small = field_create(p, l)
+    return big, small, _phi_table(big, small, l > 1 and h % l == 0)
+
+
 def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
     """D(p^l, p^h) from the shortened multiplication table of GF(p^(l+h))."""
     if l < 1 or h < 1:
         raise ValueError("l and h must be >= 1")
-    u = l + h
-    budgets.check_enum(p ** (2 * u),
+    budgets.check_enum(p ** (2 * (l + h)),
                        f"difference matrix D({p ** l},{p ** h}) entries")
-    big = field_create(p, u)
-    small = field_create(p, l)
-    tower = l > 1 and h % l == 0
-    phi = _phi_table(big, small, tower)
-
+    big, small, phi = shortening(p, l, h)
     elements = np.arange(big.q)
     D = phi[big.mul_array(elements[:, None], elements)]
     return DifferenceMatrix(group_field=small, mu=p ** h, entries=D)

@@ -7,7 +7,8 @@ weight set and intersection array.  Predictions are verified by the test
 suite, not silently trusted at construction; the cheap structural
 safety nets (column counts, weight sets of the small side, the CR.2
 dimension) do run here.  CR.2 is built from the all-ones row and u/l
-rows of its difference matrix, not from the q^2 mu stacked translates.
+rows of its difference matrix, computed without building the matrix or
+stacking its q^2 mu translates.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import numpy as np
+
+from . import budgets
 from .codes import (CodewordMatrix, LinearCode, hamming_distance,
                     projective_dual_transform)
-from .diffmat import DifferenceMatrix, difference_matrix, \
-    is_difference_matrix
+from .diffmat import DifferenceMatrix, is_difference_matrix, shortening
 from .field import FieldSpec, field_create
 from .matrix import MatGF
 from .regularity import IntersectionArray
@@ -118,21 +121,26 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
     all-ones row and the rows of D at alpha^j, j < u/l (u = l + h), the
     basis over GF(p^l) in which Phi is linear (see :mod:`crlab.diffmat`),
     so it is built from those u/l + 1 rows."""
+    if l < 1 or h < 1:
+        raise ValueError("l and h must be >= 1")
     if h % l:
         raise ValueError("need l | h for a linear difference-matrix code")
-    dm = difference_matrix(p, l, h)
-    big = field_create(p, l + h)
+    q, mu = p ** l, p ** h
+    n = q * mu
     k_dim = (l + h) // l
-    rows = [[1] * dm.side] + [dm.entries[big.pow(big.alpha, j)].tolist()
-                              for j in range(k_dim)]
-    tw = LinearCode.from_spanning_rows(dm.group_field, rows)
+    # the completely regular dual's (n - k) x n generator is the largest
+    # object built
+    budgets.check_enum(n * (n - k_dim - 1),
+                       f"CR.2 dual generator for D({q},{mu}) entries")
+    big, small, phi = shortening(p, l, h)
+    elements = np.arange(big.q)
+    rows = [[1] * n] + [phi[big.mul_array(big.pow(big.alpha, j), elements)]
+                        .tolist() for j in range(k_dim)]
+    tw = LinearCode.from_spanning_rows(small, rows)
     if tw.k != k_dim + 1:
         raise AssertionError(
             f"generator rows span dimension {tw.k}, expected u/l + 1 = "
             f"{k_dim + 1}; this is a bug")
-    q = p ** l
-    n = tw.n
-    mu = p ** h
     notes = ()
     if tw.k <= 3 and n - tw.k <= 1:
         notes = ("trivial boundary: dual dimension <= 1",)
@@ -445,7 +453,6 @@ def simplex_partition(matrix: CodewordMatrix, q: int) -> SimplexPartition:
             additive = _is_additive(rows, f)
             if additive:
                 reps = [rows[cls[0]] for cls in classes]
-                import numpy as np
                 cand = np.array(reps, dtype=np.int64)
                 if is_difference_matrix(cand, f):
                     reassembled = DifferenceMatrix(group_field=f, mu=mu,

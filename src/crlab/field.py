@@ -9,8 +9,8 @@ Every field is built on the lexicographically smallest primitive
 polynomial of its degree (coefficient vectors (a_{m-1}, ..., a_0)
 compared as base-p integers, smallest first), so all downstream
 constructions are bit-reproducible without external polynomial tables.
-For m = 1 the polynomial machinery degenerates to arithmetic mod p and
-alpha is the smallest primitive root.
+For m = 1 the same search runs on the moduli x - g for g = 1, 2, ...,
+so alpha = g is the smallest primitive root.
 
 The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
 tables of size q are precomputed at creation for O(1) mul/inv.  Their
@@ -26,6 +26,13 @@ works on Python ints and on integer numpy arrays alike; the weight
 kernel (``codes``) calls it directly, and the q x q group tables of
 ``diffmat`` and of the element methods here come from
 :func:`digit_table`, which is built on it.
+
+:meth:`FieldSpec.matmul` is the one exact matrix product over the field,
+folding ``mul_array`` products together with ``digit_add``.  It gives the
+projective dual transform its point weights (``codes``), PG(2, q) its
+incidences and the census its message-versus-point table (``search``),
+and the subfield embedding its images (``diffmat``).  The oracles that
+check these paths keep their own element-level loops.
 """
 
 from __future__ import annotations
@@ -207,6 +214,19 @@ class FieldSpec:
         log, antilog = self._log_arrays
         return antilog[log[a] + log[b]]
 
+    def matmul(self, a, b) -> np.ndarray:
+        """a @ b over the field for 2-d integer arrays of elements, as intp.
+
+        The inner index is folded in one step at a time, so only the
+        result and one product are held at once."""
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.intp)
+        for t in range(a.shape[1]):
+            out = digit_add(out, self.mul_array(a[:, t, None], b[t]),
+                            self.p, self.m)
+        return out
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
@@ -240,9 +260,6 @@ class FieldSpec:
     def from_coeffs(self, coeffs) -> int:
         return _encode(list(coeffs) + [0] * (self.m - len(coeffs)), self.p)
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -257,25 +274,24 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, m={self.m}, q={self.q}, modulus={self.modulus})"
 
 
-def _smallest_primitive_root(p: int) -> tuple[int, list[int]]:
-    for g in range(1, p):
-        powers = [1]
-        x = 1
-        for step in range(1, p):
-            x = (x * g) % p
-            if x == 1:
-                if step == p - 1:
-                    return g, powers
-                break
-            powers.append(x)
-    raise ArithmeticError(f"no primitive root mod {p}")  # unreachable for prime p
+def _field_order(p: int, m: int) -> int:
+    """q = p^m, or ValueError unless p is prime, m >= 1 and q <= Q_LIMIT."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    q = p ** m
+    if q > Q_LIMIT:
+        raise ValueError(f"q = {q} exceeds the supported limit {Q_LIMIT}")
+    return q
 
 
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
 
 def field_create(p: int, m: int) -> FieldSpec:
-    """The canonical GF(p^m): lexicographically smallest primitive modulus.
+    """The canonical GF(p^m): lexicographically smallest primitive modulus;
+    for m = 1, the modulus x - g of the smallest primitive root g.
 
     Results are cached per (p, m); FieldSpec is immutable so sharing is safe.
     """
@@ -284,30 +300,20 @@ def field_create(p: int, m: int) -> FieldSpec:
     if cached is not None:
         return cached
 
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    q = p ** m
-    if q > Q_LIMIT:
-        raise ValueError(f"q = {q} exceeds the supported limit {Q_LIMIT}")
-
+    q = _field_order(p, m)
     if m == 1:
-        alpha, powers = _smallest_primitive_root(p)
-        modulus = ((p - alpha) % p, 1)
-        spec = FieldSpec(p, m, modulus, powers)
+        lows = ([p - g] for g in range(1, p))
     else:
-        spec = None
-        for v in range(q):
-            low = _digits(v, p, m)
-            if low[0] == 0:
-                continue
-            powers = _power_chain(low, p, m, q)
-            if powers is not None:
-                spec = FieldSpec(p, m, tuple(low) + (1,), powers)
-                break
-        if spec is None:
-            raise ArithmeticError(f"no primitive polynomial found for GF({q})")
+        lows = (_digits(v, p, m) for v in range(q))
+    for low in lows:
+        if low[0] == 0:
+            continue
+        powers = _power_chain(low, p, m, q)
+        if powers is not None:
+            spec = FieldSpec(p, m, tuple(low) + (1,), powers)
+            break
+    else:
+        raise ArithmeticError(f"no primitive polynomial found for GF({q})")
 
     _FIELD_CACHE[key] = spec
     return spec
@@ -319,13 +325,7 @@ def field_from_modulus(p: int, m: int, coeffs) -> FieldSpec:
     The modulus must be primitive: x must generate the full multiplicative
     group, which is verified exhaustively while the antilog table is built.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    q = p ** m
-    if q > Q_LIMIT:
-        raise ValueError(f"q = {q} exceeds the supported limit {Q_LIMIT}")
+    q = _field_order(p, m)
     coeffs = tuple(int(c) % p for c in coeffs)
     if len(coeffs) != m + 1:
         raise ValueError(f"modulus must have m+1 = {m + 1} coefficients")
@@ -335,19 +335,6 @@ def field_from_modulus(p: int, m: int, coeffs) -> FieldSpec:
     canonical = field_create(p, m)
     if coeffs == canonical.modulus:
         return canonical
-
-    if m == 1:
-        alpha = (p - coeffs[0]) % p
-        powers = [1]
-        x = 1
-        for step in range(1, p):
-            x = (x * alpha) % p
-            if x == 1:
-                break
-            powers.append(x)
-        if len(powers) != p - 1:
-            raise ValueError(f"x + {coeffs[0]} is not primitive mod {p}")
-        return FieldSpec(p, m, coeffs, powers)
 
     powers = _power_chain(list(coeffs[:m]), p, m, q)
     if powers is None:

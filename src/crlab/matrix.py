@@ -1,8 +1,9 @@
-"""Exact matrices over a FieldSpec: products, RREF, rank, null space.
+"""Exact matrices over a FieldSpec: RREF, rank, null space.
 
 Entries are canonical element codes (plain ints).  Matrices are immutable
 tuples of row tuples.  A matrix may have zero rows (the null space of a
-full-rank square matrix); the column count is always >= 1.
+full-rank square matrix); the column count is always >= 1.  Products
+are :meth:`crlab.field.FieldSpec.matmul` on the row tuples.
 """
 
 from __future__ import annotations
@@ -52,42 +53,6 @@ class MatGF:
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "MatGF":
-        if self.nrows == 0:
-            raise ValueError("cannot transpose a zero-row matrix")
-        return MatGF(self.field, list(zip(*self.rows)))
-
-    def mul(self, other: "MatGF") -> "MatGF":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        ocols = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            row = []
-            for c in ocols:
-                acc = 0
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return MatGF(f, out)
-
-    def mul_vec(self, vec) -> tuple:
-        f = self.field
-        out = []
-        for r in self.rows:
-            acc = 0
-            for a, b in zip(r, vec):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
 
     # -- Gaussian elimination -------------------------------------------
 

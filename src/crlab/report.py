@@ -113,10 +113,7 @@ def _conditions_side(code, wd, dual, dual_wd) -> ConditionsSide | None:
     N = q ** k
     d = tw_wd.d
     s_mult = max_column_multiplicity(tw)
-    checks = list(conditions.cardinality_window_check(n, N, d, q))
-    checks.append(conditions.plotkin_holds(n, d, q, N))
-    checks.append(conditions.gray_rankin_holds(n, d, q, N))
-    checks.append(conditions.max_distance_holds(n, d, q, N))
+    checks = conditions.bound_checks(n, N, d, q)
     complement_valuations = None
     if d < n:
         try:

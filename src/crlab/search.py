@@ -12,6 +12,11 @@
   values of the code -- all the census looks at -- come from q - 1 times
   fewer messages.
 
+Both searches take point/hyperplane incidences from one exact product
+of the point matrix with its transpose (:meth:`crlab.field.FieldSpec.matmul`):
+the lines of PG(2, q) are its dual points, and a census message misses
+a column point exactly when their product is zero.
+
 Matching is parameter-level (n, k, q, weight set, intersection array),
 not monomial-equivalence-level; census tables note this.  Entries whose
 dual violates the nontriviality window (dimension >= 2 and dual minimum
@@ -25,6 +30,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import budgets
 from .codes import LinearCode, projective_points
@@ -48,17 +55,13 @@ class PlaneGeometry:
         self.field = field
         self.points = projective_points(field, 3)
         n = len(self.points)
+        # lines are dual points: line j holds the points orthogonal to it
+        pts = np.array(self.points)
+        incident = field.matmul(pts, pts.T) == 0
         self.line_mask = []
         self.pair_line = [[0] * n for _ in range(n)]
-        for coef in self.points:  # lines are dual points
-            on_line = []
-            for i, p in enumerate(self.points):
-                acc = 0
-                for a, b in zip(coef, p):
-                    if a and b:
-                        acc = field.add(acc, field.mul(a, b))
-                if acc == 0:
-                    on_line.append(i)
+        for line in incident:
+            on_line = np.flatnonzero(line).tolist()
             mask = sum(1 << i for i in on_line)
             self.line_mask.append(mask)
             for i in on_line:
@@ -185,16 +188,8 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
 
     # a message's weight is shared by its nonzero multiples, so one
     # representative per scalar class gives every weight value
-    hits = []
-    for pt in points:
-        row = []
-        for msg in points:
-            acc = 0
-            for a, b in zip(msg, pt):
-                if a and b:
-                    acc = field.add(acc, field.mul(a, b))
-            row.append(1 if acc else 0)
-        hits.append(row)
+    pts = np.array(points)
+    hits = (field.matmul(pts, pts.T) != 0).astype(int).tolist()
 
     survivors: dict = {}
     add = operator.add

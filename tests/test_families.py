@@ -96,6 +96,35 @@ def test_cr2_reduces_only_its_generator_rows(monkeypatch):
         assert heights and max(heights) <= (l + h) // l + 1, (p, l, h)
 
 
+def test_cr2_builds_no_difference_matrix(monkeypatch):
+    """cr2_dm_dual computes its u/l rows of D directly, never the whole
+    p^(l+h) x p^(l+h) table."""
+    from crlab import diffmat, families
+
+    def refuse(*args):
+        raise AssertionError("difference_matrix called")
+
+    monkeypatch.setattr(diffmat, "difference_matrix", refuse)
+    monkeypatch.setattr(families, "difference_matrix", refuse, raising=False)
+    for p, l, h in [(2, 1, 1), (2, 2, 4), (2, 3, 3), (3, 1, 2), (5, 1, 1)]:
+        assert cr2_dm_dual(p, l, h).two_weight_code.k == (l + h) // l + 1
+
+
+def test_cr2_budget_refuses_the_next_side_before_building(monkeypatch):
+    """The dual generator's n(n - k) entries are charged before anything
+    is built: side 3^8 = 6561 is refused at the default budget, naming
+    the variable that raises it."""
+    from crlab import budgets, families
+
+    def refuse(*args):
+        raise AssertionError("shortening built before the budget check")
+
+    monkeypatch.delenv(budgets.ENUM_BUDGET_VAR, raising=False)
+    monkeypatch.setattr(families, "shortening", refuse)
+    with pytest.raises(budgets.BudgetExceeded, match="CRLAB_ENUM_BUDGET"):
+        cr2_dm_dual(3, 1, 7)
+
+
 @pytest.mark.parametrize("p,l,h", [(2, 4, 8), (5, 1, 4)])
 def test_cr2_constructs_sides_the_stacking_refused(p, l, h):
     """Sides the stacked translates made the enumeration budget refuse

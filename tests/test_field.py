@@ -97,6 +97,44 @@ def test_mul_array_matches_field(p, m):
     assert f.mul_array(0, f.q - 1) == 0 and f._log_arrays is tables
 
 
+def _element_matmul(f, a, b, n):
+    """a @ b for an n-column b, one element-level dot product at a time."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(n):
+            acc = 0
+            for x, b_row in zip(row, b):
+                acc = f.add(acc, f.mul(x, b_row[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
+def test_matmul_matches_element_loops(p, m):
+    """Seeded random shapes, zero rows, a zero inner dimension and sparse
+    entries: the array product equals the element-level dot products."""
+    f = field_create(p, m)
+    rng = random.Random(1000 * p + m)
+    shapes = [(0, 3, 4), (3, 0, 4), (1, 1, 1)]
+    shapes += [(rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 7))
+               for _ in range(12)]
+    for a_rows, k, n in shapes:
+        density = rng.choice((0.0, 0.3, 1.0))
+
+        def entry():
+            return rng.randrange(1, f.q) if rng.random() < density else 0
+
+        a = [[entry() for _ in range(k)] for _ in range(a_rows)]
+        b = [[entry() for _ in range(n)] for _ in range(k)]
+        got = f.matmul(np.array(a, dtype=np.int64).reshape(a_rows, k),
+                       np.array(b, dtype=np.int64).reshape(k, n))
+        assert got.shape == (a_rows, n)
+        assert got.tolist() == _element_matmul(f, a, b, n)
+
+
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
 def test_digit_add_matches_field(p, m):
     """The array kernel agrees with the scalar field methods, and an
