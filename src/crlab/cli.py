@@ -317,14 +317,14 @@ def cmd_search_classify(args, parser) -> int:
     if unmatched and args.dump_dir:
         import os
         os.makedirs(args.dump_dir, exist_ok=True)
+        import numpy as np
         from .codes import LinearCode
-        from .matrix import MatGF
         from .field import field_create
         from .conditions import prime_power
         p, m = prime_power(args.q)
         f = field_create(p, m)
         for i, e in enumerate(unmatched):
-            code = LinearCode(f, MatGF(f, list(zip(*e.example_columns))))
+            code = LinearCode.from_rows(f, np.transpose(e.example_columns))
             path = f"{args.dump_dir}/unmatched_{args.q}_{args.r}_{i}.gfc"
             fileio.write_gfc(path, code, comment=f"UNMATCHED census entry {e}")
             print(f"dumped {path}")
@@ -365,12 +365,14 @@ def cmd_complement(args, parser) -> int:
     for w in parsed.warnings:
         print(f"warning: {w}")
     code = parsed.code
+    s_min = None  # stays None when no s works (a zero column)
     try:
+        s_min = max_column_multiplicity(code)
         comp = complementary_code(code, args.s)
     except ValueError as exc:
         print(f"complement failed: {exc}", file=sys.stderr)
-        print(f"(minimal feasible s is {max_column_multiplicity(code)})",
-              file=sys.stderr)
+        if s_min is not None:
+            print(f"(minimal feasible s is {s_min})", file=sys.stderr)
         return 1
     print(f"complementary code: [{comp.n},{comp.k}]_{comp.q} at s = {args.s}")
     out = args.output or (args.file + ".comp")

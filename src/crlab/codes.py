@@ -112,11 +112,7 @@ class LinearCode:
     @classmethod
     def from_spanning_rows(cls, field: FieldSpec, rows) -> "LinearCode":
         """Reduce an arbitrary spanning set of rows to a basis."""
-        n = len(rows[0])
-        red, rank, _ = MatGF(field, rows).rref()
-        if rank == 0:
-            return cls(field, MatGF.empty(field, n))
-        return cls(field, MatGF(field, red))
+        return cls(field, MatGF(field, rows).row_basis())
 
     @property
     def q(self) -> int:
@@ -201,7 +197,7 @@ def _weight_counts(field: FieldSpec, G: MatGF) -> list:
     if k:
         # holds the digit sums inside digit_add (each below 2q)
         dtype = np.min_scalar_type(2 * q)
-        rows = np.array(G.rows, dtype=dtype)
+        rows = G.rows.astype(dtype)
         t = 0
         while t < k - 1 and q ** (t + 1) * n <= _BLOCK_CELLS:
             t += 1
@@ -393,8 +389,8 @@ def projective_points(field: FieldSpec, k: int) -> list:
 def is_projective(code: LinearCode) -> bool:
     """No two generator columns are scalar multiples (zero columns fail)."""
     seen = set()
-    for j in range(code.n):
-        rep = normalize_point(code.field, code.G.column(j))
+    for col in code.G.rows.T.tolist():
+        rep = normalize_point(code.field, col)
         if rep is None or rep in seen:
             return False
         seen.add(rep)
@@ -406,8 +402,8 @@ def column_point_multiplicities(G: MatGF | LinearCode) -> dict:
     if isinstance(G, LinearCode):
         G = G.G
     mult: dict = {}
-    for j in range(G.ncols):
-        rep = normalize_point(G.field, G.column(j))
+    for j, col in enumerate(G.rows.T.tolist()):
+        rep = normalize_point(G.field, col)
         if rep is None:
             raise ValueError(f"generator column {j} is zero")
         mult[rep] = mult.get(rep, 0) + 1
@@ -435,7 +431,7 @@ def complementary_generator(G: MatGF, s: int) -> MatGF:
         cols.extend([p] * (s - mult.get(p, 0)))
     if not cols:
         raise ValueError("degenerate: n_c = 0 (nothing left to complete)")
-    return MatGF(f, list(zip(*cols)))
+    return MatGF(f, np.transpose(cols))
 
 
 def complementary_code(code: LinearCode, s: int) -> LinearCode:
@@ -475,7 +471,7 @@ def projective_dual_transform(code: LinearCode, a: Fraction,
         cols.extend([p] * int(m))
     if not cols:
         raise ValueError("transform produced a zero-length code")
-    G = MatGF(f, list(zip(*cols)))
+    G = MatGF(f, np.transpose(cols))
     if G.rank != code.k:
         raise ValueError(
             f"transform columns span only rank {G.rank} < k = {code.k}")
@@ -507,8 +503,7 @@ def concatenate(a: LinearCode, b: LinearCode) -> LinearCode:
     """[A | B]: same message space, juxtaposed coordinates."""
     if a.k != b.k or a.field != b.field:
         raise ValueError("codes must share the field and dimension")
-    rows = [ra + rb for ra, rb in zip(a.G.rows, b.G.rows)]
-    return LinearCode(a.field, MatGF(a.field, rows))
+    return LinearCode(a.field, MatGF(a.field, np.hstack([a.G.rows, b.G.rows])))
 
 
 def low_weight_min_distance(code: LinearCode, w_max: int) -> int | None:
@@ -522,7 +517,7 @@ def low_weight_min_distance(code: LinearCode, w_max: int) -> int | None:
     H = code.dual().G
     if H.nrows == 0:
         return 1 if code.n >= 1 else None
-    hcols = [H.column(j) for j in range(code.n)]
+    hcols = H.rows.T.tolist()
     r = H.nrows
     for w in range(1, w_max + 1):
         for support in itertools.combinations(range(code.n), w):

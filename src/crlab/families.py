@@ -135,7 +135,7 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
     big, small, phi = shortening(p, l, h)
     elements = np.arange(big.q)
     rows = [[1] * n] + [phi[big.mul_array(big.pow(big.alpha, j), elements)]
-                        .tolist() for j in range(k_dim)]
+                        for j in range(k_dim)]
     tw = LinearCode.from_spanning_rows(small, rows)
     if tw.k != k_dim + 1:
         raise AssertionError(
@@ -195,7 +195,7 @@ def cr4_bose_bush(q: int) -> FamilyInstance:
     if q < 4:
         raise ValueError("need q = 2^m >= 4")
     f = field_create(2, m)
-    G = MatGF(f, list(zip(*hyperoval_conic_columns(f))))
+    G = MatGF(f, np.transpose(hyperoval_conic_columns(f)))
     tw = LinearCode(f, G)
     return FamilyInstance(
         family="CR4", params={"q": q},
@@ -227,7 +227,7 @@ def bush_closed_form_matrix(q: int) -> MatGF:
                 f"closed-form hyperoval matrix is undefined (3 divides q-1)")
         inv = f.inv(denom)
         cols.append((1, f.mul(ai, inv), f.mul(a2i, inv)))
-    G = MatGF(f, list(zip(*cols)))
+    G = MatGF(f, np.transpose(cols))
     code = LinearCode(f, G)
     weights = set(code.weight_distribution().nonzero_weights)
     if weights != {q, q + 2}:
@@ -315,7 +315,7 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
     if len(cols) != n:
         raise AssertionError(
             f"arc has {len(cols)} points, expected 1 + (q+1)(h-1) = {n}")
-    tw = LinearCode(f, MatGF(f, list(zip(*cols))))
+    tw = LinearCode(f, MatGF(f, np.transpose(cols)))
     weights = set(tw.weight_distribution().nonzero_weights)
     want = {q * (h - 1), n}
     if weights != want:
@@ -362,9 +362,7 @@ def antipodal_form_check(code: LinearCode) -> AntipodalFormVerdict:
             ok=False, reason="no codeword without zero coordinates; "
             "cannot normalize an all-ones row")
     scale = [f.inv(x) for x in full]
-    rows = [tuple(f.mul(s, x) for s, x in zip(scale, row))
-            for row in code.G.rows]
-    scaled = LinearCode(f, MatGF(f, rows))
+    scaled = LinearCode(f, MatGF(f, f.mul_array(code.G.rows, scale)))
 
     words = [tuple(w) for w in scaled.codewords()]
     star = [w for w in words if w[0] == 0 and any(w)]

@@ -15,17 +15,19 @@ so alpha = g is the smallest primitive root.
 The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
 tables of size q are precomputed at creation for O(1) mul/inv.  Their
 numpy counterparts behind :meth:`FieldSpec.mul_array` (whole arrays of
-products, for the weight kernel, the difference-matrix multiplication
-table and the syndrome deltas) are built on first use, once per field.
+products, for the weight kernel, the RREF's row operations, the
+difference-matrix multiplication table and the syndrome deltas) are
+built on first use, once per field.
 
 Addition is digit-wise mod p on these encodings, and so is addition of
 any vector of field elements packed in base q = p^m: such a vector is a
 base-p integer with one digit per coordinate coefficient.  That
 digit-wise sum (and difference) lives only in :func:`digit_add`, which
-works on Python ints and on integer numpy arrays alike; the weight
-kernel (``codes``) calls it directly, and the q x q group tables of
-``diffmat`` and of the element methods here come from
-:func:`digit_table`, which is built on it.
+works on Python ints and on integer numpy arrays alike.  The element
+methods ``add``/``sub``/``neg`` call it on ints, the weight kernel
+(``codes``) and the row operations of ``matrix`` on arrays, and the
+q x q group tables of ``diffmat`` come from :func:`digit_table`, which
+is built on it.
 
 :meth:`FieldSpec.matmul` is the one exact matrix product over the field,
 folding ``mul_array`` products together with ``digit_add``.  It gives the
@@ -40,9 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 Q_LIMIT = 1 << 20
-
-# full addition tables are only worth their memory for small fields
-_ADD_TABLE_MAX_Q = 512
 
 
 def is_prime(n: int) -> bool:
@@ -143,7 +142,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "m", "q", "modulus", "alpha", "alpha_powers", "discrete_log",
-        "_add_table", "_neg_table", "_log_arrays",
+        "_log_arrays",
     )
 
     def __init__(self, p: int, m: int, modulus, alpha_powers):
@@ -157,35 +156,18 @@ class FieldSpec:
         for i, a in enumerate(self.alpha_powers):
             log[a] = i
         self.discrete_log = tuple(log)
-        if p != 2 and self.q <= _ADD_TABLE_MAX_Q:
-            self._add_table = tuple(map(tuple, digit_table(self).tolist()))
-            self._neg_table = tuple(
-                digit_add(0, np.arange(self.q), p, m, -1).tolist())
-        else:
-            self._add_table = None
-            self._neg_table = None
         self._log_arrays = None
 
     # -- element arithmetic -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
         return digit_add(a, b, self.p, self.m)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self._neg_table is not None:
-            return self._neg_table[a]
         return digit_add(0, a, self.p, self.m, -1)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return digit_add(a, b, self.p, self.m, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -52,7 +52,7 @@ def write_gfc(path, code: LinearCode, comment: str | None = None) -> None:
                  " ".join(str(c) for c in f.modulus))
     lines.append(f"code {code.k} {code.n}")
     for row in code.G.rows:
-        lines.append(" ".join(str(x) for x in row))
+        lines.append(" ".join(map(str, row.tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -132,10 +132,8 @@ def read_gfc(path) -> ParsedCode:
         warnings.append(
             f"matrix rank {M.rank} < declared k = {k}; "
             "using the row-space basis")
-        code = LinearCode.from_spanning_rows(field, rows)
-    else:
-        code = LinearCode(field, M)
-    return ParsedCode(code=code, warnings=tuple(warnings))
+        M = M.row_basis()
+    return ParsedCode(code=LinearCode(field, M), warnings=tuple(warnings))
 
 
 def write_dm(path, dm: DifferenceMatrix, p: int, l: int, h: int) -> None:

@@ -1,58 +1,43 @@
 """Exact matrices over a FieldSpec: RREF, rank, null space.
 
-Entries are canonical element codes (plain ints).  Matrices are immutable
-tuples of row tuples.  A matrix may have zero rows (the null space of a
-full-rank square matrix); the column count is always >= 1.  Products
-are :meth:`crlab.field.FieldSpec.matmul` on the row tuples.
+Entries are canonical element codes.  A matrix holds one read-only 2-d
+intp array, ``rows``; it may have zero rows (the null space of a
+full-rank square matrix), and the column count is always >= 1.  The
+cached RREF depends on ``rows`` never changing, so a caller's writeable
+array is copied, and a read-only one is shared.  Elimination works one
+pivot at a time on whole rows with :meth:`crlab.field.FieldSpec.mul_array`
+and :func:`crlab.field.digit_add`; products are
+:meth:`crlab.field.FieldSpec.matmul` on the arrays.
 """
 
 from __future__ import annotations
 
-from .field import FieldSpec
+import numpy as np
+
+from .field import FieldSpec, digit_add
 
 
 class MatGF:
     __slots__ = ("field", "rows", "nrows", "ncols", "_rref_cache", "_rank")
 
     def __init__(self, field: FieldSpec, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            raise ValueError("use MatGF.empty for zero-row matrices")
-        if ncols < 1:
-            raise ValueError("matrix needs at least one column")
-        for r in rows:
-            for a in r:
-                if not 0 <= a < field.q:
-                    raise ValueError(f"entry {a!r} not in GF({field.q})")
+        a = np.asarray(rows, dtype=np.intp)
+        if a.ndim != 2 or a.shape[1] < 1:
+            raise ValueError(f"not a 2-d matrix with columns: {a.shape}")
+        if a.size and not (0 <= a.min() and a.max() < field.q):
+            raise ValueError(f"entries not all in GF({field.q})")
+        if a is rows and a.flags.writeable:
+            a = a.copy()
+        a.flags.writeable = False
         self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
+        self.rows = a
+        self.nrows, self.ncols = a.shape
         self._rref_cache = None
         self._rank = None
 
     @classmethod
-    def empty(cls, field: FieldSpec, ncols: int) -> "MatGF":
-        m = cls.__new__(cls)
-        m.field = field
-        m.rows = ()
-        m.nrows = 0
-        m.ncols = ncols
-        m._rref_cache = ((), 0, ())
-        m._rank = 0
-        return m
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatGF":
-        return cls(field, [[1 if i == j else 0 for j in range(n)]
-                           for i in range(n)])
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        return cls(field, np.eye(n, dtype=np.intp))
 
     # -- Gaussian elimination -------------------------------------------
 
@@ -67,6 +52,13 @@ class MatGF:
         """The rank null_space() certified for this matrix, else the RREF's."""
         return self.rref()[1] if self._rank is None else self._rank
 
+    def row_basis(self) -> "MatGF":
+        """The reduced rows as a matrix.  They are their own RREF, so the
+        basis carries this matrix's and runs no elimination."""
+        basis = MatGF(self.field, self.rref()[0])
+        basis._rref_cache = self.rref()
+        return basis
+
     def null_space(self) -> "MatGF":
         """Basis matrix B with self . B^t = 0, rank(B) = ncols - rank(self).
 
@@ -76,17 +68,12 @@ class MatGF:
         elimination.
         """
         f = self.field
-        red, rank, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        if not free:
-            return MatGF.empty(f, self.ncols)
-        basis = []
-        for fc in free:
-            v = [0] * self.ncols
-            v[fc] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(red[i][fc])
-            basis.append(v)
+        red, _, pivots = self.rref()
+        free = np.delete(np.arange(self.ncols), pivots)
+        basis = np.zeros((len(free), self.ncols), dtype=np.intp)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, list(pivots)] = digit_add(0, red[:, free].T, f.p, f.m, -1)
+        basis.flags.writeable = False
         ns = MatGF(f, basis)
         ns._rank = len(free)
         return ns
@@ -94,44 +81,38 @@ class MatGF:
     def row_space_equal(self, other: "MatGF") -> bool:
         if self.field != other.field or self.ncols != other.ncols:
             return False
-        ra, rb = self.rref(), other.rref()
-        return ra[0] == rb[0]
+        return np.array_equal(self.rref()[0], other.rref()[0])
 
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.field == other.field
-                and self.rows == other.rows and self.ncols == other.ncols)
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.ncols))
+        return hash((self.field, self.rows.shape, self.rows.tobytes()))
 
     def __repr__(self):
         return f"MatGF({self.nrows}x{self.ncols} over GF({self.field.q}))"
 
 
 def _rref(f: FieldSpec, rows, ncols):
-    work = [list(r) for r in rows]
+    work = np.array(rows, dtype=np.intp)
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = f.inv(work[rank][col])
-        if inv != 1:
-            work[rank] = [f.mul(inv, a) for a in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                c = work[i][col]
-                work[i] = [f.sub(a, f.mul(c, b))
-                           for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
         if rank == len(work):
             break
-    nonzero = tuple(tuple(r) for r in work[:rank])
-    return nonzero, rank, tuple(pivots)
+        below = np.flatnonzero(work[rank:, col])
+        if not below.size:
+            continue
+        pivot = rank + below[0]
+        work[[rank, pivot]] = work[[pivot, rank]]
+        work[rank] = f.mul_array(f.inv(int(work[rank, col])), work[rank])
+        factors = work[:, col].copy()
+        factors[rank] = 0
+        work = digit_add(work, f.mul_array(factors[:, None], work[rank]),
+                         f.p, f.m, -1)
+        pivots.append(col)
+        rank += 1
+    red = work[:rank]
+    red.flags.writeable = False
+    return red, rank, tuple(pivots)

@@ -164,7 +164,7 @@ class SyndromeProfile:
         H = code.dual().G  # parity-check rows of `code`
         # one delta per (column j, nonzero gamma), j outer: the packed
         # syndrome of gamma*e_j
-        cols = np.array(H.rows, dtype=np.intp).T
+        cols = H.rows.T
         gammas = np.arange(1, q)[:, None]
         places = q ** np.arange(r, dtype=np.int64)
         products = f.mul_array(cols[:, None, :], gammas)

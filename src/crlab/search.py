@@ -81,6 +81,8 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
     """Arcs of a given size in PG(2, q): existence (early exit) or the
     exhaustive count of canonical (index-increasing) arcs."""
     from .conditions import prime_power
+    if target_size < 0:
+        raise ValueError(f"size must be >= 0, got {target_size}")
     p, m = prime_power(q)
     if q > ARC_Q_MAX:
         raise ValueError(f"arc search is desk-bounded to q <= {ARC_Q_MAX}")
@@ -170,6 +172,10 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     some chosen column already misses must all finish on a common weight.
     """
     from .conditions import prime_power
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     p, m = prime_power(q)
     field = field_create(p, m)
     points = projective_points(field, r)
@@ -228,7 +234,7 @@ def _census_complete(field, points, chosen, weights, n, survivors, q, r):
     if len(distinct) != 2 or distinct[1] != n or distinct[0] == 0:
         return
     cols = [points[i] for i in chosen]
-    G = MatGF(field, list(zip(*cols)))
+    G = MatGF(field, np.transpose(cols))
     if G.rank != r:
         return  # non-spanning multisets are skipped silently
     projective_multiset = len(set(chosen)) == len(chosen)

@@ -163,8 +163,8 @@ def _independent_dual_distance_k3(code: LinearCode) -> int:
     set is dependent the dependency has full support)."""
     f = code.field
     pts = []
-    for j in range(code.n):
-        rep = normalize_point(f, code.G.column(j))
+    for col in code.G.rows.T.tolist():
+        rep = normalize_point(f, col)
         if rep is None:
             return 1
         pts.append(rep)

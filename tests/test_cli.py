@@ -237,7 +237,7 @@ def test_report_non_cr_code_shows_witness(tmp_path, capsys):
     from crlab.families import cr1_extended_hamming
     eh = cr1_extended_hamming(3).cr_code
     f = eh.field
-    rows = [(r[0],) + r for r in eh.G.rows]
+    rows = [[r[0]] + r for r in eh.G.rows.tolist()]
     path = tmp_path / "damaged.gfc"
     fileio.write_gfc(path, LinearCode(f, MatGF(f, rows)))
     assert run(["report", str(path)]) == 0
@@ -274,3 +274,32 @@ def test_complement_command(tmp_path, capsys):
     twice = tmp_path / "twice.gfc"
     fileio.write_gfc(twice, LinearCode(f, MatGF(f, [(1, 1, 0), (0, 0, 1)])))
     assert run(["complement", str(twice), "--s", "1"]) == 1
+
+
+def test_complement_zero_column_fails_once(tmp_path, capsys):
+    """No s completes a code with a zero column: one failure line, no
+    minimal-s line, exit 1.  A too-small s still names the minimal one."""
+    path = tmp_path / "zero.gfc"
+    path.write_text("field 3 1 poly 1 1\ncode 2 4\n1 0 1 0\n0 1 1 0\n")
+    assert run(["complement", str(path), "--s", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "complement failed: generator column 3 is zero\n"
+    f = field_create(2, 1)
+    twice = tmp_path / "twice.gfc"
+    fileio.write_gfc(twice, LinearCode(f, MatGF(f, [(1, 1, 0), (0, 0, 1)])))
+    assert run(["complement", str(twice), "--s", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "(minimal feasible s is 2)"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["classify", "--q", "3", "--r", "0", "--n-max", "4"], "r"),
+    (["classify", "--q", "3", "--r", "-1", "--n-max", "4"], "r"),
+    (["classify", "--q", "3", "--r", "3", "--n-max", "-1"], "n_max"),
+    (["arcs", "--q", "5", "--size", "-1"], "size"),
+])
+def test_search_argument_errors_exit_2(argv, name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["search"] + argv)
+    assert exc.value.code == 2
+    assert f"error: {name} must be >= " in capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crlab import budgets, codes, matrix
@@ -182,8 +183,8 @@ def test_complementary_s2_repeated_point():
     assert G_c.ncols == 2 * 3 - 2 == 4
     # wt(vG) + wt(vG_c) = s * q^(k-1) = 4 for all three nonzero messages
     for v in [(0, 1), (1, 0), (1, 1)]:
-        wa = sum(1 for j in range(G.ncols) if _dot(f, v, G.column(j)))
-        wb = sum(1 for j in range(G_c.ncols) if _dot(f, v, G_c.column(j)))
+        wa = sum(1 for col in G.rows.T.tolist() if _dot(f, v, col))
+        wb = sum(1 for col in G_c.rows.T.tolist() if _dot(f, v, col))
         assert wa + wb == 4
 
 
@@ -323,14 +324,14 @@ def _kernel_cases():
             while f.q ** k > 1 << 12:
                 k -= 1
             cases.append(random_code(f, n, k, seed=100 * i + j))
-        cases.append(LinearCode(f, MatGF.empty(f, 4)))
+        cases.append(LinearCode(f, MatGF(f, np.zeros((0, 4), dtype=int))))
         cases.append(random_code(f, 5, 1, seed=i))
         k = 1
         while f.q ** (k + 1) <= 1 << 12 and k < 4:
             k += 1
         cases.append(LinearCode(f, MatGF.identity(f, k)))
-        zero_col = [row[:2] + (0,) + row[2:]
-                    for row in random_code(f, 5, 2, seed=50 + i).G.rows]
+        rows = random_code(f, 5, 2, seed=50 + i).G.rows.tolist()
+        zero_col = [row[:2] + [0] + row[2:] for row in rows]
         cases.append(LinearCode.from_rows(f, zero_col))
     return cases
 

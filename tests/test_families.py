@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from crlab.codes import CodewordMatrix, is_projective
@@ -68,7 +69,7 @@ def test_cr2_generator_rows_span_the_translates():
         tw = cr2_dm_dual(p, l, h).two_weight_code
         stacked = dm_code(difference_matrix(p, l, h))
         spanned = LinearCode.from_spanning_rows(stacked.field, stacked.rows)
-        assert tw.G.rows == spanned.G.rows, (p, l, h)
+        assert np.array_equal(tw.G.rows, spanned.G.rows), (p, l, h)
         if p ** (l + h) <= 64:
             assert set(tw.codewords()) == set(stacked.rows), (p, l, h)
 

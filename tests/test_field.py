@@ -137,8 +137,9 @@ def test_matmul_matches_element_loops(p, m):
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
 def test_digit_add_matches_field(p, m):
-    """The array kernel agrees with the scalar field methods, and an
-    r*m-digit packed add is the coordinate-wise field add in base q."""
+    """The scalar field methods and the array kernel are coefficient-vector
+    arithmetic mod p, and an r*m-digit packed add is the coordinate-wise
+    field add in base q."""
     f = field_create(p, m)
     q = f.q
     if q <= 32:
@@ -147,17 +148,22 @@ def test_digit_add_matches_field(p, m):
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
         pairs += [(0, q - 1), (q - 1, q - 1), (1, q - 1)]
+
+    def by_coeffs(x, y, sign):
+        return f.from_coeffs([(u + sign * v) % p
+                              for u, v in zip(f.coeffs(x), f.coeffs(y))])
+
+    sums = [by_coeffs(x, y, 1) for x, y in pairs]
+    diffs = [by_coeffs(x, y, -1) for x, y in pairs]
+    negs = [by_coeffs(0, x, -1) for x, _ in pairs]
+    assert [f.add(x, y) for x, y in pairs] == sums
+    assert [f.sub(x, y) for x, y in pairs] == diffs
+    assert [f.neg(x) for x, _ in pairs] == negs
     a = np.array([x for x, _ in pairs], dtype=np.int64)
     b = np.array([y for _, y in pairs], dtype=np.int64)
-    assert digit_add(a, b, p, m).tolist() == [f.add(x, y) for x, y in pairs]
-    assert digit_add(a, b, p, m, -1).tolist() == \
-        [f.sub(x, y) for x, y in pairs]
-    assert digit_add(0, a, p, m, -1).tolist() == [f.neg(x) for x, _ in pairs]
-    # the field tables are built from the kernel, so pin it to the group law
-    for x, y in pairs[:300]:
-        assert f.add(f.sub(x, y), y) == x and f.add(x, f.neg(x)) == 0
-        assert f.coeffs(f.add(x, y)) == tuple(
-            (u + v) % p for u, v in zip(f.coeffs(x), f.coeffs(y)))
+    assert digit_add(a, b, p, m).tolist() == sums
+    assert digit_add(a, b, p, m, -1).tolist() == diffs
+    assert digit_add(0, a, p, m, -1).tolist() == negs
 
     r = 3
 

@@ -3,8 +3,51 @@ import random
 import numpy as np
 import pytest
 
+from crlab import families
 from crlab.field import field_create
-from crlab.matrix import MatGF
+from crlab.matrix import MatGF, _rref
+
+
+def loop_rref(f, rows, ncols):
+    """The element-at-a-time elimination the array ``_rref`` replaced,
+    kept as its oracle: (reduced rows as tuples, rank, pivot columns)."""
+    work = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(work)):
+            if work[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = f.inv(work[rank][col])
+        if inv != 1:
+            work[rank] = [f.mul(inv, a) for a in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                c = work[i][col]
+                work[i] = [f.sub(a, f.mul(c, b))
+                           for a, b in zip(work[i], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    nonzero = tuple(tuple(r) for r in work[:rank])
+    return nonzero, rank, tuple(pivots)
+
+
+def assert_rref_matches_loop(f, rows, label=None):
+    """_rref and loop_rref agree on reduced rows, rank and pivots."""
+    rows = np.asarray(rows, dtype=np.intp)
+    red, rank, pivots = _rref(f, rows, rows.shape[1])
+    want_red, want_rank, want_pivots = loop_rref(f, rows.tolist(),
+                                                 rows.shape[1])
+    assert (rank, pivots) == (want_rank, want_pivots), label
+    assert red.shape == (rank, rows.shape[1]), label
+    assert [tuple(r) for r in red.tolist()] == list(want_red), label
 
 
 def test_identity_rref():
@@ -74,3 +117,95 @@ def test_validation():
         MatGF(f, [[0, 2]])
     with pytest.raises(ValueError):
         MatGF(f, [])
+    f9 = field_create(3, 2)
+    for bad in ([0, 1, 2],                  # 1-d
+                [[], []],                   # zero columns
+                np.zeros((0, 0), dtype=int),
+                np.zeros((2, 2, 2), dtype=int),
+                [[0, -1]], [[9, 0]], [[0, 1], [2, 10]]):
+        with pytest.raises(ValueError):
+            MatGF(f9, bad)
+    assert MatGF(f9, [[0, 8], [8, 0]]).nrows == 2
+    assert MatGF(f9, np.zeros((0, 3), dtype=int)).rank == 0
+
+
+def test_rows_are_read_only():
+    """The cached RREF depends on the rows: MatGF.rows refuses writes, a
+    caller's array is copied, and the reduced rows are read-only too."""
+    f = field_create(5, 1)
+    src = np.array([[1, 2, 3], [2, 4, 0]])
+    M = MatGF(f, src)
+    red, rank, _ = M.rref()
+    src[0, 0] = 4
+    assert M.rows[0, 0] == 1
+    with pytest.raises(ValueError):
+        M.rows[0, 0] = 2
+    with pytest.raises(ValueError):
+        red[0, 0] = 2
+    assert MatGF(f, M.rows).rows is M.rows
+    assert M.null_space().rows.flags.writeable is False
+    basis = M.row_basis()
+    assert basis.rref() is M.rref() and basis.rank == rank == 2
+
+
+def _random_shapes(f, rng):
+    """Zero, rank-deficient, tall, 1 x n, n x 1 and random matrices."""
+    q = f.q
+    shapes = [np.zeros((3, 5), dtype=np.intp), np.zeros((0, 4), dtype=np.intp),
+              np.zeros((1, 1), dtype=np.intp)]
+    for _ in range(3):
+        r, c = rng.randrange(1, 6), rng.randrange(1, 8)
+        shapes.append(np.array([[rng.randrange(q) for _ in range(c)]
+                                for _ in range(r)]))
+    for r, c in ((1, 7), (6, 1), (9, 4), (7, 3)):
+        shapes.append(np.array([[rng.randrange(q) for _ in range(c)]
+                                for _ in range(r)]))
+    for r, c, t in ((6, 8, 2), (5, 5, 3), (8, 4, 1)):
+        # rank <= t: a product through a t-dimensional space
+        a = [[rng.randrange(q) for _ in range(t)] for _ in range(r)]
+        b = [[rng.randrange(q) for _ in range(c)] for _ in range(t)]
+        shapes.append(f.matmul(a, b))
+    sparse = np.array([[rng.randrange(1, q) if rng.random() < 0.2 else 0
+                        for _ in range(9)] for _ in range(6)])
+    shapes.append(sparse)
+    return shapes
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
+def test_rref_matches_loop_on_random_matrices(p, m):
+    """Seeded random matrices over GF(2, 3, 4, 5, 7, 8, 9, 25, 27, 729):
+    the array elimination equals the element loop, and the null space
+    annihilates the rows through matmul with full row rank."""
+    f = field_create(p, m)
+    rng = random.Random(31 * p + m)
+    for rows in _random_shapes(f, rng):
+        assert_rref_matches_loop(f, rows, rows.shape)
+        M = MatGF(f, rows)
+        ns = M.null_space()
+        assert ns.nrows == M.ncols - M.rank
+        assert not f.matmul(M.rows, ns.rows.T).any()
+        assert loop_rref(f, ns.rows.tolist(), ns.ncols)[1] == ns.nrows
+
+
+def test_rref_matches_loop_on_grid(family_grid):
+    """Both sides of every grid instance."""
+    for entry in family_grid:
+        for code in (entry.tw, entry.cr):
+            assert_rref_matches_loop(code.field, code.G.rows, entry.label)
+
+
+def test_rref_matches_loop_on_construct_generators():
+    """The two-weight generators the construct benchmark builds."""
+    builds = [families.cr4_bose_bush(32),
+              families.cr5_delsarte(16),
+              families.cr1_extended_hamming(8),
+              families.cr3_mds_dual(25, 25),
+              families.cr3_mds_dual(27, 27)]
+    builds += [families.cr6_denniston(32, h) for h in (2, 4, 8)]
+    builds += [families.cr2_dm_dual(p, l, h)
+               for p, l, h in ((2, 2, 4), (2, 3, 3), (3, 1, 2), (5, 1, 1))]
+    for inst in builds:
+        tw = inst.two_weight_code
+        assert_rref_matches_loop(tw.field, tw.G.rows, inst.params)
+

@@ -129,7 +129,7 @@ def test_damaged_code_regression():
     lengthened [9,4] code pins rho = 2 against s = 4."""
     eh = ext_hamming()
     f = eh.field
-    rows = [(r[0],) + r for r in eh.G.rows]
+    rows = [[r[0]] + r for r in eh.G.rows.tolist()]
     damaged = LinearCode(f, MatGF(f, rows))
     v = up_wide_check(damaged)
     assert (v.rho, v.s) == (2, 4)

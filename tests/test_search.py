@@ -69,6 +69,18 @@ def test_q_bound():
         search_arcs(17, 5)
 
 
+@pytest.mark.parametrize("r,n_max,name", [(0, 4, "r"), (-1, 4, "r"),
+                                         (3, -1, "n_max")])
+def test_census_rejects_bad_arguments(r, n_max, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        search_antipodal_duals(3, r, n_max)
+
+
+def test_arc_search_rejects_negative_size():
+    with pytest.raises(ValueError, match="^size must be >= 0"):
+        search_arcs(5, -1)
+
+
 def test_census_tiny_hand_auditable():
     """(q=2, r=2, n<=4): three point-pair multisets give the full space
     [2,2,{1,2}], three doubled pairs give [4,2,{2,4}]; all trivial."""
