@@ -15,16 +15,16 @@ from . import budgets, conditions, diffmat, families, fileio, search
 from .codes import complementary_code, max_column_multiplicity
 from .report import build_code_report
 
-# --family -> (builder in crlab.families, required arguments, even q only);
-# builders are looked up by name at call time, so wrappers installed on
-# the families module see the call
+# --family -> (builder in crlab.families, required arguments); builders
+# are looked up by name at call time, so wrappers installed on the
+# families module see the call
 _FAMILIES = {
-    "ext-hamming": ("cr1_extended_hamming", ("m",), False),
-    "dm-dual": ("cr2_dm_dual", ("q", "l", "h"), False),
-    "mds-dual": ("cr3_mds_dual", ("q", "n"), False),
-    "bose-bush": ("cr4_bose_bush", ("q",), True),
-    "delsarte": ("cr5_delsarte", ("q",), True),
-    "denniston": ("cr6_denniston", ("q", "h"), True),
+    "ext-hamming": ("cr1_extended_hamming", ("m",)),
+    "dm-dual": ("cr2_dm_dual", ("q", "l", "h")),
+    "mds-dual": ("cr3_mds_dual", ("q", "n")),
+    "bose-bush": ("cr4_bose_bush", ("q",)),
+    "delsarte": ("cr5_delsarte", ("q",)),
+    "denniston": ("cr6_denniston", ("q", "h")),
 }
 
 
@@ -120,10 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_construct(args, parser) -> int:
-    builder, required, even_q_only = _FAMILIES[args.family]
+    builder, required = _FAMILIES[args.family]
     _need(parser, args, *required)
-    if even_q_only:
-        _reject_odd_q(parser, args.q)
     try:
         inst = getattr(families, builder)(
             *(getattr(args, name) for name in required))
@@ -176,13 +174,6 @@ def _need(parser, args, *names):
     for name in names:
         if getattr(args, name) is None:
             parser.error(f"--family {args.family} requires --{name}")
-
-
-def _reject_odd_q(parser, q: int) -> None:
-    if q % 2:
-        parser.error(
-            f"q = {q} is odd: no (q+2, 3, q) hyperoval codes and no maximal "
-            "arcs exist in odd characteristic, so these families are empty")
 
 
 def cmd_report(args, parser) -> int:
@@ -319,8 +310,7 @@ def cmd_search_classify(args, parser) -> int:
         os.makedirs(args.dump_dir, exist_ok=True)
         import numpy as np
         from .codes import LinearCode
-        from .field import field_create
-        from .conditions import prime_power
+        from .field import field_create, prime_power
         p, m = prime_power(args.q)
         f = field_create(p, m)
         for i, e in enumerate(unmatched):

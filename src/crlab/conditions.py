@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from .field import prime_power
+
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -25,28 +27,6 @@ class ConditionCheck:
     def ok(self) -> bool:
         """Holds unless the check applies and fails."""
         return (not self.applicable) or bool(self.satisfied)
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, or ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = None
-    for f in range(2, q + 1):
-        if f * f > q:
-            p = q
-            break
-        if q % f == 0:
-            p = f
-            break
-    m = 0
-    x = q
-    while x % p == 0:
-        x //= p
-        m += 1
-    if x != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, m
 
 
 def p_valuation(a: int, p: int) -> int:

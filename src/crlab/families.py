@@ -23,7 +23,7 @@ from . import budgets
 from .codes import (CodewordMatrix, LinearCode, hamming_distance,
                     projective_dual_transform)
 from .diffmat import DifferenceMatrix, is_difference_matrix, shortening
-from .field import FieldSpec, field_create
+from .field import FieldSpec, field_create, prime_power
 from .matrix import MatGF
 from .regularity import IntersectionArray
 
@@ -47,12 +47,16 @@ class FamilyInstance:
                 f"two_weight={self.two_weight_code!r})")
 
 
-def _power_of_two(q: int) -> int:
-    """m with q = 2^m, or ValueError."""
-    m = q.bit_length() - 1
-    if q < 2 or (1 << m) != q:
-        raise ValueError(f"{q} is not a power of 2")
-    return m
+def _char2_field(q: int) -> FieldSpec:
+    """GF(q) for q = 2^m >= 4, where hyperovals and maximal arcs live;
+    ValueError otherwise."""
+    if q % 2:
+        raise ValueError(
+            f"q = {q} is odd: no (q+2, 3, q) hyperoval codes and no maximal "
+            "arcs exist in odd characteristic, so these families are empty")
+    if q < 4 or q & (q - 1):
+        raise ValueError(f"need q = 2^m >= 4, got {q}")
+    return field_create(2, q.bit_length() - 1)
 
 
 def ia_formula(family: str, **params) -> IntersectionArray:
@@ -157,7 +161,6 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
 def cr3_mds_dual(q: int, n: int) -> FamilyInstance:
     """Two-weight side generated by (1,...,1) and (0, 1, a_2, ..., a_(n-1))
     over the first n field elements in canonical order; weights {n-1, n}."""
-    from .conditions import prime_power
     p, m = prime_power(q)
     if not 3 <= n <= q:
         raise ValueError("need 3 <= n <= q (n = 2 is the trivial boundary)")
@@ -191,10 +194,7 @@ def cr4_bose_bush(q: int) -> FamilyInstance:
     [q+2, q-1, 4].  Uses the conic-plus-nucleus hyperoval, which exists
     for every such q (unlike the closed-form matrix of
     :func:`bush_closed_form_matrix`, whose denominators vanish when 3 | q-1)."""
-    m = _power_of_two(q)
-    if q < 4:
-        raise ValueError("need q = 2^m >= 4")
-    f = field_create(2, m)
+    f = _char2_field(q)
     G = MatGF(f, np.transpose(hyperoval_conic_columns(f)))
     tw = LinearCode(f, G)
     return FamilyInstance(
@@ -212,10 +212,7 @@ def bush_closed_form_matrix(q: int) -> MatGF:
 
     Defined only when no denominator vanishes, i.e. when 3 does not
     divide q - 1; otherwise raises with the first failing index."""
-    m = _power_of_two(q)
-    if q < 4:
-        raise ValueError("need q = 2^m >= 4")
-    f = field_create(2, m)
+    f = _char2_field(q)
     cols = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     for i in range(1, q - 1):
         ai = f.pow(f.alpha, i)
@@ -244,9 +241,6 @@ def cr5_delsarte(q: int) -> FamilyInstance:
     the unique affine map sending weight q to multiplicity 0 and weight
     q+2 to multiplicity 1.  [q(q-1)/2, 3, {q(q-2)/2, q(q-1)/2}]; the
     dual is [n, n-3] (dual distance 3 for q >= 8, see cr6_denniston)."""
-    _power_of_two(q)
-    if q < 4:
-        raise ValueError("need q = 2^m >= 4")
     base = cr4_bose_bush(q)
     tw = projective_dual_transform(base.two_weight_code,
                                    Fraction(1, 2), Fraction(-q, 2))
@@ -289,13 +283,10 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
     The dual minimum distance is 4 only for h = 2: secant lines of an
     arc of degree h >= 3 carry h collinear points, so three dependent
     columns exist and the dual distance drops to 3."""
-    m = _power_of_two(q)
-    if q < 4:
-        raise ValueError("need q = 2^m >= 4")
+    f = _char2_field(q)
     u = h.bit_length() - 1
     if h < 2 or (1 << u) != h or h > q // 2:
         raise ValueError("need h = 2^u with 2 <= h <= q/2")
-    f = field_create(2, m)
     c = denniston_quadratic_c(f)
 
     subgroup = {0}

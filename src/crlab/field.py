@@ -59,6 +59,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m, or ValueError."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = None
+    for f in range(2, q + 1):
+        if f * f > q:
+            p = q
+            break
+        if q % f == 0:
+            p = f
+            break
+    m = 0
+    x = q
+    while x % p == 0:
+        x //= p
+        m += 1
+    if x != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, m
+
+
 def digit_add(a, b, p: int, ndigits: int, sign: int = 1):
     """a + sign*b digit-wise mod p, for base-p integers of ndigits digits.
 

@@ -2,11 +2,13 @@
 
 Entries are canonical element codes.  A matrix holds one read-only 2-d
 intp array, ``rows``; it may have zero rows (the null space of a
-full-rank square matrix), and the column count is always >= 1.  The
-cached RREF depends on ``rows`` never changing, so a caller's writeable
-array is copied, and a read-only one is shared.  Elimination works one
-pivot at a time on whole rows with :meth:`crlab.field.FieldSpec.mul_array`
-and :func:`crlab.field.digit_add`; products are
+full-rank square matrix), and the column count is always >= 1.  Entries
+outside [0, q), non-integral floats and integers past int64 raise
+ValueError; nothing is truncated or wrapped.  The cached RREF depends on
+``rows`` never changing, so a caller's writeable array is copied, and a
+read-only one is shared.  Elimination works one pivot at a time on
+whole rows with :meth:`crlab.field.FieldSpec.mul_array` and
+:func:`crlab.field.digit_add`; products are
 :meth:`crlab.field.FieldSpec.matmul` on the arrays.
 """
 
@@ -21,7 +23,19 @@ class MatGF:
     __slots__ = ("field", "rows", "nrows", "ncols", "_rref_cache", "_rank")
 
     def __init__(self, field: FieldSpec, rows):
-        a = np.asarray(rows, dtype=np.intp)
+        a = np.asarray(rows)
+        if a.dtype.kind not in "iu":
+            # floats, bools and Python ints past int64 pass only when the
+            # conversion is exact: no truncation, no overflow
+            with np.errstate(invalid="ignore"):
+                try:
+                    exact = a.astype(np.intp)
+                except (TypeError, ValueError, OverflowError):
+                    exact = None
+            if exact is None or not np.array_equal(exact, a):
+                raise ValueError("entries are not all integers")
+            a = exact
+        a = np.asarray(a, dtype=np.intp)
         if a.ndim != 2 or a.shape[1] < 1:
             raise ValueError(f"not a 2-d matrix with columns: {a.shape}")
         if a.size and not (0 <= a.min() and a.max() < field.q):

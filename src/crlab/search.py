@@ -10,7 +10,12 @@
   Its messages are the points of PG(r-1, q), one per scalar class: a
   message and its nonzero multiples have the same weight, so the weight
   values of the code -- all the census looks at -- come from q - 1 times
-  fewer messages.
+  fewer messages.  One depth-first pass covers every size up to n_max:
+  at each node the weights of the messages that miss some chosen column
+  drive both the prunes and the completion test.  A completed multiset
+  has weights {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero
+  message orthogonal to all of them would have weight 0.  No rank is
+  computed before ``LinearCode``, whose full-rank check stays the guard.
 
 Both searches take point/hyperplane incidences from one exact product
 of the point matrix with its transpose (:meth:`crlab.field.FieldSpec.matmul`):
@@ -35,7 +40,7 @@ import numpy as np
 
 from . import budgets
 from .codes import LinearCode, projective_points
-from .field import FieldSpec, field_create
+from .field import FieldSpec, field_create, prime_power
 from .matrix import MatGF
 from .regularity import IntersectionArray, complete_regularity
 from .families import family_match
@@ -80,7 +85,6 @@ class ArcSearchResult:
 def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchResult:
     """Arcs of a given size in PG(2, q): existence (early exit) or the
     exhaustive count of canonical (index-increasing) arcs."""
-    from .conditions import prime_power
     if target_size < 0:
         raise ValueError(f"size must be >= 0, got {target_size}")
     p, m = prime_power(q)
@@ -166,12 +170,14 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     PG(r-1, q) that span GF(q)^r and produce a two-weight code with
     weights {d, n}; each one's dual is profiled and family-matched.
 
-    Multisets are enumerated as nondecreasing index tuples; with
-    ``projective=True`` only sets (no repeats) are considered.  Partial
-    multisets are pruned through running weight bounds: the messages that
-    some chosen column already misses must all finish on a common weight.
+    Multisets are nondecreasing index tuples of length <= n_max (sets,
+    strictly increasing ones, with ``projective=True``), visited in one
+    pass that meets the tuples of each size in lexicographic order, so
+    each entry's example is the first survivor of its key.  A node of
+    depth n is pruned unless some message hits every chosen column and
+    the messages that miss one can still finish on one common weight;
+    it completes when they already share a weight d >= 1.
     """
-    from .conditions import prime_power
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if n_max < 0:
@@ -180,9 +186,10 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     field = field_create(p, m)
     points = projective_points(field, r)
     P = len(points)
+    n_min = max(r, 2)
     if projective:
         # every searched level counts; C(P, n) falls again past n = P/2
-        candidates = sum(math.comb(P, n) for n in range(max(r, 2), n_max + 1))
+        candidates = sum(math.comb(P, n) for n in range(n_min, n_max + 1))
         kind = "column sets"
     else:
         candidates = math.comb(P + n_max - 1, n_max)
@@ -197,90 +204,75 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     pts = np.array(points)
     hits = (field.matmul(pts, pts.T) != 0).astype(int).tolist()
 
-    survivors: dict = {}
+    counts: dict = {}      # census key -> survivors with that key
+    first: dict = {}       # census key -> its first survivor's indices
+    chosen: list = []
     add = operator.add
 
-    for n in range(max(r, 2), n_max + 1):
-        chosen: list = []
-
-        def recurse(start: int, weights: list):
-            depth = len(chosen)
-            if depth == n:
-                _census_complete(field, points, chosen, weights, n,
-                                 survivors, q, r)
-                return
-            missed = [w for w in weights if w != depth]
-            # the full weight n must stay reachable by some message
-            if depth and len(missed) == len(weights):
-                return
-            # messages already missed must finish on one common weight
-            if missed and max(missed) - min(missed) > n - depth:
-                return
+    def recurse(start: int, weights: list):
+        depth = len(chosen)
+        missed = [w for w in weights if w != depth]
+        # the full weight must stay reachable by some message
+        if depth and len(missed) == len(weights):
+            return
+        low, high = min(missed, default=0), max(missed, default=0)
+        # messages already missed must finish on one common weight
+        if high - low > n_max - depth:
+            return
+        if depth >= n_min and low == high >= 1:
+            key = _census_key(field, points, chosen, low, r)
+            counts[key] = counts.get(key, 0) + 1
+            first.setdefault(key, tuple(chosen))
+        if depth < n_max:
             for i in range(start, P):
                 chosen.append(i)
                 recurse(i if not projective else i + 1,
                         list(map(add, weights, hits[i])))
                 chosen.pop()
 
-        recurse(0, [0] * P)
+    recurse(0, [0] * P)
+    entries = [_census_entry(key, first[key], count, points, q, r)
+               for key, count in counts.items()]
+    return sorted(entries, key=lambda e: (e.n, e.weights, not e.trivial))
 
-    out = sorted(survivors.values(),
-                 key=lambda e: (e.n, e.weights, not e.trivial))
-    return out
 
-
-def _census_complete(field, points, chosen, weights, n, survivors, q, r):
-    distinct = sorted(set(weights))
-    if len(distinct) != 2 or distinct[1] != n or distinct[0] == 0:
-        return
-    cols = [points[i] for i in chosen]
-    G = MatGF(field, np.transpose(cols))
-    if G.rank != r:
-        return  # non-spanning multisets are skipped silently
-    projective_multiset = len(set(chosen)) == len(chosen)
-
-    key_weights = (distinct[0], n)
+def _census_key(field, points, chosen, d, r) -> tuple:
+    """(n, weights, rho, completely regular, intersection array, trivial
+    reasons) of a survivor with weights {d, n}."""
+    n = len(chosen)
     dual_k = n - r
-    trivial_reasons = []
+    reasons = []
     if dual_k < 2:
-        trivial_reasons.append(f"dual dimension {dual_k} < 2")
-    if not projective_multiset:
-        trivial_reasons.append("repeated column: dual minimum distance 2")
-
-    rho = None
-    ia = None
-    cr = False
+        reasons.append(f"dual dimension {dual_k} < 2")
+    if len(set(chosen)) < n:
+        reasons.append("repeated column: dual minimum distance 2")
+    rho, cr, ia = None, False, None
     if dual_k >= 1:
-        code = LinearCode(field, G)
-        dual = code.dual()
-        res = complete_regularity(dual)
-        rho = res.profile.rho
-        cr = res.is_completely_regular
-        ia = res.ia
+        cols = [points[i] for i in chosen]
+        res = complete_regularity(
+            LinearCode.from_rows(field, np.transpose(cols)).dual())
+        rho, cr, ia = res.profile.rho, res.is_completely_regular, res.ia
     if rho != 2:
-        trivial_reasons.append(f"dual covering radius {rho} != 2")
+        reasons.append(f"dual covering radius {rho} != 2")
+    return n, (d, n), rho, cr, ia, tuple(reasons)
 
-    key = (n, key_weights, rho, cr, ia.b if ia else None,
-           ia.c if ia else None, tuple(sorted(trivial_reasons)))
-    prev = survivors.get(key)
-    if prev is not None:
-        survivors[key] = _bump(prev)
-        return
 
+def _census_entry(key, chosen, count, points, q, r) -> CensusEntry:
+    n, weights, rho, cr, ia, reasons = key
     fams: tuple = ()
-    if dual_k >= 1 and rho is not None:
-        fams = tuple(family_match(n, dual_k, q, key_weights, ia))
-    survivors[key] = CensusEntry(
-        q=q, r=r, n=n, weights=key_weights,
+    if rho is not None:
+        fams = tuple(family_match(n, n - r, q, weights, ia))
+    return CensusEntry(
+        q=q, r=r, n=n, weights=weights,
         rho=rho if rho is not None else -1,
-        completely_regular=cr, ia=ia, dual_k=dual_k,
-        dual_d_ge3=projective_multiset,
-        trivial=bool(trivial_reasons),
-        trivial_reason="; ".join(trivial_reasons),
+        completely_regular=cr, ia=ia, dual_k=n - r,
+        dual_d_ge3=len(set(chosen)) == n,
+        trivial=bool(reasons),
+        trivial_reason="; ".join(reasons),
         families=fams,
-        repetition_of=_repetition_annotation(chosen, n, key_weights, q, r),
-        count=1,
-        example_columns=tuple(cols))
+        repetition_of=_repetition_annotation(chosen, n, weights, q, r),
+        count=count,
+        example_columns=tuple(points[i] for i in chosen))
 
 
 def _repetition_annotation(chosen, n, weights, q, r) -> tuple:
@@ -300,11 +292,6 @@ def _repetition_annotation(chosen, n, weights, q, r) -> tuple:
     n0 = n // s
     matches = tuple(family_match(n0, n0 - r, q, (d // s, n0), None))
     return (s, matches) if matches else ()
-
-
-def _bump(entry: CensusEntry) -> CensusEntry:
-    from dataclasses import replace
-    return replace(entry, count=entry.count + 1)
 
 
 @dataclass(frozen=True)

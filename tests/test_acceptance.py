@@ -139,7 +139,7 @@ def test_criterion_2_oracle_equivalence(family_grid):
         (5, 5, 2), (5, 6, 3), (5, 7, 3), (5, 4, 2), (7, 5, 2),
     ]
     assert len(random_cases) == 20
-    from crlab.conditions import prime_power
+    from crlab.field import prime_power
     for i, (q, n, k) in enumerate(random_cases):
         p, m = prime_power(q)
         code = random_code(field_create(p, m), n, k, seed=1000 + i)

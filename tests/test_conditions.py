@@ -6,7 +6,8 @@ from crlab.conditions import (gray_rankin, gray_rankin_holds,
                               power_decomposition, two_weight_counts,
                               max_distance_bound, max_distance_holds,
                               p_valuation, plotkin, plotkin_holds,
-                              prime_power, cardinality_window_check, complement_valuation_check)
+                              cardinality_window_check, complement_valuation_check)
+from crlab.field import prime_power
 
 
 def test_prime_power():

@@ -152,6 +152,21 @@ def test_cr3_region():
         cr3_mds_dual(4, 2)     # trivial boundary
 
 
+@pytest.mark.parametrize("build", [
+    cr4_bose_bush, cr5_delsarte, bush_closed_form_matrix,
+    lambda q: cr6_denniston(q, 2)])
+def test_characteristic_2_families_refuse_other_q(build):
+    """The hyperoval and maximal-arc builders share one guard: odd q
+    gets the empty-family reason, even q must be 2^m >= 4."""
+    for q in (3, 5, 9):
+        with pytest.raises(ValueError, match=f"^q = {q} is odd: .*hyperoval"):
+            build(q)
+    for q in (0, 2, 6, 12):
+        with pytest.raises(ValueError,
+                           match=f"^need q = 2\\^m >= 4, got {q}$"):
+            build(q)
+
+
 def test_cr4_conic_nucleus():
     inst = cr4_bose_bush(4)
     assert (inst.two_weight_code.n, inst.two_weight_code.k) == (6, 3)

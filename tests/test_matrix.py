@@ -129,6 +129,19 @@ def test_validation():
     assert MatGF(f9, np.zeros((0, 3), dtype=int)).rank == 0
 
 
+def test_entries_must_be_exact_integers():
+    """A float is not truncated and a huge int does not overflow: both
+    are refused as entries; integral floats and bools convert."""
+    f = field_create(2, 1)
+    for bad in ([[0.5, 1]], [[2 ** 70]], [[2 ** 63]], [[float("nan")]],
+                [[1e30]], np.array([[0.5, 1.0]]), [["a"]], [[None]]):
+        with pytest.raises(ValueError):
+            MatGF(f, bad)
+    assert MatGF(f, [[1.0, 0.0]]).rows.tolist() == [[1, 0]]
+    assert MatGF(f, [[True, False]]).rows.tolist() == [[1, 0]]
+    assert MatGF(f, np.zeros((0, 4))).nrows == 0
+
+
 def test_rows_are_read_only():
     """The cached RREF depends on the rows: MatGF.rows refuses writes, a
     caller's array is copied, and the reduced rows are read-only too."""
@@ -143,6 +156,8 @@ def test_rows_are_read_only():
     with pytest.raises(ValueError):
         red[0, 0] = 2
     assert MatGF(f, M.rows).rows is M.rows
+    narrow = MatGF(f, src.astype(np.int32)).rows   # converted, not viewed
+    assert narrow.dtype == np.intp and narrow.base is None
     assert M.null_space().rows.flags.writeable is False
     basis = M.row_basis()
     assert basis.rref() is M.rref() and basis.rank == rank == 2

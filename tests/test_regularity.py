@@ -6,9 +6,8 @@ from conftest import build_instance
 
 from crlab import budgets, families
 from crlab.codes import CodewordMatrix, LinearCode
-from crlab.conditions import prime_power
 from crlab.families import cr1_extended_hamming, cr4_bose_bush, random_code
-from crlab.field import digit_add, field_create
+from crlab.field import digit_add, field_create, prime_power
 from crlab.matrix import MatGF
 from crlab.regularity import (brute_subconstituents, complete_regularity,
                               covering_radius, external_distance,
@@ -225,7 +224,6 @@ def test_random_codes_syndrome_vs_brute():
     cases = [(2, 8, 3), (2, 9, 4), (3, 6, 3), (4, 5, 2), (5, 5, 2),
              (9, 5, 2)]
     for i, (q, n, k) in enumerate(cases):
-        from crlab.conditions import prime_power
         p, m = prime_power(q)
         code = random_code(field_create(p, m), n, k, seed=500 + i)
         a = complete_regularity(code)

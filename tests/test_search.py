@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 
-from crlab import budgets
+from crlab import budgets, cli
 from crlab.codes import projective_points
-from crlab.field import field_create
+from crlab.field import field_create, prime_power
 from crlab.matrix import MatGF
 from crlab.search import (classify_report, is_arc, render_table,
                           search_antipodal_duals, search_arcs)
@@ -14,7 +15,6 @@ def test_hyperovals_exist_even_q():
     for q in (2, 4, 8):
         res = search_arcs(q, q + 2)
         assert res.exists, q
-        from crlab.conditions import prime_power
         p, m = prime_power(q)
         assert is_arc(field_create(p, m), res.witness)
         assert len(res.witness) == q + 2
@@ -40,6 +40,33 @@ def test_hyperoval_witnesses_pinned():
         (1, 4, 8), (1, 5, 11), (1, 6, 13), (1, 7, 9), (1, 8, 10),
         (1, 9, 5), (1, 10, 14), (1, 11, 15), (1, 12, 4), (1, 13, 6),
         (1, 14, 12), (1, 15, 7))
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--q", "2", "--r", "3", "--n-max", "8"],
+     "3880bf13a72046f99a68335903e35cf8a37f306b357f5b97b15328e9b81a71f8"),
+    (["--q", "3", "--r", "3", "--n-max", "9"],
+     "008ce0ed86c5d0c12291ee6d0f66057cfc48c2c83b7c5884095779d45a4cbae1"),
+    (["--q", "4", "--r", "3", "--n-max", "6", "--projective"],
+     "a2a4d145fdd7efbe828717638d8d7a8026597194e56897feff20caffd26e17cc"),
+])
+def test_census_json_pinned(argv, digest, capsys):
+    """The census JSON is byte-stable: these are the sha256 digests of
+    the stdout the search has always printed."""
+    assert cli.main(["search", "classify", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_census_witnesses_pinned():
+    """Each entry's example is the first survivor of its key in
+    lexicographic order of the index tuples; a change of visiting order
+    shows here."""
+    entries = search_antipodal_duals(2, 3, 8)
+    assert [e.example_columns for e in entries] == [
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)),
+        ((0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0),
+         (1, 0, 0), (1, 0, 0), (1, 1, 1), (1, 1, 1))]
 
 
 def test_oval_counts_are_conic_counts():
@@ -217,7 +244,6 @@ def test_census_regularity_confirmed_by_brute_oracle():
     vector space, ignoring syndromes."""
     from crlab.regularity import brute_subconstituents
     from crlab.codes import LinearCode
-    from crlab.conditions import prime_power
     for (q, r, n_max) in [(2, 2, 4), (2, 3, 8), (3, 2, 5)]:
         p, m = prime_power(q)
         f = field_create(p, m)
