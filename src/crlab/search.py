@@ -1,21 +1,29 @@
-"""Desk-scale exhaustive searches.
+"""Desk-scale exhaustive searches, each reduced by the projective group
+and brought back to exact counts by double counting.
 
 * arcs / hyperovals in PG(2, q) by lexicographic backtracking with
   collinearity pruning over line bitsets: the line through each pair of
   points is read from a table filled once from the incidence masks, and
-  a branch ends when fewer free points remain than the arc still needs;
+  a branch ends when fewer free points remain than the arc still needs.
+  Arcs of size >= 4 are searched only through the standard frame;
+  PGL(3, q) carries every frame to it;
 * a census of all antipodal two-weight column multisets for small
   (q, r, n), each survivor's dual run through the covering-radius and
   complete-regularity machinery and matched against the known families.
   Its messages are the points of PG(r-1, q), one per scalar class: a
   message and its nonzero multiples have the same weight, so the weight
   values of the code -- all the census looks at -- come from q - 1 times
-  fewer messages.  One depth-first pass covers every size up to n_max:
-  at each node the weights of the messages that miss some chosen column
-  drive both the prunes and the completion test.  A completed multiset
-  has weights {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero
-  message orthogonal to all of them would have weight 0.  No rank is
-  computed before ``LinearCode``, whose full-rank check stays the guard.
+  fewer messages.  Only the multisets that hold the standard basis are
+  visited; PGL(r, q) carries every ordered basis of points to it.  One
+  depth-first pass covers every size up to n_max: at each node the
+  weights of the messages that miss some chosen column drive both the
+  prunes and the completion test.  A completed multiset has weights
+  {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero message
+  orthogonal to all of them would have weight 0.  No rank is computed
+  before ``LinearCode``, whose full-rank check stays the guard.
+
+Every total is an exact ``Fraction`` that must come out integral, or
+:class:`SymmetryCountError` is raised.
 
 Both searches take point/hyperplane incidences from one exact product
 of the point matrix with its transpose (:meth:`crlab.field.FieldSpec.matmul`):
@@ -32,9 +40,12 @@ family fits.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,8 +56,22 @@ from .matrix import MatGF
 from .regularity import IntersectionArray, complete_regularity
 from .families import family_match
 
-ARC_Q_MAX = 16          # full searches; counting is practical up to q = 8
-CENSUS_CANDIDATE_CAP = 1 << 26
+ARC_Q_MAX = 16          # the ovals of PG(2, 13) count in 0.4 s, and the
+                        # 1.2e8 hyperovals of PG(2, 16) in about 20 s
+CENSUS_CANDIDATE_CAP = 1 << 26    # multisets that hold the standard basis
+
+
+class SymmetryCountError(RuntimeError):
+    """A symmetry-reduced search met something the group action rules
+    out: a non-integral orbit total, or two survivors of one census key
+    with different annotations."""
+
+
+def _exact_total(total: Fraction, what: str) -> int:
+    if total.denominator != 1:
+        raise SymmetryCountError(f"{what}: double count gives {total}, "
+                                 f"not an integer")
+    return total.numerator
 
 
 # -- arcs in PG(2, q) --------------------------------------------------------
@@ -82,9 +107,23 @@ class ArcSearchResult:
     witness: tuple | None          # point tuples, when one exists
 
 
+# the standard frame; its indices in ``projective_points`` order are the
+# four smallest ones that form an arc
+FRAME = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
+
+
 def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchResult:
     """Arcs of a given size in PG(2, q): existence (early exit) or the
-    exhaustive count of canonical (index-increasing) arcs."""
+    exhaustive count of canonical (index-increasing) arcs.
+
+    Any 4 points of an arc form a frame, and PGL(3, q) is sharply
+    transitive on ordered frames, so an arc of size k >= 4 exists iff one
+    contains ``FRAME``; only those are searched.  Counting pairs (arc,
+    ordered frame inside it) gives N_k = M_k |PGL(3, q)| / (24 C(k, 4)),
+    where M_k counts the k-arcs that contain ``FRAME``.  The free points
+    left by the frame all have larger indices than it, so the first arc
+    met is also the lexicographically first arc of PG(2, q): the witness.
+    Sizes below 4 are searched directly."""
     if target_size < 0:
         raise ValueError(f"size must be >= 0, got {target_size}")
     p, m = prime_power(q)
@@ -120,7 +159,18 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
                 return True
         return False
 
-    extend([], 0, 0)
+    if target_size < 4:
+        extend([], 0, 0)
+    else:
+        frame = [geom.points.index(pt) for pt in FRAME]
+        forbidden = functools.reduce(operator.or_, (
+            pair_line[i][j] for i, j in itertools.combinations(frame, 2)))
+        extend(frame, forbidden, frame[-1] + 1)
+        if count_all:
+            pgl = q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+            count = _exact_total(
+                Fraction(count * pgl, 24 * math.comb(target_size, 4)),
+                f"{target_size}-arcs of PG(2, {q})")
     return ArcSearchResult(exists=count > 0,
                            count=count if count_all else None,
                            witness=found[0] if found else None)
@@ -128,7 +178,6 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
 
 def is_arc(field: FieldSpec, points) -> bool:
     """No 3 of the given projective points collinear."""
-    import itertools
     for a, b, c in itertools.combinations(points, 3):
         M = MatGF(field, [a, b, c])
         if M.rank < 3:
@@ -156,7 +205,9 @@ class CensusEntry:
     repetition_of: tuple           # (s, matches) when the multiset is an
                                    # s-fold copy of a projective set
     count: int
-    example_columns: tuple         # one witness multiset of points
+    example_columns: tuple         # the lexicographically first survivor
+                                   # of the key that holds the standard
+                                   # basis, as points
 
     @property
     def unmatched(self) -> bool:
@@ -171,46 +222,74 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     weights {d, n}; each one's dual is profiled and family-matched.
 
     Multisets are nondecreasing index tuples of length <= n_max (sets,
-    strictly increasing ones, with ``projective=True``), visited in one
-    pass that meets the tuples of each size in lexicographic order, so
-    each entry's example is the first survivor of its key.  A node of
-    depth n is pruned unless some message hits every chosen column and
-    the messages that miss one can still finish on one common weight;
-    it completes when they already share a weight d >= 1.
+    strictly increasing ones, with ``projective=True``).  PGL(r, q) moves
+    a multiset to one with the same census key, and it is transitive on
+    the set X of ordered independent r-tuples of points, so only the
+    tuples that contain the standard basis B0 are visited: a node is cut
+    as soon as it skips a basis index or has fewer free slots than basis
+    indices still missing.  Counting pairs (multiset S, tuple of X drawn
+    from S's distinct points) gives each key's exact count as
+    |X| * sum over its visited survivors of 1 / beta(S), with beta(S) the
+    number of such tuples.  A node of depth n is pruned unless some
+    message hits every chosen column and the messages that miss one can
+    still finish on one common weight; it completes when they already
+    share a weight d >= 1.
+
+    Tuples of each size are met in lexicographic order, so an entry's
+    ``example_columns`` is the lexicographically first survivor of its
+    key that contains B0.  ``repetition_of`` is PGL-invariant, and every
+    visited survivor of a key must give the same one.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     p, m = prime_power(q)
-    field = field_create(p, m)
-    points = projective_points(field, r)
-    P = len(points)
+    P = (q ** r - 1) // (q - 1)
     n_min = max(r, 2)
+    # every searched tuple holds B0; the rest is a set (multiset) of
+    # n - r points drawn from the P - r (P) others
     if projective:
-        # every searched level counts; C(P, n) falls again past n = P/2
-        candidates = sum(math.comb(P, n) for n in range(n_min, n_max + 1))
+        # every searched level counts; C(P - r, n - r) falls again past
+        # the middle
+        candidates = sum(math.comb(P - r, n - r)
+                         for n in range(n_min, n_max + 1))
         kind = "column sets"
     else:
-        candidates = math.comb(P + n_max - 1, n_max)
+        candidates = (math.comb(P + n_max - r - 1, n_max - r)
+                      if n_max >= r else 0)
         kind = "column multisets"
     if candidates > CENSUS_CANDIDATE_CAP:
         raise budgets.BudgetExceeded(
-            f"census would scan about {candidates} {kind}, over "
-            f"the cap {CENSUS_CANDIDATE_CAP}")
+            f"census would scan about {candidates} {kind} that contain "
+            f"the standard basis, over the cap {CENSUS_CANDIDATE_CAP}")
+    budgets.check_enum(P * P, f"census incidence table of PG({r - 1},{q})")
+    field = field_create(p, m)
+    points = projective_points(field, r)
+    basis = sorted(points.index(tuple(int(i == j) for j in range(r)))
+                   for i in range(r))
 
     # a message's weight is shared by its nonzero multiples, so one
     # representative per scalar class gives every weight value
     pts = np.array(points)
-    hits = (field.matmul(pts, pts.T) != 0).astype(int).tolist()
+    orthogonal = field.matmul(pts, pts.T) == 0
+    hits = (~orthogonal).astype(int).tolist()
+    # r points are dependent iff some message misses all of them; the
+    # table is symmetric, so row i holds the messages that miss point i
+    misses = [sum(1 << j for j in np.flatnonzero(row).tolist())
+              for row in orthogonal]
+    orbit = math.prod((q ** r - q ** i) // (q - 1) for i in range(r))
 
-    counts: dict = {}      # census key -> survivors with that key
+    shares: dict = {}      # census key -> sum of 1 / beta over survivors
     first: dict = {}       # census key -> its first survivor's indices
+    repetition: dict = {}  # census key -> its repetition annotation
     chosen: list = []
     add = operator.add
 
-    def recurse(start: int, weights: list):
+    def recurse(start: int, weights: list, covered: int):
         depth = len(chosen)
+        if r - covered > n_max - depth:
+            return
         missed = [w for w in weights if w != depth]
         # the full weight must stay reachable by some message
         if depth and len(missed) == len(weights):
@@ -219,21 +298,47 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
         # messages already missed must finish on one common weight
         if high - low > n_max - depth:
             return
-        if depth >= n_min and low == high >= 1:
+        if covered == r and depth >= n_min and low == high >= 1:
             key = _census_key(field, points, chosen, low, r)
-            counts[key] = counts.get(key, 0) + 1
-            first.setdefault(key, tuple(chosen))
+            rep = _repetition_annotation(chosen, depth, (low, depth), q, r)
+            if key not in first:
+                first[key] = tuple(chosen)
+                repetition[key] = rep
+                shares[key] = Fraction(0)
+            elif repetition[key] != rep:
+                raise SymmetryCountError(
+                    f"census key {key} has survivors {first[key]} and "
+                    f"{tuple(chosen)} with repetition annotations "
+                    f"{repetition[key]} and {rep}")
+            shares[key] += Fraction(1, _independent_tuples(chosen, misses, r))
         if depth < n_max:
-            for i in range(start, P):
+            # a tuple that passes a basis index without taking it never
+            # holds B0
+            stop = basis[covered] if covered < r else P - 1
+            for i in range(start, stop + 1):
                 chosen.append(i)
                 recurse(i if not projective else i + 1,
-                        list(map(add, weights, hits[i])))
+                        list(map(add, weights, hits[i])),
+                        covered + (i == stop and covered < r))
                 chosen.pop()
 
-    recurse(0, [0] * P)
-    entries = [_census_entry(key, first[key], count, points, q, r)
-               for key, count in counts.items()]
+    recurse(0, [0] * P, 0)
+    entries = [_census_entry(
+        key, first[key],
+        _exact_total(orbit * share, f"census count of {key}"),
+        repetition[key], points, q, r) for key, share in shares.items()]
     return sorted(entries, key=lambda e: (e.n, e.weights, not e.trivial))
+
+
+def _independent_tuples(chosen, misses, r) -> int:
+    """Ordered r-tuples of distinct points of ``chosen`` that span
+    GF(q)^r; ``misses[i]`` is the mask of the messages orthogonal to
+    point i."""
+    support = sorted(set(chosen))
+    bases = sum(1 for subset in itertools.combinations(support, r)
+                if not functools.reduce(operator.and_,
+                                        (misses[i] for i in subset)))
+    return bases * math.factorial(r)
 
 
 def _census_key(field, points, chosen, d, r) -> tuple:
@@ -257,7 +362,8 @@ def _census_key(field, points, chosen, d, r) -> tuple:
     return n, (d, n), rho, cr, ia, tuple(reasons)
 
 
-def _census_entry(key, chosen, count, points, q, r) -> CensusEntry:
+def _census_entry(key, chosen, count, repetition_of, points, q,
+                  r) -> CensusEntry:
     n, weights, rho, cr, ia, reasons = key
     fams: tuple = ()
     if rho is not None:
@@ -270,7 +376,7 @@ def _census_entry(key, chosen, count, points, q, r) -> CensusEntry:
         trivial=bool(reasons),
         trivial_reason="; ".join(reasons),
         families=fams,
-        repetition_of=_repetition_annotation(chosen, n, weights, q, r),
+        repetition_of=repetition_of,
         count=count,
         example_columns=tuple(points[i] for i in chosen))
 

@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
 import itertools
+import math
+import operator
 
+import numpy as np
 import pytest
 
-from crlab import budgets, cli
+from crlab import budgets, cli, search
 from crlab.codes import projective_points
 from crlab.field import field_create, prime_power
 from crlab.matrix import MatGF
-from crlab.search import (classify_report, is_arc, render_table,
+from crlab.search import (PlaneGeometry, SymmetryCountError,
+                          classify_report, is_arc, render_table,
                           search_antipodal_duals, search_arcs)
 
 
@@ -166,6 +171,80 @@ def _naive_census(f, q, r, n_max, combos):
     return naive
 
 
+def _full_census(q, r, n_max, projective=False):
+    """The census over every index tuple, with no symmetry reduction: one
+    depth-first pass over all sizes up to n_max, each key counted one
+    survivor at a time and annotated from its lexicographically first
+    survivor."""
+    p, m = prime_power(q)
+    field = field_create(p, m)
+    points = projective_points(field, r)
+    P = len(points)
+    n_min = max(r, 2)
+    pts = np.array(points)
+    hits = (field.matmul(pts, pts.T) != 0).astype(int).tolist()
+    counts, first = {}, {}
+    chosen = []
+
+    def recurse(start, weights):
+        depth = len(chosen)
+        missed = [w for w in weights if w != depth]
+        if depth and len(missed) == len(weights):
+            return
+        low, high = min(missed, default=0), max(missed, default=0)
+        if high - low > n_max - depth:
+            return
+        if depth >= n_min and low == high >= 1:
+            key = search._census_key(field, points, chosen, low, r)
+            counts[key] = counts.get(key, 0) + 1
+            first.setdefault(key, tuple(chosen))
+        if depth < n_max:
+            for i in range(start, P):
+                chosen.append(i)
+                recurse(i if not projective else i + 1,
+                        list(map(operator.add, weights, hits[i])))
+                chosen.pop()
+
+    recurse(0, [0] * P)
+    entries = [search._census_entry(
+        key, first[key], count,
+        search._repetition_annotation(first[key], key[0], key[1], q, r),
+        points, q, r) for key, count in counts.items()]
+    return sorted(entries, key=lambda e: (e.n, e.weights, not e.trivial))
+
+
+def _lex_arc_count(q, size):
+    """(count, first arc) of the arcs of a given size in PG(2, q), by
+    lexicographic backtracking over every point, no frame fixed."""
+    p, m = prime_power(q)
+    geom = PlaneGeometry(field_create(p, m))
+    all_points = (1 << len(geom.points)) - 1
+    found = []
+    count = 0
+
+    def extend(arc, forbidden, start):
+        nonlocal count
+        if len(arc) == size:
+            count += 1
+            if not found:
+                found.append(tuple(geom.points[i] for i in arc))
+            return
+        free = ~forbidden & all_points >> start << start
+        if free.bit_count() < size - len(arc):
+            return
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            extra = low
+            for j in arc:
+                extra |= geom.pair_line[i][j]
+            extend(arc + [i], forbidden | extra, i + 1)
+
+    extend([], 0, 0)
+    return count, (found[0] if found else None)
+
+
 def test_census_matches_naive_enumeration():
     """The incremental-pruning enumerator, which keeps one message per
     scalar class, agrees with a naive rescan of all q^r - 1 messages;
@@ -275,3 +354,109 @@ def test_family_instances_rediscovered_in_census(family_grid):
                  if e.n == n and e.weights == tuple(sorted(
                      entry.tw_wd.nonzero_weights))]
         assert found, entry.label
+
+
+# q = 2...9, r = 1...4, sets and multisets, n_max = 0 and 2 included
+COMPARISON_POINTS = [
+    (2, 1, 4, False), (2, 2, 0, False), (3, 2, 2, False), (2, 2, 6, True),
+    (3, 2, 6, False), (2, 3, 7, True), (2, 4, 8, True), (3, 3, 6, False),
+    (3, 3, 8, True), (4, 2, 6, False), (4, 3, 5, False), (5, 2, 6, False),
+    (5, 3, 5, False), (7, 2, 5, False), (8, 2, 6, True), (9, 2, 4, False)]
+# the census points of the benchmark
+CLASSIFY_POINTS = [(2, 3, 8, False), (2, 4, 10, False), (3, 3, 9, False),
+                   (4, 3, 7, False), (4, 3, 6, True), (5, 3, 6, True)]
+
+
+@pytest.mark.parametrize("q,r,n_max,projective",
+                         COMPARISON_POINTS + CLASSIFY_POINTS)
+def test_reduced_census_matches_full_census(q, r, n_max, projective):
+    """The fixed-basis census gives every entry field of the search over
+    all tuples, counts and repetition annotations included; its example
+    is the full search's whenever that one holds the standard basis."""
+    reduced = search_antipodal_duals(q, r, n_max, projective=projective)
+    full = _full_census(q, r, n_max, projective)
+
+    def fields(e):
+        return dataclasses.replace(e, example_columns=None)
+    assert [fields(e) for e in reduced] == [fields(e) for e in full]
+    basis = {tuple(int(i == j) for j in range(r)) for i in range(r)}
+    for mine, theirs in zip(reduced, full):
+        assert basis <= set(mine.example_columns)
+        if basis <= set(theirs.example_columns):
+            assert mine.example_columns == theirs.example_columns
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_frame_arc_count_matches_lex_count(q):
+    """Fixing the frame and double counting under PGL(3, q) gives the
+    count of the search over every point at every size, and the same
+    first arc in both modes."""
+    for size in range(q + 3):
+        count, first = _lex_arc_count(q, size)
+        res = search_arcs(q, size, count_all=True)
+        assert (res.count, res.witness) == (count, first), (q, size)
+        res = search_arcs(q, size)
+        assert (res.exists, res.witness) == (count > 0, first), (q, size)
+
+
+@pytest.mark.parametrize("q", [9, 11])
+def test_oval_counts_beyond_lex_reach(q):
+    """Segre's q^2 (q^3 - 1) conics at odd q past the lexicographic
+    search's reach."""
+    assert search_arcs(q, q + 1, count_all=True).count == q * q * (q ** 3 - 1)
+
+
+def test_hyperoval_count_q8(capsys):
+    """PG(2, 8) has 32704 hyperovals, and the CLI prints that count."""
+    assert search_arcs(8, 10, count_all=True).count == 32704
+    assert cli.main(["search", "arcs", "--q", "8", "--size", "10",
+                     "--count"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["exists: true", "canonical arcs of size 10: 32704"]
+    assert lines[2].startswith("witness: (0, 0, 1) (0, 1, 0) (1, 0, 0) (1, 1, 1)")
+
+
+@pytest.mark.parametrize("q,r,n_max,projective",
+                         [(5, 3, 8, False), (2, 5, 10, True)])
+def test_census_admits_reduced_points(q, r, n_max, projective):
+    """Points refused while the cap sized every tuple now run."""
+    search_antipodal_duals(q, r, n_max, projective=projective)
+
+
+def test_census_refuses_q8_hyperoval_before_searching(monkeypatch, capsys):
+    """(8, 3, 10 --projective) still needs C(70, n - 3) basis-holding sets
+    per level; the refusal states that count and builds nothing first."""
+    reduced = sum(math.comb(70, n - 3) for n in range(3, 11))
+
+    def no_points(*args):
+        raise AssertionError("the census built its points before refusing")
+    monkeypatch.setattr(search, "projective_points", no_points)
+    with pytest.raises(budgets.BudgetExceeded, match=f"about {reduced} "):
+        search_antipodal_duals(8, 3, 10, projective=True)
+    assert cli.main(["search", "classify", "--q", "8", "--r", "3",
+                     "--n-max", "10", "--projective"]) == 1
+    assert capsys.readouterr().err.startswith("error: census would scan ")
+
+
+def test_census_rejects_non_integral_orbit_count(monkeypatch):
+    """A tuple count that breaks the double counting is an error, not a
+    rounded count."""
+    monkeypatch.setattr(search, "_independent_tuples", lambda *a: 5)
+    with pytest.raises(SymmetryCountError, match="not an integer"):
+        search_antipodal_duals(2, 3, 4)
+
+
+def test_census_rejects_key_with_two_annotations(monkeypatch):
+    """Survivors of one key must share their repetition annotation."""
+    calls = itertools.count()
+    monkeypatch.setattr(search, "_repetition_annotation",
+                        lambda *a: (next(calls),))
+    with pytest.raises(SymmetryCountError, match="repetition annotations"):
+        search_antipodal_duals(4, 3, 6, projective=True)
+
+
+def test_census_charges_its_incidence_table():
+    """One basis-holding tuple of PG(12, 2) is cheap, but the census
+    would first build its 8191^2 point/message table."""
+    with pytest.raises(budgets.BudgetExceeded, match="incidence table"):
+        search_antipodal_duals(2, 13, 13)
