@@ -35,17 +35,17 @@ CR.2 builder never holds the full matrix.  The multiplication table F
 is one broadcast over the big field's log/antilog arrays
 (:meth:`crlab.field.FieldSpec.mul_array`), and the subfield embedding
 behind the tower coordinates is one
-:meth:`crlab.field.FieldSpec.matmul` of digit vectors.  Group
-arithmetic on whole arrays of entries goes through q x q addition and
-subtraction tables from :func:`crlab.field.digit_table`; the
-element-level ``FieldSpec`` methods are used only where single entries
-are combined.
+:meth:`crlab.field.FieldSpec.matmul` of digit vectors.
 
 The construction is a theorem (a shortened field multiplication table
-is a difference matrix), so it is not re-checked here;
-:func:`is_difference_matrix` is the exhaustive check, run by
-``crlab dm --verify`` and by the tests on every D(p^l, p^h) with
-p^(l+h) <= 256.
+is a difference matrix), so it is not re-checked here.
+:func:`is_difference_matrix` (``crlab dm --verify``) normalizes first;
+if the rows are then distinct and form an additive group, r_i - r_j
+(i != j) runs over exactly the nonzero rows, so D is a difference
+matrix iff each nonzero row holds every element mu times: O(side^2).
+Every D(p^l, p^h) qualifies (x -> Phi(xy) is additive); any other
+matrix (side not a power of p, rows not closed, a corrupted cell) goes
+through the Theta(side^3) loop over all row pairs.
 """
 
 from __future__ import annotations
@@ -80,12 +80,8 @@ class DifferenceMatrix:
 
 
 def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
-    """Exhaustive check over all row pairs.
-
-    Row i is checked against every later row at once: the differences
-    come from one gather on the flat subtraction table, each row pair's
-    differences are offset into its own q bins, and one bincount must
-    give mu in every bin."""
+    """Whether entries is a difference matrix over GF(q)'s additive group:
+    by the group certificate when it applies, else by every row pair."""
     M = np.asarray(entries, dtype=np.intp)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
@@ -95,6 +91,22 @@ def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
         return False
     if M.size and (M.min() < 0 or M.max() >= q):
         return False
+    rows = normalize_dm(DifferenceMatrix(group_field, side // q, M)).entries
+    if (len({r.tobytes() for r in rows}) < side
+            or not is_additive_group(rows, group_field)):
+        return _pairwise_is_difference_matrix(M, group_field)
+    # row 0 is zero; each other row, sorted, must read 0^mu 1^mu ...
+    balanced = np.repeat(np.arange(q, dtype=rows.dtype), side // q)
+    return bool((np.sort(rows[1:], axis=1, kind="stable") == balanced).all())
+
+
+def _pairwise_is_difference_matrix(M: np.ndarray, group_field) -> bool:
+    """Every row pair of a square intp M in range.  Row i is checked
+    against all later rows at once: the differences come from one gather
+    on the flat subtraction table, each row pair's differences are offset
+    into its own q bins, and one bincount must give mu in every bin."""
+    q = group_field.q
+    side = M.shape[0]
     mu = side // q
     key = np.min_scalar_type(side * q)
     sub = digit_table(group_field, -1).astype(key).ravel()
@@ -107,6 +119,28 @@ def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
         if not (np.bincount(keys.ravel(), minlength=later * q) == mu).all():
             return False
     return True
+
+
+def is_additive_group(rows, f: FieldSpec) -> bool:
+    """Whether the set of rows (vectors over GF(q)) is an additive group:
+    its span, grown one generator at a time with digit_add, must never
+    outgrow the row set, and ends equal to it (it holds every row, so
+    only an empty row set fails that test)."""
+    rows = np.asarray(rows).astype(np.min_scalar_type(-2 * f.q))
+    members = {r.tobytes() for r in rows}
+    span = np.zeros((1, rows.shape[-1]), dtype=rows.dtype)
+    seen = {span.tobytes()}
+    for r in rows:
+        if r.tobytes() in seen:
+            continue
+        if len(seen) * f.p > len(members):
+            return False
+        cosets = [span]
+        for _ in range(f.p - 1):
+            cosets.append(digit_add(cosets[-1], r, f.p, f.m))
+        span = np.concatenate(cosets)
+        seen = {c.tobytes() for c in span}
+    return len(seen) == len(members)
 
 
 def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> np.ndarray:
@@ -176,18 +210,14 @@ def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
 
 
 def normalize_dm(dm: DifferenceMatrix) -> DifferenceMatrix:
-    """Zero first row and zero first column, difference property intact.
-
-    Each row is shifted by its own first entry (row-constant shifts), then
-    the resulting first row is subtracted from every row (per-column
-    constant shifts).  Both operations preserve the difference property;
-    the map is idempotent.
-    """
-    sub = digit_table(dm.group_field, -1)
-    ent = dm.entries
-    ent = sub[ent, ent[:, :1]]
-    ent = sub[ent, ent[:1, :]]
-    return DifferenceMatrix(group_field=dm.group_field, mu=dm.mu, entries=ent)
+    """Zero first row and zero first column, difference property intact:
+    each row is shifted by its own first entry, then the resulting first
+    row is subtracted from every row.  Idempotent; the entries come back
+    in the smallest signed dtype that digit_add accepts."""
+    f = dm.group_field
+    ent = np.asarray(dm.entries).astype(np.min_scalar_type(-2 * f.q))
+    ent = digit_add(ent, ent[:, :1], f.p, f.m, -1)
+    return DifferenceMatrix(f, dm.mu, digit_add(ent, ent[:1], f.p, f.m, -1))
 
 
 def dm_code(dm: DifferenceMatrix) -> CodewordMatrix:
@@ -204,11 +234,3 @@ def dm_code(dm: DifferenceMatrix) -> CodewordMatrix:
     stacked = np.concatenate([addt[dm.entries, g] for g in range(q)])
     return CodewordMatrix(dm.group_field, stacked.tolist())
 
-
-def dm_equidistant_code(dm: DifferenceMatrix) -> CodewordMatrix:
-    """Normalize, drop the zero first column: an equidistant
-    (q*mu - 1, q*mu, mu(q-1)) structure meeting the Plotkin bound with
-    equality."""
-    norm = normalize_dm(dm)
-    rows = [tuple(int(x) for x in r[1:]) for r in norm.entries]
-    return CodewordMatrix(dm.group_field, rows)

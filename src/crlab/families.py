@@ -22,7 +22,8 @@ import numpy as np
 from . import budgets
 from .codes import (CodewordMatrix, LinearCode, hamming_distance,
                     projective_dual_transform)
-from .diffmat import DifferenceMatrix, is_difference_matrix, shortening
+from .diffmat import (DifferenceMatrix, is_additive_group,
+                      is_difference_matrix, shortening)
 from .field import FieldSpec, field_create, prime_power
 from .matrix import MatGF
 from .regularity import IntersectionArray
@@ -438,14 +439,11 @@ def simplex_partition(matrix: CodewordMatrix, q: int) -> SimplexPartition:
             sym_ok = False
         pdm = (is_simplex and d * q == n * (q - 1) and N == q * n
                and n == mu * q and N == mu * q * q)
-        if pdm:
-            additive = _is_additive(rows, f)
-            if additive:
-                reps = [rows[cls[0]] for cls in classes]
-                cand = np.array(reps, dtype=np.int64)
-                if is_difference_matrix(cand, f):
-                    reassembled = DifferenceMatrix(group_field=f, mu=mu,
-                                                   entries=cand)
+        if pdm and is_additive_group(rows, f):
+            reps = [rows[cls[0]] for cls in classes]
+            cand = np.array(reps, dtype=np.int64)
+            if is_difference_matrix(cand, f):
+                reassembled = DifferenceMatrix(f, mu, cand)
     return SimplexPartition(
         classes=tuple(tuple(c) for c in classes),
         class_size=size,
@@ -464,29 +462,6 @@ def _simplex_fail(reason: str) -> SimplexPartition:
                             symbol_multiplicity_ok=None,
                             distance_bound_ok=None, pdm=False,
                             dm_reassembled=None, failure=reason)
-
-
-def _is_additive(rows, f: FieldSpec) -> bool:
-    """Whether the row set is an additive group: its additive span, grown
-    one generator at a time, must end equal to it and never outgrow it."""
-    row_set = set(rows)
-    zero = (0,) * len(rows[0])
-    if zero not in row_set:
-        return False
-    span = {zero}
-    for r in rows:
-        if r in span:
-            continue
-        new = set()
-        for s in span:
-            acc = s
-            for _ in range(f.p - 1):
-                acc = tuple(f.add(a, b) for a, b in zip(acc, r))
-                new.add(acc)
-        span |= new
-        if len(span) > len(row_set):
-            return False
-    return span == row_set
 
 
 def _partition_classes(rows, f: FieldSpec, q: int, n: int):

@@ -4,11 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from crlab.codes import LinearCode, equidistant_check
+from crlab import cli, diffmat
+from crlab.codes import CodewordMatrix, LinearCode, equidistant_check
 from crlab.matrix import MatGF
-from crlab.diffmat import (difference_matrix, dm_code, dm_equidistant_code,
-                           is_difference_matrix, normalize_dm)
-from crlab.field import field_create
+from crlab.diffmat import (difference_matrix, dm_code, is_difference_matrix,
+                           normalize_dm)
+from crlab.field import digit_table, field_create
 from crlab.regularity import oa_strength
 from crlab.conditions import plotkin_holds
 
@@ -60,6 +61,15 @@ def test_normalize_d211():
     norm = normalize_dm(difference_matrix(2, 1, 1))
     assert list(norm.entries[0]) == [0, 0, 0, 0]
     assert is_difference_matrix(norm.entries, norm.group_field)
+
+
+def dm_equidistant_code(dm):
+    """Normalize, drop the zero first column: an equidistant
+    (q*mu - 1, q*mu, mu(q-1)) structure meeting the Plotkin bound with
+    equality."""
+    norm = normalize_dm(dm)
+    rows = [tuple(int(x) for x in r[1:]) for r in norm.entries]
+    return CodewordMatrix(dm.group_field, rows)
 
 
 def _spanned_dimension(matrix):
@@ -212,3 +222,144 @@ def test_plain_truncation_is_not_scalar_closed():
     assert escaped
     # while the tower coordinates used by difference_matrix stay closed
     assert _spanned_dimension(dm_code(difference_matrix(2, 2, 2))) == 3
+
+
+# every (p, l, h) with p^(l+h) <= 256
+DM_CASES_256 = [(p, l, u - l) for p in (2, 3, 5, 7, 11, 13)
+                for u in range(2, 9) if p ** u <= 256 for l in range(1, u)]
+
+
+@pytest.fixture
+def pairwise_calls(monkeypatch):
+    """Records every call of the pairwise loop and still runs it."""
+    calls = []
+    loop = diffmat._pairwise_is_difference_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(diffmat, "_pairwise_is_difference_matrix", counting)
+    return calls
+
+
+@pytest.fixture
+def no_pairwise(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pairwise loop ran")
+
+    monkeypatch.setattr(diffmat, "_pairwise_is_difference_matrix", refuse)
+
+
+def _shifted_copy(M, f, rng):
+    """M with rows and columns permuted and a random group element added
+    to each row and to each column: a difference matrix iff M is one."""
+    side, q = M.shape[0], f.q
+    add = digit_table(f)
+    out = M[rng.permutation(side)][:, rng.permutation(side)]
+    out = add[out, rng.integers(0, q, size=(side, 1))]
+    return add[out, rng.integers(0, q, size=(1, side))]
+
+
+def test_certificate_agrees_with_pairwise_loop(pairwise_calls):
+    """On every D(p^l, p^h) <= 256 and on a shifted, permuted copy of each
+    the certificate decides alone and accepts; on four broken copies of
+    each both paths reject."""
+    assert len(DM_CASES_256) == 44
+    loop = diffmat._pairwise_is_difference_matrix
+    rng = np.random.default_rng(12)
+    for p, l, h in DM_CASES_256:
+        dm = difference_matrix(p, l, h)
+        f, M, q = dm.group_field, dm.entries, dm.q
+        for good in (M, _shifted_copy(M, f, rng)):
+            pairwise_calls.clear()
+            assert is_difference_matrix(good, f), (p, l, h)
+            assert not pairwise_calls, (p, l, h)
+            assert loop(np.asarray(good, dtype=np.intp), f), (p, l, h)
+        last_cell = M.copy()
+        last_cell[-1, -1] = (last_cell[-1, -1] + 1) % q
+        duplicated = M.copy()
+        duplicated[-1] = M[-2]
+        for bad in (last_cell, duplicated, M[:, :-1], M[:-1, :-1]):
+            assert not is_difference_matrix(bad, f), (p, l, h)
+            assert not loop(np.asarray(bad, dtype=np.intp), f), (p, l, h)
+
+
+def test_unbalanced_group_is_rejected_by_the_certificate(no_pairwise):
+    """Rows spanned by 0011 and 0100 over GF(2) form a group with a zero
+    first column, but 0100 is not balanced."""
+    f = field_create(2, 1)
+    rows = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 1, 1, 1]])
+    assert diffmat.is_additive_group(rows, f)
+    assert not is_difference_matrix(rows, f)
+    assert not _naive_is_difference_matrix(rows, f)
+
+
+def test_group_that_normalizes_to_repeated_rows(pairwise_calls):
+    """{0000, 1100, 0011, 1111} is a group, but shifting each row by its
+    first entry sends 1111 to 0000 and 1100 to 0011; the repeated rows
+    leave the decision to the pairwise loop, which rejects."""
+    f = field_create(2, 1)
+    rows = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
+    assert diffmat.is_additive_group(rows, f)
+    assert not is_difference_matrix(rows, f)
+    assert len(pairwise_calls) == 1
+    assert not _naive_is_difference_matrix(rows, f)
+
+
+def test_group_with_repeated_rows_goes_pairwise(pairwise_calls):
+    """Normalized rows 0, a, a, b, b, c, c, a: their set {0, a, b, c} is a
+    group of balanced rows, but equal rows differ by zero everywhere."""
+    f = field_create(2, 1)
+    a, b, c = ([0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 1, 1, 0, 0, 1, 1],
+               [0, 0, 1, 1, 1, 1, 0, 0])
+    rows = np.array([[0] * 8, a, a, b, b, c, c, a])
+    assert diffmat.is_additive_group(rows, f)
+    assert not is_difference_matrix(rows, f)
+    assert len(pairwise_calls) == 1
+
+
+def _paley_hadamard_12():
+    """Paley's order-12 Hadamard matrix I + [[0, j^T], [-j, Q]] over
+    GF(11), with +1 written 0 and -1 written 1."""
+    squares = {x * x % 11 for x in range(1, 11)}
+    chi = [0] + [1 if x in squares else -1 for x in range(1, 11)]
+    H = np.zeros((12, 12), dtype=int)
+    H[0, 1:] = 1
+    H[1:, 0] = -1
+    for i in range(11):
+        for j in range(11):
+            H[i + 1, j + 1] = chi[(j - i) % 11]
+    H += np.eye(12, dtype=int)
+    assert (H @ H.T == 12 * np.eye(12, dtype=int)).all()
+    return (H == -1).astype(int)
+
+
+def test_paley_hadamard_takes_the_pairwise_path(pairwise_calls):
+    """Side 12 is not a power of 2, so the rows cannot form a group:
+    the pairwise loop decides, and accepts a D(2, 6)."""
+    f = field_create(2, 1)
+    H = _paley_hadamard_12()
+    assert is_difference_matrix(H, f)
+    assert len(pairwise_calls) == 1
+    assert _naive_is_difference_matrix(H, f)
+    broken = H.copy()
+    broken[5, 7] ^= 1
+    assert not is_difference_matrix(broken, f)
+
+
+def test_cli_verify_takes_the_certificate_path(no_pairwise, capsys):
+    for p, l, h in DM_CASES_256:
+        assert cli.main(["dm", "--p", str(p), "--l", str(l), "--h", str(h),
+                         "--verify"]) == 0
+        assert "difference matrix: OK" in capsys.readouterr().out, (p, l, h)
+
+
+@pytest.mark.parametrize("p,l,h", [(2, 5, 5), (31, 1, 1)])
+def test_verifies_beyond_pairwise_reach(no_pairwise, p, l, h):
+    """Sides 1024 and 961, about 20 s each for the pairwise loop."""
+    dm = difference_matrix(p, l, h)
+    assert is_difference_matrix(dm.entries, dm.group_field)
+    shifted = _shifted_copy(dm.entries, dm.group_field,
+                            np.random.default_rng(p))
+    assert is_difference_matrix(shifted, dm.group_field)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crlab.codes import CodewordMatrix, is_projective
-from crlab.diffmat import difference_matrix, dm_code, is_difference_matrix
+from crlab.diffmat import (difference_matrix, dm_code, is_additive_group,
+                           is_difference_matrix)
 from crlab.families import (antipodal_form_check, bush_closed_form_matrix,
                             cr1_extended_hamming, cr2_dm_dual, cr3_mds_dual,
                             cr4_bose_bush, cr5_delsarte, cr6_denniston,
@@ -311,6 +312,51 @@ def test_simplex_partition_additive_pdm_reassembly():
     assert is_difference_matrix(sp.dm_reassembled.entries,
                                 sp.dm_reassembled.group_field)
 
+
+
+def _tuple_span_is_group(rows, f):
+    """The row set's additive span, grown one generator at a time over
+    tuples, never outgrows the row set and ends equal to it."""
+    row_set = set(rows)
+    zero = (0,) * len(rows[0])
+    if zero not in row_set:
+        return False
+    span = {zero}
+    for r in rows:
+        if r in span:
+            continue
+        new = set()
+        for s in span:
+            acc = s
+            for _ in range(f.p - 1):
+                acc = tuple(f.add(a, b) for a, b in zip(acc, r))
+                new.add(acc)
+        span |= new
+        if len(span) > len(row_set):
+            return False
+    return span == row_set
+
+
+def test_additive_group_matches_tuple_span():
+    """The array span growth behind simplex_partition and the
+    difference-matrix certificate against a tuple-at-a-time span."""
+    cases = []
+    for p, l, h in [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (5, 1, 1)]:
+        built = dm_code(difference_matrix(p, l, h))
+        rows = built.rows
+        cases += [(rows, built.field, True),
+                  (rows[1:], built.field, False),
+                  (rows[:-1], built.field, False),
+                  (rows + rows[:3], built.field, True)]
+    bb = CodewordMatrix.from_code(cr4_bose_bush(4).two_weight_code)
+    cases.append((bb.rows, bb.field, True))
+    cases.append((bb.rows + ((1,) + (0,) * (bb.n - 1),), bb.field, False))
+    gf2 = field_create(2, 1)
+    cases.append(([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], gf2, False))
+    for rows, f, want in cases:
+        assert _tuple_span_is_group(rows, f) == want
+        assert is_additive_group(rows, f) == want
+    assert not is_additive_group(np.zeros((0, 3), dtype=int), gf2)
 
 def test_family_match_ext_hamming_overlap():
     ia = complete_regularity(cr1_extended_hamming(3).cr_code).ia
