@@ -1,5 +1,10 @@
 """Command-line frontend.
 
+``main`` may be called any number of times in one process (a notebook, a
+test suite, a benchmark loop): the argparse tree is built on the first
+call and reused, since parsing leaves no state on it.  A one-shot shell
+``crlab ...`` still builds it once.
+
 Exit codes: 0 on success, 1 when a requested check or verification came
 back negative (a violated bound, an UNMATCHED census entry, an invalid
 difference matrix, a failed complement), 2 on usage or parse errors.
@@ -8,11 +13,17 @@ difference matrix, a failed complement), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
+import numpy as np
+
 from . import budgets, conditions, diffmat, families, fileio, search
-from .codes import complementary_code, max_column_multiplicity
+from .codes import LinearCode, complementary_code, max_column_multiplicity
+from .field import field_create, prime_power
+from .regularity import complete_regularity
 from .report import build_code_report
 
 # --family -> (builder in crlab.families, required arguments); builders
@@ -41,6 +52,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crlab",
@@ -130,7 +142,6 @@ def cmd_construct(args, parser) -> int:
 
     tw, cr = inst.two_weight_code, inst.cr_code
     if args.as_json:
-        from crlab.regularity import complete_regularity
         wd = tw.weight_distribution()
         reg = complete_regularity(cr)
         doc = {
@@ -306,11 +317,7 @@ def cmd_search_classify(args, parser) -> int:
         print(search.render_table(table))
     unmatched = table.unmatched
     if unmatched and args.dump_dir:
-        import os
         os.makedirs(args.dump_dir, exist_ok=True)
-        import numpy as np
-        from .codes import LinearCode
-        from .field import field_create, prime_power
         p, m = prime_power(args.q)
         f = field_create(p, m)
         for i, e in enumerate(unmatched):

@@ -3,11 +3,11 @@
 Duals, weight distributions (direct enumeration and MacWilliams
 transform), two-weight / antipodal predicates, complementary codes and
 the projective dual transform.  A code and its dual point at each other
-(C^perp^perp = C), so a dual is never eliminated twice.  Weight data is
-enumerated on the side of smaller dimension only; the MacWilliams
-transform gives the other side.  All arithmetic is exact; the MacWilliams
-transform runs in big integers and treats any fractional intermediate as
-a hard error, never rounding.
+(C^perp^perp = C), so a dual is never eliminated twice while the code is
+alive.  Weight data is enumerated on the side of smaller dimension only;
+the MacWilliams transform gives the other side.  All arithmetic is exact;
+the MacWilliams transform runs in big integers and treats any fractional
+intermediate as a hard error, never rounding.
 
 Enumerated weight data comes from a numpy kernel that weighs one message
 per scalar class (first nonzero coordinate 1) and counts each weight
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,6 +90,13 @@ class LinearCode:
 
     k = 0 is allowed as the degenerate dual of the full space.  Derived
     data (dual, weight distribution) is cached; instances are immutable.
+
+    The link from a code to the dual it computed is strong and the link
+    back is a ``weakref``: two strong links form a reference cycle, and
+    both generator arrays would then wait for the cycle collector.  While
+    the code is alive, ``c.dual().dual() is c``; once only the dual is
+    held, its ``dual()`` eliminates again and gives the same row space,
+    possibly in another basis.
     """
 
     def __init__(self, field: FieldSpec, G: MatGF):
@@ -119,14 +127,18 @@ class LinearCode:
         return self.field.q
 
     def dual(self) -> "LinearCode":
-        if self._dual is None:
+        dual = self._dual
+        if isinstance(dual, weakref.ref):
+            dual = dual()
+        if dual is None:
             if self.k == 0:
-                self._dual = LinearCode(self.field,
-                                        MatGF.identity(self.field, self.n))
+                dual = LinearCode(self.field,
+                                  MatGF.identity(self.field, self.n))
             else:
-                self._dual = LinearCode(self.field, self.G.null_space())
-            self._dual._dual = self
-        return self._dual
+                dual = LinearCode(self.field, self.G.null_space())
+            dual._dual = weakref.ref(self)
+            self._dual = dual
+        return dual
 
     # -- enumeration ------------------------------------------------------
 

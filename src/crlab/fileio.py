@@ -122,12 +122,17 @@ def read_gfc(path) -> ParsedCode:
         if len(row) != n:
             raise GfcParseError(
                 f"{path}:{lineno}: expected {n} entries, got {len(row)}")
-        if any(not 0 <= x < field.q for x in row):
-            raise GfcParseError(
-                f"{path}:{lineno}: entry out of range for GF({field.q})")
         rows.append(row)
+    # one comparison over the whole matrix (object dtype past int64); an
+    # error names the first row with an entry outside [0, q)
+    entries = np.array(rows)
+    bad = ((entries < 0) | (entries >= field.q)).any(axis=1)
+    if bad.any():
+        lineno = lines[2 + int(np.argmax(bad))][0]
+        raise GfcParseError(
+            f"{path}:{lineno}: entry out of range for GF({field.q})")
 
-    M = MatGF(field, rows)
+    M = MatGF(field, entries)
     if M.rank < k:
         warnings.append(
             f"matrix rank {M.rank} < declared k = {k}; "

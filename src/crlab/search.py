@@ -132,21 +132,34 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
     geom = PlaneGeometry(field_create(p, m))
     pair_line = geom.pair_line
     all_points = (1 << len(geom.points)) - 1
+    if target_size < 4:
+        arc, forbidden = [], 0
+    else:
+        arc = [geom.points.index(pt) for pt in FRAME]
+        forbidden = functools.reduce(operator.or_, (
+            pair_line[i][j] for i, j in itertools.combinations(arc, 2)))
 
-    found: list = []
-    count = 0
-
-    def extend(arc: list, forbidden: int, start: int) -> bool:
-        nonlocal count
-        if len(arc) == target_size:
+    count, witness = 0, None
+    # depth first over (arc, forbidden points, first index left), children
+    # pushed in reverse so that arcs are met in lexicographic order.  A
+    # nested function calling itself would hold the plane's tables in a
+    # reference cycle that only the cycle collector frees.
+    stack = [(arc, forbidden, arc[-1] + 1 if arc else 0)]
+    while stack:
+        arc, forbidden, start = stack.pop()
+        missing = target_size - len(arc)
+        if not missing:
             count += 1
-            if not found:
-                found.append(tuple(geom.points[i] for i in arc))
-            return not count_all
+            if witness is None:
+                witness = tuple(geom.points[i] for i in arc)
+            if not count_all:
+                break
+            continue
         # every completion takes its points from the free ones above start
         free = ~forbidden & all_points >> start << start
-        if free.bit_count() < target_size - len(arc):
-            return False
+        if free.bit_count() < missing:
+            continue
+        children = []
         while free:
             low = free & -free
             free ^= low
@@ -155,25 +168,17 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
             extra = low
             for j in arc:
                 extra |= row[j]
-            if extend(arc + [i], forbidden | extra, i + 1):
-                return True
-        return False
+            children.append((arc + [i], forbidden | extra, i + 1))
+        stack.extend(reversed(children))
 
-    if target_size < 4:
-        extend([], 0, 0)
-    else:
-        frame = [geom.points.index(pt) for pt in FRAME]
-        forbidden = functools.reduce(operator.or_, (
-            pair_line[i][j] for i, j in itertools.combinations(frame, 2)))
-        extend(frame, forbidden, frame[-1] + 1)
-        if count_all:
-            pgl = q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
-            count = _exact_total(
-                Fraction(count * pgl, 24 * math.comb(target_size, 4)),
-                f"{target_size}-arcs of PG(2, {q})")
+    if count_all and target_size >= 4:
+        pgl = q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+        count = _exact_total(
+            Fraction(count * pgl, 24 * math.comb(target_size, 4)),
+            f"{target_size}-arcs of PG(2, {q})")
     return ArcSearchResult(exists=count > 0,
                            count=count if count_all else None,
-                           witness=found[0] if found else None)
+                           witness=witness)
 
 
 def is_arc(field: FieldSpec, points) -> bool:
@@ -283,46 +288,48 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     shares: dict = {}      # census key -> sum of 1 / beta over survivors
     first: dict = {}       # census key -> its first survivor's indices
     repetition: dict = {}  # census key -> its repetition annotation
-    chosen: list = []
     add = operator.add
 
-    def recurse(start: int, weights: list, covered: int):
+    # depth first over (chosen, start, weights, covered), children pushed
+    # in reverse so that tuples are met in lexicographic order.  A nested
+    # function calling itself would hold the tables and codes in a
+    # reference cycle that only the cycle collector frees.
+    stack = [((), 0, [0] * P, 0)]
+    while stack:
+        chosen, start, weights, covered = stack.pop()
         depth = len(chosen)
         if r - covered > n_max - depth:
-            return
+            continue
         missed = [w for w in weights if w != depth]
         # the full weight must stay reachable by some message
         if depth and len(missed) == len(weights):
-            return
+            continue
         low, high = min(missed, default=0), max(missed, default=0)
         # messages already missed must finish on one common weight
         if high - low > n_max - depth:
-            return
+            continue
         if covered == r and depth >= n_min and low == high >= 1:
             key = _census_key(field, points, chosen, low, r)
             rep = _repetition_annotation(chosen, depth, (low, depth), q, r)
             if key not in first:
-                first[key] = tuple(chosen)
+                first[key] = chosen
                 repetition[key] = rep
                 shares[key] = Fraction(0)
             elif repetition[key] != rep:
                 raise SymmetryCountError(
                     f"census key {key} has survivors {first[key]} and "
-                    f"{tuple(chosen)} with repetition annotations "
+                    f"{chosen} with repetition annotations "
                     f"{repetition[key]} and {rep}")
             shares[key] += Fraction(1, _independent_tuples(chosen, misses, r))
         if depth < n_max:
             # a tuple that passes a basis index without taking it never
             # holds B0
             stop = basis[covered] if covered < r else P - 1
-            for i in range(start, stop + 1):
-                chosen.append(i)
-                recurse(i if not projective else i + 1,
-                        list(map(add, weights, hits[i])),
-                        covered + (i == stop and covered < r))
-                chosen.pop()
+            stack.extend((chosen + (i,), i if not projective else i + 1,
+                          list(map(add, weights, hits[i])),
+                          covered + (i == stop and covered < r))
+                         for i in range(stop, start - 1, -1))
 
-    recurse(0, [0] * P, 0)
     entries = [_census_entry(
         key, first[key],
         _exact_total(orbit * share, f"census count of {key}"),
@@ -354,8 +361,10 @@ def _census_key(field, points, chosen, d, r) -> tuple:
     rho, cr, ia = None, False, None
     if dual_k >= 1:
         cols = [points[i] for i in chosen]
-        res = complete_regularity(
-            LinearCode.from_rows(field, np.transpose(cols)).dual())
+        # held while its dual is profiled: the dual's link back to it is
+        # weak, and the profile reads the parity checks from it
+        code = LinearCode.from_rows(field, np.transpose(cols))
+        res = complete_regularity(code.dual())
         rho, cr, ia = res.profile.rho, res.is_completely_regular, res.ia
     if rho != 2:
         reasons.append(f"dual covering radius {rho} != 2")

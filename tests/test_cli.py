@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import crlab
 from crlab import cli, fileio
 from crlab.families import cr4_bose_bush
 from crlab.field import field_create
@@ -53,6 +57,19 @@ def test_gfc_parse_errors(tmp_path):
     path.write_text("code 1 3\n")
     with pytest.raises(fileio.GfcParseError):
         fileio.read_gfc(path)
+
+
+def test_gfc_range_error_names_the_first_bad_row(tmp_path):
+    path = tmp_path / "bad.gfc"
+    path.write_text("field 3 1 poly 1 1\n"
+                    "# a comment line keeps the line numbers honest\n"
+                    "code 3 3\n"
+                    "1 0 2\n"
+                    "0 3 1\n"
+                    "-1 1 1\n")
+    with pytest.raises(fileio.GfcParseError) as exc:
+        fileio.read_gfc(path)
+    assert str(exc.value) == f"{path}:5: entry out of range for GF(3)"
 
 
 @pytest.mark.parametrize("text,line", [
@@ -303,3 +320,46 @@ def test_search_argument_errors_exit_2(argv, name, capsys):
         run(["search"] + argv)
     assert exc.value.code == 2
     assert f"error: {name} must be >= " in capsys.readouterr().err
+
+
+def _first_in_fresh_process(argv, cwd) -> tuple:
+    """(exit code, stdout, stderr) of argv as the first crlab call of a
+    new interpreter, as the console script makes it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from crlab.cli import main; sys.exit(main())", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_this_process(argv, capsys) -> tuple:
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("calls", [
+    [["construct", "--family", "bose-bush", "--q", "4", "--json"],
+     ["construct", "--family", "bose-bush", "--q", "4"]],
+    [["report", "bb4.gfc", "--json"], ["report", "bb4.gfc"]],
+    [["construct", "--q", "4"],
+     ["construct", "--family", "bose-bush", "--q", "4"]],
+], ids=["construct-json-then-plain", "report-json-then-plain",
+        "usage-error-then-good-call"])
+def test_parser_reuse_leaks_no_state(calls, tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process; each call in a sequence
+    prints what it prints as the first call of a fresh process."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    fileio.write_gfc(tmp_path / "bb4.gfc",
+                     cr4_bose_bush(4).cr_code, comment="hyperoval dual")
+    assert cli._build_parser() is cli._build_parser()
+    results = [_in_this_process(argv, capsys) for argv in calls]
+    assert results[-1][0] == 0
+    for argv, result in zip(calls, results):
+        assert result == _first_in_fresh_process(argv, tmp_path), argv

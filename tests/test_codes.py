@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,24 @@ def test_double_dual_row_space():
                  LinearCode.from_rows(field_create(3, 1),
                                       [(1, 1, 1, 0), (0, 1, 2, 1)])):
         assert code.dual().dual().G.row_space_equal(code.G)
+
+
+def test_dual_link_is_identity_while_the_original_lives():
+    """The code -> dual link is strong and the dual -> code link weak:
+    identity both ways while the original is held, the same row space
+    (eliminated afresh) once only the dual is."""
+    code = bose_bush_4()
+    dual = code.dual()
+    assert dual.dual() is code and code.dual() is dual
+    assert dual.dual().dual() is dual
+
+    original = MatGF(code.field, code.G.rows)
+    gone = weakref.ref(code)
+    del code
+    assert gone() is None       # freed at once: no cycle holds it
+    again = dual.dual()
+    assert again.G.row_space_equal(original)
+    assert again.dual() is dual and dual.dual() is again
 
 
 def test_bose_bush_weight_distribution():
