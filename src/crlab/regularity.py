@@ -9,8 +9,9 @@ are s + gamma*h_i where h_i is the i-th parity-check column.  The number
 of neighbors of x lying in each subconstituent is therefore a function of
 the syndrome of x alone, so per-coset constancy of the up/down neighbor
 counts is equivalent to constancy over vectors.  The reduction is
-oracle-tested against :func:`brute_subconstituents`, which works on the
-full vector space and never looks at syndromes.
+oracle-tested against :func:`brute_subconstituents`, which counts
+neighbors along the coordinate lines of the full vector space and never
+looks at syndromes.
 
 Syndromes are packed in radix q (coordinate j weighs q^j); with q = p^m a
 packed syndrome is a base-p integer of N = r*m digits added digit-wise
@@ -338,8 +339,17 @@ class BruteResult:
 
 def brute_subconstituents(code: LinearCode) -> BruteResult:
     """Independent oracle: distance to the code for every vector of the
-    full space, then the neighbor-count definition checked verbatim over
-    vectors.  Only feasible for q^n <= 2^20; never touches syndromes."""
+    full space, then the neighbor-count definition checked over vectors.
+    Only feasible for q^n <= 2^20.  It starts from ``code.codewords()``
+    and never touches syndromes, the parity-check matrix or the dual.
+
+    Vectors are packed in radix q (coordinate i weighs q^i), so the space
+    viewed as a (q^(n-1-i), q, q^i) array has the coordinate-i lines of
+    the Hamming graph along its middle axis.  The neighbors of x are the
+    other points of its n lines, so the BFS sums the level-d counts of
+    x's lines once per depth d: on unreached vectors that sum's support
+    is level d + 1 and it is their down count; on level d - 1 it is the
+    up count."""
     q, n = code.q, code.n
     space = q ** n
     if space > BRUTE_LIMIT:
@@ -347,74 +357,62 @@ def brute_subconstituents(code: LinearCode) -> BruteResult:
             f"brute subconstituent scan needs q^n = {space} > {BRUTE_LIMIT}")
 
     levels = np.full(space, -1, dtype=np.int8)
-    sources = np.fromiter((_pack(w, q) for w in code.codewords()),
-                          dtype=np.int64, count=q ** code.k)
-    levels[sources] = 0
-    frontier = sources
-    depth = 0
-    seen = frontier.size
-    powers = [q ** i for i in range(n)]
-    while frontier.size and seen < space:
-        depth += 1
-        collected = []
-        for pos in range(n):
-            pw = powers[pos]
-            digit = (frontier // pw) % q
-            base = frontier - digit * pw
-            for v in range(q):
-                nb = base + v * pw
-                fresh = nb[levels[nb] < 0]
-                if fresh.size:
-                    levels[fresh] = depth
-                    collected.append(fresh)
-        if collected:
-            frontier = np.unique(np.concatenate(collected))
-            # batches may overlap between positions; recount exactly
-            seen = int(np.count_nonzero(levels >= 0))
-        else:
-            frontier = np.empty(0, dtype=np.int64)
-    rho = int(levels.max())
+    words = np.array(code.codewords(), dtype=np.int64)
+    levels[words @ q ** np.arange(n, dtype=np.int64)] = 0
+    # a sum read off a vector outside level d is at most n(q - 1); on
+    # level d it counts the vector itself, may wrap, and is never read
+    count = np.empty(space, dtype=np.min_scalar_type(n * (q - 1)))
+    down, up = np.zeros_like(count), np.zeros_like(count)
+    rho = 0
+    while True:
+        _line_counts(levels == rho, q, n, count)
+        # stores are products with 0/1 masks into cells still 0 (-1 in
+        # levels): a masked store costs a branch per cell
+        if rho:
+            up += count * (levels == rho - 1)
+        fresh = (levels < 0) & (count > 0)
+        if not fresh.any():
+            break
+        rho += 1
+        levels += fresh.view(np.int8) * np.int8(rho + 1)
+        down += count * fresh
 
-    # verbatim neighbor-count check, vector by vector
-    idx = np.arange(space, dtype=np.int64)
-    lv = levels.astype(np.int16)
-    down = np.zeros(space, dtype=np.int64)
-    up = np.zeros(space, dtype=np.int64)
-    for pos in range(n):
-        pw = powers[pos]
-        digit = (idx // pw) % q
-        base = idx - digit * pw
-        for v in range(q):
-            nb_lv = lv[base + v * pw]
-            moved = v != digit
-            down += moved & (nb_lv == lv - 1)
-            up += moved & (nb_lv == lv + 1)
-
-    b = [0] * (rho + 1)
-    c = [0] * (rho + 1)
+    b, c = [], []
     for l in range(rho + 1):
-        members = np.nonzero(levels == l)[0]
-        d0 = int(down[members[0]])
-        u0 = int(up[members[0]])
-        bad = np.nonzero((down[members] != d0) | (up[members] != u0))[0]
-        if bad.size:
-            j = int(members[bad[0]])
-            viol = (l, int(members[0]), (d0, u0), j,
-                    (int(down[j]), int(up[j])))
+        members = levels == l
+        first = int(members.argmax())
+        d0, u0 = int(down[first]), int(up[first])
+        bad = (down != d0) | (up != u0)
+        bad &= members
+        if bad.any():
+            j = int(bad.argmax())
+            viol = (l, first, (d0, u0), j, (int(down[j]), int(up[j])))
             return BruteResult(levels=levels, rho=rho, ia=None,
                                violation=viol)
-        c[l] = d0
-        b[l] = u0
-    ia = IntersectionArray(rho=rho, b=tuple(b[:rho]), c=tuple(c[1:rho + 1]),
+        c.append(d0)
+        b.append(u0)
+    ia = IntersectionArray(rho=rho, b=tuple(b[:rho]), c=tuple(c[1:]),
                            n=n, q=q)
     return BruteResult(levels=levels, rho=rho, ia=ia, violation=None)
 
 
-def _pack(vec, q: int) -> int:
-    out = 0
-    for x in reversed(vec):
-        out = out * q + x
-    return out
+def _line_counts(mask, q: int, n: int, out) -> None:
+    """out[x] = the number of points of mask on x's n coordinate lines
+    (x itself n times when it is in mask), wrapping in out's dtype."""
+    out.fill(0)
+    ones = mask.view(np.uint8)
+    for i in range(n):
+        shape = (q ** (n - 1 - i), q, q ** i)
+        lines, sums = ones.reshape(shape), out.reshape(shape)
+        # numpy runs a short innermost axis slowly: split it off
+        for lo in range(shape[2]) if shape[2] < 16 else (slice(None),):
+            m, o = lines[:, :, lo], sums[:, :, lo]
+            if q <= 16:  # and reduces a short middle axis slowly too
+                line = sum(m[:, j] for j in range(q))
+                for j in range(q):
+                    o[:, j] += line
+            else:
+                o += m.sum(axis=1, dtype=out.dtype)[:, None]
 
 
 def oa_strength(matrix: CodewordMatrix, q: int) -> int:

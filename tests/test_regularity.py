@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from conftest import build_instance
 
-from crlab import budgets, families
+from crlab import budgets, families, regularity
 from crlab.codes import CodewordMatrix, LinearCode
 from crlab.families import cr1_extended_hamming, cr4_bose_bush, random_code
 from crlab.field import digit_add, field_create, prime_power
 from crlab.matrix import MatGF
-from crlab.regularity import (brute_subconstituents, complete_regularity,
+from crlab.regularity import (BRUTE_LIMIT, BruteResult,
+                              brute_subconstituents, complete_regularity,
                               covering_radius, external_distance,
                               oa_strength, packing_radius, syndrome_profile,
                               up_wide_check, IntersectionArray,
@@ -98,16 +99,27 @@ def test_brute_agrees_with_syndrome_method():
             assert a.ia.same_array(b.ia)
 
 
-def test_subconstituent_sizes_match_brute_histogram():
-    """|C(i)| from the syndrome profile (cosets times q^k) equals the
-    full-space level histogram."""
-    import numpy as np
-    for code in (ext_hamming(), cr4_bose_bush(4).cr_code):
-        prof = syndrome_profile(code)
+def test_subconstituent_sizes_match_brute_histogram(family_grid):
+    """|C(l)| from the syndrome profile equals the full-space level
+    histogram on every grid side with q^n <= 2^20 and on a code at the
+    limit."""
+    cases = []
+    for entry in family_grid:
+        cases.append((entry.cr, entry.cr_result, entry.label))
+        cases.append((entry.tw, None, entry.label))
+    cases.append((random_q_code(2, 20, 10, 1500), None, "[20,10]_2"))
+    checked = 0
+    for code, res, label in cases:
+        if code.q ** code.n > BRUTE_LIMIT:
+            continue
+        prof = (res or complete_regularity(code)).profile
         brute = brute_subconstituents(code)
         vals, counts = np.unique(brute.levels, return_counts=True)
-        hist = {int(v): int(c) for v, c in zip(vals, counts)}
-        assert hist == prof.vector_counts()
+        assert brute.rho == prof.rho, label
+        assert dict(zip(vals.tolist(), counts.tolist())) == \
+            prof.vector_counts(), label
+        checked += 1
+    assert checked >= 45
 
 
 def test_brute_rejects_big_spaces():
@@ -123,13 +135,17 @@ def test_up_wide_check():
     assert v.rho == 2 and v.s == 2 and v.uniformly_packed and v.rho_le_s
 
 
-def test_damaged_code_regression():
-    """Extended Hamming with its first generator column duplicated: the
-    lengthened [9,4] code pins rho = 2 against s = 4."""
+def damaged_code():
+    """Extended Hamming with its first generator column duplicated."""
     eh = ext_hamming()
     f = eh.field
     rows = [[r[0]] + r for r in eh.G.rows.tolist()]
-    damaged = LinearCode(f, MatGF(f, rows))
+    return LinearCode(f, MatGF(f, rows))
+
+
+def test_damaged_code_regression():
+    """The lengthened [9,4] code pins rho = 2 against s = 4."""
+    damaged = damaged_code()
     v = up_wide_check(damaged)
     assert (v.rho, v.s) == (2, 4)
     assert not v.uniformly_packed
@@ -232,6 +248,148 @@ def test_random_codes_syndrome_vs_brute():
         assert a.is_completely_regular == b.is_completely_regular
         if a.ia is not None:
             assert a.ia.same_array(b.ia)
+
+
+# -- the full-space oracle against the digit loop ----------------------------
+
+def _digit_loop_subconstituents(code):
+    """BruteResult by int64 digit arithmetic: a BFS that moves each
+    frontier vector to its q values at every coordinate, then per vector
+    and per (coordinate, value) the level of the moved vector."""
+    q, n = code.q, code.n
+    space = q ** n
+    powers = [q ** i for i in range(n)]
+    levels = np.full(space, -1, dtype=np.int8)
+    sources = np.array([sum(x * pw for x, pw in zip(w, powers))
+                        for w in code.codewords()], dtype=np.int64)
+    levels[sources] = 0
+    frontier = sources
+    depth = 0
+    seen = frontier.size
+    while frontier.size and seen < space:
+        depth += 1
+        collected = []
+        for pos in range(n):
+            pw = powers[pos]
+            digit = (frontier // pw) % q
+            base = frontier - digit * pw
+            for v in range(q):
+                nb = base + v * pw
+                fresh = nb[levels[nb] < 0]
+                if fresh.size:
+                    levels[fresh] = depth
+                    collected.append(fresh)
+        if collected:
+            frontier = np.unique(np.concatenate(collected))
+            seen = int(np.count_nonzero(levels >= 0))
+        else:
+            frontier = np.empty(0, dtype=np.int64)
+    rho = int(levels.max())
+
+    idx = np.arange(space, dtype=np.int64)
+    lv = levels.astype(np.int16)
+    down = np.zeros(space, dtype=np.int64)
+    up = np.zeros(space, dtype=np.int64)
+    for pos in range(n):
+        pw = powers[pos]
+        digit = (idx // pw) % q
+        base = idx - digit * pw
+        for v in range(q):
+            nb_lv = lv[base + v * pw]
+            moved = v != digit
+            down += moved & (nb_lv == lv - 1)
+            up += moved & (nb_lv == lv + 1)
+
+    b = [0] * (rho + 1)
+    c = [0] * (rho + 1)
+    for l in range(rho + 1):
+        members = np.nonzero(levels == l)[0]
+        d0 = int(down[members[0]])
+        u0 = int(up[members[0]])
+        bad = np.nonzero((down[members] != d0) | (up[members] != u0))[0]
+        if bad.size:
+            j = int(members[bad[0]])
+            viol = (l, int(members[0]), (d0, u0), j,
+                    (int(down[j]), int(up[j])))
+            return BruteResult(levels=levels, rho=rho, ia=None,
+                               violation=viol)
+        c[l] = d0
+        b[l] = u0
+    ia = IntersectionArray(rho=rho, b=tuple(b[:rho]), c=tuple(c[1:rho + 1]),
+                           n=n, q=q)
+    return BruteResult(levels=levels, rho=rho, ia=ia, violation=None)
+
+
+def assert_brute_matches_loop(code, label=""):
+    got = brute_subconstituents(code)
+    want = _digit_loop_subconstituents(code)
+    assert got.levels.dtype == want.levels.dtype, label
+    assert np.array_equal(got.levels, want.levels), label
+    assert (got.rho, got.ia, got.violation) == (
+        want.rho, want.ia, want.violation), label
+    return got
+
+
+def random_q_code(q, n, k, seed):
+    return random_code(field_create(*prime_power(q)), n, k, seed=seed)
+
+
+def test_brute_matches_loop_on_benchmark_sides():
+    """The `report` workload's random-code shapes
+    (perfbench/workloads.py::RANDOM_CODES), code and dual, at its seed-1
+    seeds; none is completely regular, so each pins a violation."""
+    for i, (p, m, n, k) in enumerate(((3, 1, 10, 5), (2, 2, 8, 4),
+                                      (5, 1, 7, 3), (7, 1, 6, 3))):
+        code = families.random_multiweight_code(field_create(p, m), n, k,
+                                                seed=100 + i)
+        for side in (code, code.dual()):
+            res = assert_brute_matches_loop(side, (p, m, n, k, side.k))
+            assert res.violation is not None
+
+
+def test_brute_matches_loop_on_damaged_and_large_fields():
+    assert assert_brute_matches_loop(damaged_code()).violation is not None
+    for i, (q, n, k) in enumerate(((9, 5, 2), (16, 4, 2), (32, 3, 1))):
+        assert_brute_matches_loop(random_q_code(q, n, k, 1400 + i), q)
+
+
+def test_brute_matches_loop_at_the_limit():
+    """[20,10]_2 fills q^n = BRUTE_LIMIT with q = 2 and 20 line axes."""
+    code = random_q_code(2, 20, 10, 1500)
+    assert code.q ** code.n == BRUTE_LIMIT
+    assert_brute_matches_loop(code)
+
+
+def test_brute_matches_loop_past_int16_counts():
+    """The zero code of length 1 over GF(32771): the up count on level 0
+    is n(q - 1) = 32770, past int16."""
+    f = field_create(32771, 1)
+    code = LinearCode.from_rows(f, [(1,)]).dual()
+    assert (code.n, code.k) == (1, 0)
+    res = assert_brute_matches_loop(code)
+    assert (res.rho, res.ia.b, res.ia.c) == (1, (32770,), (1,))
+
+
+def test_brute_never_reads_syndromes(monkeypatch):
+    """The oracle stays independent of what it checks: with the syndrome
+    profile, the dual and the transform all raising, it still answers."""
+    bb = cr4_bose_bush(4)
+    codes = [ext_hamming(), bb.cr_code, bb.two_weight_code,
+             random_q_code(3, 7, 3, 1600)]
+    want = [brute_subconstituents(c) for c in codes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full-space oracle read the syndrome side")
+    monkeypatch.setattr(SyndromeProfile, "__init__", refuse)
+    monkeypatch.setattr(LinearCode, "dual", refuse)
+    monkeypatch.setattr(regularity, "_dft", refuse)
+    for code, res in zip(codes, want):
+        got = brute_subconstituents(code)
+        assert np.array_equal(got.levels, res.levels)
+        assert (got.rho, got.ia, got.violation) == (
+            res.rho, res.ia, res.violation)
+    with pytest.raises(AssertionError, match="syndrome side"):
+        complete_regularity(codes[0])
 
 
 # -- the transform kernel against the per-delta loops ------------------------
