@@ -407,12 +407,12 @@ def _line_counts(mask, q: int, n: int, out) -> None:
         # numpy runs a short innermost axis slowly: split it off
         for lo in range(shape[2]) if shape[2] < 16 else (slice(None),):
             m, o = lines[:, :, lo], sums[:, :, lo]
-            if q <= 16:  # and reduces a short middle axis slowly too
-                line = sum(m[:, j] for j in range(q))
-                for j in range(q):
-                    o[:, j] += line
-            else:
-                o += m.sum(axis=1, dtype=out.dtype)[:, None]
+            # and reduces a short middle axis slowly too: add its slices
+            line = m[:, 0].astype(out.dtype)
+            for j in range(1, q):
+                line += m[:, j]
+            for j in range(q):
+                o[:, j] += line
 
 
 def oa_strength(matrix: CodewordMatrix, q: int) -> int:
