@@ -172,12 +172,6 @@ class LinearCode:
         dual = self.dual()
         return macwilliams(dual.weight_distribution(), self.n, dual.k, self.q)
 
-    def min_distance(self) -> int:
-        d = self.weight_distribution_auto().d
-        if d is None:
-            raise ValueError("the zero code has no minimum distance")
-        return d
-
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
 
@@ -517,35 +511,3 @@ def concatenate(a: LinearCode, b: LinearCode) -> LinearCode:
         raise ValueError("codes must share the field and dimension")
     return LinearCode(a.field, MatGF(a.field, np.hstack([a.G.rows, b.G.rows])))
 
-
-def low_weight_min_distance(code: LinearCode, w_max: int) -> int | None:
-    """Smallest nonzero codeword weight <= w_max, by searching all supports
-    of size <= w_max; None if every codeword below that weight is zero.
-
-    Independent of the weight-distribution path: candidates are checked by
-    parity alone, so this also works when q^k is far over the enumeration
-    budget."""
-    f = code.field
-    H = code.dual().G
-    if H.nrows == 0:
-        return 1 if code.n >= 1 else None
-    hcols = H.rows.T.tolist()
-    r = H.nrows
-    for w in range(1, w_max + 1):
-        for support in itertools.combinations(range(code.n), w):
-            for values in _nonzero_tuples(f, w):
-                syn = [0] * r
-                for pos, val in zip(support, values):
-                    col = hcols[pos]
-                    for i in range(r):
-                        if col[i]:
-                            syn[i] = f.add(syn[i], f.mul(val, col[i]))
-                if not any(syn):
-                    return w
-    return None
-
-
-def _nonzero_tuples(field: FieldSpec, w: int):
-    # first entry fixed to 1: weights are invariant under global scaling
-    for rest in itertools.product(range(1, field.q), repeat=w - 1):
-        yield (1,) + rest

@@ -31,10 +31,10 @@ that compare the two and for codeword-level checks.
 :func:`shortening` returns the two fields and the table of Phi;
 :func:`difference_matrix` reads the whole of F through it and
 :func:`crlab.families.cr2_dm_dual` only the u/l generator rows, so the
-CR.2 builder never holds the full matrix.  The multiplication table F
-is one broadcast over the big field's log/antilog arrays
-(:meth:`crlab.field.FieldSpec.mul_array`), and the subfield embedding
-behind the tower coordinates is one
+CR.2 builder never holds the full matrix.  Products come from the big
+field's log/antilog arrays (:meth:`crlab.field.FieldSpec.mul_array`), a
+block of rows at a time, so D is held once, in the smallest signed
+dtype.  The subfield embedding behind the tower coordinates is one
 :meth:`crlab.field.FieldSpec.matmul` of digit vectors.
 
 The construction is a theorem (a shortened field multiplication table
@@ -82,7 +82,9 @@ class DifferenceMatrix:
 def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     """Whether entries is a difference matrix over GF(q)'s additive group:
     by the group certificate when it applies, else by every row pair."""
-    M = np.asarray(entries, dtype=np.intp)
+    M = np.asarray(entries)
+    if M.dtype.kind not in "iu":
+        M = np.asarray(entries, dtype=np.intp)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
     q = group_field.q
@@ -94,7 +96,8 @@ def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     rows = normalize_dm(DifferenceMatrix(group_field, side // q, M)).entries
     if (len({r.tobytes() for r in rows}) < side
             or not is_additive_group(rows, group_field)):
-        return _pairwise_is_difference_matrix(M, group_field)
+        return _pairwise_is_difference_matrix(M.astype(np.intp, copy=False),
+                                              group_field)
     # row 0 is zero; each other row, sorted, must read 0^mu 1^mu ...
     balanced = np.repeat(np.arange(q, dtype=rows.dtype), side // q)
     return bool((np.sort(rows[1:], axis=1, kind="stable") == balanced).all())
@@ -204,8 +207,14 @@ def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
     budgets.check_enum(p ** (2 * (l + h)),
                        f"difference matrix D({p ** l},{p ** h}) entries")
     big, small, phi = shortening(p, l, h)
+    # D in the dtype normalize_dm uses; the intp products are formed for
+    # a block of at most 2^16 entries at a time
     elements = np.arange(big.q)
-    D = phi[big.mul_array(elements[:, None], elements)]
+    D = np.empty((big.q, big.q), dtype=np.min_scalar_type(-2 * small.q))
+    rows = max(1, (1 << 16) // big.q)
+    for lo in range(0, big.q, rows):
+        D[lo:lo + rows] = phi[big.mul_array(elements[lo:lo + rows, None],
+                                            elements)]
     return DifferenceMatrix(group_field=small, mu=p ** h, entries=D)
 
 

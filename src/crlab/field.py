@@ -261,9 +261,6 @@ class FieldSpec:
         """Little-endian coefficient vector of the element, length m."""
         return tuple(_digits(a, self.p, self.m))
 
-    def from_coeffs(self, coeffs) -> int:
-        return _encode(list(coeffs) + [0] * (self.m - len(coeffs)), self.p)
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

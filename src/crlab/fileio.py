@@ -23,7 +23,6 @@ exact integers, rationals appear as "num/den" strings.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,32 +145,6 @@ def write_dm(path, dm: DifferenceMatrix, p: int, l: int, h: int) -> None:
         fh.write(f"dm {p} {l} {h}\n")
         for row in dm.entries:
             fh.write(" ".join(str(int(x)) for x in row) + "\n")
-
-
-def read_dm(path) -> tuple[DifferenceMatrix, tuple[int, int, int]]:
-    """Parse a .dm file; ValueError naming the path on malformed input."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()
-                 and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty dm file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "dm":
-        raise ValueError(f"{path}: malformed dm header")
-    try:
-        p, l, h = int(head[1]), int(head[2]), int(head[3])
-        field = field_create(p, l)
-        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    side = p ** (l + h)
-    if len(rows) != side or any(len(r) != side for r in rows):
-        raise ValueError(f"{path}: expected a {side}x{side} matrix")
-    if any(not 0 <= x < field.q for r in rows for x in r):
-        raise ValueError(f"{path}: entry out of range for GF({field.q})")
-    return (DifferenceMatrix(group_field=field, mu=p ** h,
-                             entries=np.array(rows, dtype=np.int64)),
-            (p, l, h))
 
 
 # -- report JSON -------------------------------------------------------------
@@ -310,10 +283,6 @@ def report_to_dict(report: CodeReport) -> dict:
         "conditions": cond,
         "warnings": list(report.warnings),
     }
-
-
-def report_to_json(report: CodeReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
 @functools.cache

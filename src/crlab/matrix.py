@@ -92,11 +92,6 @@ class MatGF:
         ns._rank = len(free)
         return ns
 
-    def row_space_equal(self, other: "MatGF") -> bool:
-        if self.field != other.field or self.ncols != other.ncols:
-            return False
-        return np.array_equal(self.rref()[0], other.rref()[0])
-
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.field == other.field
                 and np.array_equal(self.rows, other.rows))

@@ -19,21 +19,33 @@ mod p.  The syndrome graph is thus a Cayley graph on F_p^N whose
 connection multiset D holds the n(q-1) column deltas gamma*h_j (a zero
 column gives self-loops, a repeated column repeated deltas).  D = -D, so
 the convolution conv_j = 1_D * 1_(L_j) counts, at each syndrome, the moves
-into the level L_j of coset-leader weight j.  L_(j+1) is the support of
-conv_j minus the earlier levels (L_0 = {0}, conv_0 = 1_D); on L_j the
-down count is conv_(j-1) and the up count conv_(j+1), which on the last
-level but one is |D| - down - conv_(rho-1).  So the profile costs
-2*rho - 1 transforms (1_D once, then one forward and one inverse per
-0 < j < rho), each a length-p DFT along every base-p digit.
+into the level L_j of coset-leader weight j.  The BFS takes one step per
+level j < rho: L_(j+1) is the support of conv_j on the unreached cells U_j
+and conv_j is its down count there, and on L_j the up count is |D| minus
+the down count minus conv_j (the moves within the level).
 
-The DFT is taken modulo a prime P = 1 (mod p), which holds the p-th roots
-of unity, so all arithmetic is exact integers; for p = 2 the root is -1
-and the transform is the Walsh-Hadamard transform.  P is the smallest such
-prime above 2^b, b the bit length of |D|: a count lies in [0, |D|] and
-|D| < P, so it is its own least residue.  Values carry a bound on their
-size and are reduced mod P only when a stage or product could overflow;
-buffers are int32 when a stage on reduced values fits int32, else int64
-(a larger |D| than int64 allows, about 2^30, is refused).
+Each step gets conv_j on L_j and U_j in whichever of three ways costs
+least, judged before the work from exact counts: |L_j| |D| pairs to
+scatter, |U_j| |D| pairs to scatter the complement, or two length-q^r
+transforms (three on the first transformed step, which also transforms
+1_D).  A scatter adds every delta to every cell of L_j; the complement
+scatter 1_D * 1_(U_j) counts the moves that stay in U_j, whose neighbors
+lie in L_j and U_j only, so |D| minus it is conv_j on U_j and, on L_j,
+it is the up count itself.  The sparse first levels and the thin last
+ones are scattered, and only the bulk of a large space is transformed:
+the [8,2]_8 two-weight side (2^18 syndromes, rho = 6) runs 3 transforms,
+where scattering L_0 alone left 11.
+
+A transform is a length-p DFT along every base-p digit, modulo a prime
+P = 1 (mod p), which holds the p-th roots of unity, so all arithmetic is
+exact integers; for p = 2 the root is -1 and the transform is the
+Walsh-Hadamard transform.  P is the smallest such prime above 2^b, b the
+bit length of |D|: a count lies in [0, |D|] and |D| < P, so it is its
+own least residue.  Values carry a bound on their size and are reduced
+mod P, by a floor division, only when a stage or product could come
+within P of overflowing; buffers are int32 when a stage on reduced values
+fits int32 with that headroom, else int64 (a larger |D| than int64
+allows, about 2^30, is refused).
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ import numpy as np
 
 from . import budgets
 from .codes import LinearCode, CodewordMatrix
-from .field import is_prime
+from .field import digit_add, is_prime
 
 
 @dataclass(frozen=True)
@@ -88,16 +100,28 @@ def _ring(p: int, bits: int) -> tuple:
     powers w[e] = root^e of a primitive p-th root of unity mod P as
     residues of least absolute value (w = [1, -1] for p = 2), and the
     narrower of int32/int64 in which a stage on reduced values, or the
-    product of two reduced values, cannot overflow."""
+    product of two reduced values, stays P below the dtype's limit (the
+    headroom :func:`_reduce` needs)."""
     P = (1 << bits) + 1 + (-(1 << bits)) % p
     while not is_prime(P):
         P += p
     root = next(x for a in range(2, P) if (x := pow(a, (P - 1) // p, P)) != 1)
     w = [(pow(root, e, P) + P // 2) % P - P // 2 for e in range(p)]
     for dtype in (np.int32, np.int64):
-        if sum(map(abs, w)) * P * P <= np.iinfo(dtype).max:
+        if sum(map(abs, w)) * P * P + P <= np.iinfo(dtype).max:
             return P, w, dtype
     raise ValueError(f"no int64 transform modulus above 2^{bits} for p = {p}")
+
+
+def _reduce(x, P: int, spare) -> None:
+    """x mod P in place, spare being a free buffer like x: x - (x // P) * P,
+    where (x // P) * P lies in [x - P + 1, x], so it is exact for every x
+    at least P - 1 above its dtype's minimum (the transforms keep
+    |x| <= max - P).  A floor division by a scalar costs a fraction of
+    numpy's remainder."""
+    np.floor_divide(x, P, out=spare)
+    spare *= P
+    x -= spare
 
 
 def _dft(x, y, w, sign: int, P: int, bound: int, ndigits: int):
@@ -108,15 +132,15 @@ def _dft(x, y, w, sign: int, P: int, bound: int, ndigits: int):
     A stage reads the top digit as the contiguous rows x[j] and writes
     the transformed digit as the lowest one of y, so after ndigits stages
     every digit is back in place.  x is reduced mod P only when the next
-    stage could overflow its dtype."""
+    stage could come within P of its dtype's limit."""
     p = len(w)
     m = x.size // p
-    growth, limit = sum(map(abs, w)), np.iinfo(x.dtype).max
+    growth, limit = sum(map(abs, w)), np.iinfo(x.dtype).max - P
     # only p = 2 has no root other than +-1 to multiply by
     scratch = np.empty(m if p > 2 else 0, dtype=x.dtype)
     for _ in range(ndigits):
         if bound * growth > limit:
-            np.remainder(x, P, out=x)
+            _reduce(x, P, y)
             bound = P - 1
         src, dst = x.reshape(p, m), y.reshape(m, p)
         for k in range(p):
@@ -135,9 +159,68 @@ def _dft(x, y, w, sign: int, P: int, bound: int, ndigits: int):
     return x, y, bound
 
 
+# Spaces up to this many syndromes scatter through np.bincount, whose
+# size-long int64 output would outgrow a larger profile's buffers.
+_COUNTED = 1 << 15
+
+
+def _scatter(conv, mask, deltas, shifts, mults, p: int, ndigits: int):
+    """conv = 1_D * 1_S, S the cells of mask and D the multiset of deltas,
+    also given as its distinct shifts with multiplicities mults.
+
+    A small space counts runs of about max(size, 2^12) (cell, delta)
+    pairs with one np.bincount each.  A larger one adds one shift to a
+    run of at most size/16 cells, or every shift to one cell, per
+    fancy-index add: no index repeats within one, and the temporaries stay
+    a fraction of a buffer.  :func:`_scatter_cheaper` counts these calls."""
+    size = mask.size
+    cells = np.flatnonzero(mask)
+    conv.fill(0)
+    if size <= _COUNTED:
+        run = max(size, 1 << 12) // deltas.size or 1
+        for lo in range(0, cells.size, run):
+            moved = digit_add(cells[lo:lo + run, None], deltas, p, ndigits)
+            conv += np.bincount(moved.ravel(), minlength=size)
+    elif cells.size < shifts.size:
+        for x in cells.tolist():
+            conv[digit_add(shifts, x, p, ndigits)] += mults
+    else:
+        run = size >> 4
+        for lo in range(0, cells.size, run):
+            part = cells[lo:lo + run]
+            for d, c in zip(shifts.tolist(), mults.tolist()):
+                conv[digit_add(part, d, p, ndigits)] += c
+
+
+def _scatter_cheaper(cells: int, total: int, distinct: int, size: int,
+                     ndigits: int, p: int, transforms: int) -> bool:
+    """Whether :func:`_scatter` of `cells` cells by the |D| = total deltas,
+    `distinct` of them distinct, costs less than `transforms` transforms
+    of the size = p^ndigits syndromes.
+
+    Costs are in ns, fitted to per-step timings of profiles forced to
+    scatter and to transform on a 2-core x86-64 box: 1.5 us a numpy call;
+    digit_add makes one XOR pass at p = 2 and about five passes per digit
+    at odd p, and a scattered pair costs those passes plus four; a
+    transform makes about p^2 calls and 1.5 (p - 1) ns per syndrome for
+    each digit."""
+    digit = 1 if p == 2 else 5 * ndigits
+    if size <= _COUNTED:
+        calls = -(-cells // (max(size, 1 << 12) // total or 1))
+    elif cells < distinct:
+        calls = cells
+    else:
+        calls = distinct * -(-cells // (size >> 4))
+    scatter = calls * (digit + 3) * 1500 + cells * total * (digit + 4)
+    transform = ndigits * (p * p * 1500 + size * (p - 1) * 1.5)
+    return scatter <= transforms * transform
+
+
 class SyndromeProfile:
     """Coset-leader levels for every syndrome of a linear code, with the
-    per-syndrome down and up neighbor counts."""
+    per-syndrome down and up neighbor counts.  ``transforms`` counts the
+    length-q^r transforms run and ``scattered_pairs`` the (cell, delta)
+    pairs scattered."""
 
     def __init__(self, code: LinearCode):
         self.code = code
@@ -153,13 +236,14 @@ class SyndromeProfile:
         q, r = self.q, self.r
         size = q ** r
         self.size = size
+        self.transforms = self.scattered_pairs = 0
 
         if r == 0:
             self.levels = np.zeros(1, dtype=np.int8)
             self.deltas = []
             self.rho = 0
             self.level_coset_counts = {0: 1}
-            self._down = self._up = np.zeros(1, dtype=np.int32)
+            self._down = self._up = np.zeros(1, dtype=np.int8)
             return
 
         H = code.dual().G  # parity-check rows of `code`
@@ -171,60 +255,93 @@ class SyndromeProfile:
         products = f.mul_array(cols[:, None, :], gammas)
         deltas = (products @ places).ravel()
         self.deltas = deltas.tolist()
+        mults = np.bincount(deltas, minlength=size)
+        shifts = np.flatnonzero(mults)
+        mults = mults[shifts]
 
-        total, ndigits = deltas.size, r * f.m
-        P, w, dtype = _ring(f.p, total.bit_length())
+        p, total, ndigits = f.p, deltas.size, r * f.m
+        P, w, dtype = _ring(p, total.bit_length())
+        limit = np.iinfo(dtype).max - P
+
+        def dft(x, y, sign, bound):
+            self.transforms += 1
+            return _dft(x, y, w, sign, P, bound, ndigits)
+
         levels = np.full(size, -1, dtype=np.int8)
         levels[0] = 0
-        down = np.zeros(size, dtype=np.int32)
-        up = np.zeros(size, dtype=np.int32)
-        conv = np.bincount(deltas, minlength=size).astype(dtype)
+        # counts lie in [0, |D|], in the smallest signed dtype holding
+        # -|D| - 1 and so |D| itself
+        down = np.zeros(size, dtype=np.min_scalar_type(-total - 1))
+        up = np.zeros_like(down)
+        conv = np.empty(size, dtype=dtype)
         spare = np.empty_like(conv)
+        at = np.empty(size, dtype=bool)
+        fresh = np.empty(size, dtype=bool)
         counts = {0: 1}
         d_hat = None
         depth = 0
+        reached = 1
         while True:
-            # conv = conv_depth.  Masked stores are products with 0/1
-            # masks into cells still 0 (-1 in levels): no branch per cell
-            if depth:
-                up += np.multiply(conv, levels == depth - 1, out=spare)
-            fresh = conv > 0
-            fresh &= levels < 0
+            # conv = conv_depth, at least on L_depth and on the unreached
+            # cells U: scatter the smaller of the two, or transform
+            np.equal(levels, depth, out=at)
+            level, rest = counts[depth], size - reached
+            if not _scatter_cheaper(min(level, rest), total, shifts.size,
+                                    size, ndigits, p,
+                                    3 if d_hat is None else 2):
+                if d_hat is None:
+                    # F(1_D) p^(-N): the inverses need no scaling
+                    conv.fill(0)
+                    conv[shifts] = mults
+                    conv, spare, _ = dft(conv, spare, 1, total)
+                    _reduce(conv, P, spare)
+                    conv *= pow(p, -ndigits, P)
+                    _reduce(conv, P, spare)
+                    d_hat = conv.astype(np.min_scalar_type(-P))  # [0, P)
+                np.copyto(conv, at)
+                conv, spare, bound = dft(conv, spare, 1, 1)
+                if bound * P > limit:
+                    _reduce(conv, P, spare)
+                    bound = P - 1
+                conv *= d_hat
+                conv, spare, _ = dft(conv, spare, -1, bound * (P - 1))
+                _reduce(conv, P, spare)
+            elif level <= rest:
+                _scatter(conv, at, deltas, shifts, mults, p, ndigits)
+                self.scattered_pairs += level * total
+            else:
+                # 1_D * 1_U counts the moves that stay in U: on U, |D|
+                # minus it is conv_depth; on L_depth it is the up count,
+                # so |D| minus it and the down count is conv_depth there
+                _scatter(conv, np.less(levels, 0, out=fresh), deltas, shifts,
+                         mults, p, ndigits)
+                self.scattered_pairs += rest * total
+                np.subtract(total, conv, out=conv)
+                conv -= down
+            # on L_depth the moves neither down nor within the level go up.
+            # Masked stores are products with 0/1 masks into cells still 0
+            # (-1 in levels): no branch per cell
+            np.subtract(total, conv, out=spare)
+            spare -= down
+            up += np.multiply(spare, at, out=spare)
+            np.greater(conv, 0, out=fresh)
+            fresh &= np.less(levels, 0, out=at)
             counts[depth + 1] = int(np.count_nonzero(fresh))
             if not counts[depth + 1]:
                 raise AssertionError("syndrome BFS did not reach every coset")
-            levels += fresh.view(np.int8) * np.int8(depth + 2)
+            # at is free again: it holds the fresh cells' level step
+            levels += np.multiply(fresh.view(np.int8), np.int8(depth + 2),
+                                  out=at.view(np.int8))
             down += np.multiply(conv, fresh, out=spare)
-            if sum(counts.values()) == size:
-                break
-            if d_hat is None:  # F(1_D) p^(-N): the inverses need no scaling
-                conv, spare, _ = _dft(conv, spare, w, 1, P, total, ndigits)
-                conv %= P
-                conv *= pow(f.p, -ndigits, P)
-                conv %= P
-                d_hat = conv.astype(np.int32)
-            np.copyto(conv, fresh)
-            conv, spare, bound = _dft(conv, spare, w, 1, P, 1, ndigits)
-            if bound * P > np.iinfo(dtype).max:
-                conv %= P
-                bound = P
-            conv *= d_hat
-            conv, spare, _ = _dft(conv, spare, w, -1, P, bound * P, ndigits)
-            conv %= P
+            reached += counts[depth + 1]
             depth += 1
-        # up on L_depth, the last level but one: |D| - down - conv_depth
-        conv += down
-        np.subtract(total, conv, out=conv)
-        up += np.multiply(conv, levels == depth, out=conv)
+            if reached == size:
+                break
 
         self.levels = levels
-        self.rho = depth + 1
+        self.rho = depth
         self.level_coset_counts = counts
         self._down, self._up = down, up
-
-    def coset_counts(self) -> dict:
-        """Number of cosets at each level 0..rho."""
-        return dict(self.level_coset_counts)
 
     def vector_counts(self) -> dict:
         """Size of each subconstituent C(i) in vectors."""
@@ -232,8 +349,9 @@ class SyndromeProfile:
         return {l: c * size_coset for l, c in self.level_coset_counts.items()}
 
     def neighbor_level_counts(self):
-        """(down, up) int32 arrays: per syndrome, the number of (i, gamma)
-        moves landing one level lower / higher."""
+        """(down, up) arrays in the smallest signed dtype that holds
+        |D| = n(q - 1): per syndrome, the number of (i, gamma) moves
+        landing one level lower / higher."""
         return self._down, self._up
 
 
@@ -254,10 +372,6 @@ def external_distance(code: LinearCode) -> int:
 class PackingVerdict:
     rho: int
     s: int
-
-    @property
-    def rho_le_s(self) -> bool:
-        return self.rho <= self.s
 
     @property
     def uniformly_packed(self) -> bool:

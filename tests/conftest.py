@@ -3,6 +3,7 @@ because several test modules and most acceptance criteria consume it."""
 
 import time
 
+import numpy as np
 import pytest
 
 from crlab import families, regularity
@@ -35,6 +36,21 @@ def build_instance(kind, params):
     if kind == "denniston":
         return families.cr6_denniston(params["q"], params["h"])
     raise ValueError(kind)
+
+
+def min_distance(code) -> int:
+    """d(C), from the weight distribution of the cheaper side."""
+    d = code.weight_distribution_auto().d
+    if d is None:
+        raise ValueError("the zero code has no minimum distance")
+    return d
+
+
+def row_space_equal(a, b) -> bool:
+    """Whether two MatGF span the same row space (equal RREF)."""
+    if a.field != b.field or a.ncols != b.ncols:
+        return False
+    return np.array_equal(a.rref()[0], b.rref()[0])
 
 
 class GridEntry:

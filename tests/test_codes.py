@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import min_distance, row_space_equal
 
 from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
                          complementary_generator, concatenate,
                          equidistant_check, is_antipodal_two_weight,
                          is_projective, krawtchouk, krawtchouk_column,
-                         low_weight_min_distance, macwilliams,
-                         max_column_multiplicity, normalize_point,
+                         macwilliams, max_column_multiplicity, normalize_point,
                          projective_dual_transform, projective_points,
                          WeightDistribution)
 from crlab.families import cr4_bose_bush, random_code
@@ -32,14 +32,14 @@ def test_dual_repetition_even_weight():
     ew = rep.dual()
     assert (ew.n, ew.k) == (4, 3)
     assert ew.weight_distribution().counts == (1, 0, 6, 0, 1)
-    assert ew.dual().G.row_space_equal(rep.G)
+    assert row_space_equal(ew.dual().G, rep.G)
 
 
 def test_double_dual_row_space():
     for code in (bose_bush_4(),
                  LinearCode.from_rows(field_create(3, 1),
                                       [(1, 1, 1, 0), (0, 1, 2, 1)])):
-        assert code.dual().dual().G.row_space_equal(code.G)
+        assert row_space_equal(code.dual().dual().G, code.G)
 
 
 def test_dual_link_is_identity_while_the_original_lives():
@@ -56,7 +56,7 @@ def test_dual_link_is_identity_while_the_original_lives():
     del code
     assert gone() is None       # freed at once: no cycle holds it
     again = dual.dual()
-    assert again.G.row_space_equal(original)
+    assert row_space_equal(again.G, original)
     assert again.dual() is dual and dual.dual() is again
 
 
@@ -265,10 +265,38 @@ def test_projective_dual_transform_errors():
 def test_min_distance_and_equidistant():
     f = field_create(2, 1)
     rep = LinearCode.from_rows(f, [(1, 1, 1, 1)])
-    assert rep.min_distance() == 4
+    assert min_distance(rep) == 4
     assert equidistant_check(rep) == 4
     m = CodewordMatrix(f, [(0, 0, 1), (1, 1, 0), (1, 0, 1)])
     assert equidistant_check(m) is None
+
+
+def low_weight_min_distance(code, w_max):
+    """Smallest nonzero codeword weight <= w_max, by searching all supports
+    of size <= w_max; None if every codeword below that weight is zero.
+
+    Independent of the weight-distribution path: candidates are checked by
+    parity alone, so this also works when q^k is far over the enumeration
+    budget.  The first nonzero value is fixed to 1, since weights are
+    invariant under global scaling."""
+    f = code.field
+    H = code.dual().G
+    if H.nrows == 0:
+        return 1 if code.n >= 1 else None
+    hcols = H.rows.T.tolist()
+    r = H.nrows
+    for w in range(1, w_max + 1):
+        for support in itertools.combinations(range(code.n), w):
+            for rest in itertools.product(range(1, f.q), repeat=w - 1):
+                syn = [0] * r
+                for pos, val in zip(support, (1,) + rest):
+                    col = hcols[pos]
+                    for i in range(r):
+                        if col[i]:
+                            syn[i] = f.add(syn[i], f.mul(val, col[i]))
+                if not any(syn):
+                    return w
+    return None
 
 
 def test_min_distance_macwilliams_path():
@@ -277,7 +305,7 @@ def test_min_distance_macwilliams_path():
     from crlab.families import cr6_denniston
     cr = cr6_denniston(8, 4).cr_code
     assert (cr.n, cr.k) == (28, 25)
-    d = cr.min_distance()
+    d = min_distance(cr)
     assert d == low_weight_min_distance(cr, 4) == 3
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -142,6 +143,35 @@ def test_builds_every_matrix_up_to_256():
     for (p, l, h) in cases:
         dm = difference_matrix(p, l, h)
         assert dm.side == p ** (l + h)
+
+
+def test_entries_are_the_shortened_product_table():
+    """D's entries are Phi of the full multiplication table, read by one
+    broadcast product here, in the smallest signed dtype normalize_dm
+    uses, for every (p, l, h) with p^(l+h) <= 256."""
+    for p in (2, 3, 5, 7, 11, 13):
+        u = 2
+        while p ** u <= 256:
+            for l in range(1, u):
+                big, small, phi = diffmat.shortening(p, l, u - l)
+                e = np.arange(big.q)
+                got = difference_matrix(p, l, u - l).entries
+                assert got.dtype == np.min_scalar_type(-2 * small.q)
+                assert np.array_equal(got, phi[big.mul_array(e[:, None], e)])
+            u += 1
+
+
+def test_side_4096_is_held_once_in_one_byte_entries():
+    """D(64, 64) has 4096^2 entries: one byte each, plus log sums for a
+    block of rows at a time (an int64 product table was 134 MB)."""
+    tracemalloc.start()
+    try:
+        dm = difference_matrix(2, 6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.entries.dtype == np.int8 and dm.side == 4096
+    assert peak < dm.entries.nbytes + (2 << 20)
 
 
 def _naive_is_difference_matrix(entries, f):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import min_distance, row_space_equal
 
 from crlab.codes import CodewordMatrix, is_projective
 from crlab.diffmat import (difference_matrix, dm_code, is_additive_group,
@@ -18,7 +19,7 @@ def test_cr1_shapes():
     inst = cr1_extended_hamming(3)
     assert (inst.two_weight_code.n, inst.two_weight_code.k) == (8, 4)
     assert (inst.cr_code.n, inst.cr_code.k) == (8, 4)
-    assert inst.cr_code.min_distance() == 4
+    assert min_distance(inst.cr_code) == 4
     assert inst.two_weight_code.weight_distribution().sparse() == \
         {0: 1, 4: 14, 8: 1}
 
@@ -32,12 +33,12 @@ def test_cr1_m2_trivial_boundary():
 
 def test_cr1_m3_self_dual():
     inst = cr1_extended_hamming(3)
-    assert inst.two_weight_code.G.row_space_equal(inst.cr_code.G)
+    assert row_space_equal(inst.two_weight_code.G, inst.cr_code.G)
 
 
 def test_cr1_m4():
     inst = cr1_extended_hamming(4)
-    assert (inst.cr_code.n, inst.cr_code.k, inst.cr_code.min_distance()) == \
+    assert (inst.cr_code.n, inst.cr_code.k, min_distance(inst.cr_code)) == \
         (16, 11, 4)
     assert set(inst.two_weight_code.weight_distribution().nonzero_weights) \
         == {8, 16}
@@ -51,7 +52,7 @@ def test_cr2_instances():
     assert set(inst.two_weight_code.weight_distribution().nonzero_weights) \
         == {12, 16}
     assert (inst.cr_code.n, inst.cr_code.k) == (16, 13)
-    assert inst.cr_code.min_distance() == 3
+    assert min_distance(inst.cr_code) == 3
     inst = cr2_dm_dual(3, 1, 1)
     assert set(inst.two_weight_code.weight_distribution().nonzero_weights) \
         == {6, 9}
@@ -175,7 +176,7 @@ def test_cr4_conic_nucleus():
     assert wd.sparse() == {0: 1, 4: 45, 6: 18}
     assert is_projective(inst.two_weight_code)
     assert (inst.cr_code.n, inst.cr_code.k) == (6, 3)
-    assert inst.cr_code.min_distance() == 4
+    assert min_distance(inst.cr_code) == 4
     with pytest.raises(ValueError):
         cr4_bose_bush(5)
     with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ def ext_hamming():
 
 def test_syndrome_profile_ext_hamming():
     prof = syndrome_profile(ext_hamming())
-    assert prof.coset_counts() == {0: 1, 1: 8, 2: 7}
+    assert prof.level_coset_counts == {0: 1, 1: 8, 2: 7}
     assert prof.rho == 2
     assert prof.vector_counts() == {0: 16, 1: 128, 2: 112}
 
@@ -33,7 +33,7 @@ def test_syndrome_profile_counts_invariants(family_grid):
     profile."""
     for entry in family_grid:
         prof = entry.cr_result.profile
-        counts = prof.coset_counts()
+        counts = prof.level_coset_counts
         code = entry.cr
         assert counts[0] == 1, entry.label
         assert sum(counts.values()) == code.q ** (code.n - code.k), entry.label
@@ -43,7 +43,7 @@ def test_syndrome_profile_full_space():
     f = field_create(2, 1)
     full = LinearCode(f, MatGF.identity(f, 5))
     prof = syndrome_profile(full)
-    assert prof.rho == 0 and prof.coset_counts() == {0: 1}
+    assert prof.rho == 0 and prof.level_coset_counts == {0: 1}
     res = complete_regularity(full)
     assert res.ia is not None and res.ia.rho == 0
 
@@ -132,7 +132,7 @@ def test_brute_rejects_big_spaces():
 
 def test_up_wide_check():
     v = up_wide_check(ext_hamming())
-    assert v.rho == 2 and v.s == 2 and v.uniformly_packed and v.rho_le_s
+    assert v.rho == 2 and v.s == 2 and v.uniformly_packed
 
 
 def damaged_code():
@@ -432,18 +432,39 @@ def loop_profile(code):
     return levels, down, up
 
 
+# Every level scattered, or every level transformed, in place of the
+# per-level choice of regularity._scatter_cheaper
+FORCED_PLANS = {"scatter": lambda *args: True,
+                "transform": lambda *args: False}
+
+
+def forced_profile(code, plan):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_scatter_cheaper", FORCED_PLANS[plan])
+        return SyndromeProfile(code)
+
+
 def assert_matches_loops(code, prof=None, label=""):
-    """The profile (prof, when it is already built) against the loops."""
-    prof = prof if prof is not None else SyndromeProfile(code)
+    """The profile (prof, when it is already built) with its chosen mix
+    of scattered and transformed levels, and the profiles with every
+    level scattered and every level transformed, against the loops."""
     levels, down, up = loop_profile(code)
-    got_down, got_up = prof.neighbor_level_counts()
-    assert np.array_equal(prof.levels, levels), label
-    assert np.array_equal(got_down, down), label
-    assert np.array_equal(got_up, up), label
-    assert prof.rho == int(levels.max()), label
     vals, counts = np.unique(levels, return_counts=True)
-    assert prof.level_coset_counts == dict(zip(vals.tolist(),
-                                               counts.tolist())), label
+    profs = {"chosen": prof if prof is not None else SyndromeProfile(code)}
+    profs.update((plan, forced_profile(code, plan)) for plan in FORCED_PLANS)
+    for plan, prof in profs.items():
+        got_down, got_up = prof.neighbor_level_counts()
+        assert np.array_equal(prof.levels, levels), (label, plan)
+        assert np.array_equal(got_down, down), (label, plan)
+        assert np.array_equal(got_up, up), (label, plan)
+        assert prof.rho == int(levels.max()), (label, plan)
+        assert prof.level_coset_counts == dict(
+            zip(vals.tolist(), counts.tolist())), (label, plan)
+    # a transformed level costs two transforms, plus F(1_D) once
+    rho = profs["transform"].rho
+    assert profs["transform"].transforms == (2 * rho + 1 if rho else 0)
+    assert profs["transform"].scattered_pairs == 0
+    assert profs["scatter"].transforms == 0
 
 
 def test_kernel_matches_loops_on_grid(family_grid):
@@ -489,6 +510,32 @@ def test_kernel_matches_loops_on_random_codes():
             code = random_code(f, n, k, seed=seed)
             assert_matches_loops(code, label=(q, seed))
             assert_matches_loops(code.dual(), label=(q, seed, "dual"))
+
+
+def test_kernel_matches_loops_past_the_counted_spaces():
+    """Spaces over regularity._COUNTED syndromes scatter by fancy-index
+    adds, one shift to a run of cells or every shift to one cell: odd p,
+    prime and extension fields, and p = 2."""
+    for i, (q, n, k) in enumerate(((3, 12, 2), (9, 7, 2), (5, 9, 2),
+                                   (2, 19, 3))):
+        code = random_q_code(q, n, k, 1800 + i)
+        assert code.q ** (code.n - code.k) > regularity._COUNTED
+        assert_matches_loops(code, label=(q, n, k))
+
+
+def test_kernel_counts_at_the_count_dtype_limits():
+    """Counts are held in the smallest signed dtype that holds |D|: the
+    single-check codes of length 128 over GF(2) and GF(257) have
+    |D| = 2^7 and 2^15, the up count of level 0, one past int8 and
+    int16."""
+    for q, n in ((2, 128), (257, 128)):
+        f = field_create(q, 1)
+        code = LinearCode.from_rows(f, [(1,) * n]).dual()
+        total = n * (q - 1)
+        assert total == 1 << (7 if q == 2 else 15)
+        prof = SyndromeProfile(code)
+        assert int(prof.neighbor_level_counts()[1][0]) == total
+        assert_matches_loops(code, prof, label=(q, n))
 
 
 def test_kernel_matches_loops_past_the_int32_buffers():
@@ -546,7 +593,8 @@ def test_q64_families_completely_regular():
 
 def test_profile_memory_of_the_2_18_two_weight_side():
     """The [8,2]_8 two-weight side of mds-dual(8, 8): 2^18 syndromes,
-    rho = 6, eleven transforms; profile plus counts stay under 16 MB."""
+    rho = 6, three transforms (eleven when only level 0 was scattered);
+    profile plus counts stay under 16 MB."""
     code = families.cr3_mds_dual(8, 8).two_weight_code
     code.dual()
     tracemalloc.start()
@@ -558,3 +606,57 @@ def test_profile_memory_of_the_2_18_two_weight_side():
         tracemalloc.stop()
     assert (prof.size, prof.rho) == (1 << 18, 6)
     assert peak < 16 << 20
+
+
+def test_profile_counters_on_the_2_18_two_weight_side():
+    """Levels 1, 56, 1372, 19208, 142345, 99092, 70: the steps from the
+    first four levels scatter them, the step from 142345 cosets is
+    transformed (F(1_D), forward, inverse), and the last step scatters
+    the 70 unreached cells.  With only level 0 scattered the profile took
+    eleven transforms."""
+    code = families.cr3_mds_dual(8, 8).two_weight_code
+    prof = SyndromeProfile(code)
+    assert list(prof.level_coset_counts.values()) == [
+        1, 56, 1372, 19208, 142345, 99092, 70]
+    assert prof.transforms == 3
+    assert prof.scattered_pairs == 56 * (1 + 56 + 1372 + 19208 + 70)
+
+
+def test_profile_counters_on_census_sized_codes():
+    """Census-sized spaces scatter every level: no transform runs, and
+    each step scatters the smaller of its level and the unreached rest."""
+    f = field_create(3, 1)
+    for code in (LinearCode.from_rows(f, [(1, 0, 1, 1, 2), (0, 1, 1, 2, 2)]),
+                 random_q_code(4, 6, 3, 1700), random_q_code(5, 5, 2, 1701)):
+        prof = SyndromeProfile(code)
+        counts = list(prof.level_coset_counts.values())
+        rests = [prof.size - sum(counts[:j + 1]) for j in range(prof.rho)]
+        assert prof.transforms == 0, code
+        assert prof.scattered_pairs == len(prof.deltas) * sum(
+            min(level, rest) for level, rest in zip(counts, rests)), code
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduction_matches_python_mod_at_the_dtype_limits(p):
+    """_reduce is x mod P for every x from P - 1 above the dtype's
+    minimum up to its maximum, with the moduli that _ring picks for
+    int32 and for int64 buffers, smallest and largest."""
+    from crlab.regularity import _reduce, _ring
+    rings = {}
+    for bits in range(1, 64):
+        try:
+            P, _, dtype = _ring(p, bits)
+        except ValueError:
+            break
+        rings.setdefault(dtype, []).append(P)
+    rng = np.random.default_rng(p)
+    for dtype, moduli in rings.items():
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        for P in (moduli[0], moduli[-1]):
+            edge = np.arange(min(2 * P, 1 << 16))
+            values = np.concatenate([
+                hi - edge, lo + P - 1 + edge, edge - P,
+                rng.integers(lo + P - 1, hi, 1000, endpoint=True)])
+            x = values.astype(dtype)
+            _reduce(x, P, np.empty_like(x))
+            assert x.tolist() == [v % P for v in values.tolist()], (dtype, P)
