@@ -191,9 +191,8 @@ def cmd_report(args, parser) -> int:
     parsed = fileio.read_gfc(args.file)
     report = build_code_report(parsed.code, warnings=parsed.warnings)
     if args.as_json:
-        doc = fileio.report_to_dict(report)
-        fileio.validate_report_dict(doc)
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(fileio.report_to_dict(report), sort_keys=True,
+                         indent=2))
         return 0
     for w in report.warnings:
         print(f"warning: {w}")

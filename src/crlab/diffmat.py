@@ -94,13 +94,14 @@ def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     if M.size and (M.min() < 0 or M.max() >= q):
         return False
     rows = normalize_dm(DifferenceMatrix(group_field, side // q, M)).entries
-    if (len({r.tobytes() for r in rows}) < side
-            or not is_additive_group(rows, group_field)):
+    if _group_order(rows, group_field) != side:
         return _pairwise_is_difference_matrix(M.astype(np.intp, copy=False),
                                               group_field)
     # row 0 is zero; each other row, sorted, must read 0^mu 1^mu ...
+    # (rows is normalize_dm's own copy, so it is sorted in place)
+    rows[1:].sort(axis=1, kind="stable")
     balanced = np.repeat(np.arange(q, dtype=rows.dtype), side // q)
-    return bool((np.sort(rows[1:], axis=1, kind="stable") == balanced).all())
+    return bool((rows[1:] == balanced).all())
 
 
 def _pairwise_is_difference_matrix(M: np.ndarray, group_field) -> bool:
@@ -125,25 +126,45 @@ def _pairwise_is_difference_matrix(M: np.ndarray, group_field) -> bool:
 
 
 def is_additive_group(rows, f: FieldSpec) -> bool:
-    """Whether the set of rows (vectors over GF(q)) is an additive group:
-    its span, grown one generator at a time with digit_add, must never
-    outgrow the row set, and ends equal to it (it holds every row, so
-    only an empty row set fails that test)."""
-    rows = np.asarray(rows).astype(np.min_scalar_type(-2 * f.q))
-    members = {r.tobytes() for r in rows}
-    span = np.zeros((1, rows.shape[-1]), dtype=rows.dtype)
-    seen = {span.tobytes()}
+    """Whether the set of rows (vectors over GF(q)) is an additive group."""
+    rows = np.asarray(rows).astype(np.min_scalar_type(-2 * f.q), copy=False)
+    return _group_order(rows, f) > 0
+
+
+def _group_order(rows: np.ndarray, f: FieldSpec) -> int:
+    """The order of the additive group that the set of rows (in a dtype
+    digit_add accepts) forms, or 0 when it is not a group.  The span,
+    grown one generator at a time with digit_add, must stay inside the
+    row set: it is held as row positions, and each new coset is formed a
+    block of rows at a time and looked up in the one map from row bytes
+    to position, so the rows are keyed once and never copied whole."""
+    index = {r.tobytes(): i for i, r in enumerate(rows)}
+    zero = index.get(np.zeros(rows.shape[-1], dtype=rows.dtype).tobytes())
+    if zero is None:
+        return 0
+    span = np.array([zero])
+    in_span = np.zeros(len(rows), dtype=bool)
+    in_span[zero] = True
+    block = max(1, (1 << 16) // max(1, rows.shape[-1]))
     for r in rows:
-        if r.tobytes() in seen:
+        if in_span[index[r.tobytes()]]:
             continue
-        if len(seen) * f.p > len(members):
-            return False
+        if len(span) * f.p > len(index):
+            return 0
         cosets = [span]
         for _ in range(f.p - 1):
-            cosets.append(digit_add(cosets[-1], r, f.p, f.m))
+            found = []
+            for lo in range(0, len(span), block):
+                for c in digit_add(rows[cosets[-1][lo:lo + block]], r,
+                                   f.p, f.m):
+                    pos = index.get(c.tobytes())
+                    if pos is None:
+                        return 0
+                    found.append(pos)
+            cosets.append(np.array(found))
         span = np.concatenate(cosets)
-        seen = {c.tobytes() for c in span}
-    return len(seen) == len(members)
+        in_span[span] = True
+    return len(index)
 
 
 def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> np.ndarray:
@@ -224,7 +245,8 @@ def normalize_dm(dm: DifferenceMatrix) -> DifferenceMatrix:
     row is subtracted from every row.  Idempotent; the entries come back
     in the smallest signed dtype that digit_add accepts."""
     f = dm.group_field
-    ent = np.asarray(dm.entries).astype(np.min_scalar_type(-2 * f.q))
+    ent = np.asarray(dm.entries).astype(np.min_scalar_type(-2 * f.q),
+                                        copy=False)
     ent = digit_add(ent, ent[:, :1], f.p, f.m, -1)
     return DifferenceMatrix(f, dm.mu, digit_add(ent, ent[:1], f.p, f.m, -1))
 

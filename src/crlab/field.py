@@ -94,8 +94,10 @@ def digit_add(a, b, p: int, ndigits: int, sign: int = 1):
     out = 0
     place = 1
     for _ in range(ndigits):
-        # a // place and b // place agree with the wanted digits mod p
-        out += (a // place + sign * (b // place)) % p * place
+        # a // place and b // place agree with the wanted digits mod p;
+        # s - s // p * p is s mod p, and on arrays it is cheaper than %
+        s = a // place + sign * (b // place)
+        out += (s - s // p * p) * place
         place *= p
     return out
 

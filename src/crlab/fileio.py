@@ -17,7 +17,12 @@ matrix parses with a warning and reports run on its row-space basis.
     <q*mu rows of q*mu integers in [0, p^l)>
 
 Report JSON is schema-versioned ({"schema": 1}); all numeric values are
-exact integers, rationals appear as "num/den" strings.
+exact integers, rationals appear as "num/den" strings.  REPORT_SCHEMA
+describes every key report_to_dict writes.  ``crlab report --json`` does
+not validate its own output: the schema is a contract checked by the
+tests (every report the family grid admits) and by CI on the installed
+console script, so jsonschema is a test dependency and is imported only
+by validate_report_dict.
 """
 
 from __future__ import annotations
@@ -155,8 +160,8 @@ REPORT_SCHEMA = {
     "required": ["schema", "n", "k", "q", "d", "e", "weight_distribution",
                  "dual_weights", "rho", "external_distance",
                  "intersection_array", "completely_regular",
-                 "antipodal_dual", "uniformly_packed", "oa_strength",
-                 "family_matches", "conditions"],
+                 "cr_violation", "antipodal_dual", "uniformly_packed",
+                 "oa_strength", "family_matches", "conditions", "warnings"],
     "properties": {
         "schema": {"const": 1},
         "n": {"type": "integer"},
@@ -186,6 +191,25 @@ REPORT_SCHEMA = {
             ]
         },
         "completely_regular": {"type": "boolean"},
+        "cr_violation": {
+            "oneOf": [
+                {"type": "null"},
+                {
+                    "type": "object",
+                    "required": ["level", "syndrome_a", "counts_a",
+                                 "syndrome_b", "counts_b"],
+                    "properties": {
+                        "level": {"type": "integer"},
+                        "syndrome_a": {"type": "integer"},
+                        "counts_a": {"type": "array",
+                                     "items": {"type": "integer"}},
+                        "syndrome_b": {"type": "integer"},
+                        "counts_b": {"type": "array",
+                                     "items": {"type": "integer"}},
+                    },
+                },
+            ]
+        },
         "antipodal_dual": {"type": "boolean"},
         "uniformly_packed": {"type": "boolean"},
         "oa_strength": {"type": ["integer", "null"]},

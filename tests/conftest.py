@@ -21,6 +21,22 @@ GRID_SPEC = (
        for (q, h) in ((8, 2), (8, 4), (16, 2), (16, 4), (16, 8))]
 )
 
+# The families of the benchmark's `construct` workload
+# (perfbench/workloads.py::CONSTRUCT), restated.
+CONSTRUCT_SPEC = (
+    [("bose-bush", {"q": 32})]
+    + [("denniston", {"q": 32, "h": h}) for h in (2, 4, 8)]
+    + [("delsarte", {"q": 16}), ("ext-hamming", {"m": 8}),
+       ("mds-dual", {"q": 25, "n": 25}), ("mds-dual", {"q": 27, "n": 27})]
+    + [("dm-dual", {"p": p, "l": l, "h": h})
+       for (p, l, h) in ((2, 2, 4), (2, 3, 3), (3, 1, 2), (5, 1, 1))]
+)
+
+# The benchmark's `report` random codes, (p, m, n, k)
+# (perfbench/workloads.py::RANDOM_CODES), restated; the workload seeds
+# code i of run seed s with s * 100 + i.
+RANDOM_CODE_SHAPES = ((3, 1, 10, 5), (2, 2, 8, 4), (5, 1, 7, 3), (7, 1, 6, 3))
+
 
 def build_instance(kind, params):
     if kind == "ext-hamming":

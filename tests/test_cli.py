@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import crlab
-from crlab import cli, fileio
-from crlab.families import cr4_bose_bush
+from conftest import CONSTRUCT_SPEC, RANDOM_CODE_SHAPES, build_instance
+from crlab import budgets, cli, fileio
+from crlab.families import cr4_bose_bush, random_multiweight_code
 from crlab.field import field_create
 from crlab.codes import LinearCode
 from crlab.diffmat import DifferenceMatrix
 from crlab.matrix import MatGF
+from crlab.report import build_code_report
 
 
 def run(args):
@@ -282,34 +284,106 @@ def test_dual_command(tmp_path, capsys):
     assert (parsed.code.n, parsed.code.k) == (4, 3)
 
 
-def test_report_non_cr_code_shows_witness(tmp_path, capsys):
-    # duplicated column makes the lengthened code non-regular
+def damaged_ext_hamming() -> LinearCode:
+    """The [8,4]_2 extended Hamming code lengthened by a duplicated
+    column, which makes it not completely regular."""
     from crlab.families import cr1_extended_hamming
     eh = cr1_extended_hamming(3).cr_code
-    f = eh.field
     rows = [[r[0]] + r for r in eh.G.rows.tolist()]
+    return LinearCode(eh.field, MatGF(eh.field, rows))
+
+
+def test_report_non_cr_code_shows_witness(tmp_path, capsys):
     path = tmp_path / "damaged.gfc"
-    fileio.write_gfc(path, LinearCode(f, MatGF(f, rows)))
+    fileio.write_gfc(path, damaged_ext_hamming())
     assert run(["report", str(path)]) == 0
     text = capsys.readouterr().out
     assert "completely regular: False" in text
     assert "violating coset pair" in text
 
 
-def test_reports_of_all_family_instances_validate(family_grid):
-    """Schema validation plus determinism for every grid instance: the
-    completely regular side always, the two-weight side whenever its
-    syndrome space is desk-sized."""
-    from crlab.report import build_code_report
+def validated_report_json(code) -> str:
+    """The text `crlab report --json` prints for code, after checking
+    that REPORT_SCHEMA accepts the document it parses to."""
+    text = report_to_json(build_code_report(code))
+    fileio.validate_report_dict(json.loads(text))
+    return text
+
+
+def admitted_report_sides(codes, monkeypatch) -> list:
+    """validated_report_json of each code the default budgets admit;
+    None for each one they refuse."""
+    monkeypatch.delenv(budgets.ENUM_BUDGET_VAR, raising=False)
+    monkeypatch.delenv(budgets.SYND_BUDGET_VAR, raising=False)
+    texts = []
+    for code in codes:
+        try:
+            texts.append(validated_report_json(code))
+        except budgets.BudgetExceeded:
+            texts.append(None)
+    return texts
+
+
+def test_reports_of_all_family_instances_validate(family_grid, monkeypatch):
+    """The schema accepts the report JSON of every grid side the default
+    budgets admit: 60 of the 68, every completely regular side among
+    them; the same text comes back on a second build."""
+    admitted = 0
     for entry in family_grid:
-        reports = [build_code_report(entry.cr)]
-        if entry.tw.q ** (entry.tw.n - entry.tw.k) <= 1 << 16:
-            reports.append(build_code_report(entry.tw))
-        for rep in reports:
-            doc = fileio.report_to_dict(rep)
-            fileio.validate_report_dict(doc)
-        again = report_to_json(build_code_report(entry.cr))
-        assert again == report_to_json(reports[0]), entry.label
+        tw, cr = admitted_report_sides((entry.tw, entry.cr), monkeypatch)
+        assert cr is not None, entry.label
+        assert report_to_json(build_code_report(entry.cr)) == cr, entry.label
+        admitted += 1 + (tw is not None)
+    assert (admitted, 2 * len(family_grid)) == (60, 68)
+
+
+def test_reports_of_construct_sides_validate(monkeypatch):
+    """Every completely regular side of the construct workload's families
+    reports valid JSON; their two-weight sides are all over the budget."""
+    for kind, params in CONSTRUCT_SPEC:
+        inst = build_instance(kind, params)
+        tw, cr = admitted_report_sides(
+            (inst.two_weight_code, inst.cr_code), monkeypatch)
+        assert tw is None and cr is not None, (kind, params)
+
+
+def test_reports_of_random_codes_validate(monkeypatch):
+    """Both sides of the report workload's random codes at run seeds
+    1..5."""
+    codes = []
+    for seed in range(1, 6):
+        for i, (p, m, n, k) in enumerate(RANDOM_CODE_SHAPES):
+            code = random_multiweight_code(field_create(p, m), n, k,
+                                           seed=seed * 100 + i)
+            codes += [code, code.dual()]
+    assert None not in admitted_report_sides(codes, monkeypatch)
+
+
+def test_report_schema_describes_cr_violation():
+    """cr_violation and warnings are required keys; a cr_violation that
+    is neither null nor a well-formed witness is rejected."""
+    import jsonschema
+    doc = json.loads(report_to_json(build_code_report(damaged_ext_hamming())))
+    fileio.validate_report_dict(doc)
+    witness = doc["cr_violation"]
+    assert sorted(witness) == ["counts_a", "counts_b", "level",
+                               "syndrome_a", "syndrome_b"]
+    for key in ("cr_violation", "warnings"):
+        missing = dict(doc)
+        del missing[key]
+        with pytest.raises(jsonschema.ValidationError, match=key):
+            fileio.validate_report_dict(missing)
+    bad_witnesses = [
+        "none",
+        {k: v for k, v in witness.items() if k != "level"},
+        dict(witness, syndrome_a="3"),
+        dict(witness, counts_b=[1, "2"]),
+        dict(witness, counts_a=7),
+    ]
+    for bad in bad_witnesses:
+        with pytest.raises(jsonschema.ValidationError):
+            fileio.validate_report_dict(dict(doc, cr_violation=bad))
+    fileio.validate_report_dict(dict(doc, cr_violation=None))
 
 
 def test_complement_command(tmp_path, capsys):
@@ -355,15 +429,20 @@ def test_search_argument_errors_exit_2(argv, name, capsys):
     assert f"error: {name} must be >= " in capsys.readouterr().err
 
 
+def _fresh_interpreter(script, argv, cwd, text=True):
+    """script run by a new interpreter with argv as sys.argv[1:]."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=text,
+                          timeout=120)
+
+
 def _first_in_fresh_process(argv, cwd) -> tuple:
     """(exit code, stdout, stderr) of argv as the first crlab call of a
     new interpreter, as the console script makes it."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
-    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from crlab.cli import main; sys.exit(main())", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    proc = _fresh_interpreter(
+        "import sys; from crlab.cli import main; sys.exit(main())", argv, cwd)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -396,3 +475,25 @@ def test_parser_reuse_leaks_no_state(calls, tmp_path, capsys, monkeypatch):
     assert results[-1][0] == 0
     for argv, result in zip(calls, results):
         assert result == _first_in_fresh_process(argv, tmp_path), argv
+
+
+def test_report_json_runs_without_jsonschema(tmp_path, capsys):
+    """`report --json` neither needs nor imports jsonschema: with the
+    module blocked it prints the bytes it prints in this process, and an
+    unblocked call leaves it unimported."""
+    path = tmp_path / "damaged.gfc"
+    fileio.write_gfc(path, damaged_ext_hamming())
+    argv = ["report", str(path), "--json"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out.encode()
+    blocked = _fresh_interpreter(
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from crlab.cli import main; sys.exit(main())",
+        argv, tmp_path, text=False)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == want
+    unblocked = _fresh_interpreter(
+        "import sys; from crlab.cli import main\n"
+        "rc = main(); assert 'jsonschema' not in sys.modules; sys.exit(rc)",
+        argv, tmp_path)
+    assert unblocked.returncode == 0, unblocked.stderr

@@ -174,6 +174,23 @@ def test_side_4096_is_held_once_in_one_byte_entries():
     assert peak < dm.entries.nbytes + (2 << 20)
 
 
+def test_side_4096_check_keys_the_rows_once():
+    """`dm --verify` at side 4096 holds the normalized rows and one map
+    from row bytes to position, about 2 x 16 MB at its peak (a second
+    row set and a second copy of the rows took it past 100 MB); the
+    matrix it is given is left as it was."""
+    dm = difference_matrix(2, 6, 6)
+    before = dm.entries.copy()
+    tracemalloc.start()
+    try:
+        assert is_difference_matrix(dm.entries, dm.group_field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dm.entries.nbytes
+    assert np.array_equal(dm.entries, before)
+
+
 def _naive_is_difference_matrix(entries, f):
     rows = [tuple(int(x) for x in r) for r in entries]
     side = len(rows)

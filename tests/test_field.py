@@ -186,6 +186,38 @@ def test_digit_add_matches_field(p, m):
             for u, v in zip(us, vs)] == want
 
 
+def _digit_add_by_remainder(a, b, p, ndigits, sign):
+    """digit_add restated with % (np.remainder on arrays)."""
+    out = 0
+    place = 1
+    for _ in range(ndigits):
+        out += (a // place + sign * (b // place)) % p * place
+        place *= p
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2), (11, 2), (13, 2)])
+def test_digit_add_floor_division_matches_remainder(p, m):
+    """The floor-division reduction equals % at odd p for every pair of
+    elements and both signs: on Python ints, and on int64 and the
+    smallest signed dtype, where sign = -1 makes negative digit sums."""
+    q = p ** m
+    pairs = list(itertools.product(range(q), repeat=2))
+    for sign in (1, -1):
+        want = [_digit_add_by_remainder(x, y, p, m, sign) for x, y in pairs]
+        assert [digit_add(x, y, p, m, sign) for x, y in pairs] == want
+        for dtype in (np.int64, np.min_scalar_type(-2 * q)):
+            a = np.array([x for x, _ in pairs], dtype=dtype)
+            b = np.array([y for _, y in pairs], dtype=dtype)
+            got = digit_add(a, b, p, m, sign)
+            assert got.dtype == dtype
+            assert got.tolist() == want
+            if sign == -1:
+                assert (a // p - b // p).min() < 0
+                assert np.array_equal(digit_add(0, b, p, m, -1),
+                                      _digit_add_by_remainder(0, b, p, m, -1))
+
+
 def test_pow_conventions():
     f = field_create(2, 3)
     assert f.pow(0, 0) == 1

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import build_instance
+from conftest import CONSTRUCT_SPEC, RANDOM_CODE_SHAPES, build_instance
 
 from crlab import budgets, families, regularity
 from crlab.codes import CodewordMatrix, LinearCode
@@ -335,11 +335,9 @@ def random_q_code(q, n, k, seed):
 
 
 def test_brute_matches_loop_on_benchmark_sides():
-    """The `report` workload's random-code shapes
-    (perfbench/workloads.py::RANDOM_CODES), code and dual, at its seed-1
-    seeds; none is completely regular, so each pins a violation."""
-    for i, (p, m, n, k) in enumerate(((3, 1, 10, 5), (2, 2, 8, 4),
-                                      (5, 1, 7, 3), (7, 1, 6, 3))):
+    """The `report` workload's random-code shapes, code and dual, at its
+    seed-1 seeds; none is completely regular, so each pins a violation."""
+    for i, (p, m, n, k) in enumerate(RANDOM_CODE_SHAPES):
         code = families.random_multiweight_code(field_create(p, m), n, k,
                                                 seed=100 + i)
         for side in (code, code.dual()):
@@ -479,20 +477,10 @@ def test_kernel_matches_loops_on_grid(family_grid):
     assert checked >= 50
 
 
-# The `construct` workload's families (perfbench/workloads.py::CONSTRUCT);
-# only their completely regular sides have at most 2^21 syndromes.
-CONSTRUCT_SIDES = (
-    [("bose-bush", {"q": 32})]
-    + [("denniston", {"q": 32, "h": h}) for h in (2, 4, 8)]
-    + [("delsarte", {"q": 16}), ("ext-hamming", {"m": 8}),
-       ("mds-dual", {"q": 25, "n": 25}), ("mds-dual", {"q": 27, "n": 27})]
-    + [("dm-dual", {"p": p, "l": l, "h": h})
-       for (p, l, h) in ((2, 2, 4), (2, 3, 3), (3, 1, 2), (5, 1, 1))]
-)
-
-
 def test_kernel_matches_loops_on_construct_sides():
-    for kind, params in CONSTRUCT_SIDES:
+    """Only the completely regular sides of the construct families have
+    at most 2^21 syndromes."""
+    for kind, params in CONSTRUCT_SPEC:
         inst = build_instance(kind, params)
         for code in (inst.cr_code, inst.two_weight_code):
             if code.q ** (code.n - code.k) <= 1 << 21:
