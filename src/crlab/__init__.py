@@ -9,8 +9,8 @@ from .codes import (CodewordMatrix, LinearCode, WeightDistribution,
                     projective_dual_transform)
 from .regularity import (IntersectionArray, brute_subconstituents,
                          complete_regularity, covering_radius,
-                         external_distance, oa_strength, syndrome_profile,
-                         up_wide_check)
+                         delsarte_ia, external_distance, oa_strength,
+                         syndrome_profile, up_wide_check)
 from .diffmat import (DifferenceMatrix, difference_matrix, dm_code,
                       is_difference_matrix, normalize_dm)
 from .conditions import (gray_rankin, power_decomposition, two_weight_counts,
@@ -19,7 +19,7 @@ from .conditions import (gray_rankin, power_decomposition, two_weight_counts,
 from .families import (FamilyInstance, antipodal_form_check, bush_closed_form_matrix,
                        cr1_extended_hamming, cr2_dm_dual, cr3_mds_dual,
                        cr4_bose_bush, cr5_delsarte, cr6_denniston, family_match,
-                       ia_formula, simplex_partition)
+                       simplex_partition)
 from .search import classify_report, search_antipodal_duals, search_arcs
 from .report import CodeReport, build_code_report
 
@@ -31,7 +31,7 @@ __all__ = [
     "complementary_code", "equidistant_check", "is_antipodal_two_weight",
     "is_projective", "macwilliams", "projective_dual_transform",
     "IntersectionArray", "brute_subconstituents", "complete_regularity",
-    "covering_radius", "external_distance", "oa_strength",
+    "covering_radius", "delsarte_ia", "external_distance", "oa_strength",
     "syndrome_profile", "up_wide_check",
     "DifferenceMatrix", "difference_matrix", "dm_code",
     "is_difference_matrix", "normalize_dm",
@@ -39,7 +39,7 @@ __all__ = [
     "plotkin", "cardinality_window_check", "complement_valuation_check",
     "FamilyInstance", "antipodal_form_check", "bush_closed_form_matrix",
     "cr1_extended_hamming", "cr2_dm_dual", "cr3_mds_dual", "cr4_bose_bush",
-    "cr5_delsarte", "cr6_denniston", "family_match", "ia_formula",
+    "cr5_delsarte", "cr6_denniston", "family_match",
     "simplex_partition",
     "classify_report", "search_antipodal_duals", "search_arcs",
     "CodeReport", "build_code_report",

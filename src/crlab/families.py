@@ -3,7 +3,9 @@ and antipodal dual, plus the structural checkers that certify them.
 
 Each constructor returns a FamilyInstance holding the two-weight code
 (the antipodal side), its completely regular dual, and the predicted
-weight set and intersection array.  Predictions are verified by the test
+weight set; the dual's intersection array follows from those by
+Delsarte's closed form (:func:`crlab.regularity.delsarte_ia`), the same
+for all six families.  Predictions are verified by the test
 suite, not silently trusted at construction; the cheap structural
 safety nets (column counts, weight sets of the small side, the CR.2
 dimension) do run here.  CR.2 is built from the all-ones row and u/l
@@ -26,7 +28,7 @@ from .diffmat import (DifferenceMatrix, is_additive_group,
                       is_difference_matrix, shortening)
 from .field import FieldSpec, field_create, prime_power
 from .matrix import MatGF
-from .regularity import IntersectionArray
+from .regularity import IntersectionArray, delsarte_ia
 
 
 @dataclass(frozen=True)
@@ -36,12 +38,19 @@ class FamilyInstance:
     two_weight_code: LinearCode
     cr_code: LinearCode
     predicted_weights: frozenset     # {d, n} of the two-weight side
-    predicted_ia: IntersectionArray
     notes: tuple = dc_field(default_factory=tuple)
 
     @property
     def q(self) -> int:
         return self.two_weight_code.q
+
+    @property
+    def predicted_ia(self) -> IntersectionArray:
+        """The dual's intersection array by Delsarte's closed form: its
+        redundancy is the two-weight side's dimension and its packing
+        radius 1."""
+        tw = self.two_weight_code
+        return delsarte_ia(tw.n, tw.q, tw.k, 1, self.predicted_weights)
 
     def __repr__(self):
         return (f"FamilyInstance({self.family}, {self.params}, "
@@ -58,38 +67,6 @@ def _char2_field(q: int) -> FieldSpec:
     if q < 4 or q & (q - 1):
         raise ValueError(f"need q = 2^m >= 4, got {q}")
     return field_create(2, q.bit_length() - 1)
-
-
-def ia_formula(family: str, **params) -> IntersectionArray:
-    """The predicted intersection array of the completely regular dual."""
-    if family == "CR1":
-        n = 2 ** params["m"]
-        return IntersectionArray(2, (n, n - 1), (1, n), n=n, q=2)
-    if family == "CR2":
-        q, n = params["q"], params["n"]
-        return IntersectionArray(2, (n * (q - 1), n - 1),
-                                 (1, n * (q - 1)), n=n, q=q)
-    if family == "CR3":
-        q, n = params["q"], params["n"]
-        return IntersectionArray(2, (n * (q - 1), (q - n + 1) * (n - 1)),
-                                 (1, n * (n - 1)), n=n, q=q)
-    if family == "CR4":
-        q = params["q"]
-        return IntersectionArray(2, ((q + 2) * (q - 1), q * q - 1),
-                                 (1, q + 2), n=q + 2, q=q)
-    if family == "CR5":
-        q = params["q"]
-        n = q * (q - 1) // 2
-        return IntersectionArray(
-            2, ((q - 1) * n, (q - 2) * (q + 1) * (q + 2) // 4),
-            (1, q * (q - 1) * (q - 2) // 4), n=n, q=q)
-    if family == "CR6":
-        q, h = params["q"], params["h"]
-        n = 1 + (q + 1) * (h - 1)
-        return IntersectionArray(
-            2, ((q - 1) * n, (q + 1) * (h - 1) * (q - h + 1)),
-            (1, (h - 1) * n), n=n, q=q)
-    raise ValueError(f"unknown family {family!r}")
 
 
 # -- CR.1: duals of binary Hadamard codes (extended Hamming) ---------------
@@ -112,7 +89,6 @@ def cr1_extended_hamming(m: int) -> FamilyInstance:
         family="CR1", params={"m": m},
         two_weight_code=tw, cr_code=tw.dual(),
         predicted_weights=frozenset({n // 2, n}),
-        predicted_ia=ia_formula("CR1", m=m),
         notes=notes)
 
 
@@ -153,7 +129,6 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
         family="CR2", params={"p": p, "l": l, "h": h, "q": q},
         two_weight_code=tw, cr_code=tw.dual(),
         predicted_weights=frozenset({mu * (q - 1), n}),
-        predicted_ia=ia_formula("CR2", q=q, n=n),
         notes=notes)
 
 
@@ -176,7 +151,6 @@ def cr3_mds_dual(q: int, n: int) -> FamilyInstance:
         family="CR3", params={"q": q, "n": n},
         two_weight_code=tw, cr_code=tw.dual(),
         predicted_weights=frozenset({n - 1, n}),
-        predicted_ia=ia_formula("CR3", q=q, n=n),
         notes=notes)
 
 
@@ -201,8 +175,7 @@ def cr4_bose_bush(q: int) -> FamilyInstance:
     return FamilyInstance(
         family="CR4", params={"q": q},
         two_weight_code=tw, cr_code=tw.dual(),
-        predicted_weights=frozenset({q, q + 2}),
-        predicted_ia=ia_formula("CR4", q=q))
+        predicted_weights=frozenset({q, q + 2}))
 
 
 def bush_closed_form_matrix(q: int) -> MatGF:
@@ -260,7 +233,6 @@ def cr5_delsarte(q: int) -> FamilyInstance:
         family="CR5", params={"q": q},
         two_weight_code=tw, cr_code=tw.dual(),
         predicted_weights=frozenset(want),
-        predicted_ia=ia_formula("CR5", q=q),
         notes=notes)
 
 
@@ -320,7 +292,6 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
         family="CR6", params={"q": q, "h": h},
         two_weight_code=tw, cr_code=tw.dual(),
         predicted_weights=frozenset(want),
-        predicted_ia=ia_formula("CR6", q=q, h=h),
         notes=notes)
 
 
@@ -559,54 +530,34 @@ def family_match(n: int, k: int, q: int, dual_weights,
     """Every family whose parameters fit an [n, k]_q code whose dual has
     the nonzero weights dual_weights (iterable) and whose intersection
     array is ia (None matches any array).  Matching is parameter-level,
-    not monomial-equivalence-level.  Returns (family, params) pairs."""
+    not monomial-equivalence-level.  Returns (family, params) pairs.
+
+    Every family predicts the closed-form array with packing radius 1,
+    computed only once some family's parameters fit."""
     dual_weights = frozenset(dual_weights)
+    m = n - k - 1           # the dual's dimension less one
     out = []
-
-    def ia_fits(predicted: IntersectionArray) -> bool:
-        return ia is None or ia.same_array(predicted)
-
-    if q == 2 and n >= 4 and (n & (n - 1)) == 0:
-        m = n.bit_length() - 1
-        if k == n - m - 1 and dual_weights == frozenset({n // 2, n}) \
-                and ia_fits(ia_formula("CR1", m=m)):
-            out.append(("CR1", {"m": m}))
-
-    nm = n
-    m = 0
-    while nm % q == 0:
-        nm //= q
-        m += 1
-    if nm == 1 and m >= 1:
-        mu = n // q
-        if k == n - m - 1 and dual_weights == frozenset({mu * (q - 1), n}) \
-                and ia_fits(ia_formula("CR2", q=q, n=n)):
-            out.append(("CR2", {"q": q, "m": m}))
-
-    if 2 <= n <= q and k == n - 2 \
-            and dual_weights == frozenset({n - 1, n}) \
-            and ia_fits(ia_formula("CR3", q=q, n=n)):
+    if q == 2 and m >= 2 and n == 2 ** m \
+            and dual_weights == frozenset({n // 2, n}):
+        out.append(("CR1", {"m": m}))
+    if m >= 1 and n == q ** m \
+            and dual_weights == frozenset({n // q * (q - 1), n}):
+        out.append(("CR2", {"q": q, "m": m}))
+    if m == 1 and 2 <= n <= q and dual_weights == frozenset({n - 1, n}):
         out.append(("CR3", {"q": q, "n": n}))
-
-    is_2power = q >= 4 and (q & (q - 1)) == 0
-    if is_2power and n == q + 2 and k == q - 1 \
-            and dual_weights == frozenset({q, q + 2}) \
-            and ia_fits(ia_formula("CR4", q=q)):
-        out.append(("CR4", {"q": q}))
-
-    if is_2power and n == q * (q - 1) // 2 and k == n - 3 \
-            and dual_weights == frozenset({q * (q - 2) // 2, n}) \
-            and ia_fits(ia_formula("CR5", q=q)):
-        out.append(("CR5", {"q": q}))
-
-    if is_2power and k == n - 3:
-        h = 2
-        while h <= q // 2:
+    if m == 2 and q >= 4 and q & (q - 1) == 0:
+        if n == q + 2 and dual_weights == frozenset({q, q + 2}):
+            out.append(("CR4", {"q": q}))
+        if n == q * (q - 1) // 2 \
+                and dual_weights == frozenset({q * (q - 2) // 2, n}):
+            out.append(("CR5", {"q": q}))
+        for h in (1 << u for u in range(1, q.bit_length() - 1)):
             if n == 1 + (q + 1) * (h - 1) \
-                    and dual_weights == frozenset({q * (h - 1), n}) \
-                    and ia_fits(ia_formula("CR6", q=q, h=h)):
+                    and dual_weights == frozenset({q * (h - 1), n}):
                 out.append(("CR6", {"q": q, "h": h}))
-            h *= 2
+    if out and ia is not None \
+            and not ia.same_array(delsarte_ia(n, q, n - k, 1, dual_weights)):
+        return []
     return out
 
 

@@ -1,5 +1,7 @@
 """Covering radius, subconstituents, complete regularity, intersection
-arrays, orthogonal-array strength and the uniform-packing verdict.
+arrays, orthogonal-array strength and the uniform-packing verdict, plus
+:func:`delsarte_ia`, the intersection array that Delsarte's theorem
+gives in closed form when d >= 2s' - 1.
 
 Complete regularity is decided on the syndrome graph rather than the full
 vector space.  Justification: for a linear code the distance of a vector x
@@ -51,6 +53,7 @@ allows, about 2^30, is refused).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -559,3 +562,41 @@ def oa_strength(matrix: CodewordMatrix, q: int) -> int:
 
 def packing_radius(d: int) -> int:
     return (d - 1) // 2
+
+
+def delsarte_ia(n: int, q: int, r: int, e: int,
+                dual_weights) -> IntersectionArray | None:
+    """The intersection array of an [n, n - r]_q code of packing radius e
+    whose dual has the s' distinct nonzero weights dual_weights; None
+    when e < s' - 1, i.e. d < 2s' - 1.
+
+    Otherwise the code is completely regular with rho = s' (Delsarte
+    1973; Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 11.1).  Within
+    the packing radius leaders are unique: level i holds
+    k_i = C(n, i)(q - 1)^i cosets, c_i = i for i <= e and
+    b_i = (n - i)(q - 1) for i < e.  b_(rho-1) and c_rho are in the ratio
+    k_rho : k_(rho-1), k_rho being what the lower levels leave of the q^r
+    cosets, and sum to q times the dual weights' sum less the other b_i
+    and c_i: the quotient matrix's trace is the sum of its eigenvalues
+    n(q - 1) - q w, w in {0} and the dual weights.  A solution that is
+    not a nonnegative integer raises ValueError."""
+    weights = frozenset(dual_weights)
+    rho = len(weights)
+    if e < rho - 1:
+        return None
+    if rho == 0:
+        return IntersectionArray(0, (), (), n=n, q=q)
+    b = [(n - i) * (q - 1) for i in range(rho - 1)]
+    c = list(range(1, rho))
+    below = math.comb(n, rho - 1) * (q - 1) ** (rho - 1)
+    last = q ** r - sum(math.comb(n, i) * (q - 1) ** i for i in range(rho))
+    moves = q * sum(weights) - sum(b) - sum(c)  # b_(rho-1) + c_rho
+    if last > 0:
+        c_rho, rest = divmod(moves * below, below + last)
+        if not rest and 0 <= c_rho <= moves:
+            return IntersectionArray(rho, tuple(b + [moves - c_rho]),
+                                     tuple(c + [c_rho]), n=n, q=q)
+    raise ValueError(f"no [{n},{n - r}]_{q} code has rho = {rho} and dual "
+                     f"weights {sorted(weights)}: b_{rho - 1} + c_{rho} = "
+                     f"{moves} does not split as b_{rho - 1} : c_{rho} = "
+                     f"{last} : {below} into nonnegative integers")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -203,6 +204,115 @@ def test_construct_json_predicted_vs_computed(capsys):
         doc["computed"]["intersection_array"]
     assert doc["computed"]["rho"] == 2
     assert doc["predicted"]["weights"] == doc["computed"]["weights"]
+
+
+# sha256 of the stdout of `construct --family KIND ARGS --json` for every
+# grid and construct-workload family, recorded while each family still
+# had an intersection-array formula of its own
+CONSTRUCT_JSON_DIGESTS = [
+    ("ext-hamming --m 2",
+     "b8e7270e2085a42200f8d7808606b5a694bc4ced9458853ad865a3e19c74acae"),
+    ("ext-hamming --m 3",
+     "b45a8c262edd6fb23f6adc884daf7c2cb106bd94ecdb0106ac0b1fc762a3b8d2"),
+    ("ext-hamming --m 4",
+     "5904364f5a459e61661e79c9db7c43c399ad95d5f0bc29ad042e8925cc8fe3fa"),
+    ("dm-dual --q 2 --l 1 --h 1",
+     "83360015daec07f53f15adc3b37466659694a0d7e65676acf77df77f1483f0b1"),
+    ("dm-dual --q 2 --l 1 --h 2",
+     "7575b9100ec381cf075e581cb2a724dff407568acf080933cae74f52e26b1a9b"),
+    ("dm-dual --q 2 --l 2 --h 2",
+     "f1df3bd6b4433d4f11d5d9f649184d22a78d5a0d31c65077912882e041048f2f"),
+    ("dm-dual --q 3 --l 1 --h 1",
+     "9ccbb99f7e281e807c37e5efdda6437ca01d83d14c0cb3075ccd9b9f7bd1a81d"),
+    ("mds-dual --q 3 --n 3",
+     "b2f3c88c665e6b858c67b0507465cc28262089ebd6347a9e0d92c3a18b0b2f29"),
+    ("mds-dual --q 4 --n 3",
+     "b82206b229b53e5e360c4be406b6b378ce12cce9c18c4cea328498d917727d4f"),
+    ("mds-dual --q 4 --n 4",
+     "778ce7356cc769ae1d7cc6dc9493743674df5bda952f68cd9d04f77488b8f91a"),
+    ("mds-dual --q 5 --n 3",
+     "61ca95aa1900269d0871fe3024da7008eeeb97859a444b1805833ce05254fdf9"),
+    ("mds-dual --q 5 --n 4",
+     "3a37a17b0071e5dc37eb49cc3c02cb0d6aab0a72efb9e6951ab84458185ee7c8"),
+    ("mds-dual --q 5 --n 5",
+     "9a040591062b8d229aaad53e3a25c036761492a31c9fcafa4ce07e0ace3ee2d7"),
+    ("mds-dual --q 7 --n 3",
+     "30eece64eee8d445c9b2f52c09ccba3e376bed37556bab500f563646755649d5"),
+    ("mds-dual --q 7 --n 4",
+     "beb15746b5bd0d2c0342d311db2b2a74787f054123b80151160bd5e722ccb362"),
+    ("mds-dual --q 7 --n 5",
+     "22d3271198630fbd085fa9984e15eac764d5d137c0366b2dc09fb95037d697ea"),
+    ("mds-dual --q 7 --n 6",
+     "d6275eeae82947ed35abdc990b33bf0947540d9bcd436f1d55d390bdd11bffe3"),
+    ("mds-dual --q 7 --n 7",
+     "94bde53a0da6d499586d2d8e43934d6113cee1d64b3774baaa2c5b6779e08aa7"),
+    ("mds-dual --q 8 --n 3",
+     "4b6757bb857f19fd7fd17f4e4cfca3a31fc8cfc9b1b59d54e0b23a082b970ca6"),
+    ("mds-dual --q 8 --n 4",
+     "0506c10c137035ffd37531556b2ac78e938313d07b6324669c069afbeae33db3"),
+    ("mds-dual --q 8 --n 5",
+     "76532560a03071ca6a4fdf812327e27c92d293bc5a6f2752d4eda09ebe7a2212"),
+    ("mds-dual --q 8 --n 6",
+     "36ecf774e2261aec389f45ac28fa6b1b8683da244e687cc5e46d457bb65e83df"),
+    ("mds-dual --q 8 --n 7",
+     "d2ce44ff0270fb14906ecb98e4d59db2815b6771ffb154659feb6cc8c02b9773"),
+    ("mds-dual --q 8 --n 8",
+     "1609edcf9712b52e5136b46ee46fbfb7112c8ad14dc99b56e79b914d493f6964"),
+    ("bose-bush --q 4",
+     "bc3a5452d6e49be6b21f8953593f7f43f3fe882082bc2f62815c1e6d15bc295d"),
+    ("bose-bush --q 8",
+     "0911e7348dc44e0763cae7e3b866ae9f90d75cb0e73cbe01ce28f9da6b9e5728"),
+    ("bose-bush --q 16",
+     "c1163808e470358c5dcf07c65bc8f53f3953a00d263c51859616133f706ee622"),
+    ("delsarte --q 8",
+     "d16c9e7c7ed0da3ae1acaee9e9ba92e5d0077116b6adaa700d48201539b11504"),
+    ("delsarte --q 16",
+     "be88e3a36946bdd79fccc97b675789b4e7a95c775bae9656d7ddd6ab99ce94a8"),
+    ("denniston --q 8 --h 2",
+     "598ccc027508d255e3c460a2cfe9c04235b5402f0aa77007e625531d8d6d401c"),
+    ("denniston --q 8 --h 4",
+     "a0c3d234b518dbe06a5366ed87aefca9bff160301a2115aeafecb4832d37404a"),
+    ("denniston --q 16 --h 2",
+     "0b614efd6b42ca6a106300ae2f59672298beed7a38f304f06e232b1f37b2c115"),
+    ("denniston --q 16 --h 4",
+     "b8893a5ea20e1f645b1886132c6274012c86a0ea70d1a15f5bd84f83b8dbdc8e"),
+    ("denniston --q 16 --h 8",
+     "b549cbc7fa0e7cbfa93fde464f7e8cbff42f4affb1cccdec55e94a0bf8d75fd6"),
+    ("bose-bush --q 32",
+     "35ee22cef0e6604f7d997dd4263794aebc6fa5362ee686da7bfe80ca10992e1e"),
+    ("denniston --q 32 --h 2",
+     "1de141b54a1561f5efe4c301ba85b31c99b06c4aeda9d4674ddbb7daa9ace31e"),
+    ("denniston --q 32 --h 4",
+     "151542b460339ed35bc9133b4e8f45f91df11c10d1ea538c4b561d90c74037c4"),
+    ("denniston --q 32 --h 8",
+     "c5513276327a3a2b7ede1aa1e5c277d85829081525ebf7540343fce4da679c73"),
+    ("delsarte --q 16",
+     "be88e3a36946bdd79fccc97b675789b4e7a95c775bae9656d7ddd6ab99ce94a8"),
+    ("ext-hamming --m 8",
+     "073448132ff5afe17d5c8e70d25a51d97b0c4f9c191dfdf12fc72b2b67fd1153"),
+    ("mds-dual --q 25 --n 25",
+     "bfaf7f9613d26fc730616ef281d747329e4694d11b248ee8135a1e70fef6860f"),
+    ("mds-dual --q 27 --n 27",
+     "3723a733513664700dacc227a395afeff0de6dc4127d50cc7d01b5d95f2771b9"),
+    ("dm-dual --q 2 --l 2 --h 4",
+     "b10420555b476a539ba30c9169e08df8644ed9f3af95a5f01a6df49238a34ee3"),
+    ("dm-dual --q 2 --l 3 --h 3",
+     "4cd304f48c98eafd1b437dd338347a721a3499bfa49b881ee99698f05a9ac6e0"),
+    ("dm-dual --q 3 --l 1 --h 2",
+     "8e5f385aa432900b18427df7624080a1cbb30d259c0eeb5293be2f4573c465d4"),
+    ("dm-dual --q 5 --l 1 --h 1",
+     "184a7d74e1b414ec6baca08446f9f1c3a3b28117ae8292618736f777575ef50a"),
+]
+
+
+@pytest.mark.parametrize("args,digest", CONSTRUCT_JSON_DIGESTS)
+def test_construct_json_pinned(args, digest, capsys):
+    """The construct JSON, predicted and computed arrays included, is
+    byte-stable."""
+    kind, *rest = args.split()
+    assert run(["construct", "--family", kind, *rest, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_dm_command(tmp_path, capsys):

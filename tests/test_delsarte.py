@@ -1,0 +1,222 @@
+"""Delsarte's closed form for the intersection array
+(:func:`crlab.regularity.delsarte_ia`) against the syndrome profile, the
+per-family formulas restated in the acceptance module, and the spectrum
+of the quotient matrix."""
+
+import numpy as np
+import pytest
+from conftest import (CONSTRUCT_SPEC, RANDOM_CODE_SHAPES, build_instance,
+                      min_distance)
+from test_acceptance import expected_ia, expected_weights
+
+from crlab import families
+from crlab.codes import LinearCode, projective_points
+from crlab.families import family_match, random_code
+from crlab.field import field_create, prime_power
+from crlab.regularity import (IntersectionArray, complete_regularity,
+                              delsarte_ia, packing_radius)
+
+# sides with more syndromes are not profiled here
+PROFILE_CAP = 1 << 21
+
+# (q, n, k) of further seeded random codes: the report workload's shapes
+# never meet d >= 2s' - 1, and these small ones often do
+SMALL_SHAPES = ((2, 9, 3), (3, 7, 3), (4, 6, 2), (5, 6, 3), (7, 5, 2),
+                (8, 5, 2), (9, 5, 2), (25, 4, 2), (27, 4, 2))
+
+
+class Side:
+    """One code with its d, dual weights, closed form and, when it has at
+    most PROFILE_CAP syndromes, its profiled intersection array."""
+
+    def __init__(self, label, code, result=None):
+        self.label, self.code = label, code
+        self.d = min_distance(code)
+        self.dual_weights = code.dual().weight_distribution_auto() \
+            .nonzero_weights
+        self.closed = delsarte_ia(code.n, code.q, code.n - code.k,
+                                  packing_radius(self.d), self.dual_weights)
+        if result is None and code.q ** (code.n - code.k) <= PROFILE_CAP:
+            result = complete_regularity(code)
+        self.result = result
+
+
+def _hamming_codes():
+    """Hamming codes of redundancy 2, 3 and 4 over GF(2..9), up to length
+    200."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = field_create(*prime_power(q))
+        for r in (2, 3, 4):
+            points = projective_points(f, r)
+            if len(points) <= 200:
+                columns = LinearCode.from_rows(f, np.transpose(points))
+                yield (q, r), columns.dual()
+
+
+@pytest.fixture(scope="module")
+def sides(family_grid):
+    """Both sides of the grid and of the construct families, Hamming and
+    simplex codes, and both sides of the report workload's random codes
+    at run seeds 1-5 and of random codes of SMALL_SHAPES."""
+    out = []
+    for entry in family_grid:
+        out.append(Side(("grid cr", entry.label), entry.cr, entry.cr_result))
+        out.append(Side(("grid tw", entry.label), entry.tw))
+    for kind, params in CONSTRUCT_SPEC:
+        inst = build_instance(kind, params)
+        out.append(Side(("construct cr", kind, params), inst.cr_code))
+        out.append(Side(("construct tw", kind, params),
+                        inst.two_weight_code))
+    for qr, ham in _hamming_codes():
+        out.append(Side(("hamming", qr), ham))
+        out.append(Side(("simplex", qr), ham.dual()))
+    for seed in range(1, 6):
+        for i, (p, m, n, k) in enumerate(RANDOM_CODE_SHAPES):
+            code = random_code(field_create(p, m), n, k, seed * 100 + i)
+            out.append(Side(("random", seed, i), code))
+            out.append(Side(("random dual", seed, i), code.dual()))
+        for i, (q, n, k) in enumerate(SMALL_SHAPES):
+            code = random_code(field_create(*prime_power(q)), n, k,
+                               seed * 100 + i)
+            out.append(Side(("random", seed, q), code))
+            out.append(Side(("random dual", seed, q), code.dual()))
+    return out
+
+
+def test_closed_form_matches_profile(sides):
+    """Wherever d >= 2s' - 1 the code is completely regular and the
+    closed form is its profiled array."""
+    qualifying = [s for s in sides if s.closed is not None]
+    for s in qualifying:
+        assert s.result is not None, s.label
+        assert s.result.ia is not None, s.label
+        assert s.result.ia.same_array(s.closed), \
+            (s.label, s.result.ia, s.closed)
+    assert len(sides) == 258 and len(qualifying) == 99
+    kinds = {s.label[0] for s in qualifying}
+    assert kinds == {"grid cr", "grid tw", "construct cr", "hamming",
+                     "simplex", "random", "random dual"}
+
+
+def test_closed_form_none_exactly_below_the_bound(sides):
+    """None exactly where d < 2s' - 1; some completely regular codes lie
+    there, so None does not say a code is not completely regular."""
+    for s in sides:
+        s_prime = len(s.dual_weights)
+        assert (s.closed is None) == (s.d < 2 * s_prime - 1), s.label
+    outside = [s for s in sides if s.closed is None and s.result is not None
+               and s.result.is_completely_regular]
+    assert outside
+    assert delsarte_ia(7, 2, 3, 0, (4, 6)) is None
+    assert delsarte_ia(7, 2, 3, 1, (4,)).same_array(
+        IntersectionArray(1, (7,), (1,), n=7, q=2))
+    # the whole space: no dual weights, rho = 0
+    whole = LinearCode.from_rows(field_create(3, 1), np.eye(4, dtype=int))
+    assert delsarte_ia(4, 3, 0, 0, ()).same_array(
+        complete_regularity(whole).ia)
+
+
+def _char_poly(ia: IntersectionArray, x: int) -> int:
+    """det(x I - B) for the tridiagonal quotient matrix B of ia, by the
+    three-term recurrence p_(i+1) = (x - a_i) p_i - b_(i-1) c_i p_(i-1)."""
+    a = ia.a
+    prev, cur = 0, 1
+    for i in range(ia.rho + 1):
+        coupling = ia.b[i - 1] * ia.c[i - 1] if i else 0
+        prev, cur = cur, (x - a[i]) * cur - coupling * prev
+    return cur
+
+
+def test_quotient_spectrum_is_the_dual_weights(sides):
+    """For every completely regular code profiled here, the quotient
+    matrix's characteristic polynomial vanishes at the rho + 1 distinct
+    values n(q - 1) - q w, w in {0} and the dual weights: the BFS agrees
+    with MacWilliams with no new enumeration."""
+    checked = 0
+    for s in sides:
+        if s.result is None or s.result.ia is None:
+            continue
+        ia = s.result.ia
+        big_k = ia.n * (ia.q - 1)
+        assert len(s.dual_weights) == ia.rho, s.label
+        for w in (0,) + s.dual_weights:
+            assert _char_poly(ia, big_k - ia.q * w) == 0, (s.label, w)
+        assert _char_poly(ia, big_k + 1) != 0
+        checked += 1
+    assert checked == 102
+
+
+def test_grid_duals_have_distance_3_or_4(family_grid):
+    """Every grid family's completely regular side has d in {3, 4}, so
+    the prediction with packing radius 1 is the closed form for it."""
+    for entry in family_grid:
+        d = min_distance(entry.cr)
+        assert d in (3, 4), (entry.label, d)
+        weights = entry.tw_wd.nonzero_weights
+        assert entry.instance.predicted_ia.same_array(delsarte_ia(
+            entry.cr.n, entry.cr.q, entry.tw.k, packing_radius(d), weights))
+        assert entry.instance.predicted_ia.same_array(entry.cr_result.ia)
+
+
+def _family_parameter_sets():
+    """(kind, params, two-weight dimension) for every family with
+    q <= 256: extended Hamming m <= 16, difference-matrix duals with
+    l | h <= 4l, MDS duals with 3 <= n <= q, and the characteristic-2
+    families."""
+    for m in range(2, 17):
+        yield "ext-hamming", {"m": m}, m + 1
+    for q in range(2, 257):
+        try:
+            p, l = prime_power(q)
+        except ValueError:
+            continue
+        for h in range(l, 4 * l + 1, l):
+            yield "dm-dual", {"p": p, "l": l, "h": h}, (l + h) // l + 1
+        for n in range(3, q + 1):
+            yield "mds-dual", {"q": q, "n": n}, 2
+        if q >= 4 and p == 2:
+            yield "bose-bush", {"q": q}, 3
+            yield "delsarte", {"q": q}, 3
+            for u in range(1, l):
+                yield "denniston", {"q": q, "h": 2 ** u}, 3
+
+
+def test_closed_form_matches_family_formulas():
+    """The closed form with packing radius 1 is each family's restated
+    array, over every family parameter set with q <= 256."""
+    count = 0
+    for kind, params, k in _family_parameter_sets():
+        weights = expected_weights(kind, params)
+        want = expected_ia(kind, params)
+        got = delsarte_ia(want.n, want.q, k, 1, weights)
+        assert got is not None and got.same_array(want), (kind, params)
+        assert max(weights) == want.n
+        count += 1
+    assert count == 7635
+
+
+def test_closed_form_refuses_impossible_parameters():
+    """A split that is not a nonnegative integer raises; nothing is
+    rounded."""
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        delsarte_ia(5, 2, 3, 1, (2, 4))       # c_2 = 30/7
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        delsarte_ia(4, 2, 2, 1, (1, 3))       # k_2 = -1
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        delsarte_ia(10, 8, 3, 1, (8, 9))
+
+
+def test_family_match_skips_the_closed_form_without_a_fit(monkeypatch):
+    """family_match computes the closed form only once some family's
+    parameters fit: census codes with d = 2 never reach it."""
+    ia = complete_regularity(families.cr1_extended_hamming(3).cr_code).ia
+
+    def refuse(*args):
+        raise AssertionError("closed form computed without a family fit")
+
+    monkeypatch.setattr(families, "delsarte_ia", refuse)
+    assert family_match(9, 5, 2, (4, 6), ia) == []
+    assert family_match(8, 4, 2, (4, 8), None) == [("CR1", {"m": 3}),
+                                                   ("CR2", {"q": 2, "m": 3})]
+    with pytest.raises(AssertionError, match="without a family fit"):
+        family_match(8, 4, 2, (4, 8), ia)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import min_distance, row_space_equal
+from test_acceptance import expected_ia
 
 from crlab.codes import CodewordMatrix, is_projective
 from crlab.diffmat import (difference_matrix, dm_code, is_additive_group,
@@ -8,11 +9,11 @@ from crlab.diffmat import (difference_matrix, dm_code, is_additive_group,
 from crlab.families import (antipodal_form_check, bush_closed_form_matrix,
                             cr1_extended_hamming, cr2_dm_dual, cr3_mds_dual,
                             cr4_bose_bush, cr5_delsarte, cr6_denniston,
-                            family_match, ia_formula, random_multiweight_code,
+                            family_match, random_multiweight_code,
                             simplex_partition)
 from crlab.field import field_create
 from crlab.codes import LinearCode
-from crlab.regularity import complete_regularity
+from crlab.regularity import complete_regularity, delsarte_ia
 
 
 def test_cr1_shapes():
@@ -138,7 +139,8 @@ def test_cr2_constructs_sides_the_stacking_refused(p, l, h):
     assert inst.two_weight_code.k == (l + h) // l + 1
     ia = complete_regularity(inst.cr_code).ia
     assert ia is not None
-    assert ia.same_array(ia_formula("CR2", q=q, n=q * p ** h))
+    assert ia.same_array(expected_ia("dm-dual", {"p": p, "l": l, "h": h}))
+    assert ia.same_array(inst.predicted_ia)
 
 
 def test_cr3_region():
@@ -238,15 +240,18 @@ def test_denniston_column_count_formula():
         assert inst.two_weight_code.n == 1 + (q + 1) * (h - 1)
 
 
-def test_ia_formula_values():
-    ia = ia_formula("CR3", q=4, n=4)
+def test_delsarte_ia_pinned_values():
+    """The closed form gives the arrays the per-family formulas gave:
+    MDS (4, 4), Denniston (8, 4) and Bose-Bush 8, from n, q, the
+    redundancy 3 or 2 and the two weights."""
+    ia = delsarte_ia(4, 4, 2, 1, (3, 4))
     assert ia.b == (12, 3) and ia.c == (1, 12)
-    ia = ia_formula("CR6", q=8, h=4)
+    ia = delsarte_ia(28, 8, 3, 1, (24, 28))
     assert ia.b == (196, 135) and ia.c == (1, 84)
-    ia = ia_formula("CR4", q=8)
+    ia = delsarte_ia(10, 8, 3, 1, (8, 10))
     assert ia.b == (70, 63) and ia.c == (1, 10)
-    with pytest.raises(ValueError):
-        ia_formula("CR7")
+    assert cr6_denniston(8, 4).predicted_ia.same_array(
+        delsarte_ia(28, 8, 3, 1, (24, 28)))
 
 
 def test_antipodal_form_check_families():
@@ -366,5 +371,5 @@ def test_family_match_ext_hamming_overlap():
 
 
 def test_family_match_respects_ia():
-    wrong = ia_formula("CR4", q=8)
+    wrong = cr4_bose_bush(8).predicted_ia
     assert family_match(8, 4, 2, (4, 8), wrong) == []
