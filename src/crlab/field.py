@@ -10,14 +10,21 @@ polynomial of its degree (coefficient vectors (a_{m-1}, ..., a_0)
 compared as base-p integers, smallest first), so all downstream
 constructions are bit-reproducible without external polynomial tables.
 For m = 1 the same search runs on the moduli x - g for g = 1, 2, ...,
-so alpha = g is the smallest primitive root.
+so alpha = g is the smallest primitive root.  A candidate is certified
+by exponentiation (x^(q-1) = 1 and x^((q-1)/l) != 1 for every prime
+l | q - 1), with m x m matrices of multiplication by powers of x, so the
+rejected candidates cost O(m^3 log q) each rather than a walk of up to
+q - 1 powers.
 
 The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
-tables of size q are precomputed at creation for O(1) mul/inv.  Their
-numpy counterparts behind :meth:`FieldSpec.mul_array` (whole arrays of
-products, for the weight kernel, the RREF's row operations, the
-difference-matrix multiplication table and the syndrome deltas) are
-built on first use, once per field.
+tables of size q are precomputed at creation for O(1) mul/inv.  The
+antilog table is built by block doubling: the digits of x^0 .. x^(L-1)
+times the matrix of x^L give the next L powers, one array product per
+doubling for every degree m.  The numpy counterparts of the tables
+behind :meth:`FieldSpec.mul_array` (whole arrays of products, for the
+weight kernel, the RREF's row operations, the difference-matrix
+multiplication table and the syndrome deltas) are built on first use,
+once per field.
 
 Addition is digit-wise mod p on these encodings, and so is addition of
 any vector of field elements packed in base q = p^m: such a vector is a
@@ -116,52 +123,96 @@ def _digits(value: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _encode(digits, p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
-def _mulx(e: list[int], mod_low, p: int) -> list[int]:
-    """Multiply the element (digit list) by x modulo the monic modulus."""
-    m = len(e)
-    top = e[m - 1]
-    out = [0] * m
-    for i in range(m - 1, 0, -1):
-        out[i] = (e[i - 1] - top * mod_low[i]) % p
-    out[0] = (-top * mod_low[0]) % p
+def _times_x(low, p: int) -> np.ndarray:
+    """The m x m int64 matrix of multiplication by x modulo the monic
+    modulus with low coefficients low: row j holds the digits of x^(j+1).
+    A digit row v times the matrix of x^L, whose row j holds x^(L+j), is
+    v x^L, and the matrix of x^(L+L') is the product of those of x^L and
+    x^L'.  Every entry is below p, so a product of two such matrices sums
+    at most m (p-1)^2 < 2^41 for q <= Q_LIMIT."""
+    m = len(low)
+    mat = np.eye(m, k=1, dtype=np.int64)
+    mat[m - 1] = [-c % p for c in low]
+    return mat
+
+
+def _is_primitive(low, p: int, q: int) -> bool:
+    """Whether x has multiplicative order exactly q - 1 modulo the monic
+    modulus with low coefficients low: x^(q-1) = 1 and x^((q-1)/l) != 1
+    for every prime l | q - 1.  Then its q - 1 powers are distinct units,
+    so the quotient ring is a field: the modulus is irreducible and
+    primitive."""
+    if low[0] == 0:
+        return False
+    step = _times_x(low, p)
+
+    def is_one(e):  # whether x^e = 1: row 0 of its matrix is (1, 0, ...)
+        acc, base = np.eye(len(low), dtype=np.int64), step
+        while e:
+            if e & 1:
+                acc = acc @ base % p
+            base = base @ base % p
+            e >>= 1
+        return acc[0, 0] == 1 and not acc[0, 1:].any()
+
+    return is_one(q - 1) and not any(is_one((q - 1) // l)
+                                     for l in _prime_factors(q - 1))
+
+
+def _antilog(low, p: int, q: int) -> np.ndarray:
+    """x^0, ..., x^(q-2) modulo a primitive modulus, encoded, as int64.
+
+    Block doubling: with the digits of x^0, ..., x^(L-1) in hand, the next
+    L powers are those digit rows times the matrix of x^L, whose square is
+    the matrix of x^(2L).  The digits are held digit-major, one row per
+    coefficient, in the smallest signed dtype that holds the m (p-1)^2 a
+    row product can reach."""
+    m = len(low)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if m * (p - 1) ** 2 <= np.iinfo(t).max)
+    digits = np.zeros((m, q - 1), dtype=dtype)
+    digits[0, 0] = 1
+    step = _times_x(low, p).astype(dtype)
+    done = 1
+    while done < q - 1:
+        todo = min(done, q - 1 - done)
+        new = digits[:, done:done + todo]
+        np.einsum("jk,ji->ki", step, digits[:, :todo], out=new)
+        new -= new // p * p
+        step = step @ step % p
+        done += todo
+    out = digits[m - 1].astype(np.int64)
+    for j in range(m - 2, -1, -1):
+        out *= p
+        out += digits[j]
     return out
-
-
-def _power_chain(mod_low, p: int, m: int, q: int):
-    """Powers of x modulo the modulus, or None if x has order < q - 1.
-
-    Returns the list [x^0, x^1, ..., x^(q-2)] as encoded integers exactly
-    when x is a unit of full multiplicative order, which simultaneously
-    certifies that the modulus is irreducible and primitive.
-    """
-    powers = [1]
-    e = [0] * m
-    e[0] = 1
-    for step in range(1, q):
-        e = _mulx(e, mod_low, p)
-        enc = _encode(e, p)
-        if enc == 0:
-            return None
-        if enc == 1:
-            return powers if step == q - 1 else None
-        powers.append(enc)
-    return None
 
 
 class FieldSpec:
     """A concrete finite field GF(p^m) with precomputed tables.
 
-    Immutable after creation; all operations are pure, so instances are
-    safe to share between threads.  Use :func:`field_create` (canonical
-    modulus) or :func:`field_from_modulus` (explicit modulus) instead of
-    the constructor.
+    Never modified after creation; all operations are pure, so instances
+    are safe to share between threads.  The tables ``alpha_powers`` and
+    ``discrete_log`` are lists, which must not be written to: tuple
+    copies would add about a third to the build of a 2^20-entry field.
+    Use :func:`field_create` (canonical modulus) or
+    :func:`field_from_modulus` (explicit modulus) instead of the
+    constructor.
     """
 
     __slots__ = (
@@ -170,16 +221,16 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, m: int, modulus, alpha_powers):
+        """alpha_powers: the integer array x^0, ..., x^(q-2)."""
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = tuple(modulus)
-        self.alpha_powers = tuple(alpha_powers)
+        self.alpha_powers = alpha_powers.tolist()
         self.alpha = self.alpha_powers[1] if self.q > 2 else 1
-        log = [-1] * self.q
-        for i, a in enumerate(self.alpha_powers):
-            log[a] = i
-        self.discrete_log = tuple(log)
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[alpha_powers] = np.arange(self.q - 1)
+        self.discrete_log = log.tolist()
         self._log_arrays = None
 
     # -- element arithmetic -------------------------------------------------
@@ -308,15 +359,10 @@ def field_create(p: int, m: int) -> FieldSpec:
         lows = ([p - g] for g in range(1, p))
     else:
         lows = (_digits(v, p, m) for v in range(q))
-    for low in lows:
-        if low[0] == 0:
-            continue
-        powers = _power_chain(low, p, m, q)
-        if powers is not None:
-            spec = FieldSpec(p, m, tuple(low) + (1,), powers)
-            break
-    else:
+    low = next((low for low in lows if _is_primitive(low, p, q)), None)
+    if low is None:
         raise ArithmeticError(f"no primitive polynomial found for GF({q})")
+    spec = FieldSpec(p, m, tuple(low) + (1,), _antilog(low, p, q))
 
     _FIELD_CACHE[key] = spec
     return spec
@@ -326,7 +372,8 @@ def field_from_modulus(p: int, m: int, coeffs) -> FieldSpec:
     """Build GF(p^m) on an explicit monic modulus (little-endian coefficients).
 
     The modulus must be primitive: x must generate the full multiplicative
-    group, which is verified exhaustively while the antilog table is built.
+    group, which is certified by exponentiation before the antilog table
+    is built.
     """
     q = _field_order(p, m)
     coeffs = tuple(int(c) % p for c in coeffs)
@@ -339,9 +386,8 @@ def field_from_modulus(p: int, m: int, coeffs) -> FieldSpec:
     if coeffs == canonical.modulus:
         return canonical
 
-    powers = _power_chain(list(coeffs[:m]), p, m, q)
-    if powers is None:
+    if not _is_primitive(coeffs[:m], p, q):
         raise ValueError(
             f"modulus {coeffs} is not a primitive polynomial over GF({p})"
         )
-    return FieldSpec(p, m, coeffs, powers)
+    return FieldSpec(p, m, coeffs, _antilog(coeffs[:m], p, q))

@@ -1,7 +1,11 @@
 """Covering radius, subconstituents, complete regularity, intersection
 arrays, orthogonal-array strength and the uniform-packing verdict, plus
 :func:`delsarte_ia`, the intersection array that Delsarte's theorem
-gives in closed form when d >= 2s' - 1.
+gives in closed form when d >= 2s' - 1.  The report takes rho, the array
+and (by :meth:`IntersectionArray.level_sizes`) the subconstituent sizes
+from the closed form when it applies, and profiles every other code;
+``crlab construct --json`` always profiles, since its computed array is
+the check of the predicted one.
 
 Complete regularity is decided on the syndrome graph rather than the full
 vector space.  Justification: for a linear code the distance of a vector x
@@ -87,6 +91,22 @@ class IntersectionArray:
         full_b = self.b + (0,)
         full_c = (0,) + self.c
         return tuple(total - bb - cc for bb, cc in zip(full_b, full_c))
+
+    def level_sizes(self) -> tuple:
+        """(k_0, ..., k_rho): the cosets in each subconstituent of a
+        completely regular code with this array, from k_0 = 1 and
+        k_(i+1) c_(i+1) = k_i b_i (the moves between levels i and i + 1
+        counted from both ends); times q^k they are vector counts.  A
+        quotient that is not an integer raises ValueError."""
+        sizes = [1]
+        for b, c in zip(self.b, self.c):
+            size, rest = divmod(sizes[-1] * b, c)
+            if rest:
+                raise ValueError(f"{self} is not the array of a completely "
+                                 f"regular code: k_{len(sizes)} = "
+                                 f"{sizes[-1] * b}/{c}")
+            sizes.append(size)
+        return tuple(sizes)
 
     def same_array(self, other: "IntersectionArray") -> bool:
         return self.rho == other.rho and self.b == other.b and self.c == other.c

@@ -8,6 +8,15 @@ condition checks; the cli module serializes the result as
 schema-versioned JSON.  A linear code is an orthogonal array of strength
 exactly d(C^perp) - 1 (Delsarte 1973; Hedayat-Sloane-Stufken, Thm 4.6),
 so the strength is read off the dual distribution, never searched for.
+
+When d >= 2s' - 1 (s' the number of nonzero dual weights) Delsarte's
+theorem makes the code completely regular with rho = s', and
+:func:`~crlab.regularity.delsarte_ia` gives its intersection array from
+the weight data the report already has; the subconstituent sizes follow
+from the array.  Such a code builds no syndrome profile, so the
+syndrome budget does not apply to it.  Every other code is profiled.
+``CodeReport.rho_source`` records which path was taken; it is not
+serialised.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from . import conditions
 from .codes import (LinearCode, is_antipodal_two_weight,
                     max_column_multiplicity)
 from .families import family_match
-from .regularity import IntersectionArray, complete_regularity, packing_radius
+from .regularity import (IntersectionArray, complete_regularity, delsarte_ia,
+                         packing_radius)
 
 
 @dataclass
@@ -56,6 +66,8 @@ class CodeReport:
     oa_strength: int
     family_matches: tuple
     conditions: ConditionsSide | None
+    rho_source: str            # what gave rho, ia and subconstituents:
+                               # "delsarte" or "profile"; not serialised
     warnings: tuple = ()
 
 
@@ -67,32 +79,41 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
     if d is None:
         raise ValueError("cannot report on the zero code")
 
-    reg = complete_regularity(code)
-    rho = reg.profile.rho
+    e = packing_radius(d)
     s = dual_wd.s_count
+    ia = delsarte_ia(code.n, code.q, code.n - code.k, e,
+                     dual_wd.nonzero_weights)
+    violation = None
+    if ia is not None:
+        source, counts = "delsarte", ia.level_sizes()
+    else:
+        reg = complete_regularity(code)
+        source, ia = "profile", reg.ia
+        counts = tuple(reg.profile.level_coset_counts.values())
+        if reg.violation is not None:
+            v = reg.violation
+            violation = (v.level, v.syndrome_a, v.counts_a, v.syndrome_b,
+                         v.counts_b)
+    rho = len(counts) - 1
     anti = is_antipodal_two_weight(dual_wd, code.n)
 
-    violation = None
-    if reg.violation is not None:
-        v = reg.violation
-        violation = (v.level, v.syndrome_a, v.counts_a, v.syndrome_b,
-                     v.counts_b)
-
     report = CodeReport(
-        n=code.n, k=code.k, q=code.q, d=d, e=packing_radius(d),
+        n=code.n, k=code.k, q=code.q, d=d, e=e,
         weight_distribution=wd.sparse(),
         dual_weights=dual_wd.nonzero_weights,
         rho=rho, external_distance=s,
-        subconstituents=reg.profile.vector_counts(),
-        ia=reg.ia,
-        completely_regular=reg.is_completely_regular,
+        subconstituents={l: c * code.q ** code.k
+                         for l, c in enumerate(counts)},
+        ia=ia,
+        completely_regular=ia is not None,
         cr_violation=violation,
         antipodal_dual=anti.holds,
         uniformly_packed=rho == s,
         oa_strength=code.n if dual_wd.d is None else dual_wd.d - 1,
         family_matches=tuple(family_match(
-            code.n, code.k, code.q, dual_wd.nonzero_weights, reg.ia)),
+            code.n, code.k, code.q, dual_wd.nonzero_weights, ia)),
         conditions=_conditions_side(code, wd, dual, dual_wd),
+        rho_source=source,
         warnings=tuple(warnings),
     )
     return report

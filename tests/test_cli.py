@@ -196,6 +196,24 @@ def test_report_budget_refusal_exit_code(tmp_path, capsys):
     assert "CRLAB_SYND_BUDGET" in err
 
 
+def test_syndrome_budget_covers_profiles_only(tmp_path, capsys, monkeypatch):
+    """A side whose rho and array come from Delsarte's closed form builds
+    no profile, so a syndrome budget below its q^r does not refuse it;
+    a side that needs the profile is still refused."""
+    from crlab.families import cr3_mds_dual, cr5_delsarte
+    monkeypatch.setenv(budgets.SYND_BUDGET_VAR, "1024")
+    cr = cr5_delsarte(16).cr_code
+    assert (cr.n, cr.k, cr.q ** (cr.n - cr.k)) == (120, 117, 4096)
+    path = tmp_path / "delsarte16.gfc"
+    fileio.write_gfc(path, cr)
+    assert run(["report", str(path), "--json"]) == 0
+    assert '"rho": 2' in capsys.readouterr().out
+    fileio.write_gfc(path, cr3_mds_dual(8, 8).two_weight_code)
+    assert run(["report", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and budgets.SYND_BUDGET_VAR in captured.err
+
+
 def test_construct_json_predicted_vs_computed(capsys):
     assert run(["construct", "--family", "denniston", "--q", "8", "--h", "4",
                 "--json"]) == 0

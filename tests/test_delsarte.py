@@ -1,7 +1,8 @@
 """Delsarte's closed form for the intersection array
 (:func:`crlab.regularity.delsarte_ia`) against the syndrome profile, the
-per-family formulas restated in the acceptance module, and the spectrum
-of the quotient matrix."""
+full-space oracle, the per-family formulas restated in the acceptance
+module, and the spectrum of the quotient matrix; and the report's use of
+it in place of the profile."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from conftest import (CONSTRUCT_SPEC, RANDOM_CODE_SHAPES, build_instance,
                       min_distance)
 from test_acceptance import expected_ia, expected_weights
 
-from crlab import families
+from crlab import budgets, families, regularity
 from crlab.codes import LinearCode, projective_points
 from crlab.families import family_match, random_code
 from crlab.field import field_create, prime_power
-from crlab.regularity import (IntersectionArray, complete_regularity,
+from crlab.matrix import MatGF
+from crlab.regularity import (BRUTE_LIMIT, IntersectionArray,
+                              brute_subconstituents, complete_regularity,
                               delsarte_ia, packing_radius)
+from crlab.report import build_code_report
+from crlab.search import search_antipodal_duals
 
 # sides with more syndromes are not profiled here
 PROFILE_CAP = 1 << 21
@@ -196,14 +201,16 @@ def test_closed_form_matches_family_formulas():
 
 
 def test_closed_form_refuses_impossible_parameters():
-    """A split that is not a nonnegative integer raises; nothing is
-    rounded."""
+    """A split that is not a nonnegative integer raises, and so does a
+    level size that is not an integer; nothing is rounded."""
     with pytest.raises(ValueError, match="nonnegative integers"):
         delsarte_ia(5, 2, 3, 1, (2, 4))       # c_2 = 30/7
     with pytest.raises(ValueError, match="nonnegative integers"):
         delsarte_ia(4, 2, 2, 1, (1, 3))       # k_2 = -1
     with pytest.raises(ValueError, match="nonnegative integers"):
         delsarte_ia(10, 8, 3, 1, (8, 9))
+    with pytest.raises(ValueError, match="k_2 = 28/3"):
+        IntersectionArray(2, (7, 4), (1, 3), n=7, q=2).level_sizes()
 
 
 def test_family_match_skips_the_closed_form_without_a_fit(monkeypatch):
@@ -220,3 +227,103 @@ def test_family_match_skips_the_closed_form_without_a_fit(monkeypatch):
                                                    ("CR2", {"q": 2, "m": 3})]
     with pytest.raises(AssertionError, match="without a family fit"):
         family_match(8, 4, 2, (4, 8), ia)
+
+
+# projective census points run by the tier-1 census tests
+CENSUS_POINTS = ((2, 3, 7), (2, 4, 8), (3, 3, 8), (4, 3, 6), (5, 3, 6),
+                 (8, 2, 6))
+
+
+def _census_sides():
+    """Both sides of the example of every projective census entry at
+    CENSUS_POINTS with a nonzero dual."""
+    for q, r, n_max in CENSUS_POINTS:
+        f = field_create(*prime_power(q))
+        for e in search_antipodal_duals(q, r, n_max, projective=True):
+            if e.dual_k < 1:
+                continue
+            tw = LinearCode(f, MatGF(f, list(zip(*e.example_columns))))
+            yield Side(("census tw", q, r, e.n), tw)
+            yield Side(("census cr", q, r, e.n), tw.dual())
+
+
+def test_report_matches_profile_and_oracle(sides, monkeypatch):
+    """On every side with at most PROFILE_CAP syndromes (the grid sides
+    the default budgets admit, the construct sides, Hamming and simplex
+    codes, the seeded random codes and the projective census survivors),
+    the report's rho, array, verdict, witness and subconstituent sizes
+    are what complete_regularity gives, whichever path the report took;
+    where q^n <= 2^20 the full-space oracle gives them too.  On every
+    completely regular side the array's level sizes are the profile's
+    coset counts."""
+    monkeypatch.delenv(budgets.SYND_BUDGET_VAR, raising=False)
+    monkeypatch.delenv(budgets.ENUM_BUDGET_VAR, raising=False)
+    checked = closed = brute_checked = 0
+    for s in sides + list(_census_sides()):
+        if s.result is None:
+            continue
+        code, reg = s.code, s.result
+        prof = reg.profile
+        report = build_code_report(code)
+        assert report.rho_source == ("profile" if s.closed is None
+                                     else "delsarte"), s.label
+        closed += s.closed is not None
+        assert report.rho == prof.rho, s.label
+        assert report.ia == reg.ia, s.label
+        assert report.completely_regular == reg.is_completely_regular
+        violation = reg.violation and (
+            reg.violation.level, reg.violation.syndrome_a,
+            reg.violation.counts_a, reg.violation.syndrome_b,
+            reg.violation.counts_b)
+        assert report.cr_violation == violation, s.label
+        assert report.subconstituents == prof.vector_counts(), s.label
+        if reg.ia is not None:
+            sizes = reg.ia.level_sizes()
+            assert sizes == tuple(prof.level_coset_counts.values()), s.label
+            assert sum(sizes) == code.q ** (code.n - code.k)
+        if code.q ** code.n <= BRUTE_LIMIT:
+            brute = brute_subconstituents(code)
+            levels, counts = np.unique(brute.levels, return_counts=True)
+            assert brute.rho == report.rho, s.label
+            assert brute.ia == report.ia, s.label
+            assert (brute.violation is None) == (report.cr_violation is None)
+            assert dict(zip(levels.tolist(), counts.tolist())) == \
+                report.subconstituents, s.label
+            brute_checked += 1
+        checked += 1
+    assert (checked, closed, brute_checked) == (243, 111, 200)
+
+
+def test_report_takes_the_closed_form_without_a_profile(family_grid,
+                                                        monkeypatch):
+    """With the profile refused, every grid side that meets d >= 2s' - 1
+    still reports, from the closed form; the [8,2]_8 MDS side and a
+    random code still reach the profile."""
+
+    class Refused(Exception):
+        pass
+
+    def refuse(code):
+        raise Refused(f"[{code.n},{code.k}]_{code.q} profiled")
+
+    monkeypatch.setattr(regularity, "SyndromeProfile", refuse)
+    qualifying = 0
+    for entry in family_grid:
+        for code in (entry.tw, entry.cr):
+            dual_weights = code.dual().weight_distribution_auto() \
+                .nonzero_weights
+            if delsarte_ia(code.n, code.q, code.n - code.k,
+                           packing_radius(min_distance(code)),
+                           dual_weights) is None:
+                continue
+            report = build_code_report(code)
+            assert report.rho_source == "delsarte", entry.label
+            assert report.rho == len(dual_weights), entry.label
+            qualifying += 1
+    assert qualifying == 48
+    mds = families.cr3_mds_dual(8, 8).two_weight_code
+    assert (mds.n, mds.k, mds.q) == (8, 2, 8)
+    random_side = random_code(field_create(3, 1), 10, 5, 101)
+    for code in (mds, random_side):
+        with pytest.raises(Refused, match="profiled"):
+            build_code_report(code)

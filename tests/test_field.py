@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlab.field import (Q_LIMIT, digit_add, field_create, field_from_modulus,
-                         is_prime)
+                         is_prime, prime_power)
 
 
 def from_coeffs(f, coeffs) -> int:
@@ -31,6 +31,97 @@ GOLDEN_MODULI = {
 def test_golden_moduli():
     for (p, m), coeffs in GOLDEN_MODULI.items():
         assert field_create(p, m).modulus == coeffs
+
+
+# The element-at-a-time power chain: the oracle of the exponentiation
+# certificate and of the block-doubled antilog table.
+def _mulx(e: list[int], mod_low, p: int) -> list[int]:
+    """Multiply the element (digit list) by x modulo the monic modulus."""
+    m = len(e)
+    top = e[m - 1]
+    out = [0] * m
+    for i in range(m - 1, 0, -1):
+        out[i] = (e[i - 1] - top * mod_low[i]) % p
+    out[0] = (-top * mod_low[0]) % p
+    return out
+
+
+def _power_chain(mod_low, p: int, m: int, q: int):
+    """Powers of x modulo the modulus, or None if x has order < q - 1.
+
+    Returns the list [x^0, x^1, ..., x^(q-2)] as encoded integers exactly
+    when x is a unit of full multiplicative order, which simultaneously
+    certifies that the modulus is irreducible and primitive.
+    """
+    powers = [1]
+    e = [0] * m
+    e[0] = 1
+    for step in range(1, q):
+        e = _mulx(e, mod_low, p)
+        enc = sum(c * p ** i for i, c in enumerate(e))
+        if enc == 0:
+            return None
+        if enc == 1:
+            return powers if step == q - 1 else None
+        powers.append(enc)
+    return None
+
+
+def _candidates(p: int, m: int):
+    """Low coefficients of the monic moduli in the canonical search order:
+    x - g for g = 1, 2, ... when m = 1, else by base-p value."""
+    if m == 1:
+        return [[p - g] for g in range(1, p)]
+    return [[v // p ** i % p for i in range(m)] for v in range(p ** m)]
+
+
+# large fields within the supported q <= 2^20, pinned to the moduli the
+# power chain found
+LARGE_MODULI = {
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+    (3, 12): (2, 2, 2, 1, 2) + (0,) * 7 + (1,),
+    (5, 8): (3, 2, 1, 0, 0, 0, 0, 0, 1),
+    (17, 4): (11, 1, 0, 0, 1),
+    (1048573, 1): (1048571, 1),
+}
+
+
+def test_large_field_moduli_pinned():
+    """Canonical moduli and a full table of the largest supported fields:
+    every power of alpha once, and alpha^(q-1) = 1."""
+    for (p, m), coeffs in LARGE_MODULI.items():
+        f = field_create(p, m)
+        assert f.modulus == coeffs
+        powers = np.array(f.alpha_powers)
+        assert powers.size == f.q - 1 and powers[0] == 1
+        assert np.array_equal(np.sort(powers), np.arange(1, f.q))
+        assert f.mul(f.alpha_powers[-1], f.alpha) == 1
+
+
+def _prime_powers(limit: int):
+    for q in range(2, limit + 1):
+        try:
+            yield prime_power(q)
+        except ValueError:
+            continue
+
+
+def test_tables_match_power_chain():
+    """For every field with q <= 2^12 the canonical modulus is the first
+    candidate whose power chain reaches 1 exactly at x^(q-1), and the
+    antilog table is that chain."""
+    count = 0
+    for p, m in _prime_powers(1 << 12):
+        q = p ** m
+        f = field_create(p, m)
+        low = list(f.modulus[:m])
+        for cand in _candidates(p, m):
+            if cand == low:
+                break
+            assert cand[0] == 0 or _power_chain(cand, p, m, q) is None, cand
+        assert f.alpha_powers == _power_chain(low, p, m, q), (p, m)
+        count += 1
+    assert count == 604  # 564 primes and 40 higher prime powers
 
 
 def test_gf2_boundary():
