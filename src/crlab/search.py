@@ -3,8 +3,8 @@ and brought back to exact counts by double counting.
 
 * arcs / hyperovals in PG(2, q) by lexicographic backtracking with
   collinearity pruning over line bitsets: the line through each pair of
-  points is read from a table filled once from the incidence masks, and
-  a branch ends when fewer free points remain than the arc still needs.
+  points is gathered once from a numpy table of line indices, and a
+  branch ends when fewer free points remain than the arc still needs.
   Arcs of size >= 4 are searched only through the standard frame;
   PGL(3, q) carries every frame to it;
 * a census of all antipodal two-weight column multisets for small
@@ -17,7 +17,11 @@ and brought back to exact counts by double counting.
   visited; PGL(r, q) carries every ordered basis of points to it.  One
   depth-first pass covers every size up to n_max: at each node the
   weights of the messages that miss some chosen column drive both the
-  prunes and the completion test.  A completed multiset has weights
+  prunes and the completion test.  A node holds its message weights as
+  one int with a field of ``width`` bytes per message, ``width`` the
+  fewest of 1, 2, 4 or 8 bytes that holds n_max; no weight passes the
+  depth, so a child adds its column's packed hits without a carry, and
+  a node reads its fields once, sorted.  A completed multiset has weights
   {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero message
   orthogonal to all of them would have weight 0.  No rank is computed
   before ``LinearCode``, whose full-rank check stays the guard.
@@ -40,10 +44,12 @@ family fits.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,13 +58,14 @@ import numpy as np
 from . import budgets
 from .codes import LinearCode, projective_points
 from .field import FieldSpec, field_create, prime_power
-from .matrix import MatGF
 from .regularity import IntersectionArray, complete_regularity
 from .families import family_match
 
 ARC_Q_MAX = 16          # the ovals of PG(2, 13) count in 0.4 s, and the
                         # 1.2e8 hyperovals of PG(2, 16) in about 20 s
 CENSUS_CANDIDATE_CAP = 1 << 26    # multisets that hold the standard basis
+# memoryview formats of the census's unsigned per-message weight fields
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class SymmetryCountError(RuntimeError):
@@ -79,7 +86,8 @@ def _exact_total(total: Fraction, what: str) -> int:
 
 class PlaneGeometry:
     """Points and lines of PG(2, q) with incidence bitsets;
-    ``pair_line[i][j]`` is the mask of the line through points i != j."""
+    ``pair_line[i][j]`` is the mask of the line through points i != j,
+    and 0 when i == j."""
 
     def __init__(self, field: FieldSpec):
         self.field = field
@@ -88,16 +96,22 @@ class PlaneGeometry:
         # lines are dual points: line j holds the points orthogonal to it
         pts = np.array(self.points)
         incident = field.matmul(pts, pts.T) == 0
-        self.line_mask = []
-        self.pair_line = [[0] * n for _ in range(n)]
-        for line in incident:
-            on_line = np.flatnonzero(line).tolist()
-            mask = sum(1 << i for i in on_line)
-            self.line_mask.append(mask)
-            for i in on_line:
-                row = self.pair_line[i]
-                for j in on_line:
-                    row[j] = mask
+        self.line_mask = _row_masks(incident)
+        # every line holds q + 1 points, listed in row order; through[i, j]
+        # is the one line through i != j, and the diagonal reads the
+        # sentinel line n, whose mask is 0
+        on = np.flatnonzero(incident).reshape(n, -1) % n
+        through = np.empty((n, n), dtype=np.intp)
+        through[on[:, :, None], on[:, None, :]] = np.arange(n)[:, None, None]
+        np.fill_diagonal(through, n)
+        masks = np.array(self.line_mask + [0], dtype=object)
+        self.pair_line = masks[through].tolist()
+
+
+def _row_masks(table) -> list:
+    """Each row of a boolean table as an int with bit j set for column j."""
+    rows = np.packbits(table, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 @dataclass(frozen=True)
@@ -181,15 +195,6 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
                            witness=witness)
 
 
-def is_arc(field: FieldSpec, points) -> bool:
-    """No 3 of the given projective points collinear."""
-    for a, b, c in itertools.combinations(points, 3):
-        M = MatGF(field, [a, b, c])
-        if M.rank < 3:
-            return False
-    return True
-
-
 # -- census of antipodal two-weight column multisets -------------------------
 
 
@@ -269,6 +274,15 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
             f"census would scan about {candidates} {kind} that contain "
             f"the standard basis, over the cap {CENSUS_CANDIDATE_CAP}")
     budgets.check_enum(P * P, f"census incidence table of PG({r - 1},{q})")
+    # a node's weights are one int with a field of `width` bytes per
+    # message; no field passes the depth, so adding a column's hits never
+    # carries into the next field
+    width = next((w for w in _FIELD_FORMATS if n_max < 1 << 8 * w), None)
+    if width is None:
+        raise budgets.BudgetExceeded(
+            f"census would descend to depth {n_max}, past its 8-byte "
+            f"weight fields")
+    fmt, nbytes = _FIELD_FORMATS[width], P * width
     field = field_create(p, m)
     points = projective_points(field, r)
     basis = sorted(points.index(tuple(int(i == j) for j in range(r)))
@@ -278,33 +292,36 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     # representative per scalar class gives every weight value
     pts = np.array(points)
     orthogonal = field.matmul(pts, pts.T) == 0
-    hits = (~orthogonal).astype(int).tolist()
+    # hits[i] holds 1 in the field of each message that hits point i
+    hits = [int.from_bytes(row.tobytes(), sys.byteorder)
+            for row in (~orthogonal).astype(f"u{width}")]
     # r points are dependent iff some message misses all of them; the
     # table is symmetric, so row i holds the messages that miss point i
-    misses = [sum(1 << j for j in np.flatnonzero(row).tolist())
-              for row in orthogonal]
+    misses = _row_masks(orthogonal)
     orbit = math.prod((q ** r - q ** i) // (q - 1) for i in range(r))
 
     shares: dict = {}      # census key -> sum of 1 / beta over survivors
     first: dict = {}       # census key -> its first survivor's indices
     repetition: dict = {}  # census key -> its repetition annotation
-    add = operator.add
 
-    # depth first over (chosen, start, weights, covered), children pushed
-    # in reverse so that tuples are met in lexicographic order.  A nested
-    # function calling itself would hold the tables and codes in a
+    # depth first over (chosen, start, packed weights, covered), children
+    # pushed in reverse so that tuples are met in lexicographic order.  A
+    # nested function calling itself would hold the tables and codes in a
     # reference cycle that only the cycle collector frees.
-    stack = [((), 0, [0] * P, 0)]
+    stack = [((), 0, 0, 0)]
     while stack:
-        chosen, start, weights, covered = stack.pop()
+        chosen, start, packed, covered = stack.pop()
         depth = len(chosen)
         if r - covered > n_max - depth:
             continue
-        missed = [w for w in weights if w != depth]
+        weights = sorted(memoryview(
+            packed.to_bytes(nbytes, sys.byteorder)).cast(fmt))
+        # weights[:k] are the messages that miss some chosen column
+        k = bisect.bisect_left(weights, depth)
         # the full weight must stay reachable by some message
-        if depth and len(missed) == len(weights):
+        if depth and k == P:
             continue
-        low, high = min(missed, default=0), max(missed, default=0)
+        low, high = (weights[0], weights[k - 1]) if k else (0, 0)
         # messages already missed must finish on one common weight
         if high - low > n_max - depth:
             continue
@@ -326,7 +343,7 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
             # holds B0
             stop = basis[covered] if covered < r else P - 1
             stack.extend((chosen + (i,), i if not projective else i + 1,
-                          list(map(add, weights, hits[i])),
+                          packed + hits[i],
                           covered + (i == stop and covered < r))
                          for i in range(stop, start - 1, -1))
 

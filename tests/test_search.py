@@ -12,8 +12,17 @@ from crlab.codes import projective_points
 from crlab.field import field_create, prime_power
 from crlab.matrix import MatGF
 from crlab.search import (PlaneGeometry, SymmetryCountError,
-                          classify_report, is_arc, render_table,
+                          classify_report, render_table,
                           search_antipodal_duals, search_arcs)
+
+
+def is_arc(field, points) -> bool:
+    """No 3 of the given projective points collinear."""
+    for a, b, c in itertools.combinations(points, 3):
+        M = MatGF(field, [a, b, c])
+        if M.rank < 3:
+            return False
+    return True
 
 
 def test_hyperovals_exist_even_q():
@@ -54,6 +63,9 @@ def test_hyperoval_witnesses_pinned():
      "008ce0ed86c5d0c12291ee6d0f66057cfc48c2c83b7c5884095779d45a4cbae1"),
     (["--q", "4", "--r", "3", "--n-max", "6", "--projective"],
      "a2a4d145fdd7efbe828717638d8d7a8026597194e56897feff20caffd26e17cc"),
+    # the first census whose weight fields take two bytes
+    (["--q", "2", "--r", "2", "--n-max", "256"],
+     "a955a4dbfbcfc5776f16e487ac0ce5dac7e8e29ee508fd8e3d4389c7782801b5"),
 ])
 def test_census_json_pinned(argv, digest, capsys):
     """The census JSON is byte-stable: these are the sha256 digests of
@@ -213,12 +225,41 @@ def _full_census(q, r, n_max, projective=False):
     return sorted(entries, key=lambda e: (e.n, e.weights, not e.trivial))
 
 
+def _collinear_masks(field, points):
+    """[i][j]: the mask of the points collinear with points i != j (None
+    when i == j).  A point k != i lies on the line through i and j iff the
+    cross products i x k and i x j are proportional; each is scaled to
+    lead with 1, in scalar field arithmetic."""
+    mul, sub = field.mul, field.sub
+
+    def line_key(u, v):
+        line = [sub(mul(u[a], v[b]), mul(u[b], v[a]))
+                for a, b in ((1, 2), (2, 0), (0, 1))]
+        scale = field.inv(next(x for x in line if x))
+        return tuple(mul(scale, x) for x in line)
+
+    table = []
+    for i, u in enumerate(points):
+        keys = [line_key(u, v) if k != i else None
+                for k, v in enumerate(points)]
+        lines = {}
+        for k, key in enumerate(keys):
+            if key is not None:
+                lines[key] = lines.get(key, 1 << i) | 1 << k
+        table.append([lines[key] if key is not None else None
+                      for key in keys])
+    return table
+
+
 def _lex_arc_count(q, size):
     """(count, first arc) of the arcs of a given size in PG(2, q), by
-    lexicographic backtracking over every point, no frame fixed."""
+    lexicographic backtracking over every point, no frame fixed, with
+    lines from :func:`_collinear_masks`."""
     p, m = prime_power(q)
-    geom = PlaneGeometry(field_create(p, m))
-    all_points = (1 << len(geom.points)) - 1
+    field = field_create(p, m)
+    points = projective_points(field, 3)
+    pair_line = _collinear_masks(field, points)
+    all_points = (1 << len(points)) - 1
     found = []
     count = 0
 
@@ -227,7 +268,7 @@ def _lex_arc_count(q, size):
         if len(arc) == size:
             count += 1
             if not found:
-                found.append(tuple(geom.points[i] for i in arc))
+                found.append(tuple(points[i] for i in arc))
             return
         free = ~forbidden & all_points >> start << start
         if free.bit_count() < size - len(arc):
@@ -238,11 +279,29 @@ def _lex_arc_count(q, size):
             i = low.bit_length() - 1
             extra = low
             for j in arc:
-                extra |= geom.pair_line[i][j]
+                extra |= pair_line[i][j]
             extend(arc + [i], forbidden | extra, i + 1)
 
     extend([], 0, 0)
     return count, (found[0] if found else None)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_pair_line_is_the_collinear_set(q):
+    """Every off-diagonal entry of the plane's line table is the set of
+    points collinear with its two points: q + 1 of them."""
+    p, m = prime_power(q)
+    field = field_create(p, m)
+    geom = PlaneGeometry(field)
+    oracle = _collinear_masks(field, geom.points)
+    n = len(geom.points)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert geom.pair_line[i][j] == oracle[i][j], (q, i, j)
+                assert oracle[i][j].bit_count() == q + 1
+    assert sorted(set(geom.line_mask)) == sorted(set(
+        mask for row in oracle for mask in row if mask is not None))
 
 
 def test_census_matches_naive_enumeration():
@@ -361,7 +420,9 @@ COMPARISON_POINTS = [
     (2, 1, 4, False), (2, 2, 0, False), (3, 2, 2, False), (2, 2, 6, True),
     (3, 2, 6, False), (2, 3, 7, True), (2, 4, 8, True), (3, 3, 6, False),
     (3, 3, 8, True), (4, 2, 6, False), (4, 3, 5, False), (5, 2, 6, False),
-    (5, 3, 5, False), (7, 2, 5, False), (8, 2, 6, True), (9, 2, 4, False)]
+    (5, 3, 5, False), (7, 2, 5, False), (8, 2, 6, True), (9, 2, 4, False),
+    # the last census with one-byte weight fields, and the first with two
+    (2, 2, 255, False), (2, 2, 256, False)]
 # the census points of the benchmark
 CLASSIFY_POINTS = [(2, 3, 8, False), (2, 4, 10, False), (3, 3, 9, False),
                    (4, 3, 7, False), (4, 3, 6, True), (5, 3, 6, True)]
@@ -460,3 +521,11 @@ def test_census_charges_its_incidence_table():
     would first build its 8191^2 point/message table."""
     with pytest.raises(budgets.BudgetExceeded, match="incidence table"):
         search_antipodal_duals(2, 13, 13)
+
+
+def test_census_refuses_depth_past_its_weight_fields():
+    """PG(0, 2) has one point, so the cap counts C(n_max - 1, n_max - 1)
+    = 1 multiset, but the chain of nodes would reach depth 2^64, past the
+    widest weight field."""
+    with pytest.raises(budgets.BudgetExceeded, match=f"depth {1 << 64},"):
+        search_antipodal_duals(2, 1, 1 << 64)
