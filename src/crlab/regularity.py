@@ -3,9 +3,11 @@ arrays, orthogonal-array strength and the uniform-packing verdict, plus
 :func:`delsarte_ia`, the intersection array that Delsarte's theorem
 gives in closed form when d >= 2s' - 1.  The report takes rho, the array
 and (by :meth:`IntersectionArray.level_sizes`) the subconstituent sizes
-from the closed form when it applies, and profiles every other code;
-``crlab construct --json`` always profiles, since its computed array is
-the check of the predicted one.
+from the closed form when it applies, and profiles every other code.
+The census takes rho and the array from it for every column set, whose
+dual has d >= 3 and s' = 2, and profiles only the duals of multisets
+with a repeated column.  ``crlab construct --json`` always profiles,
+since its computed array is the check of the predicted one.
 
 Complete regularity is decided on the syndrome graph rather than the full
 vector space.  Justification: for a linear code the distance of a vector x

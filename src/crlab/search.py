@@ -8,8 +8,11 @@ and brought back to exact counts by double counting.
   Arcs of size >= 4 are searched only through the standard frame;
   PGL(3, q) carries every frame to it;
 * a census of all antipodal two-weight column multisets for small
-  (q, r, n), each survivor's dual run through the covering-radius and
-  complete-regularity machinery and matched against the known families.
+  (q, r, n), each survivor's dual given its covering radius and
+  intersection array and matched against the known families.  A column
+  set's dual has minimum distance >= 3 and a two-weight dual, so
+  Delsarte's theorem gives both in closed form; only a multiset with a
+  repeated column has its dual's syndrome profile built.
   Its messages are the points of PG(r-1, q), one per scalar class: a
   message and its nonzero multiples have the same weight, so the weight
   values of the code -- all the census looks at -- come from q - 1 times
@@ -23,8 +26,7 @@ and brought back to exact counts by double counting.
   depth, so a child adds its column's packed hits without a carry, and
   a node reads its fields once, sorted.  A completed multiset has weights
   {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero message
-  orthogonal to all of them would have weight 0.  No rank is computed
-  before ``LinearCode``, whose full-rank check stays the guard.
+  orthogonal to all of them would have weight 0.  No rank is computed.
 
 Every total is an exact ``Fraction`` that must come out integral, or
 :class:`SymmetryCountError` is raised.
@@ -58,7 +60,7 @@ import numpy as np
 from . import budgets
 from .codes import LinearCode, projective_points
 from .field import FieldSpec, field_create, prime_power
-from .regularity import IntersectionArray, complete_regularity
+from .regularity import IntersectionArray, complete_regularity, delsarte_ia
 from .families import family_match
 
 ARC_Q_MAX = 16          # the ovals of PG(2, 13) count in 0.4 s, and the
@@ -229,7 +231,8 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
                            projective: bool = False) -> list[CensusEntry]:
     """All column multisets of size <= n_max over the points of
     PG(r-1, q) that span GF(q)^r and produce a two-weight code with
-    weights {d, n}; each one's dual is profiled and family-matched.
+    weights {d, n}; each one's dual gets rho and its intersection array
+    (:func:`_census_key`) and is family-matched.
 
     Multisets are nondecreasing index tuples of length <= n_max (sets,
     strictly increasing ones, with ``projective=True``).  PGL(r, q) moves
@@ -257,31 +260,34 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     p, m = prime_power(q)
     P = (q ** r - 1) // (q - 1)
     n_min = max(r, 2)
+    # the cheap refusals come first, so that no count below is summed
+    # over a huge n_max or P.  A node's weights are one int with a field
+    # of `width` bytes per message; no field passes the depth, so adding
+    # a column's hits never carries into the next field
+    width = next((w for w in _FIELD_FORMATS if n_max < 1 << 8 * w), None)
+    if width is None:
+        raise budgets.BudgetExceeded(
+            f"census would descend to depth {n_max}, past its 8-byte "
+            f"weight fields")
+    budgets.check_enum(P * P, f"census incidence table of PG({r - 1},{q})")
     # every searched tuple holds B0; the rest is a set (multiset) of
     # n - r points drawn from the P - r (P) others
     if projective:
         # every searched level counts; C(P - r, n - r) falls again past
-        # the middle
+        # the middle, and is 0 past n = P
         candidates = sum(math.comb(P - r, n - r)
-                         for n in range(n_min, n_max + 1))
+                         for n in range(n_min, min(n_max, P) + 1))
         kind = "column sets"
     else:
-        candidates = (math.comb(P + n_max - r - 1, n_max - r)
+        # every level n = r ... n_max counts, and
+        # sum_(j <= J) C(P - 1 + j, j) = C(P + J, J)
+        candidates = (math.comb(P + n_max - r, n_max - r)
                       if n_max >= r else 0)
         kind = "column multisets"
     if candidates > CENSUS_CANDIDATE_CAP:
         raise budgets.BudgetExceeded(
             f"census would scan about {candidates} {kind} that contain "
             f"the standard basis, over the cap {CENSUS_CANDIDATE_CAP}")
-    budgets.check_enum(P * P, f"census incidence table of PG({r - 1},{q})")
-    # a node's weights are one int with a field of `width` bytes per
-    # message; no field passes the depth, so adding a column's hits never
-    # carries into the next field
-    width = next((w for w in _FIELD_FORMATS if n_max < 1 << 8 * w), None)
-    if width is None:
-        raise budgets.BudgetExceeded(
-            f"census would descend to depth {n_max}, past its 8-byte "
-            f"weight fields")
     fmt, nbytes = _FIELD_FORMATS[width], P * width
     field = field_create(p, m)
     points = projective_points(field, r)
@@ -367,16 +373,30 @@ def _independent_tuples(chosen, misses, r) -> int:
 
 def _census_key(field, points, chosen, d, r) -> tuple:
     """(n, weights, rho, completely regular, intersection array, trivial
-    reasons) of a survivor with weights {d, n}."""
+    reasons) of a survivor with weights {d, n}, 1 <= d < n.
+
+    The survivor's code has the r x n generator of its columns, and the
+    census asks about its [n, n - r] dual.  When the columns are distinct
+    points that dual has minimum distance >= 3, so packing radius >= 1,
+    and its own dual has the s' = 2 weights {d, n}: Delsarte's theorem
+    (e = 1 >= s' - 1) makes it completely regular with rho = 2 and gives its
+    array in closed form (:func:`delsarte_ia`).  A repeated column gives
+    the dual minimum distance 2, where the theorem says nothing, so that
+    dual is profiled.  The columns span GF(q)^r, as d >= 1: a nonzero
+    message orthogonal to all of them would have weight 0."""
     n = len(chosen)
     dual_k = n - r
+    projective = len(set(chosen)) == n
     reasons = []
     if dual_k < 2:
         reasons.append(f"dual dimension {dual_k} < 2")
-    if len(set(chosen)) < n:
+    if not projective:
         reasons.append("repeated column: dual minimum distance 2")
     rho, cr, ia = None, False, None
-    if dual_k >= 1:
+    if dual_k >= 1 and projective:
+        ia = delsarte_ia(n, field.q, r, 1, (d, n))
+        rho, cr = ia.rho, True
+    elif dual_k >= 1:
         cols = [points[i] for i in chosen]
         # held while its dual is profiled: the dual's link back to it is
         # weak, and the profile reads the parity checks from it

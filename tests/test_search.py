@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from crlab import budgets, cli, search
-from crlab.codes import projective_points
+from crlab.codes import LinearCode, projective_points
 from crlab.field import field_create, prime_power
 from crlab.matrix import MatGF
+from crlab.regularity import brute_subconstituents, complete_regularity
 from crlab.search import (PlaneGeometry, SymmetryCountError,
                           classify_report, render_table,
                           search_antipodal_duals, search_arcs)
@@ -183,11 +184,34 @@ def _naive_census(f, q, r, n_max, combos):
     return naive
 
 
+def _profiled_key(field, points, chosen, d, r) -> tuple:
+    """The census key of a survivor with weights {d, n}, its dual's rho
+    and intersection array read off a syndrome profile whatever the
+    columns: the slow path that Delsarte's closed form replaces for
+    column sets in :func:`search._census_key`."""
+    n = len(chosen)
+    dual_k = n - r
+    reasons = []
+    if dual_k < 2:
+        reasons.append(f"dual dimension {dual_k} < 2")
+    if len(set(chosen)) < n:
+        reasons.append("repeated column: dual minimum distance 2")
+    rho, cr, ia = None, False, None
+    if dual_k >= 1:
+        code = LinearCode.from_rows(field, np.transpose(
+            [points[i] for i in chosen]))
+        res = complete_regularity(code.dual())
+        rho, cr, ia = res.profile.rho, res.is_completely_regular, res.ia
+    if rho != 2:
+        reasons.append(f"dual covering radius {rho} != 2")
+    return n, (d, n), rho, cr, ia, tuple(reasons)
+
+
 def _full_census(q, r, n_max, projective=False):
     """The census over every index tuple, with no symmetry reduction: one
-    depth-first pass over all sizes up to n_max, each key counted one
-    survivor at a time and annotated from its lexicographically first
-    survivor."""
+    depth-first pass over all sizes up to n_max, each key profiled
+    (:func:`_profiled_key`), counted one survivor at a time and annotated
+    from its lexicographically first survivor."""
     p, m = prime_power(q)
     field = field_create(p, m)
     points = projective_points(field, r)
@@ -207,7 +231,7 @@ def _full_census(q, r, n_max, projective=False):
         if high - low > n_max - depth:
             return
         if depth >= n_min and low == high >= 1:
-            key = search._census_key(field, points, chosen, low, r)
+            key = _profiled_key(field, points, chosen, low, r)
             counts[key] = counts.get(key, 0) + 1
             first.setdefault(key, tuple(chosen))
         if depth < n_max:
@@ -379,21 +403,26 @@ def test_census_deterministic():
 
 def test_census_regularity_confirmed_by_brute_oracle():
     """Every census verdict at tiny parameters is re-derived on the full
-    vector space, ignoring syndromes."""
-    from crlab.regularity import brute_subconstituents
-    from crlab.codes import LinearCode
-    for (q, r, n_max) in [(2, 2, 4), (2, 3, 8), (3, 2, 5)]:
+    vector space, ignoring syndromes: profiled multisets, and at q = 2, 3
+    and 4 column sets, whose verdicts come from Delsarte's theorem (each
+    set census has one within reach: [4,1]_2, [9,6]_3 and [6,3]_4)."""
+    for (q, r, n_max, projective) in [
+            (2, 2, 4, False), (2, 3, 8, False), (3, 2, 5, False),
+            (2, 3, 7, True), (3, 3, 9, True), (4, 3, 6, True)]:
         p, m = prime_power(q)
         f = field_create(p, m)
-        for e in search_antipodal_duals(q, r, n_max):
+        checked = 0
+        for e in search_antipodal_duals(q, r, n_max, projective=projective):
             if e.dual_k < 1 or q ** e.n > 1 << 16:
                 continue
+            checked += 1
             code = LinearCode(f, MatGF(f, list(zip(*e.example_columns))))
             brute = brute_subconstituents(code.dual())
             assert brute.rho == e.rho, (q, r, e.n)
             assert brute.is_completely_regular == e.completely_regular
             if e.ia is not None:
                 assert brute.ia.same_array(e.ia)
+        assert checked, (q, r, n_max, projective)
 
 
 def test_family_instances_rediscovered_in_census(family_grid):
@@ -524,8 +553,68 @@ def test_census_charges_its_incidence_table():
 
 
 def test_census_refuses_depth_past_its_weight_fields():
-    """PG(0, 2) has one point, so the cap counts C(n_max - 1, n_max - 1)
-    = 1 multiset, but the chain of nodes would reach depth 2^64, past the
-    widest weight field."""
+    """PG(0, 2) has one point, and its chain of nodes would reach depth
+    2^64, past the widest weight field; that refusal comes before the
+    multiset count is taken."""
     with pytest.raises(budgets.BudgetExceeded, match=f"depth {1 << 64},"):
         search_antipodal_duals(2, 1, 1 << 64)
+
+
+def test_census_set_level_sum_stops_at_the_point_count(capsys):
+    """A set census has no level past n = P, so PG(0, 2) with a huge n_max
+    sums one level and walks one node instead of summing 10^12 terms."""
+    assert search_antipodal_duals(2, 1, 10 ** 12, projective=True) == []
+    assert cli.main(["search", "classify", "--q", "2", "--r", "1",
+                     "--n-max", str(10 ** 12), "--projective"]) == 0
+
+
+def test_census_multiset_count_covers_every_level(monkeypatch, capsys):
+    """The multisets of PG(0, 2) that hold its point number one per level,
+    C(P + n_max - r, n_max - r) = n_max in all, so a chain of 10^12 nodes
+    is refused before any table is built."""
+    def no_points(*args):
+        raise AssertionError("the census built its points before refusing")
+    monkeypatch.setattr(search, "projective_points", no_points)
+    with pytest.raises(budgets.BudgetExceeded,
+                       match=f"about {10 ** 12} column multisets "):
+        search_antipodal_duals(2, 1, 10 ** 12)
+    assert cli.main(["search", "classify", "--q", "2", "--r", "1",
+                     "--n-max", str(10 ** 12)]) == 1
+    assert capsys.readouterr().err.startswith("error: census would scan ")
+
+
+@pytest.mark.parametrize("q,r,n_max,regular", [
+    (4, 3, 6, [6]), (7, 3, 6, []), (5, 2, 6, [3, 4, 5])])
+def test_census_sets_take_delsarte_arrays(monkeypatch, q, r, n_max, regular):
+    """Every column set's dual has d >= 3 and a two-weight dual, so its
+    rho and array come from Delsarte's theorem: a set census builds no
+    profile at all.  ``regular`` lists the lengths of its completely
+    regular entries."""
+    def no_profile(*args):
+        raise AssertionError("a column set's dual was profiled")
+    monkeypatch.setattr(search, "complete_regularity", no_profile)
+    entries = search_antipodal_duals(q, r, n_max, projective=True)
+    assert [e.n for e in entries if e.completely_regular] == regular
+    assert all(e.rho == 2 and e.ia.rho == 2 for e in entries
+               if e.completely_regular)
+
+
+def test_census_profiles_only_repeated_columns(monkeypatch):
+    """A multiset census profiles the dual of exactly its survivors with
+    a repeated column and dual dimension >= 1."""
+    keyed, profiled = [], []
+    census_key = search._census_key
+
+    def recording_key(field, points, chosen, d, r):
+        keyed.append(chosen)
+        return census_key(field, points, chosen, d, r)
+
+    def counting_profile(code):
+        profiled.append(code)
+        return complete_regularity(code)
+    monkeypatch.setattr(search, "_census_key", recording_key)
+    monkeypatch.setattr(search, "complete_regularity", counting_profile)
+    search_antipodal_duals(2, 3, 8)
+    repeated = [c for c in keyed if len(set(c)) < len(c) and len(c) > 3]
+    assert repeated and len(repeated) < len(keyed)
+    assert len(profiled) == len(repeated)
