@@ -21,9 +21,10 @@ import sys
 import numpy as np
 
 from . import budgets, conditions, diffmat, families, fileio, search
-from .codes import LinearCode, complementary_code, max_column_multiplicity
+from .codes import (LinearCode, complementary_code, is_projective,
+                    max_column_multiplicity)
 from .field import field_create, prime_power
-from .regularity import complete_regularity
+from .regularity import complete_regularity, delsarte_ia
 from .report import build_code_report
 
 # --family -> (builder in crlab.families, required arguments); builders
@@ -140,15 +141,16 @@ def cmd_construct(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    tw, cr = inst.two_weight_code, inst.cr_code
+    tw = inst.two_weight_code
+    dual_k = tw.n - tw.k
     if args.as_json:
         wd = tw.weight_distribution()
-        reg = complete_regularity(cr)
+        rho, ia = _dual_regularity(inst, wd)
         doc = {
             "family": inst.family,
             "params": inst.params,
             "two_weight_code": {"n": tw.n, "k": tw.k, "q": tw.q},
-            "cr_code": {"n": cr.n, "k": cr.k, "q": cr.q},
+            "cr_code": {"n": tw.n, "k": dual_k, "q": tw.q},
             "predicted": {
                 "weights": sorted(inst.predicted_weights),
                 "intersection_array": {"b": list(inst.predicted_ia.b),
@@ -156,10 +158,9 @@ def cmd_construct(args, parser) -> int:
             },
             "computed": {
                 "weights": list(wd.nonzero_weights),
-                "rho": reg.profile.rho,
-                "intersection_array": ({"b": list(reg.ia.b),
-                                        "c": list(reg.ia.c)}
-                                       if reg.ia else None),
+                "rho": rho,
+                "intersection_array": ({"b": list(ia.b), "c": list(ia.c)}
+                                       if ia else None),
             },
             "notes": list(inst.notes),
         }
@@ -168,17 +169,36 @@ def cmd_construct(args, parser) -> int:
         print(f"family {inst.family} {inst.params}")
         print(f"two-weight code: [{tw.n},{tw.k}]_{tw.q}, predicted weights "
               f"{sorted(inst.predicted_weights)}")
-        print(f"completely regular dual: [{cr.n},{cr.k}]_{cr.q}, predicted "
+        print(f"completely regular dual: [{tw.n},{dual_k}]_{tw.q}, predicted "
               f"intersection array {inst.predicted_ia}")
         for note in inst.notes:
             print(f"note: {note}")
     if args.output:
         fileio.write_gfc(args.output, tw,
                          comment=f"{inst.family} {inst.params} two-weight side")
-        fileio.write_gfc(args.output + ".dual", cr,
+        fileio.write_gfc(args.output + ".dual", inst.cr_code,
                          comment=f"{inst.family} {inst.params} dual side")
         print(f"wrote {args.output} and {args.output}.dual")
     return 0
+
+
+def _dual_regularity(inst, wd) -> tuple:
+    """(rho, intersection array or None) of the completely regular dual,
+    by certificate when one holds.
+
+    Nonzero, pairwise independent columns give the dual d >= 3, so
+    e >= 1, and its dual's weights are those of wd: Delsarte's theorem
+    then gives rho and the array, as in
+    :func:`crlab.report.build_code_report`, and no dual is built.  Any
+    other dual is eliminated and profiled."""
+    tw = inst.two_weight_code
+    ia = None
+    if is_projective(tw):
+        ia = delsarte_ia(tw.n, tw.q, tw.k, 1, wd.nonzero_weights)
+    if ia is not None:
+        return ia.rho, ia
+    reg = complete_regularity(inst.cr_code)
+    return reg.profile.rho, reg.ia
 
 
 def _need(parser, args, *names):

@@ -2,15 +2,18 @@
 and antipodal dual, plus the structural checkers that certify them.
 
 Each constructor returns a FamilyInstance holding the two-weight code
-(the antipodal side), its completely regular dual, and the predicted
-weight set; the dual's intersection array follows from those by
-Delsarte's closed form (:func:`crlab.regularity.delsarte_ia`), the same
-for all six families.  Predictions are verified by the test
-suite, not silently trusted at construction; the cheap structural
-safety nets (column counts, weight sets of the small side, the CR.2
-dimension) do run here.  CR.2 is built from the all-ones row and u/l
-rows of its difference matrix, computed without building the matrix or
-stacking its q^2 mu translates.
+(the antipodal side) and the predicted weight set.  The completely
+regular dual is the two-weight code's null space; ``cr_code`` builds it
+on first use and the two-weight code caches it, so a caller that needs
+only parameters, weights or the intersection array never eliminates.
+The dual's intersection array follows from the weights by Delsarte's
+closed form (:func:`crlab.regularity.delsarte_ia`), the same for all six
+families.  Predictions are verified by the test suite, not silently
+trusted at construction; the cheap structural safety nets (column
+counts, weight sets of the small side, the CR.2 dimension) do run here.
+CR.2 is built from the all-ones row and u/l rows of its difference
+matrix, computed without building the matrix or stacking its q^2 mu
+translates.
 """
 
 from __future__ import annotations
@@ -26,23 +29,32 @@ from .codes import (CodewordMatrix, LinearCode, hamming_distance,
                     projective_dual_transform)
 from .diffmat import (DifferenceMatrix, is_additive_group,
                       is_difference_matrix, shortening)
-from .field import FieldSpec, field_create, prime_power
+from .field import FieldSpec, digit_add, field_create, prime_power
 from .matrix import MatGF
 from .regularity import IntersectionArray, delsarte_ia
 
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """One member of a family: its two-weight code and predicted weights.
+
+    Only the two-weight side is held.  ``cr_code`` eliminates the dual on
+    first use, and ``predicted_ia`` needs no dual at all."""
     family: str                      # "CR1" .. "CR6"
     params: dict
     two_weight_code: LinearCode
-    cr_code: LinearCode
     predicted_weights: frozenset     # {d, n} of the two-weight side
     notes: tuple = dc_field(default_factory=tuple)
 
     @property
     def q(self) -> int:
         return self.two_weight_code.q
+
+    @property
+    def cr_code(self) -> LinearCode:
+        """The completely regular dual: the two-weight code's null space,
+        eliminated on first use and cached by the two-weight code."""
+        return self.two_weight_code.dual()
 
     @property
     def predicted_ia(self) -> IntersectionArray:
@@ -87,7 +99,7 @@ def cr1_extended_hamming(m: int) -> FamilyInstance:
         notes = ("trivial boundary: dual dimension 1",)
     return FamilyInstance(
         family="CR1", params={"m": m},
-        two_weight_code=tw, cr_code=tw.dual(),
+        two_weight_code=tw,
         predicted_weights=frozenset({n // 2, n}),
         notes=notes)
 
@@ -110,7 +122,7 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
     n = q * mu
     k_dim = (l + h) // l
     # the completely regular dual's (n - k) x n generator is the largest
-    # object built
+    # object built when the dual is read (``cr_code``, ``construct -o``)
     budgets.check_enum(n * (n - k_dim - 1),
                        f"CR.2 dual generator for D({q},{mu}) entries")
     big, small, phi = shortening(p, l, h)
@@ -127,7 +139,7 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
         notes = ("trivial boundary: dual dimension <= 1",)
     return FamilyInstance(
         family="CR2", params={"p": p, "l": l, "h": h, "q": q},
-        two_weight_code=tw, cr_code=tw.dual(),
+        two_weight_code=tw,
         predicted_weights=frozenset({mu * (q - 1), n}),
         notes=notes)
 
@@ -149,7 +161,7 @@ def cr3_mds_dual(q: int, n: int) -> FamilyInstance:
         notes = ("boundary: dual dimension 1",)
     return FamilyInstance(
         family="CR3", params={"q": q, "n": n},
-        two_weight_code=tw, cr_code=tw.dual(),
+        two_weight_code=tw,
         predicted_weights=frozenset({n - 1, n}),
         notes=notes)
 
@@ -174,7 +186,7 @@ def cr4_bose_bush(q: int) -> FamilyInstance:
     tw = LinearCode(f, G)
     return FamilyInstance(
         family="CR4", params={"q": q},
-        two_weight_code=tw, cr_code=tw.dual(),
+        two_weight_code=tw,
         predicted_weights=frozenset({q, q + 2}))
 
 
@@ -231,7 +243,7 @@ def cr5_delsarte(q: int) -> FamilyInstance:
         notes = ("degenerate: length 6 coincides with the hyperoval code",)
     return FamilyInstance(
         family="CR5", params={"q": q},
-        two_weight_code=tw, cr_code=tw.dual(),
+        two_weight_code=tw,
         predicted_weights=frozenset(want),
         notes=notes)
 
@@ -262,24 +274,28 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
         raise ValueError("need h = 2^u with 2 <= h <= q/2")
     c = denniston_quadratic_c(f)
 
-    subgroup = {0}
-    for gen in [f.pow(f.alpha, i) for i in range(u)]:
-        subgroup |= {f.add(x, gen) for x in subgroup}
-    if len(subgroup) != h:
+    # membership table of H, doubled by one generator at a time
+    in_h = np.zeros(q, dtype=bool)
+    in_h[0] = True
+    for i in range(u):
+        in_h[digit_add(np.flatnonzero(in_h), f.pow(f.alpha, i),
+                       f.p, f.m)] = True
+    if np.count_nonzero(in_h) != h:
         raise AssertionError("additive subgroup has the wrong order")
 
-    cols = []
-    for x in range(q):
-        x2 = f.mul(x, x)
-        for y in range(q):
-            val = f.add(f.add(x2, f.mul(x, y)), f.mul(c, f.mul(y, y)))
-            if val in subgroup:
-                cols.append((1, x, y))
+    # x^2 + xy + c y^2 over the q x q grid; nonzero() reads it x-major
+    elements = np.arange(q)
+    squares = f.mul_array(elements, elements)
+    form = digit_add(
+        digit_add(squares[:, None], f.mul_array(elements[:, None], elements),
+                  f.p, f.m),
+        f.mul_array(c, squares), f.p, f.m)
+    xs, ys = np.nonzero(in_h[form])
     n = 1 + (q + 1) * (h - 1)
-    if len(cols) != n:
+    if len(xs) != n:
         raise AssertionError(
-            f"arc has {len(cols)} points, expected 1 + (q+1)(h-1) = {n}")
-    tw = LinearCode(f, MatGF(f, np.transpose(cols)))
+            f"arc has {len(xs)} points, expected 1 + (q+1)(h-1) = {n}")
+    tw = LinearCode(f, MatGF(f, np.stack([np.ones_like(xs), xs, ys])))
     weights = set(tw.weight_distribution().nonzero_weights)
     want = {q * (h - 1), n}
     if weights != want:
@@ -290,7 +306,7 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
         notes = ("h = 2 reproduces the hyperoval-code parameters",)
     return FamilyInstance(
         family="CR6", params={"q": q, "h": h},
-        two_weight_code=tw, cr_code=tw.dual(),
+        two_weight_code=tw,
         predicted_weights=frozenset(want),
         notes=notes)
 

@@ -260,6 +260,20 @@ class FieldSpec:
         mask or a reduction mod q-1.  Two threads racing on the first use
         build equal arrays.
         """
+        log, antilog = self._tables()
+        return antilog[log[a] + log[b]]
+
+    def inv_array(self, a) -> np.ndarray:
+        """Elementwise inverse over an integer array of nonzero elements,
+        as intp; ZeroDivisionError if any element is zero.  alpha^-l is
+        alpha^(q-1-l), read from the antilog array of :meth:`mul_array`."""
+        a = np.asarray(a)
+        if not a.all():
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        log, antilog = self._tables()
+        return antilog[self.q - 1 - log[a]]
+
+    def _tables(self) -> tuple:
         if self._log_arrays is None:
             z = 2 * (self.q - 1)
             log = np.array(self.discrete_log, dtype=np.intp)
@@ -268,8 +282,7 @@ class FieldSpec:
             antilog = np.zeros(2 * z + 1, dtype=np.intp)
             antilog[:z] = np.tile(powers, 2)
             self._log_arrays = (log, antilog)
-        log, antilog = self._log_arrays
-        return antilog[log[a] + log[b]]
+        return self._log_arrays
 
     def matmul(self, a, b) -> np.ndarray:
         """a @ b over the field for 2-d integer arrays of elements, as intp.

@@ -22,9 +22,10 @@ and brought back to exact counts by double counting.
   weights of the messages that miss some chosen column drive both the
   prunes and the completion test.  A node holds its message weights as
   one int with a field of ``width`` bytes per message, ``width`` the
-  fewest of 1, 2, 4 or 8 bytes that holds n_max; no weight passes the
-  depth, so a child adds its column's packed hits without a carry, and
-  a node reads its fields once, sorted.  A completed multiset has weights
+  fewest of 1, 2, 4 or 8 bytes that holds the deepest level (n_max, or
+  P for a set census with n_max > P); no weight passes the depth, so a
+  child adds its column's packed hits without a carry, and a node reads
+  its fields once, sorted.  A completed multiset has weights
   {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero message
   orthogonal to all of them would have weight 0.  No rank is computed.
 
@@ -263,11 +264,13 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     # the cheap refusals come first, so that no count below is summed
     # over a huge n_max or P.  A node's weights are one int with a field
     # of `width` bytes per message; no field passes the depth, so adding
-    # a column's hits never carries into the next field
-    width = next((w for w in _FIELD_FORMATS if n_max < 1 << 8 * w), None)
+    # a column's hits never carries into the next field.  A set holds at
+    # most P columns, so a set census descends no deeper than P
+    deepest = min(n_max, P) if projective else n_max
+    width = next((w for w in _FIELD_FORMATS if deepest < 1 << 8 * w), None)
     if width is None:
         raise budgets.BudgetExceeded(
-            f"census would descend to depth {n_max}, past its 8-byte "
+            f"census would descend to depth {deepest}, past its 8-byte "
             f"weight fields")
     budgets.check_enum(P * P, f"census incidence table of PG({r - 1},{q})")
     # every searched tuple holds B0; the rest is a set (multiset) of

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import crlab
-from conftest import CONSTRUCT_SPEC, RANDOM_CODE_SHAPES, build_instance
+from conftest import (CONSTRUCT_SPEC, GRID_SPEC, RANDOM_CODE_SHAPES,
+                      build_instance)
 from crlab import budgets, cli, fileio
 from crlab.families import cr4_bose_bush, random_multiweight_code
 from crlab.field import field_create
@@ -331,6 +332,91 @@ def test_construct_json_pinned(args, digest, capsys):
     assert run(["construct", "--family", kind, *rest, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _construct_argv(kind, params) -> list:
+    if kind == "dm-dual":
+        params = {"q": params["p"], "l": params["l"], "h": params["h"]}
+    argv = ["construct", "--family", kind]
+    for name, value in params.items():
+        argv += [f"--{name}", str(value)]
+    return argv
+
+
+def test_construct_json_builds_no_dual_and_no_profile(monkeypatch, capsys):
+    """Every grid and construct-workload family is a projective two-weight
+    code, so `construct --json` takes rho and the array from Delsarte's
+    theorem: no null space is eliminated and no syndrome profile built."""
+    from crlab.regularity import SyndromeProfile
+
+    def refuse(*args):
+        raise AssertionError("construct --json built a dual or a profile")
+    monkeypatch.setattr(MatGF, "null_space", refuse)
+    monkeypatch.setattr(SyndromeProfile, "__init__", refuse)
+    for kind, params in GRID_SPEC + CONSTRUCT_SPEC:
+        assert run(_construct_argv(kind, params) + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["computed"]["rho"] == 2, (kind, params)
+        assert doc["computed"]["intersection_array"] == \
+            doc["predicted"]["intersection_array"], (kind, params)
+
+
+def test_construct_json_profiles_a_dual_with_repeated_columns(monkeypatch,
+                                                              capsys):
+    """A two-weight code with a repeated column has a dual with d = 2,
+    outside Delsarte's theorem (its closed form does not even split these
+    weights), so `computed` comes from the dual's syndrome profile."""
+    from crlab import families
+    from crlab.regularity import complete_regularity, delsarte_ia
+    f = field_create(2, 1)
+    frame = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    tw = LinearCode(f, MatGF(f, np.transpose(frame * 2)))
+    assert tw.weight_distribution().nonzero_weights == (4, 8)
+    with pytest.raises(ValueError):
+        delsarte_ia(8, 2, 3, 1, {4, 8})
+    want = complete_regularity(LinearCode(f, tw.G).dual())
+    inst = families.FamilyInstance(family="CR4", params={"q": 4},
+                                   two_weight_code=tw,
+                                   predicted_weights=frozenset({4, 8}))
+    monkeypatch.setattr(families, "cr4_bose_bush", lambda q: inst)
+    # the prediction's closed form cannot split these weights either
+    monkeypatch.setattr(families.FamilyInstance, "predicted_ia",
+                        property(lambda self: want.ia))
+    assert run(["construct", "--family", "bose-bush", "--q", "4",
+                "--json"]) == 0
+    computed = json.loads(capsys.readouterr().out)["computed"]
+    assert computed == {
+        "weights": [4, 8], "rho": want.profile.rho,
+        "intersection_array": {"b": list(want.ia.b), "c": list(want.ia.c)}}
+    assert (want.profile.rho, str(want.ia)) == (2, "{8,6;2,8}")
+
+
+# sha256 of the two files `construct --family KIND ARGS -o FILE` writes,
+# FILE and FILE.dual, recorded while every builder still built its dual
+# eagerly and Denniston and Delsarte picked their columns one at a time
+CONSTRUCT_OUTPUT_DIGESTS = [
+    ("bose-bush --q 16",
+     "ca457e6aa1450920c3adac97b45cc0a28099790f3cd286a92d6404aad70b752b",
+     "5a9ea4f0980e341c982d37a380160000f8c8ffbfe8dff860d87372de2107a05e"),
+    ("denniston --q 16 --h 4",
+     "90b767e529fffa7ffa9341c28c6283fe93adb2c78d28ddf3309ac878fdf2cec6",
+     "bdddaea493e8b9e08d04626151cd5671ba7a6f1bbf46e7b11c6360a40caa43f4"),
+    ("delsarte --q 16",
+     "c588667bcd60fbb8901b0fead61e7fa2943aa8d976972623338a802984f1ff4c",
+     "8433a5b9a8e43393662a25b53c73d5f588b0ac569813f966d2a303a9da0b5a3f"),
+]
+
+
+@pytest.mark.parametrize("args,tw_digest,dual_digest",
+                         CONSTRUCT_OUTPUT_DIGESTS)
+def test_construct_output_files_pinned(args, tw_digest, dual_digest,
+                                       tmp_path, capsys):
+    kind, *rest = args.split()
+    out = tmp_path / "code.gfc"
+    assert run(["construct", "--family", kind, *rest, "-o", str(out)]) == 0
+    for path, digest in ((out, tw_digest), (f"{out}.dual", dual_digest)):
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, path
 
 
 def test_dm_command(tmp_path, capsys):

@@ -143,6 +143,34 @@ def test_is_projective():
     assert not is_projective(zero_col)
 
 
+def test_is_projective_matches_scalar_normalization(family_grid):
+    """The vectorized test agrees with normalizing one column at a time,
+    on every grid side and on random codes with zero, repeated and
+    scaled columns."""
+    def oracle(code):
+        reps = [normalize_point(code.field, col)
+                for col in code.G.rows.T.tolist()]
+        return None not in reps and len(set(reps)) == len(reps)
+
+    codes_ = [c for e in family_grid for c in (e.tw, e.cr)]
+    for (p, m), n, k in [((2, 1), 7, 3), ((3, 1), 6, 2), ((2, 2), 5, 2),
+                         ((5, 1), 4, 2), ((2, 3), 9, 3)]:
+        f = field_create(p, m)
+        for seed in range(6):
+            G = random_code(f, n, k, seed).G.rows
+            codes_ += [LinearCode(f, MatGF(f, G)),
+                       LinearCode(f, MatGF(f, np.hstack([G, G[:, :1]]))),
+                       LinearCode(f, MatGF(f, np.hstack(
+                           [G, f.mul_array(f.q - 1, G[:, 1:2])]))),
+                       LinearCode(f, MatGF(f, np.hstack(
+                           [G, np.zeros((k, 1), dtype=int)])))]
+    codes_.append(LinearCode(field_create(2, 1),
+                             MatGF.identity(field_create(2, 1), 3)).dual())
+    verdicts = [is_projective(c) for c in codes_]
+    assert verdicts == [oracle(c) for c in codes_]
+    assert True in verdicts and False in verdicts
+
+
 @pytest.mark.parametrize("p,m,k", [(2, 1, 1), (2, 1, 2), (2, 1, 5), (3, 1, 3),
                                    (5, 1, 3), (7, 1, 2), (2, 2, 3), (2, 3, 3),
                                    (3, 2, 2), (2, 2, 4)])
@@ -260,6 +288,42 @@ def test_projective_dual_transform_errors():
     nonproj = LinearCode.from_rows(f, [(1, 1, 0), (0, 0, 1)])
     with pytest.raises(ValueError, match="projective"):
         projective_dual_transform(nonproj, Fraction(1), Fraction(0))
+
+
+def transform_oracle(code, a, b) -> MatGF:
+    """The projective dual transform one point at a time, in exact
+    Fractions, over the points listed lead by lead in product order."""
+    f, k = code.field, code.k
+    points = [(0,) * lead + (1,) + tail for lead in range(k - 1, -1, -1)
+              for tail in itertools.product(range(f.q), repeat=k - 1 - lead)]
+    weights = np.count_nonzero(f.matmul(points, code.G.rows), axis=1)
+    cols = []
+    for p, w in zip(points, weights.tolist()):
+        m = a * w + b
+        if m.denominator != 1 or m < 0:
+            raise ValueError(
+                f"multiplicity a*w + b = {m} for point {p} (weight {w}) "
+                f"is not a nonnegative integer")
+        cols.extend([p] * int(m))
+    return MatGF(f, np.transpose(cols))
+
+
+@pytest.mark.parametrize("a,b", [
+    (Fraction(1, 3), Fraction(0)),      # weight 4 fails, weight 6 gives 2
+    (Fraction(1, 7), Fraction(0)),      # both weights fail
+    (Fraction(1), Fraction(-5)),        # weight 4 goes negative
+    (Fraction(-1), Fraction(5)),        # weight 6 goes negative
+], ids=["non-integral", "all-non-integral", "negative-low", "negative-high"])
+def test_projective_dual_transform_error_names_first_point(a, b):
+    """Multiplicities are taken once per distinct weight, but a failure
+    names the first failing point in point order, as the per-point
+    oracle does, with the same text."""
+    bb = bose_bush_4()
+    with pytest.raises(ValueError) as want:
+        transform_oracle(bb, a, b)
+    with pytest.raises(ValueError) as got:
+        projective_dual_transform(bb, a, b)
+    assert str(got.value) == str(want.value)
 
 
 def test_min_distance_and_equidistant():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import min_distance, row_space_equal
 from test_acceptance import expected_ia
+from test_codes import transform_oracle
 
 from crlab.codes import CodewordMatrix, is_projective
 from crlab.diffmat import (difference_matrix, dm_code, is_additive_group,
@@ -9,10 +12,11 @@ from crlab.diffmat import (difference_matrix, dm_code, is_additive_group,
 from crlab.families import (antipodal_form_check, bush_closed_form_matrix,
                             cr1_extended_hamming, cr2_dm_dual, cr3_mds_dual,
                             cr4_bose_bush, cr5_delsarte, cr6_denniston,
-                            family_match, random_multiweight_code,
-                            simplex_partition)
+                            denniston_quadratic_c, family_match,
+                            random_multiweight_code, simplex_partition)
 from crlab.field import field_create
 from crlab.codes import LinearCode
+from crlab.matrix import MatGF
 from crlab.regularity import complete_regularity, delsarte_ia
 
 
@@ -232,6 +236,38 @@ def test_cr6_denniston():
         cr6_denniston(8, 8)    # h > q/2
     with pytest.raises(ValueError):
         cr6_denniston(8, 3)    # h not a power of 2
+
+
+def denniston_oracle(q: int, h: int) -> MatGF:
+    """The Denniston generator one grid cell at a time in scalar field
+    arithmetic, columns (1, x, y) in x-major order."""
+    f = field_create(2, q.bit_length() - 1)
+    c = denniston_quadratic_c(f)
+    subgroup = {0}
+    for gen in [f.pow(f.alpha, i) for i in range(h.bit_length() - 1)]:
+        subgroup |= {f.add(x, gen) for x in subgroup}
+    cols = []
+    for x in range(q):
+        x2 = f.mul(x, x)
+        for y in range(q):
+            val = f.add(f.add(x2, f.mul(x, y)), f.mul(c, f.mul(y, y)))
+            if val in subgroup:
+                cols.append((1, x, y))
+    return MatGF(f, np.transpose(cols))
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_denniston_generator_matches_scalar_oracle(q):
+    for h in (1 << u for u in range(1, q.bit_length() - 1)):
+        assert cr6_denniston(q, h).two_weight_code.G == \
+            denniston_oracle(q, h), h
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_delsarte_generator_matches_per_point_oracle(q):
+    base = cr4_bose_bush(q).two_weight_code
+    assert cr5_delsarte(q).two_weight_code.G == \
+        transform_oracle(base, Fraction(1, 2), Fraction(-q, 2))
 
 
 def test_denniston_column_count_formula():

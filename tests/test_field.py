@@ -193,6 +193,17 @@ def test_mul_array_matches_field(p, m):
     assert f.mul_array(0, f.q - 1) == 0 and f._log_arrays is tables
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2),
+                                 (2, 8), (3, 5)])
+def test_inv_array_matches_field(p, m):
+    f = field_create(p, m)
+    e = np.arange(1, f.q)
+    assert f.inv_array(e).tolist() == [f.inv(a) for a in range(1, f.q)]
+    assert f.inv_array(e[::-1].reshape(1, -1)).shape == (1, f.q - 1)
+    with pytest.raises(ZeroDivisionError):
+        f.inv_array([1, 0])
+
+
 def _element_matmul(f, a, b, n):
     """a @ b for an n-column b, one element-level dot product at a time."""
     out = []

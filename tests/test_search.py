@@ -568,6 +568,23 @@ def test_census_set_level_sum_stops_at_the_point_count(capsys):
                      "--n-max", str(10 ** 12), "--projective"]) == 0
 
 
+def test_census_set_weight_fields_stop_at_the_point_count():
+    """A set holds at most P columns, so a set census sizes its weight
+    fields by min(n_max, P): PG(0, 2) with n_max = 2^64 walks its one
+    node instead of being refused as past the widest field."""
+    assert search_antipodal_duals(2, 1, 1 << 64, projective=True) == \
+        search_antipodal_duals(2, 1, 1, projective=True)
+
+
+@pytest.mark.parametrize("q,r", [(2, 3), (3, 3)])
+def test_census_set_entries_past_the_point_count(q, r):
+    """With P < 256 <= n_max the set census keeps one-byte weight fields
+    and gives the entries of n_max = P."""
+    P = (q ** r - 1) // (q - 1)
+    assert search_antipodal_duals(q, r, 256, projective=True) == \
+        search_antipodal_duals(q, r, P, projective=True)
+
+
 def test_census_multiset_count_covers_every_level(monkeypatch, capsys):
     """The multisets of PG(0, 2) that hold its point number one per level,
     C(P + n_max - r, n_max - r) = n_max in all, so a chain of 10^12 nodes
