@@ -268,8 +268,7 @@ def cmd_dm(args, parser) -> int:
     side = dm.side
     print(f"D({dm.q},{dm.mu}): {side}x{side} over GF({dm.q})")
     if side <= 32:
-        for row in dm.entries:
-            print(" ".join(str(int(x)) for x in row))
+        sys.stdout.writelines(fileio.format_rows(dm.entries))
     if args.verify:
         ok = diffmat.is_difference_matrix(dm.entries, dm.group_field)
         print(f"difference matrix: {'OK' if ok else 'FAILED'}")

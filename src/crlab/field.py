@@ -12,9 +12,10 @@ constructions are bit-reproducible without external polynomial tables.
 For m = 1 the same search runs on the moduli x - g for g = 1, 2, ...,
 so alpha = g is the smallest primitive root.  A candidate is certified
 by exponentiation (x^(q-1) = 1 and x^((q-1)/l) != 1 for every prime
-l | q - 1), with m x m matrices of multiplication by powers of x, so the
-rejected candidates cost O(m^3 log q) each rather than a walk of up to
-q - 1 powers.
+l | q - 1), so the rejected candidates cost O(log q) products each rather
+than a walk of up to q - 1 powers.  For m <= 3 the products are Python
+ints on coefficient tuples; larger m uses numpy m x m matrices of
+multiplication by powers of x.
 
 The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
 tables of size q are precomputed at creation for O(1) mul/inv.  The
@@ -151,27 +152,68 @@ def _times_x(low, p: int) -> np.ndarray:
     return mat
 
 
+def _matrix_power_is_one(low, p: int, e: int) -> bool:
+    """Whether x^e = 1 modulo the monic modulus with low coefficients low,
+    by square-and-multiply on the m x m matrices of :func:`_times_x`:
+    x^e = 1 when row 0 of its matrix is (1, 0, ...)."""
+    acc, base = np.eye(len(low), dtype=np.int64), _times_x(low, p)
+    while e:
+        if e & 1:
+            acc = acc @ base % p
+        base = base @ base % p
+        e >>= 1
+    return acc[0, 0] == 1 and not acc[0, 1:].any()
+
+
+def _int_power_is_one(low, p: int, e: int) -> bool:
+    """Whether x^e = 1 modulo the monic modulus with low coefficients low,
+    for m = len(low) <= 3, by square-and-multiply on coefficient tuples
+    of Python ints: a product is a dozen int operations, where a numpy
+    call on an m x m matrix costs microseconds."""
+    t = [-c % p for c in low]  # x^m = t_0 + t_1 x + ... + t_(m-1) x^(m-1)
+    if len(t) == 1:
+        return pow(t[0], e, p) == 1
+    if len(t) == 2:
+        t0, t1 = t
+
+        def mul(a, b):
+            a0, a1 = a
+            b0, b1 = b
+            c2 = a1 * b1
+            return (a0 * b0 + c2 * t0) % p, (a0 * b1 + a1 * b0 + c2 * t1) % p
+    else:
+        t0, t1, t2 = t
+
+        def mul(a, b):
+            a0, a1, a2 = a
+            b0, b1, b2 = b
+            c4 = a2 * b2  # x^4 = t_0 x + t_1 x^2 + t_2 x^3, then x^3 folds
+            c3 = (a1 * b2 + a2 * b1 + c4 * t2) % p
+            return ((a0 * b0 + c3 * t0) % p,
+                    (a0 * b1 + a1 * b0 + c4 * t0 + c3 * t1) % p,
+                    (a0 * b2 + a1 * b1 + a2 * b0 + c4 * t1 + c3 * t2) % p)
+    one = (1,) + (0,) * (len(t) - 1)
+    acc, base = one, (0, 1) + (0,) * (len(t) - 2)
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        e >>= 1
+    return acc == one
+
+
 def _is_primitive(low, p: int, q: int) -> bool:
     """Whether x has multiplicative order exactly q - 1 modulo the monic
     modulus with low coefficients low: x^(q-1) = 1 and x^((q-1)/l) != 1
     for every prime l | q - 1.  Then its q - 1 powers are distinct units,
     so the quotient ring is a field: the modulus is irreducible and
-    primitive."""
+    primitive.  Degrees m <= 3 exponentiate with Python ints, larger ones
+    with numpy matrices."""
     if low[0] == 0:
         return False
-    step = _times_x(low, p)
-
-    def is_one(e):  # whether x^e = 1: row 0 of its matrix is (1, 0, ...)
-        acc, base = np.eye(len(low), dtype=np.int64), step
-        while e:
-            if e & 1:
-                acc = acc @ base % p
-            base = base @ base % p
-            e >>= 1
-        return acc[0, 0] == 1 and not acc[0, 1:].any()
-
-    return is_one(q - 1) and not any(is_one((q - 1) // l)
-                                     for l in _prime_factors(q - 1))
+    is_one = _int_power_is_one if len(low) <= 3 else _matrix_power_is_one
+    return is_one(low, p, q - 1) and not any(
+        is_one(low, p, (q - 1) // l) for l in _prime_factors(q - 1))
 
 
 def _antilog(low, p: int, q: int) -> np.ndarray:

@@ -16,6 +16,16 @@ matrix parses with a warning and reports run on its row-space basis.
     dm <p> <l> <h>
     <q*mu rows of q*mu integers in [0, p^l)>
 
+Matrix rows are written by :func:`format_rows`, byte for byte what
+``" ".join(map(str, row))`` gives, one ``\n``-terminated line per row.
+It does the decimal digit arithmetic in numpy on blocks of at most
+_BLOCK_CELLS entries, so no temporary of a byte per cell spans the whole
+matrix, and it builds no table sized by q.  A parsed row made only of
+ASCII digits, spaces and tabs, with no token longer than 18 digits, is
+converted in C by ``np.fromstring``; any other row goes through ``int()``
+token by token, so signs, underscores, non-ASCII digits, integers past
+int64 and malformed tokens give what ``int()`` gives, or its error.
+
 Report JSON is schema-versioned ({"schema": 1}); all numeric values are
 exact integers, rationals appear as "num/den" strings.  REPORT_SCHEMA
 describes every key report_to_dict writes.  ``crlab report --json`` does
@@ -28,6 +38,7 @@ by validate_report_dict.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +57,39 @@ class ParsedCode:
     warnings: tuple
 
 
+# entries per formatting block: each holds a few bytes per entry
+_BLOCK_CELLS = 1 << 16
+
+
+def format_rows(rows):
+    """Yield the rows of a 2-d array of nonnegative integers as text,
+    one ``" ".join(map(str, row)) + "\n"`` line per row, in blocks of
+    whole rows and at most _BLOCK_CELLS entries (one row if it is longer)."""
+    rows = np.asarray(rows)
+    per_block = max(1, _BLOCK_CELLS // max(1, rows.shape[1]))
+    for start in range(0, len(rows), per_block):
+        yield _format_block(rows[start:start + per_block])
+
+
+def _format_block(block) -> str:
+    """The text of a block of rows: each entry's decimal digits, right
+    aligned in a field as wide as the block's largest entry and followed
+    by its separator, with the leading zeros masked out."""
+    top = int(block.max())
+    width = len(str(top))
+    value = block.astype(np.min_scalar_type(top))
+    text = np.empty(block.shape + (width + 1,), dtype=np.uint8)
+    text[..., width] = ord(" ")
+    text[:, -1, width] = ord("\n")
+    keep = np.ones(text.shape, dtype=bool)
+    for j in range(width - 1, -1, -1):
+        text[..., j] = value % 10 + ord("0")
+        value //= 10
+        if j:  # the digit before position j is kept iff one is left
+            keep[..., j - 1] = value > 0
+    return text[keep].tobytes().decode("ascii")
+
+
 def write_gfc(path, code: LinearCode, comment: str | None = None) -> None:
     f = code.field
     lines = []
@@ -55,14 +99,19 @@ def write_gfc(path, code: LinearCode, comment: str | None = None) -> None:
     lines.append(f"field {f.p} {f.m} poly " +
                  " ".join(str(c) for c in f.modulus))
     lines.append(f"code {code.k} {code.n}")
-    for row in code.G.rows:
-        lines.append(" ".join(map(str, row.tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.writelines(format_rows(code.G.rows))
 
 
 class GfcParseError(ValueError):
     pass
+
+
+# a row np.fromstring converts exactly: ASCII digits, spaces and tabs, no
+# token past 18 digits (below 2^63); older numpy stops silently at text
+# it cannot match, so nothing else may reach it
+_PLAIN_ROW = re.compile(r"[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*")
 
 
 def read_gfc(path) -> ParsedCode:
@@ -119,10 +168,13 @@ def read_gfc(path) -> ParsedCode:
             f"{path}: expected {k} matrix rows, found {len(lines) - 2}")
     rows = []
     for lineno, body in lines[2:]:
-        try:
-            row = [int(x) for x in body.split()]
-        except ValueError as exc:
-            raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
+        if _PLAIN_ROW.fullmatch(body):
+            row = np.fromstring(body, dtype=np.int64, sep=" ")
+        else:
+            try:
+                row = [int(x) for x in body.split()]
+            except ValueError as exc:
+                raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
         if len(row) != n:
             raise GfcParseError(
                 f"{path}:{lineno}: expected {n} entries, got {len(row)}")
@@ -148,8 +200,7 @@ def read_gfc(path) -> ParsedCode:
 def write_dm(path, dm: DifferenceMatrix, p: int, l: int, h: int) -> None:
     with open(path, "w") as fh:
         fh.write(f"dm {p} {l} {h}\n")
-        for row in dm.entries:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+        fh.writelines(format_rows(dm.entries))
 
 
 # -- report JSON -------------------------------------------------------------

@@ -8,7 +8,14 @@ ValueError; nothing is truncated or wrapped.  The cached RREF depends on
 ``rows`` never changing, so a caller's writeable array is copied, and a
 read-only one is shared.  Elimination works one pivot at a time on
 whole rows with :meth:`crlab.field.FieldSpec.mul_array` and
-:func:`crlab.field.digit_add`; products are
+:func:`crlab.field.digit_add`.  A matrix with at least q rows builds the
+q multiples of each pivot row once, a q x n table no larger than the
+matrix, and updates every row by one gather from it and one
+``digit_add``, in the narrowest dtype ``digit_add`` takes for the field:
+the smallest unsigned one holding 2q for p = 2, the smallest signed one
+for odd p.  A matrix with fewer rows than q multiplies the pivot row by
+each row's factor instead, in the intp of ``mul_array``'s products.  The
+reduced rows come back as read-only intp either way.  Products are
 :meth:`crlab.field.FieldSpec.matmul` on the arrays.
 """
 
@@ -104,24 +111,37 @@ class MatGF:
 
 
 def _rref(f: FieldSpec, rows, ncols):
-    work = np.array(rows, dtype=np.intp)
+    nrows = len(rows)
+    if f.q <= nrows:
+        # XOR needs no sign; an odd-p subtraction's digits go negative
+        dtype = np.min_scalar_type(2 * f.q if f.p == 2 else -2 * f.q)
+        elements = np.arange(f.q)[:, None]
+    else:
+        # narrowing would convert mul_array's intp products at every pivot
+        dtype, elements = np.intp, None
+    work = np.array(rows, dtype=dtype)
     pivots = []
     rank = 0
     for col in range(ncols):
-        if rank == len(work):
+        if rank == nrows:
             break
         below = np.flatnonzero(work[rank:, col])
         if not below.size:
             continue
         pivot = rank + below[0]
-        work[[rank, pivot]] = work[[pivot, rank]]
+        if pivot != rank:
+            work[[rank, pivot]] = work[[pivot, rank]]
         work[rank] = f.mul_array(f.inv(int(work[rank, col])), work[rank])
         factors = work[:, col].copy()
         factors[rank] = 0
-        work = digit_add(work, f.mul_array(factors[:, None], work[rank]),
-                         f.p, f.m, -1)
+        if elements is None:
+            products = f.mul_array(factors[:, None], work[rank])
+        else:
+            products = (f.mul_array(elements, work[rank]).astype(dtype)
+                        .take(factors, axis=0))
+        work = digit_add(work, products, f.p, f.m, -1)
         pivots.append(col)
         rank += 1
-    red = work[:rank]
+    red = work[:rank].astype(np.intp, copy=False)
     red.flags.writeable = False
     return red, rank, tuple(pivots)

@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from crlab.field import (Q_LIMIT, digit_add, field_create, field_from_modulus,
-                         is_prime, prime_power)
+from crlab import field
+from crlab.field import (Q_LIMIT, _antilog, _int_power_is_one,
+                         _matrix_power_is_one, _prime_factors, digit_add,
+                         field_create, field_from_modulus, is_prime,
+                         prime_power)
 
 
 def from_coeffs(f, coeffs) -> int:
@@ -122,6 +125,51 @@ def test_tables_match_power_chain():
         assert f.alpha_powers == _power_chain(low, p, m, q), (p, m)
         count += 1
     assert count == 604  # 564 primes and 40 higher prime powers
+
+
+def _matrix_modulus(p: int, m: int) -> list:
+    """The canonical search run on the numpy matrix certificate."""
+    q = p ** m
+    primes = _prime_factors(q - 1)
+    lows = ([p - g] for g in range(1, p)) if m == 1 else (
+        [v // p ** i % p for i in range(m)] for v in itertools.count())
+    return next(low for low in lows
+                if low[0] and _matrix_power_is_one(low, p, q - 1)
+                and not any(_matrix_power_is_one(low, p, (q - 1) // l)
+                            for l in primes))
+
+
+def test_int_certificate_matches_matrix_certificate(monkeypatch):
+    """Degrees m <= 3 exponentiate with Python ints.  On random moduli and
+    exponents they agree with the numpy matrices, and on a seeded sample
+    of large p (p < 1100 for m = 2, p < 120 for m = 3, the largest of each
+    included) the search finds the modulus, and so the antilog table,
+    that the matrix certificate finds."""
+    rng = random.Random(22)
+    for p, m in ((2, 2), (3, 3), (5, 1), (7, 2), (1021, 2), (101, 3),
+                 (1048573, 1)):
+        for _ in range(40):
+            low = [rng.randrange(p) for _ in range(m)]
+            e = rng.choice([p ** m - 1, (p ** m - 1) // 2 or 1,
+                            rng.randrange(1, 1 << 24)])
+            assert _int_power_is_one(low, p, e) == \
+                _matrix_power_is_one(low, p, e), (p, low, e)
+    sample = []
+    for m, bound, count in ((2, 1100, 4), (3, 120, 4), (1, 1 << 20, 2)):
+        primes = [p for p in range(2, bound)
+                  if is_prime(p) and p ** m <= Q_LIMIT]
+        sample += [(p, m) for p in rng.sample(primes[:-1], count)]
+        sample.append((primes[-1], m))
+    # a private cache, emptied after each field: a table of 2^20 Python
+    # ints is tens of MB
+    cache = {}
+    monkeypatch.setattr(field, "_FIELD_CACHE", cache)
+    for p, m in sample:
+        low = _matrix_modulus(p, m)
+        f = field_create(p, m)
+        assert f.modulus == tuple(low) + (1,), (p, m)
+        assert np.array_equal(f.alpha_powers, _antilog(low, p, p ** m)), (p, m)
+        cache.clear()
 
 
 def test_gf2_boundary():

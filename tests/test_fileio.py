@@ -1,0 +1,185 @@
+"""The matrix text codec against the per-entry code it replaced: the
+``" ".join(map(str, row))`` writers and the ``int()`` row parser are
+kept here as oracles, and every file, printed row and parse result or
+error must match them exactly."""
+
+import random
+import re
+
+import numpy as np
+import pytest
+
+from crlab import cli, diffmat, fileio
+from crlab.codes import LinearCode
+from crlab.field import field_create
+from crlab.matrix import MatGF
+
+
+def join_rows(rows) -> str:
+    """The per-entry writer: one space-joined line per row."""
+    return "".join(" ".join(map(str, row.tolist())) + "\n" for row in rows)
+
+
+def join_write_gfc(path, code, comment=None) -> None:
+    """write_gfc as it was before the blocked formatter."""
+    f = code.field
+    lines = [f"# {ln}" for ln in (comment or "").splitlines()]
+    lines.append(f"field {f.p} {f.m} poly " +
+                 " ".join(str(c) for c in f.modulus))
+    lines.append(f"code {code.k} {code.n}")
+    for row in code.G.rows:
+        lines.append(" ".join(map(str, row.tolist())))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def boundary_matrix(q: int, shape, rng) -> np.ndarray:
+    """Random entries in [0, q), half of them on a digit-width boundary
+    (0, 9/10, 99/100, ...) below q, shuffled."""
+    edges = [0, q - 1] + [v for t in range(1, 8) for v in (10 ** t - 1, 10 ** t)
+                          if v < q]
+    cells = [rng.choice(edges) if rng.random() < 0.5 else rng.randrange(q)
+             for _ in range(shape[0] * shape[1])]
+    return np.array(cells, dtype=np.int64).reshape(shape)
+
+
+@pytest.mark.parametrize("q", [2, 3, 10, 11, 16, 101, 1021 ** 2, 1 << 20])
+def test_format_rows_matches_join(q):
+    rng = random.Random(q)
+    for shape in ((1, 1), (9, 1), (1, 40), (7, 13), (30, 30)):
+        a = boundary_matrix(q, shape, rng)
+        want = join_rows(a)
+        for dtype in (np.int64, np.intp, np.min_scalar_type(q - 1)):
+            assert "".join(fileio.format_rows(a.astype(dtype))) == want
+    a = np.array([[v for v in (0, 9, 10, 99, 100, 999, 1000, 9999, 10000,
+                               99999, 100000, 999999, 1000000) if v < q]])
+    assert "".join(fileio.format_rows(a)) == join_rows(a)
+
+
+def test_format_rows_across_block_boundaries(monkeypatch):
+    """Blocks of whole rows, and a row longer than a block, join to the
+    same text."""
+    rng = random.Random(7)
+    a = boundary_matrix(1 << 20, (23, 11), rng)
+    want = join_rows(a)
+    for cells in (1, 5, 11, 12, 22, 23, 100, 253, 254):
+        monkeypatch.setattr(fileio, "_BLOCK_CELLS", cells)
+        chunks = list(fileio.format_rows(a))
+        assert len(chunks) == -(-23 // max(1, cells // 11))
+        assert "".join(chunks) == want
+    # one block with a wide entry, the next all single digits
+    a = np.array([[1048575, 0], [1, 2], [3, 4]])
+    monkeypatch.setattr(fileio, "_BLOCK_CELLS", 2)
+    assert "".join(fileio.format_rows(a)) == join_rows(a)
+
+
+def _code(f, k, n, rng):
+    """A [n, k] code over f whose generator holds boundary entries."""
+    while True:
+        rows = boundary_matrix(f.q, (k, n), rng)
+        M = MatGF(f, rows)
+        if M.rank == k:
+            return LinearCode(f, M)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (11, 1), (2, 4), (101, 1),
+                                 (31, 2), (2, 20)])
+def test_write_gfc_matches_join_writer(tmp_path, p, m):
+    f = field_create(p, m)
+    rng = random.Random(p * 100 + m)
+    codes = [_code(f, 1, 1, rng), _code(f, 1, 12, rng), _code(f, 5, 9, rng),
+             LinearCode(f, MatGF(f, np.zeros((0, 4), dtype=np.intp)))]
+    if f.q >= 9:
+        codes.append(_code(f, 9, 9, rng))   # n x n, a column per row too
+    for code in codes:
+        for comment in (None, "line one\nline two"):
+            fileio.write_gfc(tmp_path / "new.gfc", code, comment)
+            join_write_gfc(tmp_path / "old.gfc", code, comment)
+            new = (tmp_path / "new.gfc").read_bytes()
+            assert new == (tmp_path / "old.gfc").read_bytes()
+        if code.k == 0:   # the header alone: no row line, no blank line
+            assert new.endswith(f"code 0 {code.n}\n".encode())
+
+
+def test_write_gfc_matches_join_writer_across_blocks(tmp_path, monkeypatch):
+    f = field_create(2, 4)
+    code = _code(f, 6, 10, random.Random(3))
+    join_write_gfc(tmp_path / "old.gfc", code)
+    monkeypatch.setattr(fileio, "_BLOCK_CELLS", 25)
+    fileio.write_gfc(tmp_path / "new.gfc", code)
+    assert (tmp_path / "new.gfc").read_bytes() == \
+        (tmp_path / "old.gfc").read_bytes()
+
+
+@pytest.mark.parametrize("p,l,h", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (5, 1, 1),
+                                   (7, 2, 1), (11, 1, 1)])
+def test_dm_file_and_rows_match_join_writer(tmp_path, capsys, p, l, h):
+    """write_dm's file and cmd_dm's printed rows, byte for byte."""
+    dm = diffmat.difference_matrix(p, l, h)
+    rows = "".join(" ".join(str(int(x)) for x in row) + "\n"
+                   for row in dm.entries)
+    fileio.write_dm(tmp_path / "d.dm", dm, p, l, h)
+    assert (tmp_path / "d.dm").read_text() == f"dm {p} {l} {h}\n" + rows
+    assert cli.main(["dm", "--p", str(p), "--l", str(l), "--h", str(h)]) == 0
+    head = f"D({dm.q},{dm.mu}): {dm.side}x{dm.side} over GF({dm.q})\n"
+    assert capsys.readouterr().out == head + (rows if dm.side <= 32 else "")
+
+
+# -- parsing ------------------------------------------------------------------
+
+def int_read_gfc(path, monkeypatch):
+    """read_gfc with every row converted by the int() loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "_PLAIN_ROW", re.compile(r"(?!)"))
+        return parse_outcome(path)
+
+
+def parse_outcome(path):
+    """(field, rows, warnings) of a parse, or the text of its error."""
+    try:
+        parsed = fileio.read_gfc(path)
+    except fileio.GfcParseError as exc:
+        return str(exc)
+    code = parsed.code
+    return code.field, code.G.rows.tolist(), parsed.warnings
+
+
+ROW_BODIES = [
+    "1 0 1", "+1 0 1", "007 0 1", "1\t0\t1", "1 \t 0\t\t1", "1_0 0 1",
+    "\u0661 0 1", f"{2 ** 70} 0 1", "-0 1 1", "1 0", "1 0 1 1", "1 0 x",
+    "1.0 0 1", "0x1 0 1", "1 0 -1", "1\x0b0 1", "1\u00a00 1",
+    "0" * 18 + "1 0 1", "0" * 19 + "1 0 1", "9" * 18 + " 0 1",
+    "9" * 19 + " 0 1", "1,0,1", "10 0 1", "11 0 1",
+]
+
+
+@pytest.mark.parametrize("body", ROW_BODIES)
+def test_parse_matches_int_loop(tmp_path, monkeypatch, body):
+    """Every row gives the ParsedCode or the GfcParseError text of the
+    int() loop, alone and behind a plain row."""
+    for text in (f"field 11 1 poly 9 1\ncode 1 3\n{body}\n",
+                 f"field 11 1 poly 9 1\ncode 2 3\n0 1 2\n{body}  # c\n"):
+        path = tmp_path / "x.gfc"
+        path.write_text(text, encoding="utf-8")
+        assert parse_outcome(path) == int_read_gfc(path, monkeypatch), body
+
+
+def test_plain_row_guard():
+    """Only ASCII digits, spaces and tabs with at most 18-digit tokens
+    reach np.fromstring."""
+    plain = ["0", "1 2 3", "1\t2  3", "9" * 18, "0" * 18 + " 5"]
+    other = ["+1", "-0", "1_0", "\u0661", "9" * 19, "1\x0b2", "1\u00a02",
+             "1,2", "1.0", "1 2 ", " 1"]
+    assert all(fileio._PLAIN_ROW.fullmatch(b) for b in plain)
+    assert not any(fileio._PLAIN_ROW.fullmatch(b) for b in other)
+
+
+def test_parse_round_trip_matches_int_loop(tmp_path, monkeypatch):
+    """Written files of wide fields parse to the same code both ways."""
+    for p, m in ((2, 20), (31, 2), (3, 2)):
+        f = field_create(p, m)
+        code = _code(f, 4, 30, random.Random(p + m))
+        path = tmp_path / "c.gfc"
+        fileio.write_gfc(path, code)
+        assert parse_outcome(path) == int_read_gfc(path, monkeypatch)
+        assert parse_outcome(path)[1] == code.G.rows.tolist()

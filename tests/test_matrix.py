@@ -48,6 +48,7 @@ def assert_rref_matches_loop(f, rows, label=None):
                                                  rows.shape[1])
     assert (rank, pivots) == (want_rank, want_pivots), label
     assert red.shape == (rank, rows.shape[1]), label
+    assert red.dtype == np.intp and not red.flags.writeable, label
     assert [tuple(r) for r in red.tolist()] == list(want_red), label
 
 
@@ -202,6 +203,27 @@ def test_rref_matches_loop_on_random_matrices(p, m):
         assert ns.nrows == M.ncols - M.rank
         assert not f.matmul(M.rows, ns.rows.T).any()
         assert loop_rref(f, ns.rows.tolist(), ns.ncols)[1] == ns.nrows
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (2, 7), (2, 10), (3, 3), (3, 4),
+                                 (3, 6)])
+def test_rref_matches_loop_on_both_branches(p, m):
+    """Matrices with at least q rows eliminate with a table of the pivot
+    row's q multiples, in the narrowest dtype digit_add takes (its width
+    changes between GF(2^6) and GF(2^7), and GF(3^3) and GF(3^4)); those
+    with fewer rows multiply row by row.  Both equal the element loop."""
+    f = field_create(p, m)
+    rng = random.Random(p * 1000 + m)
+    q = f.q
+    for rows, cols, t in ((q, 5, 5), (q + 3, 9, 4), (2 * q, 3, 3),
+                          (q - 1, 6, 6), (7, 12, 7), (5, 8, 3)):
+        # rank <= t: a product through a t-dimensional space, so the tall
+        # matrices keep the element loop short
+        a = [[rng.randrange(q) for _ in range(t)] for _ in range(rows)]
+        b = [[rng.randrange(q) for _ in range(cols)] for _ in range(t)]
+        mat = f.matmul(a, b)
+        mat[rng.randrange(rows)] = 0
+        assert_rref_matches_loop(f, mat, (p, m, rows, cols))
 
 
 def test_rref_matches_loop_on_grid(family_grid):
