@@ -8,9 +8,7 @@ from .codes import (CodewordMatrix, LinearCode, WeightDistribution,
                     is_antipodal_two_weight, is_projective, macwilliams,
                     projective_dual_transform)
 from .regularity import (IntersectionArray, brute_subconstituents,
-                         complete_regularity, covering_radius,
-                         delsarte_ia, external_distance, oa_strength,
-                         syndrome_profile, up_wide_check)
+                         complete_regularity, delsarte_ia, oa_strength)
 from .diffmat import (DifferenceMatrix, difference_matrix, dm_code,
                       is_difference_matrix, normalize_dm)
 from .conditions import (gray_rankin, power_decomposition, two_weight_counts,
@@ -31,8 +29,7 @@ __all__ = [
     "complementary_code", "equidistant_check", "is_antipodal_two_weight",
     "is_projective", "macwilliams", "projective_dual_transform",
     "IntersectionArray", "brute_subconstituents", "complete_regularity",
-    "covering_radius", "delsarte_ia", "external_distance", "oa_strength",
-    "syndrome_profile", "up_wide_check",
+    "delsarte_ia", "oa_strength",
     "DifferenceMatrix", "difference_matrix", "dm_code",
     "is_difference_matrix", "normalize_dm",
     "gray_rankin", "power_decomposition", "two_weight_counts", "max_distance_bound",

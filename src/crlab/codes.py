@@ -18,13 +18,20 @@ stays bounded by the block whatever q^k is.  Products come from the
 field's log/antilog arrays and sums from :func:`crlab.field.digit_add`.
 ``codewords()`` still materialises every word as a tuple; it is the
 input of the brute-force oracles and the reference the kernel is tested
-against.  The projective dual transform weighs every point of
-PG(k-1, q) as a message with one :meth:`crlab.field.FieldSpec.matmul`.
+against.
+
+A point of PG(k-1, q) is a row of an intp array: its representative,
+scaled so that the first nonzero entry is 1.  :func:`projective_points`
+lists all of them in lexicographic order, and the generator columns
+become such rows in one normalize-and-sort kernel, whose runs of equal
+rows give every point's multiplicity (:func:`is_projective`,
+:func:`max_column_multiplicity`, the complementary construction).  The
+projective dual transform weighs every point as a message with one
+:meth:`crlab.field.FieldSpec.matmul`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -364,69 +371,66 @@ def is_antipodal_two_weight(wd: WeightDistribution, n: int) -> AntipodalVerdict:
     )
 
 
-def normalize_point(field: FieldSpec, vec):
-    """Projective representative: scale so the first nonzero entry is 1.
+def projective_points(field: FieldSpec, k: int) -> np.ndarray:
+    """All points of PG(k-1, q) as a (P, k) intp array of canonical
+    representatives (first nonzero entry 1), in lexicographic order of
+    the rows.
 
-    Returns None for the zero vector.
-    """
-    for x in vec:
-        if x:
-            if x == 1:
-                return tuple(vec)
-            inv = field.inv(x)
-            return tuple(field.mul(inv, y) for y in vec)
-    return None
-
-
-def projective_points(field: FieldSpec, k: int) -> list:
-    """All points of PG(k-1, q) as canonical representatives, in
-    lexicographic order of the representative tuples.
-
-    The representatives are (0, ..., 0, 1, tail) for every tail; a later
-    leading 1 sorts first, and each lead's tails come in product order."""
+    Read as base-q numbers, first coordinate most significant, the
+    representatives with t coordinates after their leading 1 are the
+    values q^t .. 2q^t - 1, and lexicographic order is numeric order.
+    The array holds P >= q^(k-1) rows, so every value fits an intp."""
     q = field.q
     budgets.check_enum((q ** k - 1) // (q - 1),
                        f"PG({k - 1},{q}) point enumeration")
-    return [(0,) * lead + (1,) + tail
-            for lead in range(k - 1, -1, -1)
-            for tail in itertools.product(range(q), repeat=k - 1 - lead)]
+    values = np.concatenate([np.arange(q ** t, 2 * q ** t, dtype=np.intp)
+                             for t in range(k)])
+    return values[:, None] // q ** np.arange(k - 1, -1, -1) % q
+
+
+def _column_points(G: MatGF) -> tuple:
+    """(points, first, counts) of the multiset of projective points that
+    the columns of G form: the distinct points as rows, in lexicographic
+    order, the first column that gives each, and how many columns do.
+
+    Every column is scaled by the inverse of its first nonzero entry, all
+    at once, the scaled columns are sorted as rows, and a point is a run
+    of equal rows.  No row is packed into one integer, so any q^k works.
+    (``np.unique(axis=0)`` would do, but its first call imports
+    ``numpy.ma``, 1 MB and about 15 ms.)  ValueError names the first zero
+    column."""
+    if not G.nrows:
+        raise ValueError("generator column 0 is zero")
+    f = G.field
+    cols = G.rows.T
+    # a zero column leads with its own first entry, 0
+    lead = cols[np.arange(len(cols)), (cols != 0).argmax(axis=1)]
+    if not lead.all():
+        raise ValueError(f"generator column {int(lead.argmin())} is zero")
+    points = f.mul_array(cols, f.inv_array(lead)[:, None])
+    # lexsort is stable and takes its last key first
+    order = np.lexsort(points.T[::-1])
+    points = points[order]
+    # the runs of equal rows lie between consecutive edges
+    edges = np.concatenate(
+        ([True], (points[1:] != points[:-1]).any(axis=1), [True])).nonzero()[0]
+    starts = edges[:-1]
+    return points[starts], order[starts], edges[1:] - starts
 
 
 def is_projective(code: LinearCode) -> bool:
-    """No two generator columns are scalar multiples (zero columns fail).
-
-    Every column is scaled by the inverse of its first nonzero entry, all
-    at once, and no two scaled columns may be equal: sorted, no row may
-    repeat the one before it.  (``np.unique`` would do, but its first
-    call imports ``numpy.ma``, 1 MB and about 15 ms.)"""
-    if not code.k:
-        return False          # every column is zero
-    f = code.field
-    cols = code.G.rows.T
-    lead = cols[np.arange(len(cols)), np.argmax(cols != 0, axis=1)]
-    if not lead.all():
+    """No two generator columns are scalar multiples (zero columns fail)."""
+    try:
+        counts = _column_points(code.G)[2]
+    except ValueError:
         return False
-    points = f.mul_array(cols, f.inv_array(lead)[:, None])
-    points = points[np.lexsort(points.T)]
-    return not (points[1:] == points[:-1]).all(axis=1).any()
-
-
-def column_point_multiplicities(G: MatGF | LinearCode) -> dict:
-    """Multiset of projective points formed by the generator columns."""
-    if isinstance(G, LinearCode):
-        G = G.G
-    mult: dict = {}
-    for j, col in enumerate(G.rows.T.tolist()):
-        rep = normalize_point(G.field, col)
-        if rep is None:
-            raise ValueError(f"generator column {j} is zero")
-        mult[rep] = mult.get(rep, 0) + 1
-    return mult
+    return not (counts > 1).any()
 
 
 def max_column_multiplicity(code: MatGF | LinearCode) -> int:
     """The smallest s for which the complementary construction is defined."""
-    return max(column_point_multiplicities(code).values())
+    G = code.G if isinstance(code, LinearCode) else code
+    return int(_column_points(G)[2].max())
 
 
 def complementary_generator(G: MatGF, s: int) -> MatGF:
@@ -435,17 +439,24 @@ def complementary_generator(G: MatGF, s: int) -> MatGF:
     so G need not have full rank; for every message v,
     wt(vG) + wt(vG_c) = s*q^(k-1)."""
     f = G.field
-    mult = column_point_multiplicities(G)
-    over = [p for p, c in mult.items() if c > s]
-    if over:
+    points, first, counts = _column_points(G)
+    over = np.flatnonzero(counts > s)
+    if over.size:
+        # the over-full point whose first column comes first
+        i = over[first[over].argmin()]
         raise ValueError(
-            f"point {over[0]} occurs {mult[over[0]]} times, more than s = {s}")
-    cols = []
-    for p in projective_points(f, G.nrows):
-        cols.extend([p] * (s - mult.get(p, 0)))
-    if not cols:
+            f"point {tuple(points[i].tolist())} occurs {counts[i]} times, "
+            f"more than s = {s}")
+    every = projective_points(f, G.nrows)
+    # rows in lexicographic order are digit strings in increasing base-q
+    # value, below q^k <= q * len(every), which fits an int64
+    place = f.q ** np.arange(G.nrows - 1, -1, -1)
+    need = np.full(len(every), s)
+    need[np.searchsorted(every @ place, points @ place)] -= counts
+    cols = np.repeat(every, need, axis=0)
+    if not len(cols):
         raise ValueError("degenerate: n_c = 0 (nothing left to complete)")
-    return MatGF(f, np.transpose(cols))
+    return MatGF(f, cols.T)
 
 
 def complementary_code(code: LinearCode, s: int) -> LinearCode:
@@ -473,7 +484,7 @@ def projective_dual_transform(code: LinearCode, a: Fraction,
     a = Fraction(a)
     b = Fraction(b)
     f = code.field
-    points = np.array(projective_points(f, code.k), dtype=np.intp)
+    points = projective_points(f, code.k)
     weights = np.count_nonzero(f.matmul(points, code.G.rows), axis=1)
     # a*w + b once per weight that occurs; a failure names the first
     # point, in point order, whose weight fails

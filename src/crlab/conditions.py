@@ -117,13 +117,13 @@ def cardinality_window_check(n: int, N: int, d: int, q: int) -> list[ConditionCh
         "window_lower", True, left <= N,
         {"left": left, "N": N, "equality": left == N}))
 
-    denom = q * d - (q - 1) * (n - 1)
-    if denom <= 0:
+    upper = max_distance_bound(n, d, q)
+    if not upper.applicable:
         out.append(ConditionCheck("window_upper", False, None,
-                                  {"denominator": denom}))
+                                  upper.witnesses))
         right_eq = False
     else:
-        right = Fraction(q * q * d, denom)
+        right = upper.witnesses["bound"]
         right_eq = N == right
         out.append(ConditionCheck(
             "window_upper", True, N <= right,

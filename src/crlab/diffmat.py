@@ -175,11 +175,11 @@ def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> np.ndarray:
     """
     p = small.p
     t = (big.q - 1) // (small.q - 1)
-    members = {0} | {big.alpha_powers[(i * t) % (big.q - 1)]
-                     for i in range(small.q - 1)}
+    # 0 and the powers alpha^(i t), i < small.q - 1: the small field
+    members = [0] + sorted(big.antilog[:big.q - 1:t].tolist())
     roots = []
     coeffs = small.modulus
-    for y in sorted(members):
+    for y in members:
         acc = 0
         for c in reversed(coeffs):
             acc = big.add(big.mul(acc, y), c)

@@ -17,15 +17,16 @@ than a walk of up to q - 1 powers.  For m <= 3 the products are Python
 ints on coefficient tuples; larger m uses numpy m x m matrices of
 multiplication by powers of x.
 
-The supported field order is bounded by Q_LIMIT = 2^20; log/antilog
-tables of size q are precomputed at creation for O(1) mul/inv.  The
-antilog table is built by block doubling: the digits of x^0 .. x^(L-1)
-times the matrix of x^L give the next L powers, one array product per
-doubling for every degree m.  The numpy counterparts of the tables
-behind :meth:`FieldSpec.mul_array` (whole arrays of products, for the
-weight kernel, the RREF's row operations, the difference-matrix
-multiplication table and the syndrome deltas) are built on first use,
-once per field.
+The supported field order is bounded by Q_LIMIT = 2^20.  Each field
+holds one log and one antilog table, read-only intp arrays built once at
+creation (see :class:`FieldSpec`).  The scalar operations (``mul``,
+``inv``, ``pow``, ``trace``) read single entries of them and return
+Python ints; :meth:`FieldSpec.mul_array` and
+:meth:`FieldSpec.inv_array` index them with whole arrays, for the weight
+kernel, the RREF's row operations, the difference-matrix multiplication
+table and the syndrome deltas.  The antilog table is built by block
+doubling: the digits of x^0 .. x^(L-1) times the matrix of x^L give the
+next L powers, one array product per doubling for every degree m.
 
 Addition is digit-wise mod p on these encodings, and so is addition of
 any vector of field elements packed in base q = p^m: such a vector is a
@@ -39,8 +40,8 @@ is built on it.
 
 :meth:`FieldSpec.matmul` is the one exact matrix product over the field,
 folding ``mul_array`` products together with ``digit_add``.  It gives the
-projective dual transform its point weights (``codes``), PG(2, q) its
-incidences and the census its message-versus-point table (``search``),
+projective dual transform its point weights (``codes``), the arc search
+and the census their one point-hyperplane incidence table (``search``),
 and the subfield embedding its images (``diffmat``).  The oracles that
 check these paths keep their own element-level loops.
 """
@@ -246,34 +247,39 @@ def _antilog(low, p: int, q: int) -> np.ndarray:
 
 
 class FieldSpec:
-    """A concrete finite field GF(p^m) with precomputed tables.
+    """A concrete finite field GF(p^m) with its two tables.
 
-    Never modified after creation; all operations are pure, so instances
-    are safe to share between threads.  The tables ``alpha_powers`` and
-    ``discrete_log`` are lists, which must not be written to: tuple
-    copies would add about a third to the build of a 2^20-entry field.
-    Use :func:`field_create` (canonical modulus) or
-    :func:`field_from_modulus` (explicit modulus) instead of the
-    constructor.
+    ``log`` (length q) holds the discrete log of every element, with
+    zero taking 2(q-1), past the sum of any two nonzero logs.  ``antilog``
+    (length 4(q-1)+1) holds alpha^0 .. alpha^(q-2) twice over and zeros
+    from index 2(q-1) on, so the product of any two elements, zero
+    included, is ``antilog[log[a] + log[b]]`` with no mask and no
+    reduction mod q-1.  Both are built once, in the constructor, as
+    read-only intp arrays; the scalar and the array operations read the
+    same two tables.  Never modified after creation, so instances are
+    safe to share between threads.  Use :func:`field_create` (canonical
+    modulus) or :func:`field_from_modulus` (explicit modulus) instead of
+    the constructor.
     """
 
-    __slots__ = (
-        "p", "m", "q", "modulus", "alpha", "alpha_powers", "discrete_log",
-        "_log_arrays",
-    )
+    __slots__ = ("p", "m", "q", "modulus", "alpha", "log", "antilog")
 
-    def __init__(self, p: int, m: int, modulus, alpha_powers):
-        """alpha_powers: the integer array x^0, ..., x^(q-2)."""
+    def __init__(self, p: int, m: int, modulus, powers):
+        """powers: the integer array x^0, ..., x^(q-2)."""
         self.p = p
         self.m = m
-        self.q = p ** m
+        self.q = q = p ** m
         self.modulus = tuple(modulus)
-        self.alpha_powers = alpha_powers.tolist()
-        self.alpha = self.alpha_powers[1] if self.q > 2 else 1
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[alpha_powers] = np.arange(self.q - 1)
-        self.discrete_log = log.tolist()
-        self._log_arrays = None
+        self.alpha = int(powers[1]) if q > 2 else 1
+        z = 2 * (q - 1)
+        self.log = np.empty(q, dtype=np.intp)
+        self.log[powers] = np.arange(q - 1)
+        self.log[0] = z
+        self.antilog = np.zeros(2 * z + 1, dtype=np.intp)
+        self.antilog[:q - 1] = powers
+        self.antilog[q - 1:z] = powers
+        self.log.flags.writeable = False
+        self.antilog.flags.writeable = False
 
     # -- element arithmetic -------------------------------------------------
 
@@ -287,44 +293,22 @@ class FieldSpec:
         return digit_add(a, b, self.p, self.m, -1)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        log = self.discrete_log
-        return self.alpha_powers[(log[a] + log[b]) % (self.q - 1)]
+        log = self.log
+        return self.antilog.item(log.item(a) + log.item(b))
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise a*b over integer arrays of elements (broadcasting
-        as usual), as intp.
-
-        Reads log/antilog arrays built on first use, once per field: zero
-        takes the log 2(q-1), past the sum of any two nonzero logs, and
-        the antilog array is zero from there on, so no product needs a
-        mask or a reduction mod q-1.  Two threads racing on the first use
-        build equal arrays.
-        """
-        log, antilog = self._tables()
-        return antilog[log[a] + log[b]]
+        as usual), as intp."""
+        return self.antilog[self.log[a] + self.log[b]]
 
     def inv_array(self, a) -> np.ndarray:
         """Elementwise inverse over an integer array of nonzero elements,
         as intp; ZeroDivisionError if any element is zero.  alpha^-l is
-        alpha^(q-1-l), read from the antilog array of :meth:`mul_array`."""
+        alpha^(q-1-l)."""
         a = np.asarray(a)
         if not a.all():
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        log, antilog = self._tables()
-        return antilog[self.q - 1 - log[a]]
-
-    def _tables(self) -> tuple:
-        if self._log_arrays is None:
-            z = 2 * (self.q - 1)
-            log = np.array(self.discrete_log, dtype=np.intp)
-            log[0] = z
-            powers = np.array(self.alpha_powers, dtype=np.intp)
-            antilog = np.zeros(2 * z + 1, dtype=np.intp)
-            antilog[:z] = np.tile(powers, 2)
-            self._log_arrays = (log, antilog)
-        return self._log_arrays
+        return self.antilog[self.q - 1 - self.log[a]]
 
     def matmul(self, a, b) -> np.ndarray:
         """a @ b over the field for 2-d integer arrays of elements, as intp.
@@ -342,7 +326,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.alpha_powers[(-self.discrete_log[a]) % (self.q - 1)]
+        return self.antilog.item(self.q - 1 - self.log.item(a))
 
     def pow(self, a: int, e: int) -> int:
         """a^e for e >= 0, with the convention a^0 = 1 (including 0^0 = 1)."""
@@ -352,7 +336,7 @@ class FieldSpec:
             return 1
         if a == 0:
             return 0
-        return self.alpha_powers[(self.discrete_log[a] * e) % (self.q - 1)]
+        return self.antilog.item(self.log.item(a) * e % (self.q - 1))
 
     def trace(self, a: int) -> int:
         """Trace into the prime subfield: a + a^p + ... + a^(p^(m-1))."""

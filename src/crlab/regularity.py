@@ -1,13 +1,13 @@
 """Covering radius, subconstituents, complete regularity, intersection
-arrays, orthogonal-array strength and the uniform-packing verdict, plus
-:func:`delsarte_ia`, the intersection array that Delsarte's theorem
+arrays and orthogonal-array strength, plus :func:`delsarte_ia`, the intersection array that Delsarte's theorem
 gives in closed form when d >= 2s' - 1.  The report takes rho, the array
 and (by :meth:`IntersectionArray.level_sizes`) the subconstituent sizes
 from the closed form when it applies, and profiles every other code.
 The census takes rho and the array from it for every column set, whose
 dual has d >= 3 and s' = 2, and profiles only the duals of multisets
-with a repeated column.  ``crlab construct --json`` always profiles,
-since its computed array is the check of the predicted one.
+with a repeated column.  ``crlab construct --json`` takes them from it
+too when the two-weight code's columns are distinct points (its dual
+then has d >= 3), and profiles the dual otherwise.
 
 Complete regularity is decided on the syndrome graph rather than the full
 vector space.  Justification: for a linear code the distance of a vector x
@@ -368,45 +368,11 @@ class SyndromeProfile:
         self.level_coset_counts = counts
         self._down, self._up = down, up
 
-    def vector_counts(self) -> dict:
-        """Size of each subconstituent C(i) in vectors."""
-        size_coset = self.q ** self.code.k
-        return {l: c * size_coset for l, c in self.level_coset_counts.items()}
-
     def neighbor_level_counts(self):
         """(down, up) arrays in the smallest signed dtype that holds
         |D| = n(q - 1): per syndrome, the number of (i, gamma) moves
         landing one level lower / higher."""
         return self._down, self._up
-
-
-def syndrome_profile(code: LinearCode) -> SyndromeProfile:
-    return SyndromeProfile(code)
-
-
-def covering_radius(code: LinearCode) -> int:
-    return SyndromeProfile(code).rho
-
-
-def external_distance(code: LinearCode) -> int:
-    """Number of distinct nonzero weights of the dual code."""
-    return code.dual().weight_distribution_auto().s_count
-
-
-@dataclass(frozen=True)
-class PackingVerdict:
-    rho: int
-    s: int
-
-    @property
-    def uniformly_packed(self) -> bool:
-        """Wide-sense uniform packing, decided through rho = s."""
-        return self.rho == self.s
-
-
-def up_wide_check(code: LinearCode) -> PackingVerdict:
-    return PackingVerdict(rho=covering_radius(code),
-                          s=external_distance(code))
 
 
 @dataclass(frozen=True)

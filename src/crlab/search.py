@@ -97,9 +97,7 @@ class PlaneGeometry:
         self.points = projective_points(field, 3)
         n = len(self.points)
         # lines are dual points: line j holds the points orthogonal to it
-        pts = np.array(self.points)
-        incident = field.matmul(pts, pts.T) == 0
-        self.line_mask = _row_masks(incident)
+        incident, self.line_mask = _incidence(field, self.points)
         # every line holds q + 1 points, listed in row order; through[i, j]
         # is the one line through i != j, and the diagonal reads the
         # sentinel line n, whose mask is 0
@@ -111,10 +109,32 @@ class PlaneGeometry:
         self.pair_line = masks[through].tolist()
 
 
+def _incidence(field: FieldSpec, points: np.ndarray) -> tuple:
+    """(table, masks) of the points of PG(r-1, q) against the hyperplanes,
+    the dual points in the same order: table[i, j] is True when point i
+    lies on hyperplane j, their product being zero, and masks[i] has bit
+    j set wherever table[i, j] is.  The table is symmetric, so masks[j]
+    is also the set of points on hyperplane j."""
+    table = field.matmul(points, points.T) == 0
+    return table, _row_masks(table)
+
+
 def _row_masks(table) -> list:
     """Each row of a boolean table as an int with bit j set for column j."""
     rows = np.packbits(table, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _indices(points: np.ndarray, vectors) -> list:
+    """The row index in points of each of the vectors, which must all be
+    points of it."""
+    hit = (points[:, None, :] == np.asarray(vectors)).all(axis=2)
+    return hit.argmax(axis=0).tolist()
+
+
+def _as_tuples(points: np.ndarray, chosen) -> tuple:
+    """The chosen rows of points as tuples of Python ints."""
+    return tuple(map(tuple, points[list(chosen)].tolist()))
 
 
 @dataclass(frozen=True)
@@ -124,7 +144,7 @@ class ArcSearchResult:
     witness: tuple | None          # point tuples, when one exists
 
 
-# the standard frame; its indices in ``projective_points`` order are the
+# the standard frame; its rows in ``projective_points`` order are the
 # four smallest ones that form an arc
 FRAME = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1))
 
@@ -152,7 +172,7 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
     if target_size < 4:
         arc, forbidden = [], 0
     else:
-        arc = [geom.points.index(pt) for pt in FRAME]
+        arc = _indices(geom.points, FRAME)
         forbidden = functools.reduce(operator.or_, (
             pair_line[i][j] for i, j in itertools.combinations(arc, 2)))
 
@@ -168,7 +188,7 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
         if not missing:
             count += 1
             if witness is None:
-                witness = tuple(geom.points[i] for i in arc)
+                witness = _as_tuples(geom.points, arc)
             if not count_all:
                 break
             continue
@@ -294,19 +314,16 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     fmt, nbytes = _FIELD_FORMATS[width], P * width
     field = field_create(p, m)
     points = projective_points(field, r)
-    basis = sorted(points.index(tuple(int(i == j) for j in range(r)))
-                   for i in range(r))
+    basis = sorted(_indices(points, np.eye(r, dtype=np.intp)))
 
     # a message's weight is shared by its nonzero multiples, so one
-    # representative per scalar class gives every weight value
-    pts = np.array(points)
-    orthogonal = field.matmul(pts, pts.T) == 0
+    # representative per scalar class gives every weight value.  r points
+    # are dependent iff some message misses all of them; the table is
+    # symmetric, so misses[i] holds the messages that miss point i
+    orthogonal, misses = _incidence(field, points)
     # hits[i] holds 1 in the field of each message that hits point i
     hits = [int.from_bytes(row.tobytes(), sys.byteorder)
             for row in (~orthogonal).astype(f"u{width}")]
-    # r points are dependent iff some message misses all of them; the
-    # table is symmetric, so row i holds the messages that miss point i
-    misses = _row_masks(orthogonal)
     orbit = math.prod((q ** r - q ** i) // (q - 1) for i in range(r))
 
     shares: dict = {}      # census key -> sum of 1 / beta over survivors
@@ -400,10 +417,9 @@ def _census_key(field, points, chosen, d, r) -> tuple:
         ia = delsarte_ia(n, field.q, r, 1, (d, n))
         rho, cr = ia.rho, True
     elif dual_k >= 1:
-        cols = [points[i] for i in chosen]
         # held while its dual is profiled: the dual's link back to it is
         # weak, and the profile reads the parity checks from it
-        code = LinearCode.from_rows(field, np.transpose(cols))
+        code = LinearCode.from_rows(field, points[list(chosen)].T)
         res = complete_regularity(code.dual())
         rho, cr, ia = res.profile.rho, res.is_completely_regular, res.ia
     if rho != 2:
@@ -427,7 +443,7 @@ def _census_entry(key, chosen, count, repetition_of, points, q,
         families=fams,
         repetition_of=repetition_of,
         count=count,
-        example_columns=tuple(points[i] for i in chosen))
+        example_columns=_as_tuples(points, chosen))
 
 
 def _repetition_annotation(chosen, n, weights, q, r) -> tuple:

@@ -62,6 +62,32 @@ def min_distance(code) -> int:
     return d
 
 
+def normalize_point(field, vec):
+    """Projective representative, one element at a time: scale so the
+    first nonzero entry is 1.  Returns None for the zero vector.  The
+    oracle of the library's array kernels over points."""
+    for x in vec:
+        if x:
+            if x == 1:
+                return tuple(vec)
+            inv = field.inv(x)
+            return tuple(field.mul(inv, y) for y in vec)
+    return None
+
+
+def column_point_counts(field, G) -> dict:
+    """Projective point -> how many columns of G give it, in order of
+    first column, by :func:`normalize_point`; ValueError names the first
+    zero column."""
+    mult: dict = {}
+    for j, col in enumerate(G.rows.T.tolist()):
+        rep = normalize_point(field, col)
+        if rep is None:
+            raise ValueError(f"generator column {j} is zero")
+        mult[rep] = mult.get(rep, 0) + 1
+    return mult
+
+
 def row_space_equal(a, b) -> bool:
     """Whether two MatGF span the same row space (equal RREF)."""
     if a.field != b.field or a.ncols != b.ncols:

@@ -5,9 +5,10 @@ tolerance.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 import time
 
 import numpy as np
+from conftest import normalize_point
 
 from crlab.codes import (LinearCode, is_projective, macwilliams,
-                         max_column_multiplicity, normalize_point)
+                         max_column_multiplicity)
 from crlab.conditions import (power_decomposition, two_weight_counts, cardinality_window_check,
                               complement_valuation_check)
 from crlab.diffmat import difference_matrix, dm_code, is_difference_matrix

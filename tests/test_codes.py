@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import min_distance, row_space_equal
+from conftest import (column_point_counts, min_distance, normalize_point,
+                      row_space_equal)
 
 from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
                          complementary_generator, concatenate,
                          equidistant_check, is_antipodal_two_weight,
                          is_projective, krawtchouk, krawtchouk_column,
-                         macwilliams, max_column_multiplicity, normalize_point,
+                         macwilliams, max_column_multiplicity,
                          projective_dual_transform, projective_points,
                          WeightDistribution)
 from crlab.families import cr4_bose_bush, random_code
@@ -173,12 +174,18 @@ def test_is_projective_matches_scalar_normalization(family_grid):
 
 @pytest.mark.parametrize("p,m,k", [(2, 1, 1), (2, 1, 2), (2, 1, 5), (3, 1, 3),
                                    (5, 1, 3), (7, 1, 2), (2, 2, 3), (2, 3, 3),
-                                   (3, 2, 2), (2, 2, 4)])
+                                   (3, 2, 2), (2, 2, 4), (2, 2, 1), (3, 1, 1),
+                                   (5, 1, 2), (2, 3, 2), (3, 1, 4), (5, 1, 4),
+                                   (2, 3, 4), (3, 2, 3), (13, 1, 2)])
 def test_projective_points_are_the_sorted_normalized_vectors(p, m, k):
+    """The canonical point array is the sorted set of normalized nonzero
+    vectors, row for row."""
     f = field_create(p, m)
     want = sorted({normalize_point(f, v)
                    for v in itertools.product(range(f.q), repeat=k) if any(v)})
-    assert projective_points(f, k) == want
+    points = projective_points(f, k)
+    assert points.dtype == np.intp and points.shape == (len(want), k)
+    assert list(map(tuple, points.tolist())) == want
     assert len(want) == (f.q ** k - 1) // (f.q - 1)
 
 
@@ -190,6 +197,109 @@ def test_projective_points_budget_counts_points(monkeypatch):
     monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "1056")
     with pytest.raises(budgets.BudgetExceeded):
         projective_points(field_create(2, 5), 3)
+
+
+def _complement_oracle(G, s) -> list:
+    """The complementary columns of G at s by the dict of column points,
+    with the library's error texts: the first zero column, the first
+    over-full point, an empty completion."""
+    f = G.field
+    mult = column_point_counts(f, G)
+    over = [p for p, c in mult.items() if c > s]
+    if over:
+        raise ValueError(f"point {over[0]} occurs {mult[over[0]]} times, "
+                         f"more than s = {s}")
+    points = sorted({normalize_point(f, v) for v in itertools.product(
+        range(f.q), repeat=G.nrows) if any(v)})
+    cols = [list(p) for p in points for _ in range(s - mult.get(p, 0))]
+    if not cols:
+        raise ValueError("degenerate: n_c = 0 (nothing left to complete)")
+    return cols
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _column_multisets(family_grid):
+    """Generators of both grid sides, and seeded multisets of columns with
+    repeated, scaled and zero columns over several fields."""
+    out = [c.G for e in family_grid for c in (e.tw, e.cr)]
+    rng = np.random.default_rng(23)
+    for (p, m), k in [((2, 1), 3), ((3, 1), 2), ((2, 2), 3), ((5, 1), 2),
+                      ((2, 3), 2), ((3, 2), 3), ((7, 1), 1)]:
+        f = field_create(p, m)
+        for _ in range(8):
+            G = rng.integers(0, f.q, size=(k, int(rng.integers(1, 9))))
+            picks = rng.integers(0, G.shape[1], size=int(rng.integers(0, 4)))
+            scales = rng.integers(1, f.q, size=(1, len(picks)))
+            extra = [G[:, picks], f.mul_array(G[:, picks], scales)]
+            if rng.random() < 0.3:
+                extra.append(np.zeros((k, 1), dtype=np.intp))
+            G = np.hstack([G] + extra)
+            out.append(MatGF(f, G[:, rng.permutation(G.shape[1])]))
+    return out
+
+
+def test_column_points_match_dict_oracle(family_grid):
+    """is_projective, max_column_multiplicity and complementary_generator
+    agree with the dict of normalized columns on both grid sides and on
+    seeded multisets with repeated, scaled and zero columns, errors and
+    their texts included.  The complement is compared where PG(k-1, q)
+    has at most 2^12 points, at the smallest feasible s and one below."""
+    checked = 0
+    for G in _column_multisets(family_grid):
+        f = G.field
+        try:
+            mult = column_point_counts(f, G)
+            want = max(mult.values())
+        except ValueError as exc:
+            mult, want = None, f"ValueError: {exc}"
+        assert _outcome(max_column_multiplicity, G) == want
+        if G.rank == G.nrows:
+            code = LinearCode(f, G)
+            assert is_projective(code) == (
+                mult is not None and set(mult.values()) == {1})
+            assert _outcome(max_column_multiplicity, code) == want
+        if f.q ** G.nrows > 1 << 12:
+            continue
+        for s in ({want, want - 1} if mult is not None else {1}):
+            got = _outcome(complementary_generator, G, s)
+            if not isinstance(got, str):
+                got = got.rows.T.tolist()
+            assert got == _outcome(_complement_oracle, G, s), (G.rows, s)
+            checked += 1
+    assert checked >= 100
+
+
+def test_column_points_past_int64_packing():
+    """Over GF(2^20) with k = 5, q^k = 2^100: the column kernel sorts rows
+    and never packs one into an integer, so repeated and scaled columns
+    are still found, and the error texts still name the first zero
+    column and the first over-full point."""
+    f = field_create(2, 20)
+    rng = np.random.default_rng(20)
+    G = rng.integers(1, f.q, size=(5, 9))
+    dup = np.hstack([G, G[:, 4:5], f.mul_array(G[:, 2:3], 12345),
+                     f.mul_array(G[:, 4:5], f.q - 1)])
+    oracle = column_point_counts(f, MatGF(f, dup))
+    assert sorted(oracle.values()) == [1] * 7 + [2, 3]
+    assert is_projective(LinearCode(f, MatGF(f, G)))
+    assert not is_projective(LinearCode(f, MatGF(f, dup)))
+    assert max_column_multiplicity(MatGF(f, G)) == 1
+    assert max_column_multiplicity(MatGF(f, dup)) == 3
+    over = next(p for p, c in oracle.items() if c > 1)
+    with pytest.raises(ValueError) as exc:
+        complementary_generator(MatGF(f, dup), 1)
+    assert str(exc.value) == \
+        f"point {over} occurs {oracle[over]} times, more than s = 1"
+    zero = np.hstack([dup[:, :3], np.zeros((5, 1), dtype=np.intp), dup])
+    with pytest.raises(ValueError, match="^generator column 3 is zero$"):
+        max_column_multiplicity(MatGF(f, zero))
 
 
 def test_complementary_bose_bush():

@@ -95,10 +95,10 @@ def test_large_field_moduli_pinned():
     for (p, m), coeffs in LARGE_MODULI.items():
         f = field_create(p, m)
         assert f.modulus == coeffs
-        powers = np.array(f.alpha_powers)
-        assert powers.size == f.q - 1 and powers[0] == 1
+        powers = f.antilog[:f.q - 1]
+        assert powers[0] == 1
         assert np.array_equal(np.sort(powers), np.arange(1, f.q))
-        assert f.mul(f.alpha_powers[-1], f.alpha) == 1
+        assert f.mul(powers[-1], f.alpha) == 1
 
 
 def _prime_powers(limit: int):
@@ -122,9 +122,76 @@ def test_tables_match_power_chain():
             if cand == low:
                 break
             assert cand[0] == 0 or _power_chain(cand, p, m, q) is None, cand
-        assert f.alpha_powers == _power_chain(low, p, m, q), (p, m)
+        assert f.antilog[:q - 1].tolist() == _power_chain(low, p, m, q), \
+            (p, m)
         count += 1
     assert count == 604  # 564 primes and 40 higher prime powers
+
+
+def _coeff_add(x: int, y: int, p: int, m: int) -> int:
+    """x + y on encoded elements, one coefficient at a time."""
+    return sum((x // p ** i + y // p ** i) % p * p ** i for i in range(m))
+
+
+def test_scalar_ops_match_power_chain():
+    """For every field with q <= 2^12, mul, inv, pow and trace on a seeded
+    sample of elements (0, 1, alpha and q - 1 among them) equal the same
+    operations on the power chain's logs, and return Python ints."""
+    rng = random.Random(23)
+    count = 0
+    for p, m in _prime_powers(1 << 12):
+        q = p ** m
+        f = field_create(p, m)
+        chain = _power_chain(list(f.modulus[:m]), p, m, q)
+        log = {x: i for i, x in enumerate(chain)}
+
+        def power(a, e):
+            if e == 0:
+                return 1
+            return chain[log[a] * e % (q - 1)] if a else 0
+
+        sample = sorted({0, 1, f.alpha, q - 1}
+                        | {rng.randrange(q) for _ in range(20)})
+        for a in sample:
+            for b in sample:
+                got = f.mul(a, b)
+                assert type(got) is int
+                assert got == (chain[(log[a] + log[b]) % (q - 1)]
+                               if a and b else 0), (p, m, a, b)
+            for e in (0, 1, 2, p, q - 2, q - 1, q, rng.randrange(1 << 40)):
+                got = f.pow(a, e)
+                assert type(got) is int and got == power(a, e), (p, m, a, e)
+            trace = 0
+            for i in range(m):
+                trace = _coeff_add(trace, power(a, p ** i), p, m)
+            got = f.trace(a)
+            assert type(got) is int and got == trace, (p, m, a)
+            if a:
+                got = f.inv(a)
+                assert type(got) is int
+                assert got == chain[-log[a] % (q - 1)], (p, m, a)
+        count += 1
+    assert count == 604
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (5, 2), (3, 5),
+                                 (1021, 1)])
+def test_tables_are_read_only(p, m):
+    """log and antilog are one read-only pair of intp arrays: the log of
+    every power, 2(q - 1) for zero, the powers twice over and zeros from
+    2(q - 1) on."""
+    f = field_create(p, m)
+    q, z = f.q, 2 * (f.q - 1)
+    for table in (f.log, f.antilog):
+        assert table.dtype == np.intp and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert f.log.shape == (q,) and f.antilog.shape == (2 * z + 1,)
+    powers = f.antilog[:q - 1]
+    assert np.array_equal(f.log[powers], np.arange(q - 1))
+    assert f.log[0] == z
+    assert np.array_equal(f.antilog[q - 1:z], powers)
+    assert not f.antilog[z:].any()
 
 
 def _matrix_modulus(p: int, m: int) -> list:
@@ -160,15 +227,16 @@ def test_int_certificate_matches_matrix_certificate(monkeypatch):
                   if is_prime(p) and p ** m <= Q_LIMIT]
         sample += [(p, m) for p in rng.sample(primes[:-1], count)]
         sample.append((primes[-1], m))
-    # a private cache, emptied after each field: a table of 2^20 Python
-    # ints is tens of MB
+    # a private cache, emptied after each field: the two tables of a
+    # field near 2^20 take 40 MB
     cache = {}
     monkeypatch.setattr(field, "_FIELD_CACHE", cache)
     for p, m in sample:
         low = _matrix_modulus(p, m)
         f = field_create(p, m)
         assert f.modulus == tuple(low) + (1,), (p, m)
-        assert np.array_equal(f.alpha_powers, _antilog(low, p, p ** m)), (p, m)
+        assert np.array_equal(f.antilog[:f.q - 1], _antilog(low, p, p ** m)), \
+            (p, m)
         cache.clear()
 
 
@@ -201,7 +269,7 @@ def test_primitivity_exhaustive():
     for p, m in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
                  (5, 2), (7, 1), (2, 5), (2, 6)]:
         f = field_create(p, m)
-        assert len(set(f.alpha_powers)) == f.q - 1
+        assert len(set(f.antilog[:f.q - 1].tolist())) == f.q - 1
         assert f.pow(f.alpha, f.q - 1) == 1
 
 
@@ -231,14 +299,12 @@ def test_field_axioms_exhaustive_small(p, m):
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2),
                                  (2, 8), (3, 5)])
 def test_mul_array_matches_field(p, m):
-    """The cached log/antilog arrays give every product, zero included,
-    and are built once per field."""
+    """The log/antilog arrays give every product, zero included."""
     f = field_create(p, m)
     e = np.arange(f.q)
     assert f.mul_array(e[:, None], e).tolist() == \
         [[f.mul(a, b) for b in range(f.q)] for a in range(f.q)]
-    tables = f._log_arrays
-    assert f.mul_array(0, f.q - 1) == 0 and f._log_arrays is tables
+    assert f.mul_array(0, f.q - 1) == 0
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2),
@@ -436,7 +502,7 @@ def test_field_from_modulus():
     # x^3 + x^2 + 1 is the other primitive cubic over GF(2)
     f = field_from_modulus(2, 3, (1, 0, 1, 1))
     assert f.modulus == (1, 0, 1, 1)
-    assert len(set(f.alpha_powers)) == 7
+    assert len(set(f.antilog[:7].tolist())) == 7
     # non-primitive (x^4 + x^3 + x^2 + x + 1 has order-5 root)
     with pytest.raises(ValueError):
         field_from_modulus(2, 4, (1, 1, 1, 1, 1))

@@ -11,21 +11,26 @@ from crlab.field import digit_add, field_create, prime_power
 from crlab.matrix import MatGF
 from crlab.regularity import (BRUTE_LIMIT, BruteResult,
                               brute_subconstituents, complete_regularity,
-                              covering_radius, external_distance,
-                              oa_strength, packing_radius, syndrome_profile,
-                              up_wide_check, IntersectionArray,
-                              SyndromeProfile)
+                              oa_strength, packing_radius,
+                              IntersectionArray, SyndromeProfile)
+from crlab.report import build_code_report
 
 
 def ext_hamming():
     return cr1_extended_hamming(3).cr_code
 
 
+def vector_counts(prof) -> dict:
+    """Size of each subconstituent C(i) in vectors: q^k per coset."""
+    size_coset = prof.q ** prof.code.k
+    return {l: c * size_coset for l, c in prof.level_coset_counts.items()}
+
+
 def test_syndrome_profile_ext_hamming():
-    prof = syndrome_profile(ext_hamming())
+    prof = SyndromeProfile(ext_hamming())
     assert prof.level_coset_counts == {0: 1, 1: 8, 2: 7}
     assert prof.rho == 2
-    assert prof.vector_counts() == {0: 16, 1: 128, 2: 112}
+    assert vector_counts(prof) == {0: 16, 1: 128, 2: 112}
 
 
 def test_syndrome_profile_counts_invariants(family_grid):
@@ -42,24 +47,25 @@ def test_syndrome_profile_counts_invariants(family_grid):
 def test_syndrome_profile_full_space():
     f = field_create(2, 1)
     full = LinearCode(f, MatGF.identity(f, 5))
-    prof = syndrome_profile(full)
+    prof = SyndromeProfile(full)
     assert prof.rho == 0 and prof.level_coset_counts == {0: 1}
     res = complete_regularity(full)
     assert res.ia is not None and res.ia.rho == 0
 
 
 def test_syndrome_profile_bose_bush_dual():
-    prof = syndrome_profile(cr4_bose_bush(4).cr_code)
+    prof = SyndromeProfile(cr4_bose_bush(4).cr_code)
     assert prof.size == 64 and prof.rho == 2
 
 
 def test_covering_radius_and_external_distance():
     eh = ext_hamming()
-    assert covering_radius(eh) == 2
-    assert external_distance(eh) == 2
+    assert SyndromeProfile(eh).rho == 2
+    assert build_code_report(eh).external_distance == 2
     f = field_create(2, 1)
     ew = LinearCode.from_rows(f, [(1, 1, 1, 1)]).dual()
-    assert covering_radius(ew) == 1 and external_distance(ew) == 1
+    assert SyndromeProfile(ew).rho == 1
+    assert build_code_report(ew).external_distance == 1
 
 
 def test_complete_regularity_ext_hamming():
@@ -117,7 +123,7 @@ def test_subconstituent_sizes_match_brute_histogram(family_grid):
         vals, counts = np.unique(brute.levels, return_counts=True)
         assert brute.rho == prof.rho, label
         assert dict(zip(vals.tolist(), counts.tolist())) == \
-            prof.vector_counts(), label
+            vector_counts(prof), label
         checked += 1
     assert checked >= 45
 
@@ -131,8 +137,10 @@ def test_brute_rejects_big_spaces():
 
 
 def test_up_wide_check():
-    v = up_wide_check(ext_hamming())
-    assert v.rho == 2 and v.s == 2 and v.uniformly_packed
+    """Wide-sense uniform packing is rho = s, the number of nonzero dual
+    weights; the report decides it."""
+    v = build_code_report(ext_hamming())
+    assert v.rho == 2 and v.external_distance == 2 and v.uniformly_packed
 
 
 def damaged_code():
@@ -146,8 +154,8 @@ def damaged_code():
 def test_damaged_code_regression():
     """The lengthened [9,4] code pins rho = 2 against s = 4."""
     damaged = damaged_code()
-    v = up_wide_check(damaged)
-    assert (v.rho, v.s) == (2, 4)
+    v = build_code_report(damaged)
+    assert (v.rho, v.external_distance) == (2, 4)
     assert not v.uniformly_packed
     res = complete_regularity(damaged)
     assert not res.is_completely_regular
@@ -215,7 +223,7 @@ def test_packing_radius_le_rho(family_grid):
         # the two-weight side, where its syndrome space stays desk-sized
         if entry.tw.q ** (entry.tw.n - entry.tw.k) <= 1 << 16:
             e_tw = packing_radius(entry.tw_wd.d)
-            assert e_tw <= covering_radius(entry.tw), entry.label
+            assert e_tw <= SyndromeProfile(entry.tw).rho, entry.label
 
 
 def test_syndrome_budget(monkeypatch):
@@ -223,7 +231,7 @@ def test_syndrome_budget(monkeypatch):
     f = field_create(2, 1)
     code = LinearCode.from_rows(f, [(1, 1, 1, 1, 1, 1)])
     with pytest.raises(budgets.BudgetExceeded, match=budgets.SYND_BUDGET_VAR):
-        syndrome_profile(code)
+        SyndromeProfile(code)
 
 
 def test_odd_characteristic_matches_brute():

@@ -217,8 +217,7 @@ def _full_census(q, r, n_max, projective=False):
     points = projective_points(field, r)
     P = len(points)
     n_min = max(r, 2)
-    pts = np.array(points)
-    hits = (field.matmul(pts, pts.T) != 0).astype(int).tolist()
+    hits = (field.matmul(points, points.T) != 0).astype(int).tolist()
     counts, first = {}, {}
     chosen = []
 
@@ -281,7 +280,7 @@ def _lex_arc_count(q, size):
     lines from :func:`_collinear_masks`."""
     p, m = prime_power(q)
     field = field_create(p, m)
-    points = projective_points(field, 3)
+    points = list(map(tuple, projective_points(field, 3).tolist()))
     pair_line = _collinear_masks(field, points)
     all_points = (1 << len(points)) - 1
     found = []
