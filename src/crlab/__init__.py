@@ -4,20 +4,19 @@ exact construction, verification and desk-scale classification."""
 from .field import FieldSpec, field_create, field_from_modulus
 from .matrix import MatGF
 from .codes import (CodewordMatrix, LinearCode, WeightDistribution,
-                    complementary_code, equidistant_check,
-                    is_antipodal_two_weight, is_projective, macwilliams,
-                    projective_dual_transform)
+                    complementary_code, is_antipodal_two_weight,
+                    is_projective, macwilliams, projective_dual_transform)
 from .regularity import (IntersectionArray, brute_subconstituents,
-                         complete_regularity, delsarte_ia, oa_strength)
+                         complete_regularity, delsarte_ia, dual_regularity,
+                         oa_strength)
 from .diffmat import (DifferenceMatrix, difference_matrix, dm_code,
                       is_difference_matrix, normalize_dm)
-from .conditions import (gray_rankin, power_decomposition, two_weight_counts,
-                         max_distance_bound, plotkin, cardinality_window_check,
+from .conditions import (power_decomposition, two_weight_counts,
+                         max_distance_bound, cardinality_window_check,
                          complement_valuation_check)
-from .families import (FamilyInstance, antipodal_form_check, bush_closed_form_matrix,
-                       cr1_extended_hamming, cr2_dm_dual, cr3_mds_dual,
-                       cr4_bose_bush, cr5_delsarte, cr6_denniston, family_match,
-                       simplex_partition)
+from .families import (FamilyInstance, cr1_extended_hamming, cr2_dm_dual,
+                       cr3_mds_dual, cr4_bose_bush, cr5_delsarte,
+                       cr6_denniston, family_match)
 from .search import classify_report, search_antipodal_duals, search_arcs
 from .report import CodeReport, build_code_report
 
@@ -26,18 +25,16 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldSpec", "field_create", "field_from_modulus", "MatGF",
     "CodewordMatrix", "LinearCode", "WeightDistribution",
-    "complementary_code", "equidistant_check", "is_antipodal_two_weight",
+    "complementary_code", "is_antipodal_two_weight",
     "is_projective", "macwilliams", "projective_dual_transform",
     "IntersectionArray", "brute_subconstituents", "complete_regularity",
-    "delsarte_ia", "oa_strength",
+    "delsarte_ia", "dual_regularity", "oa_strength",
     "DifferenceMatrix", "difference_matrix", "dm_code",
     "is_difference_matrix", "normalize_dm",
-    "gray_rankin", "power_decomposition", "two_weight_counts", "max_distance_bound",
-    "plotkin", "cardinality_window_check", "complement_valuation_check",
-    "FamilyInstance", "antipodal_form_check", "bush_closed_form_matrix",
-    "cr1_extended_hamming", "cr2_dm_dual", "cr3_mds_dual", "cr4_bose_bush",
-    "cr5_delsarte", "cr6_denniston", "family_match",
-    "simplex_partition",
+    "power_decomposition", "two_weight_counts", "max_distance_bound",
+    "cardinality_window_check", "complement_valuation_check",
+    "FamilyInstance", "cr1_extended_hamming", "cr2_dm_dual", "cr3_mds_dual",
+    "cr4_bose_bush", "cr5_delsarte", "cr6_denniston", "family_match",
     "classify_report", "search_antipodal_duals", "search_arcs",
     "CodeReport", "build_code_report",
 ]

@@ -24,7 +24,7 @@ from . import budgets, conditions, diffmat, families, fileio, search
 from .codes import (LinearCode, complementary_code, is_projective,
                     max_column_multiplicity)
 from .field import field_create, prime_power
-from .regularity import complete_regularity, delsarte_ia
+from .regularity import dual_regularity
 from .report import build_code_report
 
 # --family -> (builder in crlab.families, required arguments); builders
@@ -145,7 +145,10 @@ def cmd_construct(args, parser) -> int:
     dual_k = tw.n - tw.k
     if args.as_json:
         wd = tw.weight_distribution()
-        rho, ia = _dual_regularity(inst, wd)
+        # distinct nonzero columns give the dual d >= 3, so e >= 1
+        reg = dual_regularity(tw.n, tw.q, tw.k, int(is_projective(tw)),
+                              wd.nonzero_weights, lambda: tw)
+        ia = reg.ia
         doc = {
             "family": inst.family,
             "params": inst.params,
@@ -158,7 +161,7 @@ def cmd_construct(args, parser) -> int:
             },
             "computed": {
                 "weights": list(wd.nonzero_weights),
-                "rho": rho,
+                "rho": reg.rho,
                 "intersection_array": ({"b": list(ia.b), "c": list(ia.c)}
                                        if ia else None),
             },
@@ -182,25 +185,6 @@ def cmd_construct(args, parser) -> int:
     return 0
 
 
-def _dual_regularity(inst, wd) -> tuple:
-    """(rho, intersection array or None) of the completely regular dual,
-    by certificate when one holds.
-
-    Nonzero, pairwise independent columns give the dual d >= 3, so
-    e >= 1, and its dual's weights are those of wd: Delsarte's theorem
-    then gives rho and the array, as in
-    :func:`crlab.report.build_code_report`, and no dual is built.  Any
-    other dual is eliminated and profiled."""
-    tw = inst.two_weight_code
-    ia = None
-    if is_projective(tw):
-        ia = delsarte_ia(tw.n, tw.q, tw.k, 1, wd.nonzero_weights)
-    if ia is not None:
-        return ia.rho, ia
-    reg = complete_regularity(inst.cr_code)
-    return reg.profile.rho, reg.ia
-
-
 def _need(parser, args, *names):
     for name in names:
         if getattr(args, name) is None:
@@ -209,6 +193,10 @@ def _need(parser, args, *names):
 
 def cmd_report(args, parser) -> int:
     parsed = fileio.read_gfc(args.file)
+    if not parsed.code.k:
+        print(f"error: {args.file}: cannot report on the zero code "
+              f"(every generator row is zero)", file=sys.stderr)
+        return 2
     report = build_code_report(parsed.code, warnings=parsed.warnings)
     if args.as_json:
         print(json.dumps(fileio.report_to_dict(report), sort_keys=True,
@@ -282,6 +270,16 @@ def cmd_dm(args, parser) -> int:
 
 def cmd_bounds(args, parser) -> int:
     q, n, d, N = args.q, args.n, args.d, args.N
+    try:
+        prime_power(q)
+    except ValueError as exc:
+        parser.error(f"--q: {exc}")
+    if n < 1:
+        parser.error(f"--n must be >= 1, got {n}")
+    if not 1 <= d <= n:
+        parser.error(f"--d must lie in [1, n] = [1, {n}], got {d}")
+    if N < 1:
+        parser.error(f"--N must be >= 1, got {N}")
     checks = conditions.bound_checks(n, N, d, q)
     violated = False
     for ch in checks:
@@ -299,7 +297,8 @@ def cmd_bounds(args, parser) -> int:
     if right_names["window_upper"].applicable and \
             right_names["window_upper"].witnesses.get("equality"):
         ok_n = right_names["window_upper_equality_n"].satisfied
-        ok_d = right_names["window_upper_equality_d"].satisfied
+        ok_d = right_names["window_upper_equality_d"]
+        ok_d = ok_d.satisfied if ok_d.applicable else "n/a"
         print(f"cardinality bound met with equality; equality-case formulas "
               f"reproduce n: {ok_n}, d: {ok_d}")
     return 1 if violated else 0

@@ -32,9 +32,7 @@ projective dual transform weighs every point as a message with one
 
 from __future__ import annotations
 
-import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -278,27 +276,11 @@ class CodewordMatrix:
     def from_code(cls, code: LinearCode) -> "CodewordMatrix":
         return cls(code.field, code.codewords())
 
-    def weights(self) -> list:
-        return [sum(1 for x in r if x) for r in self.rows]
-
     def __repr__(self):
         return f"CodewordMatrix({self.N} x {self.n} over GF({self.field.q}))"
 
 
-def hamming_distance(a, b) -> int:
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 # -- MacWilliams ----------------------------------------------------------
-
-def krawtchouk(n: int, q: int, j: int, i: int) -> int:
-    """K_j(i) = sum_t (-1)^t (q-1)^(j-t) C(i,t) C(n-i, j-t), exact."""
-    acc = 0
-    for t in range(j + 1):
-        acc += ((-1) ** t) * ((q - 1) ** (j - t)) \
-            * math.comb(i, t) * math.comb(n - i, j - t)
-    return acc
-
 
 def krawtchouk_column(n: int, q: int, i: int) -> list:
     """K_0(i), ..., K_n(i) by the three-term recurrence
@@ -347,28 +329,10 @@ def macwilliams(wd: WeightDistribution, n: int, k: int, q: int) -> WeightDistrib
 
 # -- predicates -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AntipodalVerdict:
-    weights: tuple
-    d: int | None
-    is_two_weight: bool
-    includes_n: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.is_two_weight and self.includes_n
-
-
-def is_antipodal_two_weight(wd: WeightDistribution, n: int) -> AntipodalVerdict:
-    """True iff the nonzero weights are exactly {d, n} with d < n."""
+def is_antipodal_two_weight(wd: WeightDistribution, n: int) -> bool:
+    """Whether the nonzero weights are exactly {d, n} with d < n."""
     weights = wd.nonzero_weights
-    two = len(weights) == 2
-    return AntipodalVerdict(
-        weights=weights,
-        d=weights[0] if weights else None,
-        is_two_weight=two,
-        includes_n=two and weights[-1] == n,
-    )
+    return len(weights) == 2 and weights[-1] == n
 
 
 def projective_points(field: FieldSpec, k: int) -> np.ndarray:
@@ -510,32 +474,3 @@ def projective_dual_transform(code: LinearCode, a: Fraction,
         raise ValueError(
             f"transform columns span only rank {G.rank} < k = {code.k}")
     return LinearCode(f, G)
-
-
-def equidistant_check(obj) -> int | None:
-    """The common pairwise distance if all pairwise distances agree, else None.
-
-    For LinearCode inputs this checks that all nonzero weights are equal;
-    for CodewordMatrix inputs all row pairs are compared.
-    """
-    if isinstance(obj, LinearCode):
-        weights = obj.weight_distribution_auto().nonzero_weights
-        return weights[0] if len(weights) == 1 else None
-    rows = obj.rows
-    d = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            dd = hamming_distance(rows[i], rows[j])
-            if d is None:
-                d = dd
-            elif dd != d:
-                return None
-    return d
-
-
-def concatenate(a: LinearCode, b: LinearCode) -> LinearCode:
-    """[A | B]: same message space, juxtaposed coordinates."""
-    if a.k != b.k or a.field != b.field:
-        raise ValueError("codes must share the field and dimension")
-    return LinearCode(a.field, MatGF(a.field, np.hstack([a.G.rows, b.G.rows])))
-

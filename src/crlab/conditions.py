@@ -40,48 +40,32 @@ def p_valuation(a: int, p: int) -> int:
     return g
 
 
-def plotkin(n: int, d: int, q: int) -> ConditionCheck:
+def plotkin_holds(n: int, d: int, q: int, N: int) -> ConditionCheck:
     """N <= qd / (qd - (q-1)n) when the denominator is positive."""
     denom = q * d - (q - 1) * n
     if denom <= 0:
         return ConditionCheck("plotkin", False, None,
                               {"denominator": denom})
     bound = Fraction(q * d, denom)
-    return ConditionCheck("plotkin", True, True,
-                          {"bound": bound, "denominator": denom})
-
-
-def plotkin_holds(n: int, d: int, q: int, N: int) -> ConditionCheck:
-    c = plotkin(n, d, q)
-    if not c.applicable:
-        return c
-    bound = c.witnesses["bound"]
     return ConditionCheck("plotkin", True, N <= bound,
-                          {**c.witnesses, "N": N, "equality": N == bound})
+                          {"bound": bound, "denominator": denom, "N": N,
+                           "equality": N == bound})
 
 
-def gray_rankin(n: int, d: int, q: int) -> ConditionCheck:
-    """N/q <= q(qd - (q-2)n)(n-d) / (n - ((q-1)n - qd)^2), for codes
-    partitionable into simplexes; caller asserts that structure."""
+def gray_rankin_holds(n: int, d: int, q: int, N: int) -> ConditionCheck:
+    """N/q <= q(qd - (q-2)n)(n-d) / (n - ((q-1)n - qd)^2) when the
+    denominator is positive, for codes partitionable into simplexes;
+    the caller asserts that structure."""
     gap = (q - 1) * n - q * d
     denom = n - gap * gap
     if denom <= 0:
         return ConditionCheck("gray_rankin", False, None,
                               {"denominator": denom})
     bound = Fraction(q * (q * d - (q - 2) * n) * (n - d), denom)
-    return ConditionCheck("gray_rankin", True, True,
-                          {"bound_on_N_over_q": bound, "denominator": denom})
-
-
-def gray_rankin_holds(n: int, d: int, q: int, N: int) -> ConditionCheck:
-    c = gray_rankin(n, d, q)
-    if not c.applicable:
-        return c
-    bound = c.witnesses["bound_on_N_over_q"]
     lhs = Fraction(N, q)
     return ConditionCheck("gray_rankin", True, lhs <= bound,
-                          {**c.witnesses, "N_over_q": lhs,
-                           "equality": lhs == bound})
+                          {"bound_on_N_over_q": bound, "denominator": denom,
+                           "N_over_q": lhs, "equality": lhs == bound})
 
 
 def max_distance_bound(n: int, d: int, q: int) -> ConditionCheck:
@@ -131,15 +115,18 @@ def cardinality_window_check(n: int, N: int, d: int, q: int) -> list[ConditionCh
 
     if right_eq:
         n_back = Fraction(N * (q * (d + 1) - 1) - q * q * d, N * (q - 1))
-        d_back = Fraction((n - 1) * (q - 1) * N, q * (N - q))
         out.append(ConditionCheck(
             "window_upper_equality_n", True, n_back == n,
             {"reconstructed_n": n_back, "n": n}))
+    else:
+        out.append(ConditionCheck("window_upper_equality_n", False, None, {}))
+    # at N = q the equality holds only for n = 1, and there for every d
+    if right_eq and N != q:
+        d_back = Fraction((n - 1) * (q - 1) * N, q * (N - q))
         out.append(ConditionCheck(
             "window_upper_equality_d", True, d_back == d,
             {"reconstructed_d": d_back, "d": d}))
     else:
-        out.append(ConditionCheck("window_upper_equality_n", False, None, {}))
         out.append(ConditionCheck("window_upper_equality_d", False, None, {}))
 
     if left == N:

@@ -1,19 +1,18 @@
 """The six families of completely regular codes with covering radius 2
-and antipodal dual, plus the structural checkers that certify them.
+and antipodal dual, and parameter-level family matching.
 
 Each constructor returns a FamilyInstance holding the two-weight code
 (the antipodal side) and the predicted weight set.  The completely
 regular dual is the two-weight code's null space; ``cr_code`` builds it
 on first use and the two-weight code caches it, so a caller that needs
 only parameters, weights or the intersection array never eliminates.
-The dual's intersection array follows from the weights by Delsarte's
-closed form (:func:`crlab.regularity.delsarte_ia`), the same for all six
-families.  Predictions are verified by the test suite, not silently
-trusted at construction; the cheap structural safety nets (column
-counts, weight sets of the small side, the CR.2 dimension) do run here.
-CR.2 is built from the all-ones row and u/l rows of its difference
-matrix, computed without building the matrix or stacking its q^2 mu
-translates.
+``predicted_ia`` is :func:`crlab.regularity.delsarte_ia` of the
+predicted weights, the same for all six families.  Predictions are
+verified by the test suite, not silently trusted at construction; the
+cheap structural safety nets (column counts, weight sets of the small
+side, the CR.2 dimension) do run here.  CR.2 is built from the
+all-ones row and u/l rows of its difference matrix, computed without
+building the matrix or stacking its q^2 mu translates.
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .codes import (CodewordMatrix, LinearCode, hamming_distance,
-                    projective_dual_transform)
-from .diffmat import (DifferenceMatrix, is_additive_group,
-                      is_difference_matrix, shortening)
+from .codes import LinearCode, projective_dual_transform
+from .diffmat import shortening
 from .field import FieldSpec, digit_add, field_create, prime_power
 from .matrix import MatGF
 from .regularity import IntersectionArray, delsarte_ia
@@ -179,8 +176,8 @@ def hyperoval_conic_columns(f: FieldSpec) -> list:
 def cr4_bose_bush(q: int) -> FamilyInstance:
     """Hyperoval code [q+2, 3, {q, q+2}] for q = 2^m >= 4, dual
     [q+2, q-1, 4].  Uses the conic-plus-nucleus hyperoval, which exists
-    for every such q (unlike the closed-form matrix of
-    :func:`bush_closed_form_matrix`, whose denominators vanish when 3 | q-1)."""
+    for every such q (unlike Bush's closed-form matrix, whose
+    denominators vanish when 3 | q-1)."""
     f = _char2_field(q)
     G = MatGF(f, np.transpose(hyperoval_conic_columns(f)))
     tw = LinearCode(f, G)
@@ -188,36 +185,6 @@ def cr4_bose_bush(q: int) -> FamilyInstance:
         family="CR4", params={"q": q},
         two_weight_code=tw,
         predicted_weights=frozenset({q, q + 2}))
-
-
-def bush_closed_form_matrix(q: int) -> MatGF:
-    """The closed-form hyperoval generator with columns (1, x_i, y_i),
-    x_i = alpha^i / (1 + alpha^i + alpha^(2i)),
-    y_i = alpha^(2i) / (1 + alpha^i + alpha^(2i)), i = 1..q-2,
-    preceded by the four columns (1,0,0), (1,1,0), (1,0,1), (1,1,1).
-
-    Defined only when no denominator vanishes, i.e. when 3 does not
-    divide q - 1; otherwise raises with the first failing index."""
-    f = _char2_field(q)
-    cols = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
-    for i in range(1, q - 1):
-        ai = f.pow(f.alpha, i)
-        a2i = f.mul(ai, ai)
-        denom = f.add(f.add(1, ai), a2i)
-        if denom == 0:
-            raise ValueError(
-                f"1 + alpha^{i} + alpha^{2 * i} = 0 in GF({q}): the "
-                f"closed-form hyperoval matrix is undefined (3 divides q-1)")
-        inv = f.inv(denom)
-        cols.append((1, f.mul(ai, inv), f.mul(a2i, inv)))
-    G = MatGF(f, np.transpose(cols))
-    code = LinearCode(f, G)
-    weights = set(code.weight_distribution().nonzero_weights)
-    if weights != {q, q + 2}:
-        raise AssertionError(
-            f"closed-form matrix gave weights {sorted(weights)}, "
-            f"expected {{{q}, {q + 2}}}; this is a bug")
-    return G
 
 
 # -- CR.5: duals of Delsarte codes ------------------------------------------
@@ -309,234 +276,6 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
         two_weight_code=tw,
         predicted_weights=frozenset(want),
         notes=notes)
-
-
-# -- structural checkers -----------------------------------------------------
-
-@dataclass(frozen=True)
-class AntipodalFormVerdict:
-    ok: bool
-    reason: str
-    d_star: int | None = None
-    multiplicity: int | None = None
-
-
-def antipodal_form_check(code: LinearCode) -> AntipodalFormVerdict:
-    """Generator-form test for antipodal two-weight codes.
-
-    Normalizes the code by column scaling so some full-weight codeword
-    becomes the all-ones vector, splits off the subcode with first
-    coordinate zero, and demands that subcode be equidistant with every
-    occurring symbol of every nonzero codeword appearing exactly n - d
-    times.  True exactly when the code is antipodal two-weight."""
-    f = code.field
-    n = code.n
-    full = None
-    for w in code.codewords():
-        if all(x for x in w):
-            full = w
-            break
-    if full is None:
-        return AntipodalFormVerdict(
-            ok=False, reason="no codeword without zero coordinates; "
-            "cannot normalize an all-ones row")
-    scale = [f.inv(x) for x in full]
-    scaled = LinearCode(f, MatGF(f, f.mul_array(code.G.rows, scale)))
-
-    words = [tuple(w) for w in scaled.codewords()]
-    star = [w for w in words if w[0] == 0 and any(w)]
-    if not star:
-        return AntipodalFormVerdict(ok=False,
-                                    reason="first-coordinate-zero subcode is trivial",
-                                    d_star=None)
-    d_star = min(sum(1 for x in w if x) for w in star)
-    mu = n - d_star
-    for w in star:
-        counts: dict = {}
-        for x in w:
-            counts[x] = counts.get(x, 0) + 1
-        if any(v != mu for v in counts.values()):
-            return AntipodalFormVerdict(
-                ok=False,
-                reason=f"symbol multiplicities {sorted(counts.values())} "
-                f"are not constant {mu} on a residual codeword",
-                d_star=d_star, multiplicity=mu)
-    return AntipodalFormVerdict(ok=True, reason="", d_star=d_star,
-                                multiplicity=mu)
-
-
-@dataclass(frozen=True)
-class SimplexPartition:
-    classes: tuple                    # tuples of row indices
-    class_size: int
-    is_simplex_partition: bool        # classes of size exactly q
-    mu: int | None                    # n - d symbol multiplicity
-    symbol_multiplicity_ok: bool | None
-    distance_bound_ok: bool | None    # d <= n(q-1)/q
-    pdm: bool                         # n = mu q, N = mu q^2, d = mu(q-1)
-    dm_reassembled: DifferenceMatrix | None
-    failure: str | None
-
-
-def simplex_partition(matrix: CodewordMatrix, q: int) -> SimplexPartition:
-    """Partition the rows into classes pairwise at full distance n.
-
-    Additive codes containing all constant rows use the constant-coset
-    classes; linear codes without constants use cosets of a full-weight
-    scalar line; anything else falls back to backtracking.  On a valid
-    size-q partition the symbol-multiplicity, distance-bound and PDM
-    clauses are evaluated, and for additive PDM codes a difference matrix
-    is reassembled from class representatives and re-verified.
-    """
-    rows = matrix.rows
-    f = matrix.field
-    N, n = matrix.N, matrix.n
-    weights = sorted(set(w for w in matrix.weights() if w))
-    if len(weights) > 2:
-        return _simplex_fail("input is not a two-weight matrix")
-    d = weights[0] if weights else 0
-
-    classes = _partition_classes(rows, f, q, n)
-    if classes is None:
-        return _simplex_fail("no partition into full-distance classes found")
-    sizes = {len(c) for c in classes}
-    if len(sizes) != 1:
-        return _simplex_fail(f"class sizes are not uniform: {sorted(sizes)}")
-    size = sizes.pop()
-
-    is_simplex = size == q
-    mu = n - d if d else None
-    sym_ok = None
-    bound_ok = None
-    pdm = False
-    reassembled = None
-    if d:
-        bound_ok = d * q <= n * (q - 1)
-        sym_ok = True
-        for r in rows:
-            if len(set(r)) == 1:
-                continue
-            counts: dict = {}
-            for x in r:
-                counts[x] = counts.get(x, 0) + 1
-            if any(v != mu for v in counts.values()):
-                sym_ok = False
-                break
-        if sym_ok and n % mu:
-            sym_ok = False
-        pdm = (is_simplex and d * q == n * (q - 1) and N == q * n
-               and n == mu * q and N == mu * q * q)
-        if pdm and is_additive_group(rows, f):
-            reps = [rows[cls[0]] for cls in classes]
-            cand = np.array(reps, dtype=np.int64)
-            if is_difference_matrix(cand, f):
-                reassembled = DifferenceMatrix(f, mu, cand)
-    return SimplexPartition(
-        classes=tuple(tuple(c) for c in classes),
-        class_size=size,
-        is_simplex_partition=is_simplex,
-        mu=mu,
-        symbol_multiplicity_ok=sym_ok,
-        distance_bound_ok=bound_ok,
-        pdm=pdm,
-        dm_reassembled=reassembled,
-        failure=None)
-
-
-def _simplex_fail(reason: str) -> SimplexPartition:
-    return SimplexPartition(classes=(), class_size=0,
-                            is_simplex_partition=False, mu=None,
-                            symbol_multiplicity_ok=None,
-                            distance_bound_ok=None, pdm=False,
-                            dm_reassembled=None, failure=reason)
-
-
-def _partition_classes(rows, f: FieldSpec, q: int, n: int):
-    row_index = {r: i for i, r in enumerate(rows)}
-
-    constants = [tuple([g] * n) for g in range(q)]
-    if all(c in row_index for c in constants):
-        classes = _coset_classes(rows, row_index, f, constants)
-        if classes is not None:
-            return classes
-
-    full = next((r for r in rows if all(x for x in r)), None)
-    if full is not None:
-        line = [tuple(f.mul(c, x) for x in full) for c in range(q)]
-        if all(v in row_index for v in line):
-            classes = _coset_classes(rows, row_index, f, line)
-            if classes is not None:
-                return classes
-
-    return _greedy_classes(rows, q, n)
-
-
-def _coset_classes(rows, row_index, f: FieldSpec, subgroup):
-    seen = set()
-    classes = []
-    for i, r in enumerate(rows):
-        if i in seen:
-            continue
-        cls = []
-        for s in subgroup:
-            member = tuple(f.add(x, y) for x, y in zip(r, s))
-            j = row_index.get(member)
-            if j is None or j in seen:
-                return None
-            cls.append(j)
-            seen.add(j)
-        classes.append(sorted(cls))
-    return classes
-
-
-def _greedy_classes(rows, q: int, n: int, node_cap: int = 200000):
-    """Backtracking partition into maximal pairwise-full-distance classes.
-
-    Classes may come out smaller than q uniformly (reported upstream);
-    the search is exact up to the node cap."""
-    N = len(rows)
-    target = q
-    while target >= 1:
-        assigned = [False] * N
-        classes: list = []
-        nodes = 0
-
-        def extend(cls, start) -> bool:
-            nonlocal nodes
-            nodes += 1
-            if nodes > node_cap:
-                raise RuntimeError("partition search exceeded its node cap")
-            if len(cls) == target:
-                return True
-            for j in range(start, N):
-                if assigned[j]:
-                    continue
-                if all(hamming_distance(rows[j], rows[i]) == n for i in cls):
-                    cls.append(j)
-                    assigned[j] = True
-                    if extend(cls, j + 1):
-                        return True
-                    assigned[j] = False
-                    cls.pop()
-            return False
-
-        try:
-            ok = True
-            for i in range(N):
-                if assigned[i]:
-                    continue
-                assigned[i] = True
-                cls = [i]
-                if not extend(cls, i + 1):
-                    ok = False
-                    break
-                classes.append(cls)
-            if ok:
-                return classes
-        except RuntimeError:
-            return None
-        target -= 1
-    return None
 
 
 # -- parameter-level family matching ----------------------------------------

@@ -1,13 +1,12 @@
 """Covering radius, subconstituents, complete regularity, intersection
-arrays and orthogonal-array strength, plus :func:`delsarte_ia`, the intersection array that Delsarte's theorem
-gives in closed form when d >= 2s' - 1.  The report takes rho, the array
-and (by :meth:`IntersectionArray.level_sizes`) the subconstituent sizes
-from the closed form when it applies, and profiles every other code.
-The census takes rho and the array from it for every column set, whose
-dual has d >= 3 and s' = 2, and profiles only the duals of multisets
-with a repeated column.  ``crlab construct --json`` takes them from it
-too when the two-weight code's columns are distinct points (its dual
-then has d >= 3), and profiles the dual otherwise.
+arrays and orthogonal-array strength.
+
+:func:`dual_regularity` is where every command gets rho and the
+intersection array of a code.  By Delsarte's theorem (Inform. Control
+23, 1973) a code with d >= 2s' - 1, s' the number of nonzero dual
+weights, is completely regular with rho = s', and :func:`delsarte_ia`
+gives its array in closed form; any other code is profiled on its
+syndrome graph by :func:`complete_regularity`.
 
 Complete regularity is decided on the syndrome graph rather than the full
 vector space.  Justification: for a linear code the distance of a vector x
@@ -386,13 +385,48 @@ class RegularityViolation:
 
 @dataclass(frozen=True)
 class RegularityResult:
+    """The intersection array of a completely regular code, or the first
+    violation of one that is not; ``profile`` is None when Delsarte's
+    theorem gave the array (:func:`dual_regularity`)."""
     ia: IntersectionArray | None
     violation: RegularityViolation | None
-    profile: SyndromeProfile
+    profile: SyndromeProfile | None
 
     @property
     def is_completely_regular(self) -> bool:
         return self.ia is not None
+
+    @property
+    def rho(self) -> int:
+        """The covering radius."""
+        return self.ia.rho if self.profile is None else self.profile.rho
+
+    @property
+    def level_sizes(self) -> tuple:
+        """(k_0, ..., k_rho): the cosets of each coset-leader weight."""
+        if self.profile is None:
+            return self.ia.level_sizes()
+        return tuple(self.profile.level_coset_counts.values())
+
+
+def dual_regularity(n: int, q: int, r: int, e: int, dual_weights,
+                    dual) -> RegularityResult:
+    """rho and the intersection array, or the first violation, of an
+    [n, n - r]_q code of packing radius at least e whose dual has the
+    nonzero weights dual_weights; dual() gives that dual code.
+
+    When e >= s' - 1, s' = len(dual_weights), the array is
+    :func:`delsarte_ia`'s and dual is never called, so e may be a lower
+    bound: 1 for the dual of a code whose columns are distinct points.
+    Otherwise the code, dual().dual(), is profiled by
+    :func:`complete_regularity`, with dual() held meanwhile: the link
+    back from a dual to its code is weak, and the profile reads its
+    parity checks from it."""
+    ia = delsarte_ia(n, q, r, e, dual_weights)
+    if ia is not None:
+        return RegularityResult(ia=ia, violation=None, profile=None)
+    held = dual()
+    return complete_regularity(held.dual())
 
 
 def complete_regularity(code: LinearCode) -> RegularityResult:

@@ -9,26 +9,22 @@ schema-versioned JSON.  A linear code is an orthogonal array of strength
 exactly d(C^perp) - 1 (Delsarte 1973; Hedayat-Sloane-Stufken, Thm 4.6),
 so the strength is read off the dual distribution, never searched for.
 
-When d >= 2s' - 1 (s' the number of nonzero dual weights) Delsarte's
-theorem makes the code completely regular with rho = s', and
-:func:`~crlab.regularity.delsarte_ia` gives its intersection array from
-the weight data the report already has; the subconstituent sizes follow
-from the array.  Such a code builds no syndrome profile, so the
-syndrome budget does not apply to it.  Every other code is profiled.
-``CodeReport.rho_source`` records which path was taken; it is not
-serialised.
+rho, the intersection array and the subconstituent sizes come from
+:func:`~crlab.regularity.dual_regularity`, by the closed form or by a
+syndrome profile; ``CodeReport.rho_source`` records which, and is not
+serialised.  A code that takes the closed form builds no profile, so
+the syndrome budget does not apply to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import conditions
 from .codes import (LinearCode, is_antipodal_two_weight,
                     max_column_multiplicity)
 from .families import family_match
-from .regularity import (IntersectionArray, complete_regularity, delsarte_ia,
-                         packing_radius)
+from .regularity import IntersectionArray, dual_regularity, packing_radius
 
 
 @dataclass
@@ -81,21 +77,9 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
 
     e = packing_radius(d)
     s = dual_wd.s_count
-    ia = delsarte_ia(code.n, code.q, code.n - code.k, e,
-                     dual_wd.nonzero_weights)
-    violation = None
-    if ia is not None:
-        source, counts = "delsarte", ia.level_sizes()
-    else:
-        reg = complete_regularity(code)
-        source, ia = "profile", reg.ia
-        counts = tuple(reg.profile.level_coset_counts.values())
-        if reg.violation is not None:
-            v = reg.violation
-            violation = (v.level, v.syndrome_a, v.counts_a, v.syndrome_b,
-                         v.counts_b)
-    rho = len(counts) - 1
-    anti = is_antipodal_two_weight(dual_wd, code.n)
+    reg = dual_regularity(code.n, code.q, code.n - code.k, e,
+                          dual_wd.nonzero_weights, code.dual)
+    rho, ia = reg.rho, reg.ia
 
     report = CodeReport(
         n=code.n, k=code.k, q=code.q, d=d, e=e,
@@ -103,17 +87,17 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
         dual_weights=dual_wd.nonzero_weights,
         rho=rho, external_distance=s,
         subconstituents={l: c * code.q ** code.k
-                         for l, c in enumerate(counts)},
+                         for l, c in enumerate(reg.level_sizes)},
         ia=ia,
         completely_regular=ia is not None,
-        cr_violation=violation,
-        antipodal_dual=anti.holds,
+        cr_violation=astuple(reg.violation) if reg.violation else None,
+        antipodal_dual=is_antipodal_two_weight(dual_wd, code.n),
         uniformly_packed=rho == s,
         oa_strength=code.n if dual_wd.d is None else dual_wd.d - 1,
         family_matches=tuple(family_match(
             code.n, code.k, code.q, dual_wd.nonzero_weights, ia)),
         conditions=_conditions_side(code, wd, dual, dual_wd),
-        rho_source=source,
+        rho_source="delsarte" if reg.profile is None else "profile",
         warnings=tuple(warnings),
     )
     return report
@@ -123,9 +107,9 @@ def _conditions_side(code, wd, dual, dual_wd) -> ConditionsSide | None:
     """Run the two-weight conditions on whichever side is antipodal
     two-weight (the code itself preferred, else its dual)."""
     n, q = code.n, code.q
-    if is_antipodal_two_weight(wd, n).holds:
+    if is_antipodal_two_weight(wd, n):
         side, tw, tw_wd = "self", code, wd
-    elif is_antipodal_two_weight(dual_wd, n).holds:
+    elif is_antipodal_two_weight(dual_wd, n):
         side, tw, tw_wd = "dual", dual, dual_wd
     else:
         return None

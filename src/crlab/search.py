@@ -9,15 +9,13 @@ and brought back to exact counts by double counting.
   PGL(3, q) carries every frame to it;
 * a census of all antipodal two-weight column multisets for small
   (q, r, n), each survivor's dual given its covering radius and
-  intersection array and matched against the known families.  A column
-  set's dual has minimum distance >= 3 and a two-weight dual, so
-  Delsarte's theorem gives both in closed form; only a multiset with a
-  repeated column has its dual's syndrome profile built.
-  Its messages are the points of PG(r-1, q), one per scalar class: a
-  message and its nonzero multiples have the same weight, so the weight
-  values of the code -- all the census looks at -- come from q - 1 times
-  fewer messages.  Only the multisets that hold the standard basis are
-  visited; PGL(r, q) carries every ordered basis of points to it.  One
+  intersection array (:func:`crlab.regularity.dual_regularity`) and
+  matched against the known families.  Its messages are the points of
+  PG(r-1, q), one per scalar class: a message and its nonzero
+  multiples have the same weight, so the weight values of the code --
+  all the census looks at -- come from q - 1 times fewer messages.
+  Only the multisets that hold the standard basis are visited;
+  PGL(r, q) carries every ordered basis of points to it.  One
   depth-first pass covers every size up to n_max: at each node the
   weights of the messages that miss some chosen column drive both the
   prunes and the completion test.  A node holds its message weights as
@@ -61,7 +59,7 @@ import numpy as np
 from . import budgets
 from .codes import LinearCode, projective_points
 from .field import FieldSpec, field_create, prime_power
-from .regularity import IntersectionArray, complete_regularity, delsarte_ia
+from .regularity import IntersectionArray, dual_regularity
 from .families import family_match
 
 ARC_Q_MAX = 16          # the ovals of PG(2, 13) count in 0.4 s, and the
@@ -396,14 +394,10 @@ def _census_key(field, points, chosen, d, r) -> tuple:
     reasons) of a survivor with weights {d, n}, 1 <= d < n.
 
     The survivor's code has the r x n generator of its columns, and the
-    census asks about its [n, n - r] dual.  When the columns are distinct
-    points that dual has minimum distance >= 3, so packing radius >= 1,
-    and its own dual has the s' = 2 weights {d, n}: Delsarte's theorem
-    (e = 1 >= s' - 1) makes it completely regular with rho = 2 and gives its
-    array in closed form (:func:`delsarte_ia`).  A repeated column gives
-    the dual minimum distance 2, where the theorem says nothing, so that
-    dual is profiled.  The columns span GF(q)^r, as d >= 1: a nonzero
-    message orthogonal to all of them would have weight 0."""
+    census asks about its [n, n - r] dual, whose packing radius is at
+    least 1 when the columns are distinct points (its d >= 3), and 0
+    when one repeats (its d = 2).  The columns span GF(q)^r, as d >= 1:
+    a nonzero message orthogonal to all of them would have weight 0."""
     n = len(chosen)
     dual_k = n - r
     projective = len(set(chosen)) == n
@@ -413,15 +407,11 @@ def _census_key(field, points, chosen, d, r) -> tuple:
     if not projective:
         reasons.append("repeated column: dual minimum distance 2")
     rho, cr, ia = None, False, None
-    if dual_k >= 1 and projective:
-        ia = delsarte_ia(n, field.q, r, 1, (d, n))
-        rho, cr = ia.rho, True
-    elif dual_k >= 1:
-        # held while its dual is profiled: the dual's link back to it is
-        # weak, and the profile reads the parity checks from it
-        code = LinearCode.from_rows(field, points[list(chosen)].T)
-        res = complete_regularity(code.dual())
-        rho, cr, ia = res.profile.rho, res.is_completely_regular, res.ia
+    if dual_k >= 1:
+        res = dual_regularity(
+            n, field.q, r, int(projective), (d, n),
+            lambda: LinearCode.from_rows(field, points[list(chosen)].T))
+        rho, cr, ia = res.rho, res.is_completely_regular, res.ia
     if rho != 2:
         reasons.append(f"dual covering radius {rho} != 2")
     return n, (d, n), rho, cr, ia, tuple(reasons)

@@ -6,14 +6,14 @@ import time
 
 import numpy as np
 from conftest import normalize_point
+from oracles import bush_closed_form_matrix, simplex_partition
 
 from crlab.codes import (LinearCode, is_projective, macwilliams,
                          max_column_multiplicity)
 from crlab.conditions import (power_decomposition, two_weight_counts, cardinality_window_check,
                               complement_valuation_check)
 from crlab.diffmat import difference_matrix, dm_code, is_difference_matrix
-from crlab.families import (bush_closed_form_matrix, cr4_bose_bush, cr5_delsarte,
-                            cr6_denniston, random_code, simplex_partition)
+from crlab.families import cr4_bose_bush, cr5_delsarte, cr6_denniston, random_code
 from crlab.field import field_create
 from crlab.matrix import MatGF
 from crlab.regularity import (IntersectionArray, brute_subconstituents,
@@ -290,7 +290,7 @@ def test_criterion_4_difference_matrices():
             failures.append(f"dm_code({p},{l},{h}) is not linear")
             continue
         sp = simplex_partition(built, p ** l)
-        if not (sp.is_simplex_partition and sp.pdm):
+        if not (sp and sp.is_simplex_partition and sp.pdm):
             failures.append(f"dm_code({p},{l},{h}): PDM not detected")
         elif sp.dm_reassembled is None or not is_difference_matrix(
                 sp.dm_reassembled.entries, sp.dm_reassembled.group_field):

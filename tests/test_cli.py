@@ -98,6 +98,19 @@ def test_report_binary_gfc_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: not a text file")
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_report_zero_code_exits_2(tmp_path, capsys, as_json):
+    """A .gfc whose rows are all zero parses (rank 0, with a warning) but
+    has no minimum distance to report: one error line, exit 2."""
+    path = tmp_path / "zero.gfc"
+    path.write_text("field 2 1 poly 1 1\ncode 2 3\n0 0 0\n0 0 0\n")
+    assert run(["report", str(path)] + ["--json"] * as_json) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: cannot report on the zero code "
+                   f"(every generator row is zero)\n")
+
+
 def read_dm(path):
     """(DifferenceMatrix, (p, l, h)) from a .dm file; ValueError naming
     the path on malformed input."""
@@ -473,6 +486,43 @@ def test_bounds_command_exit_codes(capsys):
     text = capsys.readouterr().out
     assert "equality" in text and "reproduce n: True, d: True" in text
     assert run(["bounds", "--q", "4", "--n", "6", "--d", "4", "--N", "65"]) == 1
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--q", "6", "--n", "3", "--d", "2", "--N", "4"),
+     "--q: 6 is not a prime power"),
+    (("--q", "1", "--n", "3", "--d", "2", "--N", "4"),
+     "--q: 1 is not a prime power"),
+    (("--q", "2", "--n", "0", "--d", "1", "--N", "4"),
+     "--n must be >= 1, got 0"),
+    (("--q", "2", "--n", "3", "--d", "0", "--N", "4"),
+     "--d must lie in [1, n] = [1, 3], got 0"),
+    (("--q", "2", "--n", "3", "--d", "4", "--N", "4"),
+     "--d must lie in [1, n] = [1, 3], got 4"),
+    (("--q", "2", "--n", "3", "--d", "2", "--N", "0"),
+     "--N must be >= 1, got 0"),
+    (("--q", "2", "--n", "3", "--d", "2", "--N", "-4"),
+     "--N must be >= 1, got -4"),
+], ids=["q-6", "q-1", "n-0", "d-0", "d-past-n", "N-0", "N-negative"])
+def test_bounds_rejects_bad_arguments(capsys, args, message):
+    """No field GF(q), empty length, a distance outside [1, n] or no
+    codewords is a usage error, refused before any check runs."""
+    with pytest.raises(SystemExit) as exc:
+        run(["bounds", *args])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"crlab: error: {message}"
+
+
+def test_bounds_length_one_has_no_d_reconstruction(capsys):
+    """At n = 1 the cardinality bound q^2 d / (dq - (q-1)(n-1)) is q for
+    every d, so its equality case cannot give d back: that check is not
+    applicable, where its formula divided by N - q = 0."""
+    assert run(["bounds", "--q", "2", "--n", "1", "--d", "1", "--N", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "window_upper_equality_d: not applicable\n" in out
+    assert out.endswith("reproduce n: True, d: n/a\n")
 
 
 def test_search_arcs_command(capsys):

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from conftest import (column_point_counts, min_distance, normalize_point,
                       row_space_equal)
+from oracles import concatenate, equidistant_check, krawtchouk
 
 from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
-                         complementary_generator, concatenate,
-                         equidistant_check, is_antipodal_two_weight,
-                         is_projective, krawtchouk, krawtchouk_column,
+                         complementary_generator, is_antipodal_two_weight,
+                         is_projective, krawtchouk_column,
                          macwilliams, max_column_multiplicity,
                          projective_dual_transform, projective_points,
                          WeightDistribution)
@@ -117,12 +117,12 @@ def test_krawtchouk_recurrence_matches_binomial_sum():
 
 def test_antipodal_predicate():
     hadamard = WeightDistribution((1, 0, 0, 0, 14, 0, 0, 0, 1), q=2, k=4)
-    v = is_antipodal_two_weight(hadamard, 8)
-    assert v.holds and v.d == 4
+    assert is_antipodal_two_weight(hadamard, 8) is True
+    assert hadamard.d == 4
 
     ew = WeightDistribution((1, 0, 6, 0, 1), q=2, k=3)
-    v = is_antipodal_two_weight(ew, 4)
-    assert v.holds and v.d == 2
+    assert is_antipodal_two_weight(ew, 4) is True
+    assert ew.d == 2
 
     # equidistant simplex-type: a single weight is not two-weight
     f5 = field_create(5, 1)
@@ -130,7 +130,7 @@ def test_antipodal_predicate():
         f5, [(1, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 5 % 5)])
     wd = simplex.weight_distribution()
     if wd.s_count == 1:
-        assert not is_antipodal_two_weight(wd, simplex.n).holds
+        assert is_antipodal_two_weight(wd, simplex.n) is False
 
 
 def test_is_projective():

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from crlab.conditions import (gray_rankin, gray_rankin_holds,
+from crlab.conditions import (gray_rankin_holds,
                               power_decomposition, two_weight_counts,
                               max_distance_bound, max_distance_holds,
-                              p_valuation, plotkin, plotkin_holds,
+                              p_valuation, plotkin_holds,
                               cardinality_window_check, complement_valuation_check)
 from crlab.field import prime_power
 
@@ -27,12 +27,12 @@ def test_p_valuation():
 
 
 def test_plotkin_examples():
-    c = plotkin(3, 2, 2)
+    c = plotkin_holds(3, 2, 2, 4)
     assert c.applicable and c.witnesses["bound"] == 4
     # the (3,4,2) equidistant code from D(2,2) meets it with equality
-    assert plotkin_holds(3, 2, 2, 4).witnesses["equality"]
-    assert not plotkin(4, 2, 2).applicable          # denominator 0
-    assert plotkin(5, 4, 4).witnesses["bound"] == 16
+    assert c.satisfied and c.witnesses["equality"]
+    assert not plotkin_holds(4, 2, 2, 4).applicable          # denominator 0
+    assert plotkin_holds(5, 4, 4, 16).witnesses["bound"] == 16
 
 
 def test_gray_rankin_examples():
@@ -42,7 +42,7 @@ def test_gray_rankin_examples():
     c = gray_rankin_holds(8, 6, 4, 32)
     assert c.satisfied and c.witnesses["equality"]
     # n - ((q-1)n - qd)^2 <= 0: inapplicable
-    assert not gray_rankin(4, 1, 2).applicable
+    assert not gray_rankin_holds(4, 1, 2, 4).applicable
 
 
 def test_max_distance_examples():

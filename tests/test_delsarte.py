@@ -17,7 +17,7 @@ from crlab.field import field_create, prime_power
 from crlab.matrix import MatGF
 from crlab.regularity import (BRUTE_LIMIT, IntersectionArray,
                               brute_subconstituents, complete_regularity,
-                              delsarte_ia, packing_radius)
+                              delsarte_ia, dual_regularity, packing_radius)
 from crlab.report import build_code_report
 from crlab.search import search_antipodal_duals
 
@@ -294,6 +294,52 @@ def test_report_matches_profile_and_oracle(sides, monkeypatch):
             brute_checked += 1
         checked += 1
     assert (checked, closed, brute_checked) == (243, 111, 200)
+
+
+def test_dual_regularity_matches_profile(sides):
+    """On the same 243 sides the one entry point gives complete_regularity's
+    rho, array, level sizes and violation.  Where Delsarte's theorem
+    applies it never calls ``dual`` and holds no profile; elsewhere it
+    calls ``dual`` once and profiles."""
+    checked = closed = 0
+    for s in sides + list(_census_sides()):
+        if s.result is None:
+            continue
+        code, want = s.code, s.result
+        calls = []
+
+        def dual():
+            calls.append(code)
+            return code.dual()
+        got = dual_regularity(code.n, code.q, code.n - code.k,
+                              packing_radius(s.d), s.dual_weights, dual)
+        assert (got.rho, got.ia, got.level_sizes, got.violation) == \
+            (want.rho, want.ia, want.level_sizes, want.violation), s.label
+        assert got.is_completely_regular == want.is_completely_regular
+        if s.closed is None:
+            assert len(calls) == 1 and got.profile is not None, s.label
+        else:
+            assert not calls and got.profile is None, s.label
+            closed += 1
+        checked += 1
+    assert (checked, closed) == (243, 111)
+
+
+def test_dual_regularity_takes_a_lower_bound_on_e():
+    """The packing radius may be given as a lower bound: e = 1 for the
+    dual of a projective two-weight code is enough for the theorem, and
+    a bound too weak for it (e = 0 for the [8,6]_8 MDS code, whose e is
+    1) profiles the code instead, to the same array."""
+    def never():
+        pytest.fail("dual asked for")
+
+    tw = families.cr4_bose_bush(8).two_weight_code      # dual d = 4, e = 1
+    got = dual_regularity(tw.n, tw.q, tw.k, 1, (8, 10), never)
+    assert str(got.ia) == "{70,63;1,10}" and got.level_sizes == (1, 70, 441)
+    mds = families.cr3_mds_dual(8, 8).two_weight_code   # [8,2]_8
+    want = complete_regularity(mds.dual())
+    got = dual_regularity(mds.n, mds.q, mds.k, 0, (7, 8), lambda: mds)
+    assert got.profile is not None and got.ia == want.ia and got.rho == 2
 
 
 def test_report_takes_the_closed_form_without_a_profile(family_grid,

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import equidistant_check, row_weights
 
 from crlab import cli, diffmat
-from crlab.codes import CodewordMatrix, LinearCode, equidistant_check
+from crlab.codes import CodewordMatrix, LinearCode
 from crlab.matrix import MatGF
 from crlab.diffmat import (difference_matrix, dm_code, is_difference_matrix,
                            normalize_dm)
@@ -95,7 +96,7 @@ def test_dm_code_221_additive_not_linear():
     built = dm_code(difference_matrix(2, 2, 1))
     assert built.N == 32 and built.n == 8
     assert _spanned_dimension(built) is None
-    ws = sorted(set(w for w in built.weights() if w))
+    ws = sorted(set(w for w in row_weights(built) if w))
     assert ws == [6, 8]
     # meets the simplex-partitionable bound with equality: N/q = bound
     from crlab.conditions import gray_rankin_holds

@@ -7,7 +7,7 @@ import operator
 import numpy as np
 import pytest
 
-from crlab import budgets, cli, search
+from crlab import budgets, cli, regularity, search
 from crlab.codes import LinearCode, projective_points
 from crlab.field import field_create, prime_power
 from crlab.matrix import MatGF
@@ -608,7 +608,7 @@ def test_census_sets_take_delsarte_arrays(monkeypatch, q, r, n_max, regular):
     regular entries."""
     def no_profile(*args):
         raise AssertionError("a column set's dual was profiled")
-    monkeypatch.setattr(search, "complete_regularity", no_profile)
+    monkeypatch.setattr(regularity, "complete_regularity", no_profile)
     entries = search_antipodal_duals(q, r, n_max, projective=True)
     assert [e.n for e in entries if e.completely_regular] == regular
     assert all(e.rho == 2 and e.ia.rho == 2 for e in entries
@@ -629,7 +629,7 @@ def test_census_profiles_only_repeated_columns(monkeypatch):
         profiled.append(code)
         return complete_regularity(code)
     monkeypatch.setattr(search, "_census_key", recording_key)
-    monkeypatch.setattr(search, "complete_regularity", counting_profile)
+    monkeypatch.setattr(regularity, "complete_regularity", counting_profile)
     search_antipodal_duals(2, 3, 8)
     repeated = [c for c in keyed if len(set(c)) < len(c) and len(c) > 3]
     assert repeated and len(repeated) < len(keyed)
