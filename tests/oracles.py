@@ -60,7 +60,8 @@ def bush_closed_form_matrix(q: int) -> MatGF:
     q = 2^m >= 4 (the hyperoval builders' guard refuses any other q).
 
     Defined only when no denominator vanishes, i.e. when 3 does not
-    divide q - 1; otherwise raises with the first failing index."""
+    divide q - 1; otherwise raises with the first failing index.  Checks
+    that the code it generates has weights exactly {q, q + 2}."""
     f = _char2_field(q)
     cols = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
     for i in range(1, q - 1):
@@ -73,7 +74,13 @@ def bush_closed_form_matrix(q: int) -> MatGF:
                 f"closed-form hyperoval matrix is undefined (3 divides q-1)")
         inv = f.inv(denom)
         cols.append((1, f.mul(ai, inv), f.mul(a2i, inv)))
-    return MatGF(f, np.transpose(cols))
+    G = MatGF(f, np.transpose(cols))
+    weights = set(LinearCode(f, G).weight_distribution().nonzero_weights)
+    if weights != {q, q + 2}:
+        raise AssertionError(
+            f"closed-form matrix gave weights {sorted(weights)}, "
+            f"expected {{{q}, {q + 2}}}")
+    return G
 
 
 class FormVerdict(NamedTuple):
@@ -150,8 +157,9 @@ def simplex_partition(matrix, q: int) -> SimplexPartition | None:
     if d:
         mu = n - d
         bound_ok = d * q <= n * (q - 1)
-        sym_ok = n % mu == 0 and all(
-            r.count(x) == mu for r in rows if len(set(r)) > 1 for x in set(r))
+        sym_ok = all(
+            r.count(x) == mu for r in rows if len(set(r)) > 1
+            for x in set(r)) and n % mu == 0
         pdm = (is_simplex and d * q == n * (q - 1) and N == q * n
                and n == mu * q and N == mu * q * q)
         if pdm and is_additive_group(rows, f):

@@ -210,7 +210,9 @@ def test_bush_matrix_closed_form():
 
     G32 = bush_closed_form_matrix(32)
     assert G32.ncols == 34
-    assert is_projective(LinearCode(field_create(2, 5), G32))
+    code32 = LinearCode(field_create(2, 5), G32)
+    assert is_projective(code32)
+    assert set(code32.weight_distribution().nonzero_weights) == {32, 34}
 
 
 def test_cr5_delsarte():
@@ -345,6 +347,15 @@ def test_simplex_partition_removed_translate():
     sub = CodewordMatrix(built.field, rows)
     sp = simplex_partition(sub, 3)
     assert sp.class_size == 2 and not sp.is_simplex_partition and not sp.pdm
+
+
+def test_simplex_partition_full_distance_rows():
+    # weights {n}: mu = n - d = 0, so no non-constant row meets the
+    # symbol clause and the n % mu test is never reached
+    f = field_create(3, 1)
+    built = CodewordMatrix.from_code(LinearCode(f, MatGF(f, [[1, 2]])))
+    sp = simplex_partition(built, 3)
+    assert sp.is_simplex_partition and sp.symbol_multiplicity_ok is False
 
 
 def test_simplex_partition_additive_pdm_reassembly():
