@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -167,7 +166,7 @@ def cmd_construct(args, parser) -> int:
             },
             "notes": list(inst.notes),
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(fileio.dumps_json(doc))
     else:
         print(f"family {inst.family} {inst.params}")
         print(f"two-weight code: [{tw.n},{tw.k}]_{tw.q}, predicted weights "
@@ -199,8 +198,7 @@ def cmd_report(args, parser) -> int:
         return 2
     report = build_code_report(parsed.code, warnings=parsed.warnings)
     if args.as_json:
-        print(json.dumps(fileio.report_to_dict(report), sort_keys=True,
-                         indent=2))
+        print(fileio.dumps_json(fileio.report_to_dict(report)))
         return 0
     for w in report.warnings:
         print(f"warning: {w}")
@@ -329,7 +327,7 @@ def cmd_search_classify(args, parser) -> int:
             "note": table.header_note,
             "entries": [_census_entry_dict(e) for e in table.entries],
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(fileio.dumps_json(doc))
     else:
         print(search.render_table(table))
     unmatched = table.unmatched

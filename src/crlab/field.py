@@ -53,41 +53,68 @@ import numpy as np
 Q_LIMIT = 1 << 20
 
 
+# Miller-Rabin on the primes up to 41 decides primality exactly below
+# PRIMALITY_LIMIT (Sorenson and Webster, 2015), the least strong
+# pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, for n < PRIMALITY_LIMIT; ValueError above."""
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIMALITY_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def _iroot(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n, m >= 1: integer Newton steps down from a
+    power of two above the root."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, or ValueError."""
+    """(p, m) with q = p^m, or ValueError; q must lie below
+    PRIMALITY_LIMIT.  The largest m with an exact m-th root is the only
+    exponent that can work, so the first root found decides."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = None
-    for f in range(2, q + 1):
-        if f * f > q:
-            p = q
+    if q >= PRIMALITY_LIMIT:
+        raise ValueError(f"{q} is past the prime-power test's limit "
+                         f"{PRIMALITY_LIMIT}")
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, m)
+        if p ** m == q:
+            if is_prime(p):
+                return p, m
             break
-        if q % f == 0:
-            p = f
-            break
-    m = 0
-    x = q
-    while x % p == 0:
-        x //= p
-        m += 1
-    if x != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, m
+    raise ValueError(f"{q} is not a prime power")
 
 
 def digit_add(a, b, p: int, ndigits: int, sign: int = 1):

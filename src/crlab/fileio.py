@@ -26,6 +26,12 @@ converted in C by ``np.fromstring``; any other row goes through ``int()``
 token by token, so signs, underscores, non-ASCII digits, integers past
 int64 and malformed tokens give what ``int()`` gives, or its error.
 
+Every ``--json`` document is written by :func:`dumps_json`, byte for
+byte what ``json.dumps(doc, sort_keys=True, indent=2)`` gives, without
+the pure-Python encoder that ``indent`` forces on the stdlib.  It writes
+str, int, bool and None, lists, tuples and dicts, and refuses anything
+else with ``TypeError``: floats included, since crlab's numbers are exact.
+
 Report JSON is schema-versioned ({"schema": 1}); all numeric values are
 exact integers, rationals appear as "num/den" strings.  REPORT_SCHEMA
 describes every key report_to_dict writes.  ``crlab report --json`` does
@@ -41,6 +47,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -201,6 +208,81 @@ def write_dm(path, dm: DifferenceMatrix, p: int, l: int, h: int) -> None:
     with open(path, "w") as fh:
         fh.write(f"dm {p} {l} {h}\n")
         fh.writelines(format_rows(dm.entries))
+
+
+# -- JSON --------------------------------------------------------------------
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# how each scalar type is written, looked up by exact type
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 bool: _JSON_CONSTANTS.__getitem__,
+                 type(None): _JSON_CONSTANTS.__getitem__}
+
+
+def dumps_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for a
+    document of str, int, bool, None, lists, tuples and dicts; TypeError
+    for any other value, a float included, or a key of another type."""
+    pieces = []
+    _write_json(doc, pieces, "\n")
+    return "".join(pieces)
+
+
+def _write_json(value, out: list, newline: str) -> None:
+    """Append the pieces of value, whose lines open with newline (a line
+    break and the indent of value's own nesting level)."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        # sorted on the keys as given, as sort_keys does, then stringified
+        for key, v in sorted(value.items()):
+            head += encode_basestring_ascii(
+                key if type(key) is str else _json_key(key)) + ": "
+            out.append(head)
+            _write_json(v, out, inner)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + sep.join(map(int.__repr__, value))
+                       + newline + "]")
+            return
+        head = "[" + inner
+        for v in value:
+            out.append(head)
+            _write_json(v, out, inner)
+            head = sep
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A non-str dict key as the stdlib encoder stringifies it."""
+    if isinstance(key, str):
+        return key
+    if key is None or key is True or key is False:
+        return _JSON_CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 # -- report JSON -------------------------------------------------------------

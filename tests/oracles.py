@@ -16,6 +16,45 @@ from crlab.families import _char2_field
 from crlab.matrix import MatGF
 
 
+def trial_is_prime(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def trial_prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m, or ValueError: p is q's least divisor above 1,
+    found by trial division up to sqrt(q)."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = None
+    for f in range(2, q + 1):
+        if f * f > q:
+            p = q
+            break
+        if q % f == 0:
+            p = f
+            break
+    m = 0
+    x = q
+    while x % p == 0:
+        x //= p
+        m += 1
+    if x != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, m
+
+
 def hamming_distance(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 

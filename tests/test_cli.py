@@ -503,7 +503,14 @@ def test_bounds_command_exit_codes(capsys):
      "--N must be >= 1, got 0"),
     (("--q", "2", "--n", "3", "--d", "2", "--N", "-4"),
      "--N must be >= 1, got -4"),
-], ids=["q-6", "q-1", "n-0", "d-0", "d-past-n", "N-0", "N-negative"])
+    (("--q", str(1000000007 * 1000000009), "--n", "3", "--d", "2",
+      "--N", "4"),
+     "--q: 1000000016000000063 is not a prime power"),
+    (("--q", str(4 * 10 ** 24), "--n", "3", "--d", "2", "--N", "4"),
+     "--q: 4000000000000000000000000 is past the prime-power test's "
+     "limit 3317044064679887385961981"),
+], ids=["q-6", "q-1", "n-0", "d-0", "d-past-n", "N-0", "N-negative",
+        "q-semiprime", "q-past-limit"])
 def test_bounds_rejects_bad_arguments(capsys, args, message):
     """No field GF(q), empty length, a distance outside [1, n] or no
     codewords is a usage error, refused before any check runs."""
@@ -566,61 +573,142 @@ def test_report_non_cr_code_shows_witness(tmp_path, capsys):
     assert "violating coset pair" in text
 
 
-def validated_report_json(code) -> str:
-    """The text `crlab report --json` prints for code, after checking
-    that REPORT_SCHEMA accepts the document it parses to."""
-    text = report_to_json(build_code_report(code))
-    fileio.validate_report_dict(json.loads(text))
-    return text
-
-
-def admitted_report_sides(codes, monkeypatch) -> list:
-    """validated_report_json of each code the default budgets admit;
-    None for each one they refuse."""
+@pytest.fixture
+def report_json(tmp_path, monkeypatch, capsys):
+    """code (or the text of a .gfc file) -> the stdout of `crlab report
+    FILE --json` under the default budgets, or None when they refuse it.
+    Each stdout must be json.dumps(doc, sort_keys=True, indent=2) plus a
+    line break, byte for byte, where doc is the report_to_dict document
+    the command built, and REPORT_SCHEMA must accept it."""
     monkeypatch.delenv(budgets.ENUM_BUDGET_VAR, raising=False)
     monkeypatch.delenv(budgets.SYND_BUDGET_VAR, raising=False)
-    texts = []
-    for code in codes:
-        try:
-            texts.append(validated_report_json(code))
-        except budgets.BudgetExceeded:
-            texts.append(None)
-    return texts
+    built = []
+    to_dict = fileio.report_to_dict
+
+    def recorded_to_dict(report):
+        built.append(to_dict(report))
+        return built[-1]
+
+    monkeypatch.setattr(fileio, "report_to_dict", recorded_to_dict)
+    path = tmp_path / "code.gfc"
+
+    def report(code):
+        if isinstance(code, str):
+            path.write_text(code)
+        else:
+            fileio.write_gfc(path, code)
+        built.clear()
+        rc = run(["report", str(path), "--json"])
+        out, err = capsys.readouterr()
+        if rc == 1:
+            assert out == "" and "CRLAB_" in err, err
+            return None
+        assert rc == 0, err
+        (doc,) = built
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        fileio.validate_report_dict(json.loads(out))
+        return out
+
+    return report
 
 
-def test_reports_of_all_family_instances_validate(family_grid, monkeypatch):
+def test_reports_of_all_family_instances_validate(family_grid, report_json):
     """The schema accepts the report JSON of every grid side the default
     budgets admit: 60 of the 68, every completely regular side among
     them; the same text comes back on a second build."""
     admitted = 0
     for entry in family_grid:
-        tw, cr = admitted_report_sides((entry.tw, entry.cr), monkeypatch)
+        tw, cr = report_json(entry.tw), report_json(entry.cr)
         assert cr is not None, entry.label
-        assert report_to_json(build_code_report(entry.cr)) == cr, entry.label
+        assert report_to_json(build_code_report(entry.cr)) + "\n" == cr, \
+            entry.label
         admitted += 1 + (tw is not None)
     assert (admitted, 2 * len(family_grid)) == (60, 68)
 
 
-def test_reports_of_construct_sides_validate(monkeypatch):
+def test_reports_of_construct_sides_validate(report_json):
     """Every completely regular side of the construct workload's families
     reports valid JSON; their two-weight sides are all over the budget."""
     for kind, params in CONSTRUCT_SPEC:
         inst = build_instance(kind, params)
-        tw, cr = admitted_report_sides(
-            (inst.two_weight_code, inst.cr_code), monkeypatch)
+        tw = report_json(inst.two_weight_code)
+        cr = report_json(inst.cr_code)
         assert tw is None and cr is not None, (kind, params)
 
 
-def test_reports_of_random_codes_validate(monkeypatch):
+def random_report_code(seed: int, i: int) -> LinearCode:
+    """Code i of the report workload's random codes at run seed seed."""
+    p, m, n, k = RANDOM_CODE_SHAPES[i]
+    return random_multiweight_code(field_create(p, m), n, k,
+                                   seed=seed * 100 + i)
+
+
+def test_reports_of_random_codes_validate(report_json):
     """Both sides of the report workload's random codes at run seeds
     1..5."""
-    codes = []
     for seed in range(1, 6):
-        for i, (p, m, n, k) in enumerate(RANDOM_CODE_SHAPES):
-            code = random_multiweight_code(field_create(p, m), n, k,
-                                           seed=seed * 100 + i)
-            codes += [code, code.dual()]
-    assert None not in admitted_report_sides(codes, monkeypatch)
+        for i in range(len(RANDOM_CODE_SHAPES)):
+            code = random_report_code(seed, i)
+            assert report_json(code) is not None, (seed, i)
+            assert report_json(code.dual()) is not None, (seed, i)
+
+
+# a [5,2]_8 code over the other primitive cubic x^3 + x^2 + 1: its report
+# carries the non-canonical modulus warning
+NONCANONICAL_GFC = ("field 2 3 poly 1 0 1 1\n"
+                    "code 2 5\n"
+                    "1 0 1 2 4\n"
+                    "0 1 3 5 7\n")
+
+# the .gfc file of each pinned report: a code write_gfc writes, or text
+REPORT_PIN_FILES = {
+    "ext-hamming m=3 cr": lambda: build_instance(
+        "ext-hamming", {"m": 3}).cr_code,
+    "bose-bush q=4 tw": lambda: cr4_bose_bush(4).two_weight_code,
+    "delsarte q=8 cr": lambda: build_instance("delsarte", {"q": 8}).cr_code,
+    "mds-dual q=7 n=7 tw": lambda: build_instance(
+        "mds-dual", {"q": 7, "n": 7}).two_weight_code,
+    "random seed=1 i=0": lambda: random_report_code(1, 0),
+    "random seed=2 i=3 dual": lambda: random_report_code(2, 3).dual(),
+    "damaged ext-hamming": lambda: damaged_ext_hamming(),
+    "non-canonical modulus": lambda: NONCANONICAL_GFC,
+}
+
+# sha256 of the stdout of `report FILE --json` for each pinned file,
+# recorded while json.dumps(sort_keys=True, indent=2) still wrote it
+REPORT_JSON_DIGESTS = [
+    ("ext-hamming m=3 cr",
+     "5c098267eea7a639202993cd1399f4bd68bd54b3b36b0ce0d1a3d7c5c8fad50b"),
+    ("bose-bush q=4 tw",
+     "ac1bb9e311bcd46cd9cd1441e68e511202e93d2c7bf48622fe588cd05e36c908"),
+    ("delsarte q=8 cr",
+     "8b9ff4f08b4b0a455837fd801e81246488ce0b70b5d09beacd7a89a294dd3ddb"),
+    ("mds-dual q=7 n=7 tw",
+     "bbbd60c3152abf08e7db52a7124bd2059c8fb10d04c173211b0adb3cbea66442"),
+    ("random seed=1 i=0",
+     "8ce34da9a5c819ca861b3b0b6102acc468e1b2f470082d6cbe2455bc0095184f"),
+    ("random seed=2 i=3 dual",
+     "9ca7984e34407b24741d679f59a26979df54a008b95b7a54d77baab21f4053de"),
+    ("damaged ext-hamming",
+     "101ec5d8664a077dc57a33c3a1f9b64a1f64af3013d5974e2a864e9f31471b4c"),
+    ("non-canonical modulus",
+     "9fb10d4d70e3cfd44a97ef62fde6126580a5bce867a8663ffc1ccb03772f314e"),
+]
+
+
+@pytest.mark.parametrize("name,digest", REPORT_JSON_DIGESTS)
+def test_report_json_pinned(name, digest, report_json):
+    out = report_json(REPORT_PIN_FILES[name]())
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_json_warnings_and_violation(report_json):
+    """The pinned files cover the optional blocks: warnings and a
+    cr_violation witness."""
+    doc = json.loads(report_json(NONCANONICAL_GFC))
+    assert any("non-canonical modulus" in w for w in doc["warnings"])
+    doc = json.loads(report_json(damaged_ext_hamming()))
+    assert doc["cr_violation"] is not None and doc["warnings"] == []
 
 
 def test_report_schema_describes_cr_violation():
@@ -691,6 +779,17 @@ def test_search_argument_errors_exit_2(argv, name, capsys):
         run(["search"] + argv)
     assert exc.value.code == 2
     assert f"error: {name} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [10 ** 18 + 3, (10 ** 9 + 7) ** 2])
+def test_search_arcs_huge_q_meets_the_desk_bound(q, capsys):
+    """A prime or prime square near 10^18 is recognised without trial
+    division, so the arc search refuses it by its desk bound at once."""
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "arcs", "--q", str(q), "--size", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "crlab: error: arc search is desk-bounded to q <= 16"
 
 
 def _fresh_interpreter(script, argv, cwd, text=True):

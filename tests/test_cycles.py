@@ -4,7 +4,8 @@ Their codes, matrices and tables are freed by reference counting when the
 call returns, not at the next run of the cycle collector, so a process
 that makes many calls keeps its peak memory.  Each check runs the call
 once to warm the caches, then again with ``gc.DEBUG_SAVEALL`` set, and
-looks at what the collector found unreachable.
+looks at what the collector found unreachable.  The ``--json`` ops leave
+no cycle at all.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import io
 import numpy as np
 import pytest
 
-from crlab import cli, search
+from crlab import cli, fileio, search
 from crlab.families import cr4_bose_bush, cr6_denniston
 from crlab.regularity import complete_regularity
 from crlab.report import build_code_report
@@ -27,9 +28,9 @@ def _holds_array(obj) -> bool:
             or any(isinstance(x, np.ndarray) for x in gc.get_referents(obj)))
 
 
-def cycle_garbage(fn) -> list:
-    """Type names of the collected garbage left by fn() that is, or
-    directly holds, an array or a code."""
+def cycle_garbage(fn, keep=_holds_array) -> list:
+    """Type names of the collected garbage left by fn() that keep
+    accepts: by default, what is or directly holds an array or a code."""
     fn()
     debug = gc.get_debug()
     gc.collect()
@@ -37,7 +38,7 @@ def cycle_garbage(fn) -> list:
     try:
         fn()
         gc.collect()
-        return sorted(type(o).__name__ for o in gc.garbage if _holds_array(o))
+        return sorted(type(o).__name__ for o in gc.garbage if keep(o))
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()
@@ -71,6 +72,29 @@ CALLS = {
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_no_cycle_holds_an_array(name):
     assert cycle_garbage(CALLS[name]) == []
+
+
+def _report_json_op(tmp_path):
+    path = tmp_path / "bb4.gfc"
+    fileio.write_gfc(path, cr4_bose_bush(4).cr_code)
+    return _quiet_cli("report", str(path), "--json")
+
+
+JSON_OPS = {
+    "report": _report_json_op,
+    "construct": lambda tmp_path: _quiet_cli(
+        "construct", "--family", "denniston", "--q", "8", "--h", "4",
+        "--json"),
+    "search-classify": lambda tmp_path: _quiet_cli(
+        "search", "classify", "--q", "3", "--r", "3", "--n-max", "6",
+        "--json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_OPS))
+def test_json_op_leaves_no_cycle(name, tmp_path):
+    """A warm --json op leaves nothing at all for the cycle collector."""
+    assert cycle_garbage(JSON_OPS[name](tmp_path), keep=lambda o: True) == []
 
 
 @pytest.mark.parametrize("call", [

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from crlab import field
-from crlab.field import (Q_LIMIT, _antilog, _int_power_is_one,
-                         _matrix_power_is_one, _prime_factors, digit_add,
-                         field_create, field_from_modulus, is_prime,
-                         prime_power)
+from crlab.field import (PRIMALITY_LIMIT, Q_LIMIT, _antilog,
+                         _int_power_is_one, _matrix_power_is_one,
+                         _prime_factors, digit_add, field_create,
+                         field_from_modulus, is_prime, prime_power)
+from oracles import trial_is_prime, trial_prime_power
 
 
 def from_coeffs(f, coeffs) -> int:
@@ -513,3 +514,86 @@ def test_field_from_modulus():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _prime_power_or_none(fn, q):
+    try:
+        return fn(q)
+    except ValueError:
+        return None
+
+
+def test_primality_matches_trial_division_to_1e5():
+    """Miller-Rabin and the integer-root prime power test agree with
+    trial division on every n <= 10^5."""
+    for n in range(-2, 10 ** 5 + 1):
+        assert is_prime(n) == trial_is_prime(n), n
+        assert (_prime_power_or_none(prime_power, n)
+                == _prime_power_or_none(trial_prime_power, n)), n
+
+
+# the least strong pseudoprimes to the prime bases 2; 2, 3; 2, 3, 5; ...
+# up to 2..23 (318665857834031151167461, for 2..37, has its own test),
+# and Carmichael numbers
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841,
+              29341, 41041, 46657, 52633, 62745, 63973, 75361, 101101,
+              115921, 126217, 162401, 172081, 188461, 252601, 278545,
+              294409, 314821, 334153, 340561, 399001, 410041, 449065,
+              488881, 512461, 1050985]
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_are_composite(n):
+    """Each is composite with a least factor small enough for trial
+    division; neither n nor its square is a prime power."""
+    assert not trial_is_prime(n)
+    assert not is_prime(n)
+    assert _prime_power_or_none(trial_prime_power, n) is None
+    assert _prime_power_or_none(prime_power, n) is None
+    assert _prime_power_or_none(prime_power, n * n) is None
+
+
+def test_strong_pseudoprime_to_bases_up_to_37():
+    """318665857834031151167461 = 399165290221 * 798330580441 passes
+    Miller-Rabin to every prime base up to 37; base 41 exposes it."""
+    n, a, b = 318665857834031151167461, 399165290221, 798330580441
+    assert a * b == n and trial_is_prime(a) and trial_is_prime(b)
+    assert not is_prime(n)
+    assert _prime_power_or_none(prime_power, n) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 1000003, 999999937,
+                               1000000007, 2 ** 31 - 1])
+def test_prime_powers_with_large_p(p):
+    """p^m for every m with p^m below the limit, p checked by trial
+    division; 3 p^m is no prime power for p > 3."""
+    assert trial_is_prime(p) and is_prime(p)
+    m = 1
+    while p ** m < PRIMALITY_LIMIT:
+        assert prime_power(p ** m) == (p, m)
+        assert is_prime(p ** m) == (m == 1)
+        if p > 3 and 3 * p ** m < PRIMALITY_LIMIT:
+            assert _prime_power_or_none(prime_power, 3 * p ** m) is None
+        m += 1
+
+
+def test_products_of_large_primes_are_not_prime_powers():
+    for a, b in [(1000003, 1000033), (999999937, 1000000007),
+                 (2, 2 ** 61 - 1)]:
+        assert _prime_power_or_none(prime_power, a * b) is None
+        assert not is_prime(a * b)
+
+
+def test_primality_limit_is_refused_by_name():
+    """The least strong pseudoprime to bases 2..41 is the limit: it and
+    anything past it is refused, naming the limit, not guessed."""
+    assert PRIMALITY_LIMIT == 3317044064679887385961981
+    for q in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 2, 2 ** 100, 3 ** 60):
+        with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+            prime_power(q)
+        with pytest.raises(ValueError, match=str(PRIMALITY_LIMIT)):
+            is_prime(q)
+    assert prime_power(2 ** 81) == (2, 81)
+    assert prime_power(1000000000000000003) == (1000000000000000003, 1)

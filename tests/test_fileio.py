@@ -1,10 +1,15 @@
 """The matrix text codec against the per-entry code it replaced: the
 ``" ".join(map(str, row))`` writers and the ``int()`` row parser are
 kept here as oracles, and every file, printed row and parse result or
-error must match them exactly."""
+error must match them exactly.  The JSON writer is checked the same way
+against ``json.dumps(sort_keys=True, indent=2)``."""
 
+import collections
+import enum
+import json
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,3 +188,93 @@ def test_parse_round_trip_matches_int_loop(tmp_path, monkeypatch):
         fileio.write_gfc(path, code)
         assert parse_outcome(path) == int_read_gfc(path, monkeypatch)
         assert parse_outcome(path)[1] == code.G.rows.tolist()
+
+
+# -- the JSON writer against json.dumps(sort_keys=True, indent=2) ----------
+
+def stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    pass
+
+
+JSON_DOCS = {
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-tuple": (),
+    "nested-empty": {"a": {}, "b": [], "c": [[], {}, [[]], {"x": {}}],
+                     "d": (), "e": [()]},
+    "scalars": [0, -1, 1, True, False, None, "", "s"],
+    "top-level-scalars": "x",
+    "int-keys": {10: "a", 2: "b", -3: "c", 2 ** 70: "d", 0: "e"},
+    "bool-keys": {True: 1, False: 0},
+    "none-key": {None: [1]},
+    "bool-and-int-keys": {False: "f", 2: "two", -1: "minus one"},
+    "non-ascii": ["\u00e9", "\u65e5\u672c", "\U0001f600", "a\"b\\c/d",
+                  "\x00\x1f\x7f\x80", "tab\tnl\ncr\r", "\u2028\ufeff"],
+    "non-ascii-keys": {"\u00e9": 1, "e": 2, "\n": 3, "\U0001f600": [4]},
+    "big-ints": [2 ** 63, 2 ** 63 - 1, -2 ** 63 - 1, 10 ** 40, -(10 ** 40),
+                 {"big": 2 ** 64}],
+    "tuples": (1, (2, 3), [(4,), ()], {"t": (5, "six", None)}),
+    "bools-next-to-ints": [True, 1, False, 0, [True, 2], [0, False],
+                           {"a": True, "b": 1, "c": 0, "d": False}],
+    "deep": {"a": [{"b": [{"c": [1, [2, [3, []]]]}]}], "z": {"y": {"x": 1}}},
+    "subclasses": [Level.HIGH, Name("n"), collections.OrderedDict(b=1, a=2),
+                   {Level.LOW: Name("k"), 3: Level.HIGH}],
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_DOCS))
+def test_dumps_json_matches_stdlib(name):
+    doc = JSON_DOCS[name]
+    assert fileio.dumps_json(doc) == stdlib_json(doc)
+
+
+def _random_doc(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.randrange(-10 ** 6, 10 ** 6) * rng.choice((1, 1, 10 ** 20))
+    if kind == 1:
+        return rng.choice((True, False, None))
+    if kind in (2, 3):
+        return "".join(rng.choice("ab\"\\\n\u00e9\u2603") for _ in
+                       range(rng.randrange(4)))
+    if kind == 4:
+        return [rng.randrange(-99, 99) for _ in range(rng.randrange(6))]
+    if kind in (5, 6):
+        items = [_random_doc(rng, depth - 1) for _ in range(rng.randrange(5))]
+        return tuple(items) if kind == 6 else items
+    keys = (rng.randrange(-50, 50) if kind == 7
+            else "".join(rng.choice("abc\u00e9") for _ in range(3))
+            for _ in range(rng.randrange(5)))
+    return {k: _random_doc(rng, depth - 1) for k in keys}
+
+
+def test_dumps_json_matches_stdlib_on_random_documents():
+    rng = random.Random(25)
+    for _ in range(500):
+        doc = _random_doc(rng, 4)
+        assert fileio.dumps_json(doc) == stdlib_json(doc), doc
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, [1, 2.0], {"a": float("nan")}, Fraction(1, 2), [Fraction(3, 1)],
+    np.int64(3), {"a": [np.int32(1)]}, np.float64(0.5), np.bool_(True),
+    {1: "a", "b": 2}, {None: 1, "a": 2}, {1.5: "x"}, {np.int64(1): "x"},
+    {(1, 2): "x"}, {1, 2}, b"bytes", object(),
+], ids=["float", "float-in-list", "nan-value", "fraction", "fraction-in-list",
+        "numpy-int", "numpy-int-nested", "numpy-float", "numpy-bool",
+        "mixed-keys", "none-and-str-keys", "float-key", "numpy-int-key",
+        "tuple-key", "set", "bytes", "object"])
+def test_dumps_json_refuses_other_types(doc):
+    """Floats are refused, as values and as keys, where json.dumps would
+    print them; every other refusal is one json.dumps makes too."""
+    with pytest.raises(TypeError):
+        fileio.dumps_json(doc)
