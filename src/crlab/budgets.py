@@ -40,19 +40,32 @@ def synd_budget() -> int:
     return _read(SYND_BUDGET_VAR, DEFAULT_SYND_BUDGET)
 
 
-def check_enum(count: int, what: str = "codeword enumeration") -> None:
+def _amount(count: int, power) -> str:
+    """count in decimal up to 256 bits (Python prints no int of more than
+    4300 digits), past that as the power (q, r) its caller names, or by
+    its bit length."""
+    if count.bit_length() <= 256:
+        return str(count)
+    if power:
+        return "{}^{}".format(*power)
+    return f"at least 2^{count.bit_length() - 1}"
+
+
+def check_enum(count: int, what: str = "codeword enumeration",
+               power=None) -> None:
     limit = enum_budget()
     if count > limit:
         raise BudgetExceeded(
-            f"{what} needs {count} items, over the limit {limit} "
-            f"(raise {ENUM_BUDGET_VAR} to allow)"
+            f"{what} needs {_amount(count, power)} items, over the limit "
+            f"{limit} (raise {ENUM_BUDGET_VAR} to allow)"
         )
 
 
-def check_synd(count: int, what: str = "syndrome space") -> None:
+def check_synd(count: int, what: str = "syndrome space",
+               power=None) -> None:
     limit = synd_budget()
     if count > limit:
         raise BudgetExceeded(
-            f"{what} needs {count} syndromes, over the limit {limit} "
-            f"(raise {SYND_BUDGET_VAR} to allow)"
+            f"{what} needs {_amount(count, power)} syndromes, over the limit "
+            f"{limit} (raise {SYND_BUDGET_VAR} to allow)"
         )

@@ -9,13 +9,12 @@ the MacWilliams transform gives the other side.  All arithmetic is exact;
 the MacWilliams transform runs in big integers and treats any fractional
 intermediate as a hard error, never rounding.
 
-Enumerated weight data comes from a numpy kernel that weighs one message
-per scalar class (first nonzero coordinate 1) and counts each weight
-q - 1 times.  The trailing generator rows are spanned once into a block
-of at most ``_BLOCK_CELLS`` cells; every message led by one of the
-remaining rows is a prefix word added to that whole block, so memory
-stays bounded by the block whatever q^k is.  Products come from the
-field's log/antilog arrays and sums from :func:`crlab.field.digit_add`.
+Enumerated weight data weighs the words of :func:`point_words`, one
+message per scalar class, and counts each weight q - 1 times.  The
+trailing generator rows are spanned once into a block of at most
+``_BLOCK_CELLS`` cells; every message led by one of the remaining rows
+is a prefix word added to that whole block, so memory stays bounded by
+the block whatever q^k is.
 ``codewords()`` still materialises every word as a tuple; it is the
 input of the brute-force oracles and the reference the kernel is tested
 against.
@@ -26,8 +25,8 @@ lists all of them in lexicographic order, and the generator columns
 become such rows in one normalize-and-sort kernel, whose runs of equal
 rows give every point's multiplicity (:func:`is_projective`,
 :func:`max_column_multiplicity`, the complementary construction).  The
-projective dual transform weighs every point as a message with one
-:meth:`crlab.field.FieldSpec.matmul`.
+projective dual transform weighs every point as a message, a block of
+:func:`point_words` at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .field import FieldSpec, digit_add
+from .field import FieldSpec, digit_add, span
 from .matrix import MatGF
 
 # words x coordinates in the weight kernel's spanned block
@@ -153,7 +152,8 @@ class LinearCode:
         Subject to the enumeration budget.
         """
         budgets.check_enum(self.q ** self.k,
-                           f"enumerating [{self.n},{self.k}]_{self.q} code")
+                           f"enumerating [{self.n},{self.k}]_{self.q} code",
+                           (self.q, self.k))
         return list(_span(self.field, self.G))
 
     def weight_distribution(self) -> WeightDistribution:
@@ -162,7 +162,8 @@ class LinearCode:
         if self._wd is None:
             budgets.check_enum(
                 self.q ** self.k,
-                f"weight distribution of [{self.n},{self.k}]_{self.q} code")
+                f"weight distribution of [{self.n},{self.k}]_{self.q} code",
+                (self.q, self.k))
             self._wd = WeightDistribution(
                 _weight_counts(self.field, self.G), self.q, self.k)
         return self._wd
@@ -195,52 +196,45 @@ def _span(field: FieldSpec, G: MatGF):
 
 
 def _weight_counts(field: FieldSpec, G: MatGF) -> list:
-    """A_0 .. A_n of the code spanned by the independent rows of G.
-
-    Only the messages whose first nonzero coordinate is 1 are weighed.
-    Those led by one of the t trailing rows are slices of the block
-    spanned by those rows; each message led by one of the h = k - t
-    leading rows is a prefix word added to the whole block.  t is the
-    largest value with q^t * n <= _BLOCK_CELLS, but at most k - 1.
-    """
-    q, n, k = field.q, G.ncols, G.nrows
+    """A_0 .. A_n of the code spanned by the independent rows of G: the
+    weights of the words of :func:`point_words`, each counted q - 1
+    times."""
+    n = G.ncols
     counts = np.zeros(n + 1, dtype=np.int64)
-    if k:
-        # holds the digit sums inside digit_add (each below 2q)
-        dtype = np.min_scalar_type(2 * q)
-        rows = G.rows.astype(dtype)
-        t = 0
-        while t < k - 1 and q ** (t + 1) * n <= _BLOCK_CELLS:
-            t += 1
-        h = k - t
-        block = _span_block(field, rows[h:])
-        for s in range(t):
-            counts += _weight_histogram(block[q ** s:2 * q ** s])
-        for i in range(h):
-            for word in _prefix_words(field, rows[i], rows[i + 1:h]):
-                counts += _weight_histogram(
-                    digit_add(block, word, field.p, field.m))
-        counts *= q - 1
+    for words in point_words(field, G.rows):
+        counts += np.bincount(np.count_nonzero(words, axis=1),
+                              minlength=n + 1)
+    counts *= field.q - 1
     counts[0] = 1
     return counts.tolist()
 
 
-def _span_block(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
-    """All q^t combinations of the t rows, one per array row: the
-    combination with coefficients c_0 .. c_(t-1) sits at index
-    sum_i c_i q^(t-1-i), so those led by row i (c_i = 1 and zero before
-    it) fill [q^(t-1-i), 2 q^(t-1-i))."""
-    elements = np.arange(field.q)[:, None]
-    block = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows[::-1]:
-        mults = field.mul_array(elements, row).astype(rows.dtype)
-        block = digit_add(mults[:, None], block, field.p, field.m)
-        block = block.reshape(-1, rows.shape[1])
-    return block
+def point_words(field: FieldSpec, G):
+    """Blocks of the words mG, m over the points of PG(k-1, q) in
+    :func:`projective_points` order, for a (k, n) array G of elements, in
+    the smallest unsigned dtype that holds 2q (digit_add's sums).
+
+    Those led by one of the t trailing rows are slices of the block that
+    :func:`crlab.field.span` spans from them; each message led by one of
+    the h = k - t leading rows, walked from h - 1 down to 0, is a prefix
+    word added to the whole block.  t is the largest value with
+    q^t * n <= _BLOCK_CELLS, but at most k - 1."""
+    q, (k, n) = field.q, np.shape(G)
+    rows = np.asarray(G).astype(np.min_scalar_type(2 * q))
+    t = 0
+    while t < k - 1 and q ** (t + 1) * n <= _BLOCK_CELLS:
+        t += 1
+    h = k - t
+    block = span(field, rows[h:])
+    for s in range(t):
+        yield block[q ** s:2 * q ** s]
+    for i in range(h - 1, -1, -1):
+        for word in _prefix_words(field, rows[i], rows[i + 1:h]):
+            yield digit_add(block, word, field.p, field.m)
 
 
 def _prefix_words(field: FieldSpec, word: np.ndarray, rows: np.ndarray):
-    """word plus each combination of the rows, depth first."""
+    """word plus each combination of the rows, row 0 most significant."""
     if not len(rows):
         yield word
         return
@@ -248,11 +242,6 @@ def _prefix_words(field: FieldSpec, word: np.ndarray, rows: np.ndarray):
         mult = field.mul_array(c, rows[0]).astype(word.dtype)
         yield from _prefix_words(
             field, digit_add(word, mult, field.p, field.m), rows[1:])
-
-
-def _weight_histogram(words: np.ndarray) -> np.ndarray:
-    return np.bincount(np.count_nonzero(words, axis=1),
-                       minlength=words.shape[1] + 1)
 
 
 class CodewordMatrix:
@@ -449,7 +438,8 @@ def projective_dual_transform(code: LinearCode, a: Fraction,
     b = Fraction(b)
     f = code.field
     points = projective_points(f, code.k)
-    weights = np.count_nonzero(f.matmul(points, code.G.rows), axis=1)
+    weights = np.concatenate([np.count_nonzero(words, axis=1)
+                              for words in point_words(f, code.G.rows)])
     # a*w + b once per weight that occurs; a failure names the first
     # point, in point order, whose weight fails
     mults = np.zeros(code.n + 1, dtype=np.intp)

@@ -34,8 +34,8 @@ that compare the two and for codeword-level checks.
 CR.2 builder never holds the full matrix.  Products come from the big
 field's log/antilog arrays (:meth:`crlab.field.FieldSpec.mul_array`), a
 block of rows at a time, so D is held once, in the smallest signed
-dtype.  The subfield embedding behind the tower coordinates is one
-:meth:`crlab.field.FieldSpec.matmul` of digit vectors.
+dtype.  The subfield embedding and the tower coordinates are spans of
+powers of one element (:func:`crlab.field.span`).
 
 The construction is a theorem (a shortened field multiplication table
 is a difference matrix), so it is not re-checked here.
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import budgets
 from .codes import CodewordMatrix
-from .field import FieldSpec, digit_add, digit_table, field_create
+from .field import FieldSpec, digit_add, digit_table, field_create, span
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,10 @@ def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> np.ndarray:
             roots.append(y)
     if not roots:
         raise AssertionError("small modulus has no root in the big field")
-    root = roots[0]
-    alpha_img = [[big.pow(root, i)] for i in range(small.m)]
-    # the base-p digits of e are its coefficients, in the prime subfield
-    digits = np.arange(small.q)[:, None] // p ** np.arange(small.m) % p
-    return big.matmul(digits, alpha_img)[:, 0]
+    # the base-p digits of e are its coefficients on the powers of the
+    # root, the last digit the most significant
+    powers = [[big.pow(roots[0], i)] for i in range(small.m - 1, -1, -1)]
+    return span(big, powers, np.arange(p))[:, 0]
 
 
 def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
@@ -199,15 +198,12 @@ def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
 
     Plain truncation keeps the first l base-p digits.  In tower
     coordinates, e = sum_j sigma(c_j) alpha^j (j < u/l) with c_j in the
-    small field, and Phi(e) = c_0: enumerating all coefficient tuples
-    (c_0 most significant) reaches every element exactly once."""
+    small field, and Phi(e) = c_0: the span of the alpha^j over sigma(K),
+    c_0 most significant, reaches every element exactly once."""
     if not tower:
         return np.arange(big.q, dtype=np.int64) % small.q
-    sigma = _subfield_embedding(big, small)
-    words = sigma
-    for j in range(1, big.m // small.m):
-        scaled = big.mul_array(sigma, big.pow(big.alpha, j))
-        words = digit_add(words[:, None], scaled, big.p, big.m).ravel()
+    powers = [[big.pow(big.alpha, j)] for j in range(big.m // small.m)]
+    words = span(big, powers, _subfield_embedding(big, small))[:, 0]
     tab = np.empty(big.q, dtype=np.int64)
     tab[words] = np.arange(big.q) // (big.q // small.q)
     return tab

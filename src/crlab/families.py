@@ -26,7 +26,7 @@ import numpy as np
 from . import budgets
 from .codes import LinearCode, projective_dual_transform
 from .diffmat import shortening
-from .field import FieldSpec, digit_add, field_create, prime_power
+from .field import FieldSpec, digit_add, field_create, prime_power, span
 from .matrix import MatGF
 from .regularity import IntersectionArray, delsarte_ia
 
@@ -241,12 +241,9 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
         raise ValueError("need h = 2^u with 2 <= h <= q/2")
     c = denniston_quadratic_c(f)
 
-    # membership table of H, doubled by one generator at a time
+    # membership table of H, the span of the u powers over {0, 1}
     in_h = np.zeros(q, dtype=bool)
-    in_h[0] = True
-    for i in range(u):
-        in_h[digit_add(np.flatnonzero(in_h), f.pow(f.alpha, i),
-                       f.p, f.m)] = True
+    in_h[span(f, [[f.pow(f.alpha, i)] for i in range(u)], (0, 1))] = True
     if np.count_nonzero(in_h) != h:
         raise AssertionError("additive subgroup has the wrong order")
 

@@ -33,17 +33,14 @@ any vector of field elements packed in base q = p^m: such a vector is a
 base-p integer with one digit per coordinate coefficient.  That
 digit-wise sum (and difference) lives only in :func:`digit_add`, which
 works on Python ints and on integer numpy arrays alike.  The element
-methods ``add``/``sub``/``neg`` call it on ints, the weight kernel
-(``codes``) and the row operations of ``matrix`` on arrays, and the
-q x q group tables of ``diffmat`` come from :func:`digit_table`, which
-is built on it.
+methods ``add``/``sub``/``neg`` call it on ints, :func:`span` and the
+row operations of ``matrix`` on arrays, and the q x q group tables of
+``diffmat`` come from :func:`digit_table`, which is built on it.
 
-:meth:`FieldSpec.matmul` is the one exact matrix product over the field,
-folding ``mul_array`` products together with ``digit_add``.  It gives the
-projective dual transform its point weights (``codes``), the arc search
-and the census their one point-hyperplane incidence table (``search``),
-and the subfield embedding its images (``diffmat``).  The oracles that
-check these paths keep their own element-level loops.
+:func:`span` forms every combination of a few rows, with coefficients
+from the field or a subset of it: the block of the point-word kernel
+(:func:`crlab.codes.point_words`), the tower coordinates of ``diffmat``
+and the Denniston subgroup H.  Their oracles keep element-level loops.
 """
 
 from __future__ import annotations
@@ -142,6 +139,22 @@ def digit_table(f: "FieldSpec", sign: int = 1) -> np.ndarray:
     """q x q int64 table of a + sign*b over the elements of f."""
     e = np.arange(f.q, dtype=np.int64)
     return digit_add(e[:, None], e, f.p, f.m, sign)
+
+
+def span(f: "FieldSpec", rows, coeffs=None) -> np.ndarray:
+    """Every combination sum_i c_i rows[i], c_i in coeffs (all of GF(q)
+    when None), one per row, in the dtype of the 2-d array rows (one
+    that digit_add accepts).  Taking coeffs[j_i] for row i puts it at
+    sum_i j_i len(coeffs)^(t-1-i), row 0 most significant; over GF(q),
+    those led by row i fill [q^(t-1-i), 2 q^(t-1-i))."""
+    rows = np.asarray(rows)
+    coeffs = np.arange(f.q) if coeffs is None else np.asarray(coeffs)
+    block = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        mults = f.mul_array(coeffs[:, None], row).astype(rows.dtype)
+        block = digit_add(mults[:, None], block, f.p, f.m)
+        block = block.reshape(-1, rows.shape[1])
+    return block
 
 
 def _digits(value: int, p: int, m: int) -> list[int]:
@@ -336,19 +349,6 @@ class FieldSpec:
         if not a.all():
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.antilog[self.q - 1 - self.log[a]]
-
-    def matmul(self, a, b) -> np.ndarray:
-        """a @ b over the field for 2-d integer arrays of elements, as intp.
-
-        The inner index is folded in one step at a time, so only the
-        result and one product are held at once."""
-        a = np.asarray(a, dtype=np.intp)
-        b = np.asarray(b, dtype=np.intp)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.intp)
-        for t in range(a.shape[1]):
-            out = digit_add(out, self.mul_array(a[:, t, None], b[t]),
-                            self.p, self.m)
-        return out
 
     def inv(self, a: int) -> int:
         if a == 0:

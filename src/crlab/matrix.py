@@ -15,8 +15,7 @@ matrix, and updates every row by one gather from it and one
 the smallest unsigned one holding 2q for p = 2, the smallest signed one
 for odd p.  A matrix with fewer rows than q multiplies the pivot row by
 each row's factor instead, in the intp of ``mul_array``'s products.  The
-reduced rows come back as read-only intp either way.  Products are
-:meth:`crlab.field.FieldSpec.matmul` on the arrays.
+reduced rows come back as read-only intp either way.
 """
 
 from __future__ import annotations

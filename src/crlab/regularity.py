@@ -251,7 +251,8 @@ class SyndromeProfile:
         self.q = code.q
         self.r = code.n - code.k
         budgets.check_synd(self.q ** self.r,
-                           f"profile of [{code.n},{code.k}]_{self.q} code")
+                           f"profile of [{code.n},{code.k}]_{self.q} code",
+                           (self.q, self.r))
         self._build()
 
     def _build(self):

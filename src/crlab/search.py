@@ -30,10 +30,11 @@ and brought back to exact counts by double counting.
 Every total is an exact ``Fraction`` that must come out integral, or
 :class:`SymmetryCountError` is raised.
 
-Both searches take point/hyperplane incidences from one exact product
-of the point matrix with its transpose (:meth:`crlab.field.FieldSpec.matmul`):
-the lines of PG(2, q) are its dual points, and a census message misses
-a column point exactly when their product is zero.
+Both searches take point/hyperplane incidences from the zeros of the
+words of every point with the points as generator columns
+(:func:`crlab.codes.point_words`): the lines of PG(2, q) are the dual
+points, and a census message misses a column point exactly when their
+product is zero.
 
 Matching is parameter-level (n, k, q, weight set, intersection array),
 not monomial-equivalence-level; census tables note this.  Entries whose
@@ -57,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .codes import LinearCode, projective_points
+from .codes import LinearCode, point_words, projective_points
 from .field import FieldSpec, field_create, prime_power
 from .regularity import IntersectionArray, dual_regularity
 from .families import family_match
@@ -113,7 +114,8 @@ def _incidence(field: FieldSpec, points: np.ndarray) -> tuple:
     lies on hyperplane j, their product being zero, and masks[i] has bit
     j set wherever table[i, j] is.  The table is symmetric, so masks[j]
     is also the set of points on hyperplane j."""
-    table = field.matmul(points, points.T) == 0
+    table = np.concatenate([words == 0
+                            for words in point_words(field, points.T)])
     return table, _row_masks(table)
 
 

@@ -4,6 +4,7 @@ reaches them; the tests run them against the library's fast paths."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -13,6 +14,7 @@ from crlab.codes import LinearCode
 from crlab.diffmat import (DifferenceMatrix, is_additive_group,
                            is_difference_matrix)
 from crlab.families import _char2_field
+from crlab.field import FieldSpec, digit_add
 from crlab.matrix import MatGF
 
 
@@ -53,6 +55,57 @@ def trial_prime_power(q: int) -> tuple[int, int]:
     if x != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, m
+
+
+def field_matmul(f: FieldSpec, a, b) -> np.ndarray:
+    """a @ b over the field for 2-d integer arrays of elements, as intp.
+
+    The inner index is folded in one step at a time, so only the result
+    and one product are held at once."""
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.intp)
+    for t in range(a.shape[1]):
+        out = digit_add(out, f.mul_array(a[:, t, None], b[t]), f.p, f.m)
+    return out
+
+
+def loop_subfield_embedding(big: FieldSpec, small: FieldSpec) -> list:
+    """sigma(e) for every e in the small field: the smallest root of the
+    small modulus among all elements of the big field, found by Horner's
+    rule, and e's base-p digits as its coefficients on the root's powers,
+    summed one element at a time."""
+    root = next(y for y in range(big.q) if _horner(big, small.modulus, y) == 0)
+    out = []
+    for e in range(small.q):
+        acc = 0
+        for i, d in enumerate(small.coeffs(e)):
+            acc = big.add(acc, big.mul(d, big.pow(root, i)))
+        out.append(acc)
+    return out
+
+
+def _horner(f: FieldSpec, coeffs, y: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = f.add(f.mul(acc, y), c)
+    return acc
+
+
+def loop_phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> list:
+    """Phi(e) for every element e of the big field, one coefficient tuple
+    at a time: plain truncation to the first l base-p digits, or in tower
+    coordinates the c_0 of e = sum_j sigma(c_j) alpha^j."""
+    if not tower:
+        return [e % small.q for e in range(big.q)]
+    sigma = loop_subfield_embedding(big, small)
+    tab = [None] * big.q
+    for cs in itertools.product(range(small.q), repeat=big.m // small.m):
+        e = 0
+        for j, c in enumerate(cs):
+            e = big.add(e, big.mul(sigma[c], big.pow(big.alpha, j)))
+        tab[e] = cs[0]
+    return tab
 
 
 def hamming_distance(a, b) -> int:

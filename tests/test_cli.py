@@ -228,6 +228,22 @@ def test_syndrome_budget_covers_profiles_only(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and budgets.SYND_BUDGET_VAR in captured.err
 
 
+def test_report_refuses_a_syndrome_space_too_long_to_print(tmp_path, capsys):
+    """The [716,1] all-ones code over GF(2^20) has 1048576^715 syndromes,
+    a count of more than 4300 digits: the refusal names it as q^r and
+    exits 1 instead of failing to print it."""
+    f = field_create(2, 20)
+    path = tmp_path / "ones716.gfc"
+    fileio.write_gfc(path, LinearCode.from_rows(f, [[1] * 716]))
+    assert run(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: profile of [716,1]_1048576 code needs 1048576^715 "
+        f"syndromes, over the limit {budgets.synd_budget()} "
+        f"(raise {budgets.SYND_BUDGET_VAR} to allow)\n")
+
+
 def test_construct_json_predicted_vs_computed(capsys):
     assert run(["construct", "--family", "denniston", "--q", "8", "--h", "4",
                 "--json"]) == 0
@@ -334,6 +350,11 @@ CONSTRUCT_JSON_DIGESTS = [
      "8e5f385aa432900b18427df7624080a1cbb30d259c0eeb5293be2f4573c465d4"),
     ("dm-dual --q 5 --l 1 --h 1",
      "184a7d74e1b414ec6baca08446f9f1c3a3b28117ae8292618736f777575ef50a"),
+    # recorded while the point weights still came from a field matmul
+    ("delsarte --q 64",
+     "6f0a8c435264da0b136c07c6abcac249168ce5b2f1f7a12c31781a15ac52c017"),
+    ("denniston --q 64 --h 8",
+     "2b179bfff9949b8908164566b41b498d12242f209320883ce303300409adeb50"),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import (column_point_counts, min_distance, normalize_point,
                       row_space_equal)
-from oracles import concatenate, equidistant_check, krawtchouk
+from oracles import concatenate, equidistant_check, field_matmul, krawtchouk
 
 from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
@@ -406,7 +406,7 @@ def transform_oracle(code, a, b) -> MatGF:
     f, k = code.field, code.k
     points = [(0,) * lead + (1,) + tail for lead in range(k - 1, -1, -1)
               for tail in itertools.product(range(f.q), repeat=k - 1 - lead)]
-    weights = np.count_nonzero(f.matmul(points, code.G.rows), axis=1)
+    weights = np.count_nonzero(field_matmul(f, points, code.G.rows), axis=1)
     cols = []
     for p, w in zip(points, weights.tolist()):
         m = a * w + b
@@ -583,6 +583,57 @@ def test_weight_kernel_head_tail_split(monkeypatch, cells):
             fresh = LinearCode(code.field, code.G)
             assert fresh.weight_distribution().counts == \
                 _counts_from_codewords(code), code
+
+
+def _point_words_oracle(code):
+    """The words of every point of PG(k-1, q), in point order, as one
+    product of the point matrix with the generator."""
+    points = projective_points(code.field, code.k)
+    return field_matmul(code.field, points, code.G.rows)
+
+
+def _point_word_cases():
+    """Seeded random generators over q in {2, 3, 4, 5, 7, 8, 9} for each
+    k in 1..4, with a zero column in every other one."""
+    cases = []
+    for i, (p, m) in enumerate([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                (2, 3), (3, 2)]):
+        f = field_create(p, m)
+        for k in range(1, 5):
+            code = random_code(f, k + 2 + (i + k) % 4, k, seed=10 * i + k)
+            if (i + k) % 2:
+                rows = code.G.rows.tolist()
+                code = LinearCode.from_rows(
+                    f, [row[:1] + [0] + row[1:] for row in rows])
+            cases.append(code)
+    return cases
+
+
+@pytest.mark.parametrize("cells", [None, 1, 7, 40])
+def test_point_words_match_the_point_product(monkeypatch, cells):
+    """point_words, concatenated, equals the product of every point of
+    PG(k-1, q) with G, row for row.  Small blocks split the span into
+    prefix words over one to all of the leading rows; every block holds
+    at most _BLOCK_CELLS cells, or one word."""
+    if cells is not None:
+        monkeypatch.setattr(codes, "_BLOCK_CELLS", cells)
+    shapes = set()
+    for code in _point_word_cases():
+        blocks = list(codes.point_words(code.field, code.G.rows))
+        for block in blocks:
+            assert block.size <= max(codes._BLOCK_CELLS, code.n), code
+        got = np.concatenate(blocks)
+        assert got.tolist() == _point_words_oracle(code).tolist(), code
+        shapes.add((code.k, len(blocks) == len(got)))
+    # the default block spans all but the first row; the small ones leave
+    # one word per block somewhere at k = 4
+    assert (4, cells is not None) in shapes
+
+
+def test_point_words_of_no_rows():
+    """k = 0 has no points, so no words."""
+    f = field_create(3, 1)
+    assert list(codes.point_words(f, np.zeros((0, 4), dtype=int))) == []
 
 
 def test_weight_kernel_memory_is_bounded():

@@ -4,14 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import equidistant_check, row_weights
+from oracles import (equidistant_check, loop_phi_table,
+                     loop_subfield_embedding, row_weights)
 
 from crlab import cli, diffmat
 from crlab.codes import CodewordMatrix, LinearCode
 from crlab.matrix import MatGF
 from crlab.diffmat import (difference_matrix, dm_code, is_difference_matrix,
                            normalize_dm)
-from crlab.field import digit_table, field_create
+from crlab.field import digit_table, field_create, is_prime
 from crlab.regularity import oa_strength
 from crlab.conditions import plotkin_holds
 
@@ -160,6 +161,32 @@ def test_entries_are_the_shortened_product_table():
                 assert got.dtype == np.min_scalar_type(-2 * small.q)
                 assert np.array_equal(got, phi[big.mul_array(e[:, None], e)])
             u += 1
+
+
+def _shortenings_up_to(side):
+    """Every (p, l, h) with l, h >= 1 and p^(l+h) <= side."""
+    return [(p, l, u - l) for p in range(2, 65) if is_prime(p)
+            for u in range(2, side.bit_length()) if p ** u <= side
+            for l in range(1, u)]
+
+
+def test_tower_coordinates_match_element_loops():
+    """The subfield embedding (wherever l | h) and Phi's table, both
+    spans of powers of one element, equal the element-level loops for
+    every (p, l, h) with p^(l+h) <= 4096."""
+    cases = _shortenings_up_to(4096)
+    assert len(cases) == 121
+    embedded = 0
+    for p, l, h in cases:
+        big, small = field_create(p, l + h), field_create(p, l)
+        tower = l > 1 and h % l == 0
+        assert diffmat._phi_table(big, small, tower).tolist() == \
+            loop_phi_table(big, small, tower), (p, l, h)
+        if h % l == 0:
+            assert diffmat._subfield_embedding(big, small).tolist() == \
+                loop_subfield_embedding(big, small), (p, l, h)
+            embedded += 1
+    assert embedded == 57
 
 
 def test_side_4096_is_held_once_in_one_byte_entries():

@@ -9,7 +9,7 @@ from crlab.field import (PRIMALITY_LIMIT, Q_LIMIT, _antilog,
                          _int_power_is_one, _matrix_power_is_one,
                          _prime_factors, digit_add, field_create,
                          field_from_modulus, is_prime, prime_power)
-from oracles import trial_is_prime, trial_prime_power
+from oracles import field_matmul, trial_is_prime, trial_prime_power
 
 
 def from_coeffs(f, coeffs) -> int:
@@ -333,11 +333,47 @@ def _element_matmul(f, a, b, n):
     return out
 
 
+def _tuple_span(f, rows, coeffs, n):
+    """Every combination of the rows with coefficients from coeffs, one
+    coefficient tuple at a time in product order (row 0 most
+    significant), summed element by element."""
+    out = []
+    for cs in itertools.product(coeffs, repeat=len(rows)):
+        word = [0] * n
+        for c, row in zip(cs, rows):
+            word = [f.add(w, f.mul(c, x)) for w, x in zip(word, row)]
+        out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2), (5, 2), (3, 3)])
+def test_span_matches_tuple_loop(p, m):
+    """field.span over the whole field and over coefficient subsets
+    (the prime subfield, {0, 1}, a shuffled subset) equals the tuple
+    loop, in the same order; no rows span the one zero word."""
+    f = field_create(p, m)
+    rng = random.Random(7 * p + m)
+    subsets = [None, list(range(p)), [0, 1],
+               rng.sample(range(f.q), min(f.q, 3))]
+    for t in range(4):
+        n = rng.randrange(1, 5)
+        rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(t)]
+        for coeffs in subsets:
+            if len(coeffs or range(f.q)) ** t > 1 << 12:
+                continue
+            got = field.span(f, np.array(rows, dtype=np.int64).reshape(t, n),
+                             coeffs)
+            want = _tuple_span(f, rows, coeffs or range(f.q), n)
+            assert got.tolist() == want, (t, coeffs)
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2), (5, 2), (3, 3), (3, 6)])
 def test_matmul_matches_element_loops(p, m):
     """Seeded random shapes, zero rows, a zero inner dimension and sparse
-    entries: the array product equals the element-level dot products."""
+    entries: the array product that the tests use as an oracle equals
+    the element-level dot products."""
     f = field_create(p, m)
     rng = random.Random(1000 * p + m)
     shapes = [(0, 3, 4), (3, 0, 4), (1, 1, 1)]
@@ -351,8 +387,8 @@ def test_matmul_matches_element_loops(p, m):
 
         a = [[entry() for _ in range(k)] for _ in range(a_rows)]
         b = [[entry() for _ in range(n)] for _ in range(k)]
-        got = f.matmul(np.array(a, dtype=np.int64).reshape(a_rows, k),
-                       np.array(b, dtype=np.int64).reshape(k, n))
+        got = field_matmul(f, np.array(a, dtype=np.int64).reshape(a_rows, k),
+                           np.array(b, dtype=np.int64).reshape(k, n))
         assert got.shape == (a_rows, n)
         assert got.tolist() == _element_matmul(f, a, b, n)
 

@@ -6,6 +6,7 @@ import operator
 
 import numpy as np
 import pytest
+from oracles import field_matmul
 
 from crlab import budgets, cli, regularity, search
 from crlab.codes import LinearCode, projective_points
@@ -217,7 +218,7 @@ def _full_census(q, r, n_max, projective=False):
     points = projective_points(field, r)
     P = len(points)
     n_min = max(r, 2)
-    hits = (field.matmul(points, points.T) != 0).astype(int).tolist()
+    hits = (field_matmul(field, points, points.T) != 0).astype(int).tolist()
     counts, first = {}, {}
     chosen = []
 
