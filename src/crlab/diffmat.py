@@ -221,8 +221,10 @@ def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
     """D(p^l, p^h) from the shortened multiplication table of GF(p^(l+h))."""
     if l < 1 or h < 1:
         raise ValueError("l and h must be >= 1")
+    # named as powers: Python prints no int of more than 4300 digits
     budgets.check_enum(p ** (2 * (l + h)),
-                       f"difference matrix D({p ** l},{p ** h}) entries")
+                       f"difference matrix D({p}^{l},{p}^{h}) entries",
+                       (p, 2 * (l + h)))
     big, small, phi = shortening(p, l, h)
     # D in the dtype normalize_dm uses; the intp products are formed for
     # a block of at most 2^16 entries at a time

@@ -120,8 +120,9 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
     k_dim = (l + h) // l
     # the completely regular dual's (n - k) x n generator is the largest
     # object built when the dual is read (``cr_code``, ``construct -o``)
+    # named as powers: Python prints no int of more than 4300 digits
     budgets.check_enum(n * (n - k_dim - 1),
-                       f"CR.2 dual generator for D({q},{mu}) entries")
+                       f"CR.2 dual generator for D({p}^{l},{p}^{h}) entries")
     big, small, phi = shortening(p, l, h)
     elements = np.arange(big.q)
     rows = [[1] * n] + [phi[big.mul_array(big.pow(big.alpha, j), elements)]

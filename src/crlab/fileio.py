@@ -24,7 +24,8 @@ matrix, and it builds no table sized by q.  A parsed row made only of
 ASCII digits, spaces and tabs, with no token longer than 18 digits, is
 converted in C by ``np.fromstring``; any other row goes through ``int()``
 token by token, so signs, underscores, non-ASCII digits, integers past
-int64 and malformed tokens give what ``int()`` gives, or its error.
+int64 and malformed tokens give what ``int()`` gives, or its error.  The
+rows fill one preallocated int64 array, the only copy of the matrix.
 
 Every ``--json`` document is written by :func:`dumps_json`, byte for
 byte what ``json.dumps(doc, sort_keys=True, indent=2)`` gives, without
@@ -44,7 +45,6 @@ by validate_report_dict.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -115,24 +115,35 @@ class GfcParseError(ValueError):
     pass
 
 
-# a row np.fromstring converts exactly: ASCII digits, spaces and tabs, no
-# token past 18 digits (below 2^63); older numpy stops silently at text
-# it cannot match, so nothing else may reach it
-_PLAIN_ROW = re.compile(r"[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*")
+# a row np.fromstring converts exactly: ASCII digits, spaces and tabs, a
+# digit at each end, no token past 18 digits (below 2^63); older numpy
+# stops silently at text it cannot match, so nothing else may reach it.
+# The table maps a digit to "0", a space or tab to " " and any other
+# byte to "x", so a token past 18 digits reads as 19 "0"s in a row.
+_PLAIN_BYTES = bytes(ord("0") if chr(b) in "0123456789" else ord(" ")
+                     if chr(b) in " \t" else ord("x") for b in range(256))
+_LONG_TOKEN = b"0" * 19
+
+
+def _plain_row(body: str) -> bool:
+    if not body.isascii():
+        return False
+    kinds = body.encode("ascii").translate(_PLAIN_BYTES)
+    return (kinds[:1] == kinds[-1:] == b"0" and b"x" not in kinds
+            and _LONG_TOKEN not in kinds)
 
 
 def read_gfc(path) -> ParsedCode:
     warnings = []
+    lines = []  # (line number, text without comment), for non-empty text
     try:
         with open(path) as fh:
-            raw = fh.readlines()
+            for idx, ln in enumerate(fh, start=1):
+                stripped = ln.split("#", 1)[0].strip()
+                if stripped:
+                    lines.append((idx, stripped))
     except UnicodeDecodeError as exc:
         raise GfcParseError(f"{path}: not a text file ({exc.reason})") from exc
-    lines = []
-    for idx, ln in enumerate(raw, start=1):
-        stripped = ln.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((idx, stripped))
     if len(lines) < 2:
         raise GfcParseError(f"{path}: needs a field line and a code line")
 
@@ -173,9 +184,15 @@ def read_gfc(path) -> ParsedCode:
     if len(lines) != 2 + k:
         raise GfcParseError(
             f"{path}: expected {k} matrix rows, found {len(lines) - 2}")
-    rows = []
-    for lineno, body in lines[2:]:
-        if _PLAIN_ROW.fullmatch(body):
+    # the rows fill one array, which MatGF shares once it is read-only.  A
+    # row of n entries has at least 2n - 1 characters: with less text than
+    # k such rows, some row is short and the loop raises at it, so nothing
+    # is stored and no array larger than the text is allocated
+    fits = sum(len(body) for _, body in lines[2:]) >= k * (2 * n - 1)
+    entries = np.zeros((k if fits else 0, n), dtype=np.int64)
+    bad = np.zeros(k, dtype=bool)
+    for i, (lineno, body) in enumerate(lines[2:]):
+        if _plain_row(body):
             row = np.fromstring(body, dtype=np.int64, sep=" ")
         else:
             try:
@@ -185,15 +202,20 @@ def read_gfc(path) -> ParsedCode:
         if len(row) != n:
             raise GfcParseError(
                 f"{path}:{lineno}: expected {n} entries, got {len(row)}")
-        rows.append(row)
-    # one comparison over the whole matrix (object dtype past int64); an
-    # error names the first row with an entry outside [0, q)
-    entries = np.array(rows)
-    bad = ((entries < 0) | (entries >= field.q)).any(axis=1)
+        if isinstance(row, list) and not all(0 <= x < field.q for x in row):
+            # int() may give what int64 cannot hold; the row is refused
+            # below, after every row has parsed
+            bad[i] = True
+        elif fits:
+            entries[i] = row
+    # plain rows hold no sign; an error names the first row with an entry
+    # outside [0, q)
+    bad |= entries.max(axis=1) >= field.q
     if bad.any():
         lineno = lines[2 + int(np.argmax(bad))][0]
         raise GfcParseError(
             f"{path}:{lineno}: entry out of range for GF({field.q})")
+    entries.flags.writeable = False
 
     M = MatGF(field, entries)
     if M.rank < k:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +243,86 @@ def test_report_refuses_a_syndrome_space_too_long_to_print(tmp_path, capsys):
         "error: profile of [716,1]_1048576 code needs 1048576^715 "
         f"syndromes, over the limit {budgets.synd_budget()} "
         f"(raise {budgets.SYND_BUDGET_VAR} to allow)\n")
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["dm", "--p", "2", "--l", "15000", "--h", "1"],
+     "difference matrix D(2^15000,2^1) entries needs 2^30002 items"),
+    (["construct", "--family", "dm-dual", "--q", "2", "--l", "15000",
+      "--h", "15000"],
+     "CR.2 dual generator for D(2^15000,2^15000) entries needs at least "
+     "2^59999 items"),
+])
+def test_difference_matrix_too_long_to_print_is_refused(argv, what, capsys,
+                                                        monkeypatch):
+    """p^l past 4300 digits is named as a power in the enumeration
+    refusal, which exits 1 at once instead of failing to print it."""
+    monkeypatch.delenv(budgets.ENUM_BUDGET_VAR, raising=False)
+    start = time.monotonic()
+    assert run(argv) == 1
+    assert time.monotonic() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {what}, over the limit {budgets.enum_budget()} "
+        f"(raise {budgets.ENUM_BUDGET_VAR} to allow)\n")
+
+
+def _record_rref(monkeypatch) -> list:
+    """The (rows, columns) of every elimination from here on."""
+    from crlab import matrix
+    shapes = []
+    rref = matrix._rref
+
+    def recorded(f, rows, ncols):
+        shapes.append(np.shape(rows))
+        return rref(f, rows, ncols)
+
+    monkeypatch.setattr(matrix, "_rref", recorded)
+    return shapes
+
+
+def test_report_on_completely_regular_sides_eliminates_no_k_rows(
+        family_grid, tmp_path, monkeypatch, capsys):
+    """A completely regular grid side with k > n - k is systematic: its
+    rank is certified from its unit columns, and its dual comes from one
+    elimination of the (n - k)-row [-A^t | I], so `report` never
+    eliminates a matrix with k rows."""
+    shapes = _record_rref(monkeypatch)
+    path = tmp_path / "cr.gfc"
+    checked = 0
+    for entry in family_grid:
+        cr = entry.cr
+        if cr.k <= cr.n - cr.k:
+            continue
+        fileio.write_gfc(path, cr)
+        shapes.clear()
+        assert run(["report", str(path), "--json"]) == 0, entry.label
+        capsys.readouterr()
+        assert (cr.n - cr.k, cr.n) in shapes, entry.label
+        assert all(rows <= cr.n - cr.k for rows, _ in shapes), \
+            (entry.label, shapes)
+        checked += 1
+    assert checked == 20
+
+
+def test_rank_deficient_file_takes_the_rref_path(tmp_path, monkeypatch,
+                                                 capsys):
+    """A file with k > n - k whose rows have no unit column each is
+    eliminated in full, and its report warns that it runs on the
+    row-space basis."""
+    shapes = _record_rref(monkeypatch)
+    path = tmp_path / "deficient.gfc"
+    path.write_text("field 3 1 poly 1 1\n"
+                    "code 3 5\n"
+                    "1 0 1 1 1\n"
+                    "0 1 1 1 2\n"
+                    "1 1 2 2 0\n")
+    assert run(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("warning: matrix rank 2 < declared k = 3; "
+                          "using the row-space basis\n")
+    assert shapes[0] == (3, 5)
 
 
 def test_construct_json_predicted_vs_computed(capsys):

@@ -9,6 +9,7 @@ import enum
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -135,7 +136,7 @@ def test_dm_file_and_rows_match_join_writer(tmp_path, capsys, p, l, h):
 def int_read_gfc(path, monkeypatch):
     """read_gfc with every row converted by the int() loop."""
     with monkeypatch.context() as patch:
-        patch.setattr(fileio, "_PLAIN_ROW", re.compile(r"(?!)"))
+        patch.setattr(fileio, "_plain_row", lambda body: False)
         return parse_outcome(path)
 
 
@@ -169,14 +170,52 @@ def test_parse_matches_int_loop(tmp_path, monkeypatch, body):
         assert parse_outcome(path) == int_read_gfc(path, monkeypatch), body
 
 
+# the regular expression the row guard replaced, kept as its oracle
+PLAIN_ROW = re.compile(r"[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*")
+
+
 def test_plain_row_guard():
     """Only ASCII digits, spaces and tabs with at most 18-digit tokens
     reach np.fromstring."""
     plain = ["0", "1 2 3", "1\t2  3", "9" * 18, "0" * 18 + " 5"]
     other = ["+1", "-0", "1_0", "\u0661", "9" * 19, "1\x0b2", "1\u00a02",
              "1,2", "1.0", "1 2 ", " 1"]
-    assert all(fileio._PLAIN_ROW.fullmatch(b) for b in plain)
-    assert not any(fileio._PLAIN_ROW.fullmatch(b) for b in other)
+    assert all(fileio._plain_row(b) for b in plain)
+    assert not any(fileio._plain_row(b) for b in other)
+
+
+GUARD_ROWS = [
+    "", " ", "\t", "0", "00", "1 2 3", "1\t2", "1 \t 2", "1\t\t2",
+    "+1 2", "1 -2", "-", "1_000 2", "1__0", "_1",
+    "\u0661 2", "1 \u0662", "\uff11", "\u00b2", "1\u00a02", "1\x0b2",
+    "1\x0c2", "1\r2", "1\n2", "1\x002", "1\x7f", "\u00e9", "1 x", "1.0",
+    "1,2", "0x1", "1e3", "\t1", "1\t", " 1", "1 ",
+    "9" * 18, "9" * 19, "1" + "0" * 17, "1" + "0" * 18, "0" * 18,
+    "0" * 19, "0" * 18 + "1", "0" * 17 + "1", "0" * 40,
+    "1 " + "9" * 18 + " 3", "1 " + "9" * 19 + " 3", "9" * 18 + "\t" + "9" * 18,
+    "9" * 18 + "\t" + "9" * 19, "9" * 19 + " 1", "1 " + "9" * 19,
+    "007 000 0", "0 0\t0 0",
+]
+
+
+@pytest.mark.parametrize("body", GUARD_ROWS)
+def test_plain_row_guard_matches_regex(body):
+    """The byte-table guard admits exactly the rows the old regular
+    expression admitted: signs, underscores, non-ASCII digits, 18- and
+    19-digit tokens, tabs, other whitespace and leading zeros."""
+    assert fileio._plain_row(body) == bool(PLAIN_ROW.fullmatch(body))
+
+
+def test_plain_row_guard_matches_regex_on_random_rows():
+    """Seeded random rows, most of them digits, so that runs of 19 and
+    more digits occur."""
+    rng = random.Random(27)
+    alphabet = "0123456789" * 4 + " \t+-_.x\u0661\u00a0\x0b"
+    for _ in range(3000):
+        body = "".join(rng.choice(alphabet)
+                       for _ in range(rng.randrange(0, 45)))
+        assert fileio._plain_row(body) == bool(PLAIN_ROW.fullmatch(body)), \
+            repr(body)
 
 
 def test_parse_round_trip_matches_int_loop(tmp_path, monkeypatch):
@@ -188,6 +227,46 @@ def test_parse_round_trip_matches_int_loop(tmp_path, monkeypatch):
         fileio.write_gfc(path, code)
         assert parse_outcome(path) == int_read_gfc(path, monkeypatch)
         assert parse_outcome(path)[1] == code.G.rows.tolist()
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 1)])
+def test_read_holds_one_copy_of_the_matrix(tmp_path, p, m):
+    """The rows fill one array, which the generator shares: the read's
+    traced peak stays below twice the entries, text included.  The
+    [600,450] generator is systematic, so no elimination adds to the
+    peak either."""
+    f = field_create(p, m)
+    rng = np.random.default_rng(27)
+    k, n = 450, 600
+    rows = np.concatenate([np.eye(k, dtype=np.intp),
+                           rng.integers(0, f.q, size=(k, n - k))], axis=1)
+    path = tmp_path / "s.gfc"
+    fileio.write_gfc(path, LinearCode.from_rows(f, rows[:, rng.permutation(n)]))
+    tracemalloc.start()
+    try:
+        parsed = fileio.read_gfc(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    G = parsed.code.G
+    assert G.rows.nbytes == k * n * 8 and G.rank == k
+    assert G.rows.base is None and not G.rows.flags.writeable
+    assert peak < 2 * G.rows.nbytes, peak / G.rows.nbytes
+
+
+@pytest.mark.parametrize("k,rows", [(1, "1 0 1\n"), (2, "1 0 1\n0 1 1\n"),
+                                    (2, "1 x\n0 1 1\n")])
+def test_huge_declared_length_is_a_parse_error(tmp_path, k, rows):
+    """A code line declaring 10^11 columns over short rows gives the row's
+    parse error, as the int() loop does; no array of the declared size
+    is allocated first."""
+    path = tmp_path / "huge.gfc"
+    path.write_text(f"field 2 1 poly 1 1\ncode {k} 100000000000\n{rows}")
+    with pytest.raises(fileio.GfcParseError) as exc:
+        fileio.read_gfc(path)
+    want = ("invalid literal for int() with base 10: 'x'" if "x" in rows
+            else "expected 100000000000 entries, got 3")
+    assert str(exc.value) == f"{path}:3: {want}"
 
 
 # -- the JSON writer against json.dumps(sort_keys=True, indent=2) ----------

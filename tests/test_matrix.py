@@ -7,7 +7,7 @@ from oracles import field_matmul
 
 from crlab import families
 from crlab.field import field_create
-from crlab.matrix import MatGF, _rref
+from crlab.matrix import MatGF, _dual_generator, _rref, _unit_columns
 
 
 def loop_rref(f, rows, ncols):
@@ -248,3 +248,122 @@ def test_rref_matches_loop_on_construct_generators():
         tw = inst.two_weight_code
         assert_rref_matches_loop(tw.field, tw.G.rows, inst.params)
 
+
+# -- the systematic-form certificate against the RREF path -----------------
+
+def assert_matches_rref_path(f, rows, systematic, label=None):
+    """MatGF's rank and null space equal the RREF path's, byte for byte,
+    and the certificate applies exactly when systematic says so."""
+    M = MatGF(f, np.asarray(rows, dtype=np.intp))
+    red, rank, pivots = _rref(f, M.rows, M.ncols)
+    want = _dual_generator(f, red, pivots, M.ncols)
+    assert (_unit_columns(M.rows) is not None) == systematic, label
+    assert M.rank == rank, label
+    ns = M.null_space()
+    assert ns.rows.shape == want.shape, label
+    assert ns.rows.dtype == want.dtype == np.intp, label
+    assert ns.rows.tobytes() == want.tobytes(), label
+    assert ns.rows.flags.c_contiguous and not ns.rows.flags.writeable
+    assert ns.rank == ns.nrows == M.ncols - rank, label
+    # the certificate stands in for the elimination, never beside it
+    assert (M._rref_cache is None) == systematic, label
+
+
+def is_systematic(rows) -> bool:
+    """k > n - k and every row has a unit column, checked column by
+    column."""
+    k, n = rows.shape
+    cols = {tuple(col) for col in rows.T.tolist()}
+    return k > n - k and all(
+        tuple(int(i == j) for i in range(k)) in cols for j in range(k))
+
+
+def test_systematic_path_matches_rref_on_grid(family_grid):
+    """Both sides of every grid instance.  The completely regular sides
+    with k > n - k, which null_space wrote with an identity on its free
+    columns, take the certificate, and so does dm-dual (2, 1, 1)'s
+    [4,3]_2 two-weight side; the rest take the RREF path."""
+    certified = []
+    for entry in family_grid:
+        for code in (entry.tw, entry.cr):
+            systematic = is_systematic(code.G.rows)
+            assert_matches_rref_path(code.field, code.G.rows, systematic,
+                                     entry.label)
+            if systematic:
+                certified.append((entry.label, code is entry.cr))
+    assert sum(cr for _, cr in certified) == sum(
+        e.cr.k > e.cr.n - e.cr.k for e in family_grid)
+    assert [label for label, cr in certified if not cr] == [
+        "dm-dual {'p': 2, 'l': 1, 'h': 1}"]
+
+
+def test_systematic_path_matches_rref_on_random_codes():
+    """Both sides of seeded random codes; a dual with k > n - k is
+    systematic, as null_space writes it."""
+    for i, (p, m, n, k) in enumerate(((3, 1, 10, 5), (2, 2, 8, 4),
+                                      (5, 1, 7, 3), (7, 1, 6, 3),
+                                      (2, 3, 9, 2), (3, 2, 8, 3))):
+        f = field_create(p, m)
+        code = families.random_code(f, n, k, seed=2700 + i)
+        dual = code.G.null_space()
+        assert_matches_rref_path(f, code.G.rows, False, (p, m, n, k))
+        assert_matches_rref_path(f, dual.rows, n - k > k, (p, m, n, k))
+
+
+def systematic_matrix(f, k, n, rng, duplicates=0):
+    """[I | A] with random A and its columns shuffled; duplicates of the
+    A columns are replaced by unit columns."""
+    a = np.array([[rng.randrange(f.q) for _ in range(n - k)]
+                  for _ in range(k)], dtype=np.intp).reshape(k, n - k)
+    for j in rng.sample(range(n - k), duplicates):
+        a[:, j] = 0
+        a[rng.randrange(k), j] = 1
+    mat = np.concatenate([np.eye(k, dtype=np.intp), a], axis=1)
+    return mat[:, rng.sample(range(n), n)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 6), (3, 1), (5, 1),
+                                 (3, 2), (7, 1), (5, 2)])
+def test_systematic_path_matches_rref_on_random_matrices(p, m):
+    """Random systematic matrices over GF(2, 4, 64) and odd-p fields:
+    unit columns at shuffled positions, duplicated unit columns, k = n
+    (a null space with no rows) and k = n - 1."""
+    f = field_create(p, m)
+    rng = random.Random(27 * p + m)
+    for k, n, dup in ((3, 5, 0), (4, 5, 0), (5, 5, 0), (1, 1, 0),
+                      (6, 8, 1), (7, 9, 2), (9, 12, 3), (12, 13, 1),
+                      (20, 30, 4), (f.q + 2, f.q + 5, 2)):
+        mat = systematic_matrix(f, k, n, rng, dup)
+        assert_matches_rref_path(f, mat, True, (p, m, k, n, dup))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (5, 1)])
+def test_certificate_declines_other_matrices(p, m):
+    """No certificate when a row has no unit column, or when k <= n - k;
+    those matrices, rank-deficient ones included, take the RREF path
+    and give its bytes."""
+    f = field_create(p, m)
+    rng = random.Random(270 + 10 * p + m)
+    for k, n in ((5, 8), (7, 9), (4, 4)):
+        mat = systematic_matrix(f, k, n, rng)
+        units0 = [j for j in range(n)
+                  if mat[0, j] == 1 and not mat[1:, j].any()]
+        shared = mat.copy()
+        shared[1, units0] = 1               # e_0 becomes e_0 + e_1
+        assert_matches_rref_path(f, shared, False, (k, n))
+        if n > k:
+            # as many unit columns as rows, but two of them for row k - 1
+            other = next(j for j in range(n) if mat[:, j].sum() != 1)
+            shared[:, other] = 0
+            shared[k - 1, other] = 1
+            assert_matches_rref_path(f, shared, False, (k, n))
+        if f.q > 2:
+            scaled = mat.copy()
+            scaled[0, units0] = 2           # e_0 becomes 2 e_0
+            assert_matches_rref_path(f, scaled, False, (k, n))
+        deficient = mat.copy()
+        deficient[1] = deficient[0]         # rank k - 1
+        assert_matches_rref_path(f, deficient, False, (k, n))
+    for k, n in ((3, 6), (2, 5), (1, 2)):
+        assert_matches_rref_path(f, systematic_matrix(f, k, n, rng), False,
+                                 (k, n))
