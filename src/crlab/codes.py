@@ -355,18 +355,26 @@ def _column_points(G: MatGF) -> tuple:
     if not G.nrows:
         raise ValueError("generator column 0 is zero")
     f = G.field
-    cols = G.rows.T
-    # a zero column leads with its own first entry, 0
-    lead = cols[np.arange(len(cols)), (cols != 0).argmax(axis=1)]
-    if not lead.all():
-        raise ValueError(f"generator column {int(lead.argmin())} is zero")
-    points = f.mul_array(cols, f.inv_array(lead)[:, None])
+    # the columns as rows of logs, zero's being z = 2(q - 1), past every
+    # other; a zero column leads with its own first entry, z
+    z = 2 * (f.q - 1)
+    logs = f.log[G.rows.T]
+    lead = logs[np.arange(len(logs)), (logs != z).argmax(axis=1)]
+    zero = lead.argmax()
+    if lead[zero] == z:
+        raise ValueError(f"generator column {zero} is zero")
+    # dividing by the lead subtracts its log: the index lands in the
+    # doubled antilog table, or past z, among its zeros, for a zero
+    points = f.antilog[logs + (f.q - 1 - lead)[:, None]]
     # lexsort is stable and takes its last key first
     order = np.lexsort(points.T[::-1])
     points = points[order]
-    # the runs of equal rows lie between consecutive edges
-    edges = np.concatenate(
-        ([True], (points[1:] != points[:-1]).any(axis=1), [True])).nonzero()[0]
+    # the runs of equal rows lie between consecutive edges; two rows are
+    # equal when their bytes are, compared as one void scalar a row
+    rows = points.view(np.dtype((np.void, points.itemsize * G.nrows)))[:, 0]
+    edges = np.ones(len(points) + 1, dtype=bool)
+    edges[1:-1] = rows[1:] != rows[:-1]
+    edges = edges.nonzero()[0]
     starts = edges[:-1]
     return points[starts], order[starts], edges[1:] - starts
 
@@ -377,7 +385,7 @@ def is_projective(code: LinearCode) -> bool:
         counts = _column_points(code.G)[2]
     except ValueError:
         return False
-    return not (counts > 1).any()
+    return len(counts) == code.n
 
 
 def max_column_multiplicity(code: MatGF | LinearCode) -> int:

@@ -32,6 +32,9 @@ byte what ``json.dumps(doc, sort_keys=True, indent=2)`` gives, without
 the pure-Python encoder that ``indent`` forces on the stdlib.  It writes
 str, int, bool and None, lists, tuples and dicts, and refuses anything
 else with ``TypeError``: floats included, since crlab's numbers are exact.
+An int of any length is written in full: Python's limit on the digits
+of an int converted to str (4300 by default) is lifted while the
+document is written and restored afterwards, also on error.
 
 Report JSON is schema-versioned ({"schema": 1}); all numeric values are
 exact integers, rationals appear as "num/den" strings.  REPORT_SCHEMA
@@ -45,6 +48,7 @@ by validate_report_dict.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -244,10 +248,25 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 def dumps_json(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, for a
     document of str, int, bool, None, lists, tuples and dicts; TypeError
-    for any other value, a float included, or a key of another type."""
+    for any other value, a float included, or a key of another type.
+    Ints of any length are written exactly: the interpreter's limit on
+    the digits of an int converted to str is lifted for the call and
+    restored, also on error."""
     pieces = []
-    _write_json(doc, pieces, "\n")
+    limit = _int_max_str_digits()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _write_json(doc, pieces, "\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return "".join(pieces)
+
+
+# the digit limit (0 for none) of CPython 3.10.7 and later; older
+# interpreters have none
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _write_json(value, out: list, newline: str) -> None:

@@ -26,22 +26,50 @@ mod p.  The syndrome graph is thus a Cayley graph on F_p^N whose
 connection multiset D holds the n(q-1) column deltas gamma*h_j (a zero
 column gives self-loops, a repeated column repeated deltas).  D = -D, so
 the convolution conv_j = 1_D * 1_(L_j) counts, at each syndrome, the moves
-into the level L_j of coset-leader weight j.  The BFS takes one step per
-level j < rho: L_(j+1) is the support of conv_j on the unreached cells U_j
-and conv_j is its down count there, and on L_j the up count is |D| minus
-the down count minus conv_j (the moves within the level).
+into the level L_j of coset-leader weight j.
 
-Each step gets conv_j on L_j and U_j in whichever of three ways costs
-least, judged before the work from exact counts: |L_j| |D| pairs to
-scatter, |U_j| |D| pairs to scatter the complement, or two length-q^r
-transforms (three on the first transformed step, which also transforms
-1_D).  A scatter adds every delta to every cell of L_j; the complement
-scatter 1_D * 1_(U_j) counts the moves that stay in U_j, whose neighbors
-lie in L_j and U_j only, so |D| minus it is conv_j on U_j and, on L_j,
-it is the up count itself.  The sparse first levels and the thin last
-ones are scattered, and only the bulk of a large space is transformed:
-the [8,2]_8 two-weight side (2^18 syndromes, rho = 6) runs 3 transforms,
-where scattering L_0 alone left 11.
+Scaling s -> gamma s keeps coset-leader weights and maps D onto itself
+(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 11.1), so the levels
+and every conv_j are constant on the orbits of F_q^*: {0}, and q - 1
+syndromes each otherwise.  The profile keeps one cell per orbit.  An
+orbit's smallest syndrome is the one whose highest nonzero coordinate
+is 1, so the cells in ascending order are the minima 0 and q^t + x,
+x < q^t, in ascending order, and q^t + x is cell
+base_t + x, base_t = 1 + (q^t - 1)/(q - 1).  An int32 map sends every
+syndrome to its cell (:func:`_orbit_map`, one broadcast add per
+coordinate).  For q = 2 every orbit is one syndrome, and so is every
+cell of a space of at most _MAPPED syndromes, where the map would cost
+more than it saves: no map is built and nothing is gathered.
+
+The BFS takes one step per level j < rho: L_(j+1) is the support of
+conv_j on the unreached cells U_j and conv_j is its down count there, and
+on L_j the up count is |D| minus the down count minus conv_j (the moves
+within the level).  Step 0 reads conv_0 = 1_D off the deltas, or with a
+map off the parity-check columns: a nonzero column has one multiple at
+its orbit's minimum.  Each
+later step gets conv_j on L_j and U_j in whichever of two ways costs
+least, judged before the work from exact counts:
+
+- scatter the cells of the smaller of L_j and U_j: add every delta to
+  each cell's minimum m and count the targets per cell through the map,
+  |cells| |D| pairs.  x = gamma m is reached from s by d exactly when
+  gamma^-1 s = m + gamma^-1 d, so the pairs that land in s's orbit are
+  the moves from s into the orbit of m.  On U_j the complement's count
+  1_D * 1_(U_j) is the moves that stay in U_j, whose neighbors lie in
+  L_j and U_j only, so |D| minus it is conv_j there and, on L_j, it is
+  the up count itself;
+- or transform: expand 1_(L_j) to every syndrome through the map, run
+  two length-q^r transforms (three on the first transformed step, which
+  also transforms 1_D), and read conv_j at the minima, q^t .. 2q^t - 1
+  for the cells of block t.
+
+A scatter on cells makes q - 1 times fewer pairs, so only a large |D|
+is transformed: the [8,2]_8 two-weight side (2^18 syndromes in 37450
+cells, rho = 6) scatters every step, where on every syndrome it ran 3
+transforms, and Delsarte 64's [2016,2013]_64 side (|D| = 127008)
+transforms its one step after step 0.  A profile holds the map, 4 bytes
+a syndrome, and 14 to 31 bytes a cell; a transformed step adds two
+syndrome-long buffers and F(1_D).
 
 A transform is a length-p DFT along every base-p digit, modulo a prime
 P = 1 (mod p), which holds the p-th roots of unity, so all arithmetic is
@@ -183,68 +211,122 @@ def _dft(x, y, w, sign: int, P: int, bound: int, ndigits: int):
     return x, y, bound
 
 
-# Spaces up to this many syndromes scatter through np.bincount, whose
-# size-long int64 output would outgrow a larger profile's buffers.
+# A space with no orbit map (q = 2) of more than this many syndromes
+# scatters by fancy-index adds, not np.bincount, whose size-long int64
+# output would outgrow the profile's buffers.
 _COUNTED = 1 << 15
 
+# Spaces of at most this many syndromes are profiled one syndrome a
+# cell: building the orbit map would cost more than it saves.
+_MAPPED = 1 << 10
 
-def _scatter(conv, mask, deltas, shifts, mults, p: int, ndigits: int):
-    """conv = 1_D * 1_S, S the cells of mask and D the multiset of deltas,
-    also given as its distinct shifts with multiplicities mults.
+# ns per gathered pair and per expanded syndrome; see _scatter_cheaper
+_GATHER = 6
+_EXPAND = 2
 
-    A small space counts runs of about max(size, 2^12) (cell, delta)
-    pairs with one np.bincount each.  A larger one adds one shift to a
-    run of at most size/16 cells, or every shift to one cell, per
-    fancy-index add: no index repeats within one, and the temporaries stay
-    a fraction of a buffer.  :func:`_scatter_cheaper` counts these calls."""
-    size = mask.size
-    cells = np.flatnonzero(mask)
+
+def _orbit_map(f, r: int, dtype) -> np.ndarray:
+    """orbit[s], the cell of the scalar orbit of each of the q^r
+    syndromes s, in dtype.
+
+    Block t, the syndromes a q^t + x with 1 <= a < q and x < q^t, maps
+    to base_t + a^-1 x, base_t = 1 + (q^t - 1)/(q - 1).  As a
+    (q - 1) x q x q^(t-1) array it is block t - 1 plus
+    (a^-1 d + 1) q^(t-1) along the digit d: scaling is digit-wise, and
+    base_t - base_(t-1) = q^(t-1).  So each block is one broadcast add."""
+    q = f.q
+    orbit = np.empty(q ** r, dtype=dtype)
+    orbit[:q] = 1
+    orbit[0] = 0
+    # a^-1 d + 1 for a in [1, q) and every digit d, off the field's
+    # tables: a^-1 has the log q - 1 - log a, and log 0 lands in zeros
+    steps = f.antilog[(q - f.log[1:])[:, None] + (f.log - 1)] + 1
+    block = orbit[1:q].reshape(q - 1, 1)
+    for t in range(1, r):
+        low = q ** (t - 1)
+        nxt = orbit[q * low:q * q * low].reshape(q - 1, q, low)
+        np.add((steps * low)[:, :, None], block[:, None, :], out=nxt)
+        block = nxt.reshape(q - 1, q * low)
+    return orbit
+
+
+def _scatter(conv, sources, deltas, p: int, ndigits: int, orbit) -> None:
+    """conv = 1_D * 1_S at every cell, D the multiset of deltas and S the
+    union of the orbits whose minima are the syndromes `sources`, none of
+    them 0; orbit maps syndromes to cells, None when every cell is one
+    syndrome.  With a map the value at cell 0 is a (q - 1)-th of the
+    count, and no step reads it.
+
+    The pairs of sources and deltas are counted on cells, so a target is
+    counted once for every source of S that reaches it, in runs of about
+    max(cells, 2^12) pairs per np.bincount.  A large space with no map
+    instead adds one distinct delta to a run of at most size/16 sources,
+    or every distinct delta to one source, per fancy-index add: no index
+    repeats within one, and the temporaries stay a fraction of a buffer.
+    :func:`_scatter_cheaper` counts these calls."""
+    size = conv.size
     conv.fill(0)
-    if size <= _COUNTED:
-        run = max(size, 1 << 12) // deltas.size or 1
-        for lo in range(0, cells.size, run):
-            moved = digit_add(cells[lo:lo + run, None], deltas, p, ndigits)
-            conv += np.bincount(moved.ravel(), minlength=size)
-    elif cells.size < shifts.size:
-        for x in cells.tolist():
-            conv[digit_add(shifts, x, p, ndigits)] += mults
-    else:
-        run = size >> 4
-        for lo in range(0, cells.size, run):
-            part = cells[lo:lo + run]
-            for d, c in zip(shifts.tolist(), mults.tolist()):
-                conv[digit_add(part, d, p, ndigits)] += c
+    if orbit is None and size > _COUNTED:
+        shifts, mults = np.unique(deltas, return_counts=True)
+        if sources.size < shifts.size:
+            for x in sources.tolist():
+                conv[digit_add(shifts, x, p, ndigits)] += mults
+        else:
+            run = size >> 4
+            for lo in range(0, sources.size, run):
+                part = sources[lo:lo + run]
+                for d, c in zip(shifts.tolist(), mults.tolist()):
+                    conv[digit_add(part, d, p, ndigits)] += c
+        return
+    run = max(size, 1 << 12) // deltas.size or 1
+    for lo in range(0, sources.size, run):
+        moved = digit_add(sources[lo:lo + run, None], deltas, p, ndigits)
+        if orbit is not None:
+            moved = orbit[moved]
+        conv += np.bincount(moved.ravel(), minlength=size)
 
 
-def _scatter_cheaper(cells: int, total: int, distinct: int, size: int,
-                     ndigits: int, p: int, transforms: int) -> bool:
-    """Whether :func:`_scatter` of `cells` cells by the |D| = total deltas,
-    `distinct` of them distinct, costs less than `transforms` transforms
-    of the size = p^ndigits syndromes.
+def _scatter_cheaper(sources: int, total: int, distinct: int, cells: int,
+                     size: int, ndigits: int, p: int, gathered: bool,
+                     transforms: int) -> bool:
+    """Whether :func:`_scatter` of `sources` orbit minima by the
+    |D| = total deltas, `distinct` of them distinct, onto `cells` cells
+    costs less than `transforms` transforms of the size = p^ndigits
+    syndromes; gathered when the cells are orbits of q - 1 syndromes, so
+    that a pair also reads the orbit map, and a transformed step expands
+    a level to every syndrome and reads the cells' minima back.
 
     Costs are in ns, fitted to per-step timings of profiles forced to
     scatter and to transform on a 2-core x86-64 box: 1.5 us a numpy call;
     digit_add makes one XOR pass at p = 2 and about five passes per digit
-    at odd p, and a scattered pair costs those passes plus four; a
-    transform makes about p^2 calls and 1.5 (p - 1) ns per syndrome for
-    each digit."""
+    at odd p, and a scattered pair costs those passes plus four, plus
+    _GATHER for the orbit map; a transform makes about p^2 calls and
+    1.5 (p - 1) ns per syndrome for each digit, and a gathered step adds
+    _EXPAND per syndrome."""
     digit = 1 if p == 2 else 5 * ndigits
-    if size <= _COUNTED:
-        calls = -(-cells // (max(size, 1 << 12) // total or 1))
-    elif cells < distinct:
-        calls = cells
+    if gathered or size <= _COUNTED:
+        calls = -(-sources // (max(cells, 1 << 12) // total or 1))
+    elif sources < distinct:
+        calls = sources
     else:
-        calls = distinct * -(-cells // (size >> 4))
-    scatter = calls * (digit + 3) * 1500 + cells * total * (digit + 4)
+        calls = distinct * -(-sources // (size >> 4))
+    pair = digit + 4 + (_GATHER if gathered else 0)
+    scatter = calls * (digit + 3) * 1500 + sources * total * pair
     transform = ndigits * (p * p * 1500 + size * (p - 1) * 1.5)
-    return scatter <= transforms * transform
+    expand = size * _EXPAND if gathered else 0
+    return scatter <= transforms * transform + expand
 
 
 class SyndromeProfile:
-    """Coset-leader levels for every syndrome of a linear code, with the
-    per-syndrome down and up neighbor counts.  ``transforms`` counts the
-    length-q^r transforms run and ``scattered_pairs`` the (cell, delta)
-    pairs scattered."""
+    """Coset-leader levels of a linear code's syndromes, with the down
+    and up neighbor counts, on the orbit cells of the scalar action
+    s -> gamma s (see the module docstring).  ``levels`` and
+    :meth:`neighbor_level_counts` are indexed by cell, ``orbit`` maps
+    every syndrome to its cell (None when every cell is one syndrome:
+    q = 2, r = 0, or at most _MAPPED syndromes), and :meth:`minima` gives
+    each cell's smallest syndrome.  ``level_coset_counts`` counts cosets,
+    not cells.  ``transforms`` counts the length-q^r transforms run and
+    ``scattered_pairs`` the (orbit minimum, delta) pairs scattered."""
 
     def __init__(self, code: LinearCode):
         self.code = code
@@ -262,84 +344,127 @@ class SyndromeProfile:
         size = q ** r
         self.size = size
         self.transforms = self.scattered_pairs = 0
+        self.orbit = None
 
         if r == 0:
             self.levels = np.zeros(1, dtype=np.int8)
-            self.deltas = []
             self.rho = 0
             self.level_coset_counts = {0: 1}
             self._down = self._up = np.zeros(1, dtype=np.int8)
             return
 
-        H = code.dual().G  # parity-check rows of `code`
-        # one delta per (column j, nonzero gamma), j outer: the packed
-        # syndrome of gamma*e_j
-        cols = H.rows.T
-        gammas = np.arange(1, q)[:, None]
-        places = q ** np.arange(r, dtype=np.int64)
-        products = f.mul_array(cols[:, None, :], gammas)
-        deltas = (products @ places).ravel()
-        self.deltas = deltas.tolist()
-        mults = np.bincount(deltas, minlength=size)
-        shifts = np.flatnonzero(mults)
-        mults = mults[shifts]
-
-        p, total, ndigits = f.p, deltas.size, r * f.m
+        p, total, ndigits = f.p, code.n * (q - 1), r * f.m
         P, w, dtype = _ring(p, total.bit_length())
         limit = np.iinfo(dtype).max - P
+        # counts lie in [0, |D|], in the smallest signed dtype holding
+        # -|D| - 1 and so |D| itself
+        count = np.min_scalar_type(-total - 1)
+        # conv_0 = 1_D at every cell's minimum
+        if q > 2 and size > _MAPPED:
+            per_cell = q - 1
+            cells = 1 + (size - 1) // per_cell
+            orbit = _orbit_map(f, r, np.promote_types(
+                np.int32, np.min_scalar_type(-cells)))
+            self.orbit = orbit
+            # a nonzero parity-check column h_j has one multiple gamma*h_j
+            # at the minimum of its orbit; a zero one has q - 1 at 0
+            moves = np.bincount(orbit[self._columns() @ q ** np.arange(r)],
+                                minlength=cells)
+            moves[0] *= per_cell
+            # block t's first cell, and what its cells add to become
+            # syndromes; 0 is a block of its own
+            bases = [1 + (q ** t - 1) // (q - 1) for t in range(r)]
+            self._starts = np.array([0] + bases)
+            self._offsets = np.array(
+                [0] + [q ** t - base for t, base in enumerate(bases)])
+            distinct = 0
+        else:
+            per_cell, cells, orbit = 1, size, None
+            moves = np.bincount(self.deltas, minlength=size)
+            distinct = int(np.count_nonzero(moves))
+        moves = moves.astype(count)
 
         def dft(x, y, sign, bound):
             self.transforms += 1
             return _dft(x, y, w, sign, P, bound, ndigits)
 
-        levels = np.full(size, -1, dtype=np.int8)
+        def expand(values, out):
+            """values, one per cell, at every syndrome of out."""
+            if orbit is None:
+                np.copyto(out, values)
+            else:
+                np.take(values.astype(out.dtype), orbit, out=out,
+                        mode="clip")
+
+        # step 0 reads L_1 and its down counts off conv_0; on L_0 = {0}
+        # the moves that stay (zero deltas) are not up
+        levels = np.full(cells, -1, dtype=np.int8)
         levels[0] = 0
-        # counts lie in [0, |D|], in the smallest signed dtype holding
-        # -|D| - 1 and so |D| itself
-        down = np.zeros(size, dtype=np.min_scalar_type(-total - 1))
+        down = np.zeros(cells, dtype=count)
         up = np.zeros_like(down)
-        conv = np.empty(size, dtype=dtype)
+        first = np.flatnonzero(moves[1:]) + 1
+        levels[first] = 1
+        down[first] = moves[first]
+        up[0] = total - moves[0]
+        counts = {0: 1, 1: first.size}
+        reached = 1 + first.size
+
+        conv = np.empty(cells, dtype=dtype)
         spare = np.empty_like(conv)
-        at = np.empty(size, dtype=bool)
-        fresh = np.empty(size, dtype=bool)
-        counts = {0: 1}
+        at = np.empty(cells, dtype=bool)
+        fresh = np.empty(cells, dtype=bool)
+        full = None  # the syndrome-long buffers of a transform, q > 2
         d_hat = None
-        depth = 0
-        reached = 1
-        while True:
+        depth = 1
+        while reached < cells:
             # conv = conv_depth, at least on L_depth and on the unreached
             # cells U: scatter the smaller of the two, or transform
             np.equal(levels, depth, out=at)
-            level, rest = counts[depth], size - reached
-            if not _scatter_cheaper(min(level, rest), total, shifts.size,
-                                    size, ndigits, p,
+            level, rest = counts[depth], cells - reached
+            if not _scatter_cheaper(min(level, rest), total, distinct,
+                                    cells, size, ndigits, p,
+                                    orbit is not None,
                                     3 if d_hat is None else 2):
+                if orbit is None:
+                    x, y = conv, spare
+                elif full is None:
+                    x, y = np.empty(size, dtype=dtype), np.empty(size, dtype)
+                else:
+                    x, y = full
                 if d_hat is None:
                     # F(1_D) p^(-N): the inverses need no scaling
-                    conv.fill(0)
-                    conv[shifts] = mults
-                    conv, spare, _ = dft(conv, spare, 1, total)
-                    _reduce(conv, P, spare)
-                    conv *= pow(p, -ndigits, P)
-                    _reduce(conv, P, spare)
-                    d_hat = conv.astype(np.min_scalar_type(-P))  # [0, P)
-                np.copyto(conv, at)
-                conv, spare, bound = dft(conv, spare, 1, 1)
+                    expand(moves, x)
+                    x, y, _ = dft(x, y, 1, total)
+                    _reduce(x, P, y)
+                    x *= pow(p, -ndigits, P)
+                    _reduce(x, P, y)
+                    d_hat = x.astype(np.min_scalar_type(-P))  # [0, P)
+                expand(at, x)
+                x, y, bound = dft(x, y, 1, 1)
                 if bound * P > limit:
-                    _reduce(conv, P, spare)
+                    _reduce(x, P, y)
                     bound = P - 1
-                conv *= d_hat
-                conv, spare, _ = dft(conv, spare, -1, bound * (P - 1))
-                _reduce(conv, P, spare)
+                x *= d_hat
+                x, y, _ = dft(x, y, -1, bound * (P - 1))
+                _reduce(x, P, y)
+                if orbit is None:
+                    conv, spare = x, y
+                else:
+                    # the cells of block t hold the minima q^t .. 2q^t - 1
+                    full = x, y
+                    conv[0] = x[0]
+                    for t, base in enumerate(bases):
+                        conv[base:base + q ** t] = x[q ** t:2 * q ** t]
             elif level <= rest:
-                _scatter(conv, at, deltas, shifts, mults, p, ndigits)
+                _scatter(conv, self.minima(np.flatnonzero(at)), self.deltas,
+                         p, ndigits, orbit)
                 self.scattered_pairs += level * total
             else:
                 # 1_D * 1_U counts the moves that stay in U: on U, |D|
                 # minus it is conv_depth; on L_depth it is the up count,
                 # so |D| minus it and the down count is conv_depth there
-                _scatter(conv, np.less(levels, 0, out=fresh), deltas, shifts,
-                         mults, p, ndigits)
+                _scatter(conv, self.minima(np.flatnonzero(levels < 0)),
+                         self.deltas, p, ndigits, orbit)
                 self.scattered_pairs += rest * total
                 np.subtract(total, conv, out=conv)
                 conv -= down
@@ -360,18 +485,41 @@ class SyndromeProfile:
             down += np.multiply(conv, fresh, out=spare)
             reached += counts[depth + 1]
             depth += 1
-            if reached == size:
-                break
 
         self.levels = levels
         self.rho = depth
-        self.level_coset_counts = counts
+        self.level_coset_counts = {
+            l: c * per_cell if l else c for l, c in counts.items()}
         self._down, self._up = down, up
+
+    def _columns(self) -> np.ndarray:
+        """The parity-check columns h_j, one per row."""
+        return self.code.dual().G.rows.T
+
+    @functools.cached_property
+    def deltas(self) -> np.ndarray:
+        """The multiset D, read-only: the packed syndrome gamma*h_j of
+        gamma*e_j for every column j and nonzero gamma, j outer.  A step
+        that is read off the cells' counts or transformed never needs it."""
+        q = self.q
+        products = self.code.field.mul_array(self._columns()[:, None, :],
+                                             np.arange(1, q)[:, None])
+        deltas = (products @ q ** np.arange(self.r, dtype=np.int64)).ravel()
+        deltas.flags.writeable = False
+        return deltas
+
+    def minima(self, cells):
+        """The smallest syndrome of each cell's orbit, for an integer
+        array of cells: cell base_t + x holds q^t + x."""
+        if self.orbit is None:
+            return cells
+        return cells + self._offsets[
+            np.searchsorted(self._starts, cells, "right") - 1]
 
     def neighbor_level_counts(self):
         """(down, up) arrays in the smallest signed dtype that holds
-        |D| = n(q - 1): per syndrome, the number of (i, gamma) moves
-        landing one level lower / higher."""
+        |D| = n(q - 1): per cell, the number of (i, gamma) moves from any
+        of its syndromes landing one level lower / higher."""
         return self._down, self._up
 
 
@@ -439,17 +587,20 @@ def complete_regularity(code: LinearCode) -> RegularityResult:
     b = [0] * (prof.rho + 1)
     c = [0] * (prof.rho + 1)
     for l in range(prof.rho + 1):
-        members = np.nonzero(levels == l)[0]
+        # a level is a union of orbits, so its first syndrome, and the
+        # first whose counts differ, are the minima of its first such cells
+        members = np.flatnonzero(levels == l)
         d0 = int(down[members[0]])
         u0 = int(up[members[0]])
-        bad = np.nonzero((down[members] != d0) | (up[members] != u0))[0]
+        bad = np.flatnonzero((down[members] != d0) | (up[members] != u0))
         if bad.size:
             j = int(members[bad[0]])
+            first, other = prof.minima(members[[0, bad[0]]]).tolist()
             viol = RegularityViolation(
                 level=l,
-                syndrome_a=int(members[0]),
+                syndrome_a=first,
                 counts_a=(d0, u0),
-                syndrome_b=j,
+                syndrome_b=other,
                 counts_b=(int(down[j]), int(up[j])),
             )
             return RegularityResult(ia=None, violation=viol, profile=prof)

@@ -245,6 +245,32 @@ def test_report_refuses_a_syndrome_space_too_long_to_print(tmp_path, capsys):
         f"(raise {budgets.SYND_BUDGET_VAR} to allow)\n")
 
 
+def test_report_json_prints_counts_past_the_digit_limit(tmp_path, capsys):
+    """The [716,715] dual of that code has subconstituent sizes and
+    weight counts of about 4300 to 4800 digits: report --json prints them
+    in full, as json.dumps does with the digit limit lifted, and leaves
+    the limit as it was."""
+    f = field_create(2, 20)
+    path = tmp_path / "dual716.gfc"
+    fileio.write_gfc(path, LinearCode.from_rows(f, [[1] * 716]).dual())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run(["report", str(path), "--json"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    out = capsys.readouterr().out
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(out)
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        longest = max(len(str(v)) for v in doc["weight_distribution"].values())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert (doc["n"], doc["k"], doc["rho"]) == (716, 715, 1)
+    assert doc["completely_regular"] is True
+    assert longest > 4300
+
+
 @pytest.mark.parametrize("argv,what", [
     (["dm", "--p", "2", "--l", "15000", "--h", "1"],
      "difference matrix D(2^15000,2^1) entries needs 2^30002 items"),

@@ -9,6 +9,7 @@ import enum
 import json
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -341,6 +342,37 @@ def test_dumps_json_matches_stdlib_on_random_documents():
     for _ in range(500):
         doc = _random_doc(rng, 4)
         assert fileio.dumps_json(doc) == stdlib_json(doc), doc
+
+
+def unlimited_stdlib_json(doc) -> str:
+    """stdlib_json with the interpreter's int-to-str digit limit lifted
+    for the call alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return stdlib_json(doc)
+    sys.set_int_max_str_digits(0)
+    try:
+        return stdlib_json(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_dumps_json_writes_ints_past_the_digit_limit():
+    """Ints of 16900 digits, as values and as keys, are written as
+    json.dumps writes them with the digit limit lifted, and the limit is
+    the same afterwards, also when the writer raises."""
+    big = 7 ** 20000
+    doc = {"big": [big, -big, {"n": big + 1}], "small": 3,
+           "keys": {big: "key", -big: [1, big], 0: None}}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert fileio.dumps_json(doc) == unlimited_stdlib_json(doc)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    with pytest.raises(TypeError):
+        fileio.dumps_json({"big": big, "float": 0.5})
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit is not None:
+        with pytest.raises(ValueError, match="4300|limit"):
+            str(big)
 
 
 @pytest.mark.parametrize("doc", [

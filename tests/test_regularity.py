@@ -442,35 +442,88 @@ def loop_profile(code):
 # per-level choice of regularity._scatter_cheaper
 FORCED_PLANS = {"scatter": lambda *args: True,
                 "transform": lambda *args: False}
+# Every q > 2 space on orbit cells, or every space one syndrome a cell,
+# in place of the size threshold regularity._MAPPED
+FORCED_MAPS = {"mapped": 0, "unmapped": float("inf")}
 
 
-def forced_profile(code, plan):
+def forced_profile(code, plan, cells="mapped"):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "_scatter_cheaper", FORCED_PLANS[plan])
+        mp.setattr(regularity, "_MAPPED", FORCED_MAPS[cells])
         return SyndromeProfile(code)
+
+
+def per_syndrome(prof, values):
+    """Per-cell values at every syndrome, through the orbit map."""
+    return values if prof.orbit is None else values[prof.orbit]
+
+
+def orbit_minima(f, r):
+    """The smallest syndrome gamma*s over the nonzero gamma, for every
+    syndrome s, by scalar multiplication of its radix-q digits."""
+    q = f.q
+    syndromes = np.arange(q ** r, dtype=np.int64)
+    digits = syndromes[:, None] // q ** np.arange(r) % q
+    least = syndromes
+    for gamma in range(2, q):
+        scaled = f.mul_array(digits, gamma) @ q ** np.arange(r)
+        least = np.minimum(least, scaled)
+    return least
+
+
+def assert_cells_are_orbit_minima(code, prof, label=""):
+    """The cells are the orbit minima in ascending order, and the map
+    sends every syndrome to the cell of its orbit's minimum; without a
+    map every cell is one syndrome."""
+    f, r = code.field, code.n - code.k
+    size = f.q ** r
+    if prof.orbit is None:
+        assert prof.levels.size == size, label
+        assert np.array_equal(prof.minima(np.arange(size)),
+                              np.arange(size)), label
+        return
+    least = orbit_minima(f, r)
+    minima = np.unique(least)
+    assert minima.size == 1 + (size - 1) // (f.q - 1), label
+    assert prof.levels.size == minima.size, label
+    assert np.array_equal(prof.minima(np.arange(minima.size)), minima), label
+    assert np.array_equal(prof.orbit, np.searchsorted(minima, least)), label
 
 
 def assert_matches_loops(code, prof=None, label=""):
     """The profile (prof, when it is already built) with its chosen mix
     of scattered and transformed levels, and the profiles with every
-    level scattered and every level transformed, against the loops."""
+    level scattered and every level transformed, against the loops at
+    every syndrome."""
     levels, down, up = loop_profile(code)
     vals, counts = np.unique(levels, return_counts=True)
     profs = {"chosen": prof if prof is not None else SyndromeProfile(code)}
-    profs.update((plan, forced_profile(code, plan)) for plan in FORCED_PLANS)
+    for cells in FORCED_MAPS if code.q > 2 else ("mapped",):
+        profs.update(((plan, cells), forced_profile(code, plan, cells))
+                     for plan in FORCED_PLANS)
     for plan, prof in profs.items():
         got_down, got_up = prof.neighbor_level_counts()
-        assert np.array_equal(prof.levels, levels), (label, plan)
-        assert np.array_equal(got_down, down), (label, plan)
-        assert np.array_equal(got_up, up), (label, plan)
+        assert np.array_equal(per_syndrome(prof, prof.levels), levels), (
+            label, plan)
+        assert np.array_equal(per_syndrome(prof, got_down), down), (
+            label, plan)
+        assert np.array_equal(per_syndrome(prof, got_up), up), (label, plan)
         assert prof.rho == int(levels.max()), (label, plan)
         assert prof.level_coset_counts == dict(
             zip(vals.tolist(), counts.tolist())), (label, plan)
-    # a transformed level costs two transforms, plus F(1_D) once
-    rho = profs["transform"].rho
-    assert profs["transform"].transforms == (2 * rho + 1 if rho else 0)
-    assert profs["transform"].scattered_pairs == 0
-    assert profs["scatter"].transforms == 0
+    if profs["chosen"].size <= 1 << 18:
+        for prof in profs.values():
+            assert_cells_are_orbit_minima(code, prof, label)
+    # step 0 reads conv_0 off the deltas; every later transformed step
+    # costs two transforms, plus F(1_D) once
+    rho = profs["chosen"].rho
+    for (plan, cells), prof in list(profs.items())[1:]:
+        if plan == "transform":
+            assert prof.transforms == (2 * rho - 1 if rho > 1 else 0)
+            assert prof.scattered_pairs == 0
+        else:
+            assert prof.transforms == 0
 
 
 def test_kernel_matches_loops_on_grid(family_grid):
@@ -496,10 +549,11 @@ def test_kernel_matches_loops_on_construct_sides():
 
 
 def test_kernel_matches_loops_on_random_codes():
-    """Seeded random codes over fields of characteristic 2, 3, 5 and 7,
-    prime and extension, both sides of each."""
+    """Seeded random codes over fields of characteristic 2, 3, 5, 7 and
+    11, prime and extension, both sides of each."""
     shapes = {2: (9, 3), 3: (7, 3), 4: (6, 2), 5: (6, 3), 7: (5, 2),
-              8: (5, 2), 9: (5, 2), 25: (4, 2), 27: (4, 2)}
+              8: (5, 2), 9: (5, 2), 11: (4, 1), 16: (5, 2), 25: (4, 2),
+              27: (4, 2)}
     for i, (q, (n, k)) in enumerate(shapes.items()):
         f = field_create(*prime_power(q))
         for seed in (700 + i, 800 + i):
@@ -546,24 +600,94 @@ def test_kernel_matches_loops_past_the_int32_buffers():
 
 
 def test_kernel_matches_loops_on_multisets():
-    """A zero column (self-loops) and repeated columns make D a true
+    """A zero column (self-loops), repeated columns and proportional
+    ones (a column and alpha times it: the same orbit cell) make D a true
     multiset; r = 0 and k = 0 are the two ends."""
-    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1)):
+    for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)):
         f = field_create(p, m)
         zero_col = LinearCode.from_rows(f, [(1, 0, 1, 1, 0), (0, 0, 1, 1, 1)])
         repeated = LinearCode.from_rows(f, [(1, 1, 0, 1, 1), (0, 0, 1, 1, 1)])
+        scaled = LinearCode.from_rows(
+            f, [(1, 0, 1, f.alpha, 1), (0, 1, 1, f.alpha, 0)])
         full = LinearCode(f, MatGF.identity(f, 3))
         zero_code = full.dual()
         assert (full.n - full.k, zero_code.k) == (0, 0)
         for code in (zero_col, zero_col.dual(), repeated, repeated.dual(),
-                     full, zero_code):
+                     scaled, scaled.dual(), full, zero_code):
             assert_matches_loops(code, label=(p, m, code.n, code.k))
     # the parity-check columns of a code are the generator columns of its
     # dual: here a zero column (q - 1 zero deltas) and a repeated one
     f = field_create(3, 1)
     deltas = SyndromeProfile(
         LinearCode.from_rows(f, [(1, 0, 2, 2), (0, 0, 1, 1)]).dual()).deltas
-    assert deltas.count(0) == 2 and deltas[4:6] == deltas[6:8]
+    assert np.count_nonzero(deltas == 0) == 2
+    assert np.array_equal(deltas[4:6], deltas[6:8])
+
+
+def syndrome_of(code, vector):
+    """The packed syndrome of the vector packed in radix q, by scalar
+    field operations on the parity-check rows."""
+    f, q = code.field, code.q
+    x = [vector // q ** j % q for j in range(code.n)]
+    syndrome = 0
+    for i, row in enumerate(code.dual().G.rows.tolist()):
+        coord = 0
+        for h, xj in zip(row, x):
+            coord = f.add(coord, f.mul(h, xj))
+        syndrome += coord * q ** i
+    return syndrome
+
+
+def test_violations_match_the_full_space_oracle(family_grid):
+    """Every violation complete_regularity reports, wherever q^n <= 2^20:
+    on the grid sides, random codes over eleven fields and codes with a
+    zero or a proportional parity-check column.  The full-space oracle
+    finds one at the same level, and the per-syndrome loops give its two
+    vectors' counts at their syndromes; the profile's own pair is the
+    first syndrome of that level and the first whose loop counts differ
+    from it, on orbit cells and one syndrome a cell alike."""
+    codes = [side for entry in family_grid for side in (entry.tw, entry.cr)]
+    for i, (q, n, k) in enumerate(((2, 12, 4), (3, 9, 3), (4, 7, 3),
+                                   (5, 6, 2), (7, 5, 2), (8, 5, 2),
+                                   (9, 5, 2), (11, 4, 1), (16, 4, 1),
+                                   (25, 4, 2), (27, 4, 1))):
+        code = random_q_code(q, n, k, 2000 + i)
+        codes += [code, code.dual()]
+    for q in (3, 4, 7):
+        f = field_create(*prime_power(q))
+        codes += [LinearCode.from_rows(f, [(1, 0, 1, 1, 0), (0, 0, 1, 1, 1)]),
+                  LinearCode.from_rows(f, [(1, 0, 1, f.alpha, 1),
+                                           (0, 1, 1, f.alpha, 0)])]
+        codes += [codes[-2].dual(), codes[-1].dual()]
+    checked = 0
+    for code in codes:
+        if code.q ** code.n > BRUTE_LIMIT:
+            continue
+        got = complete_regularity(code).violation
+        for cells in FORCED_MAPS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regularity, "_MAPPED", FORCED_MAPS[cells])
+                assert complete_regularity(code).violation == got, (code,
+                                                                    cells)
+        want = brute_subconstituents(code).violation
+        assert (got is None) == (want is None), code
+        if got is None:
+            continue
+        levels, down, up = loop_profile(code)
+        level, a, counts_a, b, counts_b = want
+        assert got.level == level, code
+        for vector, counts in ((a, counts_a), (b, counts_b)):
+            s = syndrome_of(code, vector)
+            assert (int(down[s]), int(up[s])) == counts, code
+        members = np.flatnonzero(levels == level)
+        first = members[0]
+        differ = (down[members] != down[first]) | (up[members] != up[first])
+        other = members[differ][0]
+        assert (got.syndrome_a, got.syndrome_b) == (first, other), code
+        assert got.counts_a == (down[first], up[first]), code
+        assert got.counts_b == (down[other], up[other]), code
+        checked += 1
+    assert checked >= 30
 
 
 def test_q64_families_completely_regular():
@@ -588,9 +712,8 @@ def test_q64_families_completely_regular():
 
 
 def test_profile_memory_of_the_2_18_two_weight_side():
-    """The [8,2]_8 two-weight side of mds-dual(8, 8): 2^18 syndromes,
-    rho = 6, three transforms (eleven when only level 0 was scattered);
-    profile plus counts stay under 16 MB."""
+    """The [8,2]_8 two-weight side of mds-dual(8, 8): 2^18 syndromes in
+    37450 orbit cells, rho = 6; profile plus counts stay under 16 MB."""
     code = families.cr3_mds_dual(8, 8).two_weight_code
     code.dual()
     tracemalloc.start()
@@ -605,31 +728,50 @@ def test_profile_memory_of_the_2_18_two_weight_side():
 
 
 def test_profile_counters_on_the_2_18_two_weight_side():
-    """Levels 1, 56, 1372, 19208, 142345, 99092, 70: the steps from the
-    first four levels scatter them, the step from 142345 cosets is
-    transformed (F(1_D), forward, inverse), and the last step scatters
-    the 70 unreached cells.  With only level 0 scattered the profile took
-    eleven transforms."""
+    """Levels of 1, 56, 1372, 19208, 142345, 99092 and 70 cosets, in 1, 8,
+    196, 2744, 20335, 14156 and 10 orbit cells of 7 syndromes (0 alone):
+    step 0 is read off the deltas, the next three steps scatter their
+    levels, the step from 20335 cells scatters the 14166 unreached ones,
+    and the last step the 10 unreached cells; no transform runs.  On
+    every syndrome the profile ran three transforms, and eleven when only
+    level 0 was scattered."""
     code = families.cr3_mds_dual(8, 8).two_weight_code
     prof = SyndromeProfile(code)
     assert list(prof.level_coset_counts.values()) == [
         1, 56, 1372, 19208, 142345, 99092, 70]
-    assert prof.transforms == 3
-    assert prof.scattered_pairs == 56 * (1 + 56 + 1372 + 19208 + 70)
+    assert np.bincount(prof.levels).tolist() == [
+        1, 8, 196, 2744, 20335, 14156, 10]
+    assert prof.transforms == 0
+    assert prof.scattered_pairs == 56 * (8 + 196 + 2744 + 14166 + 10)
+
+
+def test_profile_counters_on_delsarte_64():
+    """The [2016,2013]_64 completely regular side of Delsarte 64: 2^18
+    syndromes in 4162 orbit cells, |D| = 127008.  Step 0 reads level 1
+    (2016 cells) off the parity-check columns, and the one later step is
+    transformed (F(1_D), forward, inverse): scattering level 1 would take
+    2016 |D| pairs."""
+    prof = SyndromeProfile(families.cr5_delsarte(64).cr_code)
+    assert np.bincount(prof.levels).tolist() == [1, 2016, 2145]
+    assert list(prof.level_coset_counts.values()) == [1, 127008, 135135]
+    assert (prof.transforms, prof.scattered_pairs) == (3, 0)
 
 
 def test_profile_counters_on_census_sized_codes():
-    """Census-sized spaces scatter every level: no transform runs, and
-    each step scatters the smaller of its level and the unreached rest."""
+    """Census-sized spaces scatter every level after step 0: no
+    transform runs, and each step scatters the smaller of its level and
+    the unreached rest, counted in cells."""
     f = field_create(3, 1)
     for code in (LinearCode.from_rows(f, [(1, 0, 1, 1, 2), (0, 1, 1, 2, 2)]),
                  random_q_code(4, 6, 3, 1700), random_q_code(5, 5, 2, 1701)):
         prof = SyndromeProfile(code)
-        counts = list(prof.level_coset_counts.values())
-        rests = [prof.size - sum(counts[:j + 1]) for j in range(prof.rho)]
+        cells = np.bincount(prof.levels).tolist()
+        rests = [prof.levels.size - sum(cells[:j + 1])
+                 for j in range(prof.rho)]
         assert prof.transforms == 0, code
+        steps = zip(cells[1:], rests[1:])
         assert prof.scattered_pairs == len(prof.deltas) * sum(
-            min(level, rest) for level, rest in zip(counts, rests)), code
+            min(level, rest) for level, rest in steps), code
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
