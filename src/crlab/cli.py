@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--l", type=int, required=True)
     d.add_argument("--h", type=int, required=True)
     d.add_argument("--verify", action="store_true",
-                   help="re-run the exhaustive row-pair verification")
+                   help="verify by group certificate, else every row pair")
     d.add_argument("-o", "--output")
     d.set_defaults(func=cmd_dm)
 

@@ -19,14 +19,14 @@ the block whatever q^k is.
 input of the brute-force oracles and the reference the kernel is tested
 against.
 
-A point of PG(k-1, q) is a row of an intp array: its representative,
-scaled so that the first nonzero entry is 1.  :func:`projective_points`
-lists all of them in lexicographic order, and the generator columns
-become such rows in one normalize-and-sort kernel, whose runs of equal
-rows give every point's multiplicity (:func:`is_projective`,
-:func:`max_column_multiplicity`, the complementary construction).  The
-projective dual transform weighs every point as a message, a block of
-:func:`point_words` at a time.
+A point of PG(k-1, q) is a row of an array in the field's element dtype:
+its representative, scaled so that the first nonzero entry is 1.
+:func:`projective_points` lists all of them in lexicographic order, and
+the generator columns become such rows in one normalize-and-sort kernel,
+whose runs of equal rows give every point's multiplicity
+(:func:`is_projective`, :func:`max_column_multiplicity`, the
+complementary construction).  The projective dual transform weighs
+every point as a message, a block of :func:`point_words` at a time.
 """
 
 from __future__ import annotations
@@ -210,9 +210,8 @@ def _weight_counts(field: FieldSpec, G: MatGF) -> list:
 
 
 def point_words(field: FieldSpec, G):
-    """Blocks of the words mG, m over the points of PG(k-1, q) in
-    :func:`projective_points` order, for a (k, n) array G of elements, in
-    the smallest unsigned dtype that holds 2q (digit_add's sums).
+    """Blocks of the words mG in the field's dtype, m over the points of
+    PG(k-1, q) in :func:`projective_points` order, for a (k, n) array G.
 
     Those led by one of the t trailing rows are slices of the block that
     :func:`crlab.field.span` spans from them; each message led by one of
@@ -220,7 +219,7 @@ def point_words(field: FieldSpec, G):
     word added to the whole block.  t is the largest value with
     q^t * n <= _BLOCK_CELLS, but at most k - 1."""
     q, (k, n) = field.q, np.shape(G)
-    rows = np.asarray(G).astype(np.min_scalar_type(2 * q))
+    rows = np.ascontiguousarray(G, dtype=field.dtype)
     t = 0
     while t < k - 1 and q ** (t + 1) * n <= _BLOCK_CELLS:
         t += 1
@@ -325,9 +324,9 @@ def is_antipodal_two_weight(wd: WeightDistribution, n: int) -> bool:
 
 
 def projective_points(field: FieldSpec, k: int) -> np.ndarray:
-    """All points of PG(k-1, q) as a (P, k) intp array of canonical
-    representatives (first nonzero entry 1), in lexicographic order of
-    the rows.
+    """All points of PG(k-1, q) as a (P, k) array of canonical
+    representatives (first nonzero entry 1) in the field's dtype, in
+    lexicographic order of the rows.
 
     Read as base-q numbers, first coordinate most significant, the
     representatives with t coordinates after their leading 1 are the
@@ -336,9 +335,9 @@ def projective_points(field: FieldSpec, k: int) -> np.ndarray:
     q = field.q
     budgets.check_enum((q ** k - 1) // (q - 1),
                        f"PG({k - 1},{q}) point enumeration")
-    values = np.concatenate([np.arange(q ** t, 2 * q ** t, dtype=np.intp)
-                             for t in range(k)])
-    return values[:, None] // q ** np.arange(k - 1, -1, -1) % q
+    values = np.concatenate([np.arange(q ** t, 2 * q ** t) for t in range(k)])
+    return (values[:, None] // q ** np.arange(k - 1, -1, -1) % q).astype(
+        field.dtype)
 
 
 def _column_points(G: MatGF) -> tuple:
@@ -365,7 +364,7 @@ def _column_points(G: MatGF) -> tuple:
         raise ValueError(f"generator column {zero} is zero")
     # dividing by the lead subtracts its log: the index lands in the
     # doubled antilog table, or past z, among its zeros, for a zero
-    points = f.antilog[logs + (f.q - 1 - lead)[:, None]]
+    points = f.antilog[logs + (f.q - 1 - lead)[:, None]].astype(f.dtype)
     # lexsort is stable and takes its last key first
     order = np.lexsort(points.T[::-1])
     points = points[order]

@@ -142,7 +142,7 @@ def cardinality_window_check(n: int, N: int, d: int, q: int) -> list[ConditionCh
         "window_divisibility_N", True, (q * q * d) % N == 0,
         {"q2d": q * q * d, "N": N, "n_is_q2": N == q * q}))
     out.append(ConditionCheck(
-        "window_divisibility_q_minus_1", True, ((N - 1) * d) % (q - 1) == 0 if q > 2 else True,
+        "window_divisibility_q_minus_1", True, ((N - 1) * d) % (q - 1) == 0,
         {"Nm1_d": (N - 1) * d, "q_minus_1": q - 1}))
     return out
 

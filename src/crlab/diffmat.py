@@ -33,9 +33,9 @@ that compare the two and for codeword-level checks.
 :func:`crlab.families.cr2_dm_dual` only the u/l generator rows, so the
 CR.2 builder never holds the full matrix.  Products come from the big
 field's log/antilog arrays (:meth:`crlab.field.FieldSpec.mul_array`), a
-block of rows at a time, so D is held once, in the smallest signed
-dtype.  The subfield embedding and the tower coordinates are spans of
-powers of one element (:func:`crlab.field.span`).
+block of rows at a time, so D is held once, in the small field's dtype.
+The subfield embedding and the tower coordinates are spans of powers of
+one element (:func:`crlab.field.span`).
 
 The construction is a theorem (a shortened field multiplication table
 is a difference matrix), so it is not re-checked here.
@@ -127,7 +127,7 @@ def _pairwise_is_difference_matrix(M: np.ndarray, group_field) -> bool:
 
 def is_additive_group(rows, f: FieldSpec) -> bool:
     """Whether the set of rows (vectors over GF(q)) is an additive group."""
-    rows = np.asarray(rows).astype(np.min_scalar_type(-2 * f.q), copy=False)
+    rows = np.asarray(rows).astype(f.dtype, copy=False)
     return _group_order(rows, f) > 0
 
 
@@ -194,17 +194,17 @@ def _subfield_embedding(big: FieldSpec, small: FieldSpec) -> np.ndarray:
 
 
 def _phi_table(big: FieldSpec, small: FieldSpec, tower: bool) -> np.ndarray:
-    """Phi(e) for every element e of the big field.
+    """Phi(e), in GF(p^l)'s dtype, for every element e of the big field.
 
     Plain truncation keeps the first l base-p digits.  In tower
     coordinates, e = sum_j sigma(c_j) alpha^j (j < u/l) with c_j in the
     small field, and Phi(e) = c_0: the span of the alpha^j over sigma(K),
     c_0 most significant, reaches every element exactly once."""
     if not tower:
-        return np.arange(big.q, dtype=np.int64) % small.q
+        return (np.arange(big.q) % small.q).astype(small.dtype)
     powers = [[big.pow(big.alpha, j)] for j in range(big.m // small.m)]
     words = span(big, powers, _subfield_embedding(big, small))[:, 0]
-    tab = np.empty(big.q, dtype=np.int64)
+    tab = np.empty(big.q, dtype=small.dtype)
     tab[words] = np.arange(big.q) // (big.q // small.q)
     return tab
 
@@ -226,10 +226,9 @@ def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
                        f"difference matrix D({p}^{l},{p}^{h}) entries",
                        (p, 2 * (l + h)))
     big, small, phi = shortening(p, l, h)
-    # D in the dtype normalize_dm uses; the intp products are formed for
-    # a block of at most 2^16 entries at a time
+    # the intp products are formed 2^16 entries at a time
     elements = np.arange(big.q)
-    D = np.empty((big.q, big.q), dtype=np.min_scalar_type(-2 * small.q))
+    D = np.empty((big.q, big.q), dtype=small.dtype)
     rows = max(1, (1 << 16) // big.q)
     for lo in range(0, big.q, rows):
         D[lo:lo + rows] = phi[big.mul_array(elements[lo:lo + rows, None],
@@ -241,10 +240,9 @@ def normalize_dm(dm: DifferenceMatrix) -> DifferenceMatrix:
     """Zero first row and zero first column, difference property intact:
     each row is shifted by its own first entry, then the resulting first
     row is subtracted from every row.  Idempotent; the entries come back
-    in the smallest signed dtype that digit_add accepts."""
+    in the group field's dtype."""
     f = dm.group_field
-    ent = np.asarray(dm.entries).astype(np.min_scalar_type(-2 * f.q),
-                                        copy=False)
+    ent = np.asarray(dm.entries).astype(f.dtype, copy=False)
     ent = digit_add(ent, ent[:, :1], f.p, f.m, -1)
     return DifferenceMatrix(f, dm.mu, digit_add(ent, ent[:1], f.p, f.m, -1))
 

@@ -136,8 +136,8 @@ def digit_add(a, b, p: int, ndigits: int, sign: int = 1):
 
 
 def digit_table(f: "FieldSpec", sign: int = 1) -> np.ndarray:
-    """q x q int64 table of a + sign*b over the elements of f."""
-    e = np.arange(f.q, dtype=np.int64)
+    """q x q table of a + sign*b over the elements of f, in f.dtype."""
+    e = np.arange(f.q, dtype=f.dtype)
     return digit_add(e[:, None], e, f.p, f.m, sign)
 
 
@@ -294,15 +294,15 @@ class FieldSpec:
     (length 4(q-1)+1) holds alpha^0 .. alpha^(q-2) twice over and zeros
     from index 2(q-1) on, so the product of any two elements, zero
     included, is ``antilog[log[a] + log[b]]`` with no mask and no
-    reduction mod q-1.  Both are built once, in the constructor, as
-    read-only intp arrays; the scalar and the array operations read the
-    same two tables.  Never modified after creation, so instances are
-    safe to share between threads.  Use :func:`field_create` (canonical
-    modulus) or :func:`field_from_modulus` (explicit modulus) instead of
-    the constructor.
+    reduction mod q-1.  Both are index tables, read-only intp arrays
+    built once by the constructor.  ``dtype``, the smallest signed dtype
+    holding -2q (:func:`digit_add` takes it at any p), is the dtype of
+    every array of elements the library stores or returns.  Immutable,
+    so safe to share between threads.  Build with :func:`field_create`
+    (canonical modulus) or :func:`field_from_modulus` (explicit modulus).
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "alpha", "log", "antilog")
+    __slots__ = ("p", "m", "q", "modulus", "alpha", "log", "antilog", "dtype")
 
     def __init__(self, p: int, m: int, modulus, powers):
         """powers: the integer array x^0, ..., x^(q-2)."""
@@ -311,6 +311,7 @@ class FieldSpec:
         self.q = q = p ** m
         self.modulus = tuple(modulus)
         self.alpha = int(powers[1]) if q > 2 else 1
+        self.dtype = np.min_scalar_type(-2 * q)
         z = 2 * (q - 1)
         self.log = np.empty(q, dtype=np.intp)
         self.log[powers] = np.arange(q - 1)

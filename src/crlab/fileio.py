@@ -24,8 +24,8 @@ matrix, and it builds no table sized by q.  A parsed row made only of
 ASCII digits, spaces and tabs, with no token longer than 18 digits, is
 converted in C by ``np.fromstring``; any other row goes through ``int()``
 token by token, so signs, underscores, non-ASCII digits, integers past
-int64 and malformed tokens give what ``int()`` gives, or its error.  The
-rows fill one preallocated int64 array, the only copy of the matrix.
+int64 and malformed tokens give what ``int()`` gives, or its error.
+The rows fill one array in the field's dtype, the matrix's only copy.
 
 Every ``--json`` document is written by :func:`dumps_json`, byte for
 byte what ``json.dumps(doc, sort_keys=True, indent=2)`` gives, without
@@ -70,6 +70,9 @@ class ParsedCode:
 
 # entries per formatting block: each holds a few bytes per entry
 _BLOCK_CELLS = 1 << 16
+# int64 entries per block of parsed rows, whose maxima (plain rows hold no
+# sign) are checked before a store in the field's dtype can wrap them
+_STAGE_CELLS = 1 << 12
 
 
 def format_rows(rows):
@@ -193,28 +196,31 @@ def read_gfc(path) -> ParsedCode:
     # k such rows, some row is short and the loop raises at it, so nothing
     # is stored and no array larger than the text is allocated
     fits = sum(len(body) for _, body in lines[2:]) >= k * (2 * n - 1)
-    entries = np.zeros((k if fits else 0, n), dtype=np.int64)
+    entries = np.zeros((k if fits else 0, n), dtype=field.dtype)
+    step = max(1, _STAGE_CELLS // n)
+    stage = np.empty((step if fits else 0, n), dtype=np.int64)
     bad = np.zeros(k, dtype=bool)
-    for i, (lineno, body) in enumerate(lines[2:]):
-        if _plain_row(body):
-            row = np.fromstring(body, dtype=np.int64, sep=" ")
-        else:
-            try:
-                row = [int(x) for x in body.split()]
-            except ValueError as exc:
-                raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
-        if len(row) != n:
-            raise GfcParseError(
-                f"{path}:{lineno}: expected {n} entries, got {len(row)}")
-        if isinstance(row, list) and not all(0 <= x < field.q for x in row):
-            # int() may give what int64 cannot hold; the row is refused
-            # below, after every row has parsed
-            bad[i] = True
-        elif fits:
-            entries[i] = row
-    # plain rows hold no sign; an error names the first row with an entry
-    # outside [0, q)
-    bad |= entries.max(axis=1) >= field.q
+    for lo in range(0, k, step):
+        block = stage[:k - lo]
+        for j, (lineno, body) in enumerate(lines[2 + lo:2 + lo + step]):
+            if _plain_row(body):
+                row = np.fromstring(body, dtype=np.int64, sep=" ")
+            else:
+                try:
+                    row = [int(x) for x in body.split()]
+                except ValueError as exc:
+                    raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
+            if len(row) != n:
+                raise GfcParseError(
+                    f"{path}:{lineno}: expected {n} entries, got {len(row)}")
+            if isinstance(row, list) and not all(0 <= x < field.q
+                                                 for x in row):
+                row = field.q  # int64 may not hold it; q is refused too
+            if fits:
+                block[j] = row
+        bad[lo:lo + len(block)] = block.max(axis=1) >= field.q
+        entries[lo:lo + len(block)] = block
+    # once every row has parsed, name the first with an entry past [0, q)
     if bad.any():
         lineno = lines[2 + int(np.argmax(bad))][0]
         raise GfcParseError(

@@ -1,21 +1,19 @@
 """Exact matrices over a FieldSpec: RREF, rank, null space.
 
 Entries are canonical element codes.  A matrix holds one read-only 2-d
-intp array, ``rows``; it may have zero rows (the null space of a
-full-rank square matrix), and the column count is always >= 1.  Entries
+array, ``rows``, in ``FieldSpec.dtype``; it may have zero rows (the null
+space of a full-rank square matrix) and always has a column.  Entries
 outside [0, q), non-integral floats and integers past int64 raise
 ValueError; nothing is truncated or wrapped.  The cached RREF depends on
 ``rows`` never changing, so a caller's writeable array is copied, and a
-read-only one is shared.  Elimination works one pivot at a time on
-whole rows with :meth:`crlab.field.FieldSpec.mul_array` and
-:func:`crlab.field.digit_add`.  A matrix with at least q rows builds the
-q multiples of each pivot row once, a q x n table no larger than the
-matrix, and updates every row by one gather from it and one
-``digit_add``, in the narrowest dtype ``digit_add`` takes for the field:
-the smallest unsigned one holding 2q for p = 2, the smallest signed one
-for odd p.  A matrix with fewer rows than q multiplies the pivot row by
-each row's factor instead, in the intp of ``mul_array``'s products.  The
-reduced rows come back as read-only intp either way.
+read-only one in the field's dtype is shared.  Elimination works one
+pivot at a time on whole rows with ``mul_array`` and ``digit_add``.  A
+matrix with at least q rows builds the q multiples of each pivot row
+once, a q x n table no larger than the matrix, and updates every row by
+one gather from it and one ``digit_add``, in the field's dtype; one with
+fewer rows multiplies the pivot row by each row's factor, in the intp of
+``mul_array``'s products, which narrowing would convert at every pivot.
+The reduced rows are read-only in the field's dtype either way.
 
 A generator with more rows than the dual has (k > n - k) and, for every
 row, a unit column (that row's standard basis vector) holds an identity
@@ -59,11 +57,11 @@ class MatGF:
             if exact is None or not np.array_equal(exact, a):
                 raise ValueError("entries are not all integers")
             a = exact
-        a = np.asarray(a, dtype=np.intp)
         if a.ndim != 2 or a.shape[1] < 1:
             raise ValueError(f"not a 2-d matrix with columns: {a.shape}")
         if a.size and not (0 <= a.min() and a.max() < field.q):
             raise ValueError(f"entries not all in GF({field.q})")
+        a = a.astype(field.dtype, copy=False)
         if a is rows and a.flags.writeable:
             a = a.copy()
         a.flags.writeable = False
@@ -76,7 +74,7 @@ class MatGF:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatGF":
-        return cls(field, np.eye(n, dtype=np.intp))
+        return cls(field, np.eye(n, dtype=field.dtype))
 
     # -- Gaussian elimination -------------------------------------------
 
@@ -146,9 +144,7 @@ class MatGF:
 def _rref(f: FieldSpec, rows, ncols):
     nrows = len(rows)
     if f.q <= nrows:
-        # XOR needs no sign; an odd-p subtraction's digits go negative
-        dtype = np.min_scalar_type(2 * f.q if f.p == 2 else -2 * f.q)
-        elements = np.arange(f.q)[:, None]
+        dtype, elements = f.dtype, np.arange(f.q)[:, None]
     else:
         # narrowing would convert mul_array's intp products at every pivot
         dtype, elements = np.intp, None
@@ -175,7 +171,7 @@ def _rref(f: FieldSpec, rows, ncols):
         work = digit_add(work, products, f.p, f.m, -1)
         pivots.append(col)
         rank += 1
-    red = work[:rank].astype(np.intp, copy=False)
+    red = work[:rank].astype(f.dtype, copy=False)
     red.flags.writeable = False
     return red, rank, tuple(pivots)
 
@@ -184,9 +180,9 @@ def _dual_generator(f: FieldSpec, rows, pivots, ncols):
     """The dual of the row space of rows, whose row i is the unit vector
     of column pivots[i] on the columns pivots: [-A^t | I] up to column
     order, with I on the other columns in ascending order, as a
-    read-only intp array."""
+    read-only array in the field's dtype."""
     free = np.delete(np.arange(ncols), pivots)
-    basis = np.zeros((len(free), ncols), dtype=np.intp)
+    basis = np.zeros((len(free), ncols), dtype=f.dtype)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = digit_add(0, rows[:, free].T, f.p, f.m, -1)
     basis.flags.writeable = False

@@ -184,7 +184,7 @@ def test_projective_points_are_the_sorted_normalized_vectors(p, m, k):
     want = sorted({normalize_point(f, v)
                    for v in itertools.product(range(f.q), repeat=k) if any(v)})
     points = projective_points(f, k)
-    assert points.dtype == np.intp and points.shape == (len(want), k)
+    assert points.dtype == f.dtype and points.shape == (len(want), k)
     assert list(map(tuple, points.tolist())) == want
     assert len(want) == (f.q ** k - 1) // (f.q - 1)
 

@@ -49,7 +49,7 @@ def assert_rref_matches_loop(f, rows, label=None):
                                                  rows.shape[1])
     assert (rank, pivots) == (want_rank, want_pivots), label
     assert red.shape == (rank, rows.shape[1]), label
-    assert red.dtype == np.intp and not red.flags.writeable, label
+    assert red.dtype == f.dtype and not red.flags.writeable, label
     assert [tuple(r) for r in red.tolist()] == list(want_red), label
 
 
@@ -160,7 +160,7 @@ def test_rows_are_read_only():
         red[0, 0] = 2
     assert MatGF(f, M.rows).rows is M.rows
     narrow = MatGF(f, src.astype(np.int32)).rows   # converted, not viewed
-    assert narrow.dtype == np.intp and narrow.base is None
+    assert narrow.dtype == f.dtype and narrow.base is None
     assert M.null_space().rows.flags.writeable is False
     basis = M.row_basis()
     assert basis.rref() is M.rref() and basis.rank == rank == 2
@@ -261,7 +261,7 @@ def assert_matches_rref_path(f, rows, systematic, label=None):
     assert M.rank == rank, label
     ns = M.null_space()
     assert ns.rows.shape == want.shape, label
-    assert ns.rows.dtype == want.dtype == np.intp, label
+    assert ns.rows.dtype == want.dtype == f.dtype, label
     assert ns.rows.tobytes() == want.tobytes(), label
     assert ns.rows.flags.c_contiguous and not ns.rows.flags.writeable
     assert ns.rank == ns.nrows == M.ncols - rank, label
