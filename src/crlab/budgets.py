@@ -1,7 +1,9 @@
 """Work budgets for the enumeration-heavy operations.
 
 Defaults keep everything desk-scale; both can be raised through the
-environment for deliberate heavy runs.
+environment for deliberate heavy runs.  Work is charged before it is
+allocated, the k n_c entries of a complementary generator and the
+(m + 1) 2^m of an extended Hamming generator among it.
 """
 
 import os
@@ -53,19 +55,19 @@ def _amount(count: int, power) -> str:
 
 def check_enum(count: int, what: str = "codeword enumeration",
                power=None) -> None:
-    limit = enum_budget()
-    if count > limit:
-        raise BudgetExceeded(
-            f"{what} needs {_amount(count, power)} items, over the limit "
-            f"{limit} (raise {ENUM_BUDGET_VAR} to allow)"
-        )
+    _check(count, what, power, "items", ENUM_BUDGET_VAR, DEFAULT_ENUM_BUDGET)
 
 
 def check_synd(count: int, what: str = "syndrome space",
                power=None) -> None:
-    limit = synd_budget()
+    _check(count, what, power, "syndromes", SYND_BUDGET_VAR,
+           DEFAULT_SYND_BUDGET)
+
+
+def _check(count: int, what: str, power, unit: str, var: str,
+           default: int) -> None:
+    limit = _read(var, default)
     if count > limit:
         raise BudgetExceeded(
-            f"{what} needs {_amount(count, power)} syndromes, over the limit "
-            f"{limit} (raise {SYND_BUDGET_VAR} to allow)"
-        )
+            f"{what} needs {_amount(count, power)} {unit}, over the limit "
+            f"{limit} (raise {var} to allow)")

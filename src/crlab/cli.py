@@ -147,7 +147,6 @@ def cmd_construct(args, parser) -> int:
         # distinct nonzero columns give the dual d >= 3, so e >= 1
         reg = dual_regularity(tw.n, tw.q, tw.k, int(is_projective(tw)),
                               wd.nonzero_weights, lambda: tw)
-        ia = reg.ia
         doc = {
             "family": inst.family,
             "params": inst.params,
@@ -155,14 +154,12 @@ def cmd_construct(args, parser) -> int:
             "cr_code": {"n": tw.n, "k": dual_k, "q": tw.q},
             "predicted": {
                 "weights": sorted(inst.predicted_weights),
-                "intersection_array": {"b": list(inst.predicted_ia.b),
-                                       "c": list(inst.predicted_ia.c)},
+                "intersection_array": fileio.ia_dict(inst.predicted_ia),
             },
             "computed": {
                 "weights": list(wd.nonzero_weights),
                 "rho": reg.rho,
-                "intersection_array": ({"b": list(ia.b), "c": list(ia.c)}
-                                       if ia else None),
+                "intersection_array": fileio.ia_dict(reg.ia),
             },
             "notes": list(inst.notes),
         }
@@ -218,9 +215,10 @@ def cmd_report(args, parser) -> int:
     print(f"completely regular: {report.completely_regular}, "
           f"intersection array: {ia}")
     if report.cr_violation is not None:
-        lvl, sa, ca, sb, cb = report.cr_violation
-        print(f"  first violating coset pair at level {lvl}: syndrome {sa} "
-              f"has (down, up) = {ca} but syndrome {sb} has {cb}")
+        v = report.cr_violation
+        print(f"  first violating coset pair at level {v.level}: syndrome "
+              f"{v.syndrome_a} has (down, up) = {v.counts_a} but syndrome "
+              f"{v.syndrome_b} has {v.counts_b}")
     print(f"antipodal dual: {report.antipodal_dual}")
     print(f"orthogonal array strength: {report.oa_strength}")
     fams = ", ".join(f"{f} {p}" for f, p in report.family_matches) or "none"
@@ -347,13 +345,11 @@ def _census_entry_dict(e) -> dict:
     return {
         "n": e.n, "weights": list(e.weights), "dual_k": e.dual_k,
         "rho": e.rho, "completely_regular": e.completely_regular,
-        "intersection_array": ({"b": list(e.ia.b), "c": list(e.ia.c)}
-                               if e.ia else None),
+        "intersection_array": fileio.ia_dict(e.ia),
         "trivial": e.trivial, "trivial_reason": e.trivial_reason,
-        "families": [{"family": f, "params": p} for f, p in e.families],
+        "families": fileio.matches_list(e.families),
         "repetition_of": ({"s": e.repetition_of[0],
-                           "families": [{"family": f, "params": p}
-                                        for f, p in e.repetition_of[1]]}
+                           "families": fileio.matches_list(e.repetition_of[1])}
                           if e.repetition_of else None),
         "count": e.count,
         "unmatched": e.unmatched,

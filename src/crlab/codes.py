@@ -411,6 +411,8 @@ def complementary_generator(G: MatGF, s: int) -> MatGF:
     # rows in lexicographic order are digit strings in increasing base-q
     # value, below q^k <= q * len(every), which fits an int64
     place = f.q ** np.arange(G.nrows - 1, -1, -1)
+    budgets.check_enum(G.nrows * (s * len(every) - G.ncols),
+                       "complementary generator entries")
     need = np.full(len(every), s)
     need[np.searchsorted(every @ place, points @ place)] -= counts
     cols = np.repeat(every, need, axis=0)

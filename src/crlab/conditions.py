@@ -202,29 +202,25 @@ def complement_valuation_check(n: int, k: int, d: int, q: int, s: int) -> Comple
     gcd_eq_c = math.gcd(q, d_c) == math.gcd(q, delta)
     some_val_eq = val_eq_d or val_eq_c
 
-    checks = []
-    checks.append(ConditionCheck(
-        "valuation_clause_i", s == 1 and k >= 4, (gcd_eq_d and gcd_eq_c) if (s == 1 and k >= 4) else None,
-        {"gcd_q_d": math.gcd(q, d), "gcd_q_delta": math.gcd(q, delta),
-         "gcd_q_dc": math.gcd(q, d_c)}))
-
     gate = None
     if s == 1 and k == 3:
         g1 = math.gcd(d, q) ** 2 <= q * math.gcd(n * (n - 1), q)
         g2 = math.gcd(d + delta, q) ** 2 > q * math.gcd(n_c * (n_c - 1), q)
         gate = g1 or g2
-    checks.append(ConditionCheck(
-        "valuation_clause_ii", s == 1 and k == 3 and bool(gate),
-        (gcd_eq_d and gcd_eq_c) if (s == 1 and k == 3 and gate) else None,
-        {"gate": gate}))
-
-    checks.append(ConditionCheck(
-        "valuation_clause_iii", s == 1 and k >= 2, some_val_eq if (s == 1 and k >= 2) else None,
-        {"val_d": val_d, "val_delta": val_delta, "val_dc": val_dc}))
-
-    checks.append(ConditionCheck(
-        "valuation_clause_iv", s >= 1 and k >= 3, some_val_eq if (s >= 1 and k >= 3) else None,
-        {"val_d": val_d, "val_delta": val_delta, "val_dc": val_dc}))
+    # each clause is (name, its gate, what it asserts, witnesses); a clause
+    # whose gate is closed is neither satisfied nor violated
+    clauses = (
+        ("valuation_clause_i", s == 1 and k >= 4, gcd_eq_d and gcd_eq_c,
+         {"gcd_q_d": math.gcd(q, d), "gcd_q_delta": math.gcd(q, delta),
+          "gcd_q_dc": math.gcd(q, d_c)}),
+        ("valuation_clause_ii", s == 1 and k == 3 and bool(gate),
+         gcd_eq_d and gcd_eq_c, {"gate": gate}),
+        ("valuation_clause_iii", s == 1 and k >= 2, some_val_eq,
+         {"val_d": val_d, "val_delta": val_delta, "val_dc": val_dc}),
+        ("valuation_clause_iv", s >= 1 and k >= 3, some_val_eq,
+         {"val_d": val_d, "val_delta": val_delta, "val_dc": val_dc}))
+    checks = [ConditionCheck(name, gated, holds if gated else None, wit)
+              for name, gated, holds, wit in clauses]
 
     return ComplementValuations(
         val_d=val_d, val_delta=val_delta, val_dc=val_dc,
@@ -241,15 +237,9 @@ def power_decomposition(n: int, w: int, q: int) -> tuple[int, int] | None:
     t = n - w
     if t < 1:
         return None
-    u = 0
-    x = t
-    while x % p == 0:
-        x //= p
-        u += 1
-    if x != 1:
-        return None  # n - w is not a power of p
-    if w % t:
-        return None
+    u = p_valuation(t, p)
+    if t != p ** u or w % t:
+        return None  # n - w is not a power of p, or does not divide w
     h = w // t
     assert w == h * p ** u and n == (h + 1) * p ** u
     return (u, h)

@@ -39,10 +39,11 @@ one element (:func:`crlab.field.span`).
 
 The construction is a theorem (a shortened field multiplication table
 is a difference matrix), so it is not re-checked here.
-:func:`is_difference_matrix` (``crlab dm --verify``) normalizes first;
-if the rows are then distinct and form an additive group, r_i - r_j
-(i != j) runs over exactly the nonzero rows, so D is a difference
-matrix iff each nonzero row holds every element mu times: O(side^2).
+:func:`is_difference_matrix` (``crlab dm --verify``) refuses non-square
+arrays and what :func:`crlab.matrix.element_array` refuses, then
+normalizes; if the rows are then distinct and form an additive group,
+r_i - r_j (i != j) runs over exactly the nonzero rows, so O(side^2) work
+decides: D is one iff each nonzero row holds every element mu times.
 Every D(p^l, p^h) qualifies (x -> Phi(xy) is additive); any other
 matrix (side not a power of p, rows not closed, a corrupted cell) goes
 through the Theta(side^3) loop over all row pairs.
@@ -57,6 +58,7 @@ import numpy as np
 from . import budgets
 from .codes import CodewordMatrix
 from .field import FieldSpec, digit_add, digit_table, field_create, span
+from .matrix import element_array
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,13 @@ class DifferenceMatrix:
 def is_difference_matrix(entries, group_field: FieldSpec) -> bool:
     """Whether entries is a difference matrix over GF(q)'s additive group:
     by the group certificate when it applies, else by every row pair."""
-    M = np.asarray(entries)
-    if M.dtype.kind not in "iu":
-        M = np.asarray(entries, dtype=np.intp)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    try:
+        M = element_array(group_field, entries)
+    except ValueError:
         return False
     q = group_field.q
     side = M.shape[0]
-    if side % q:
-        return False
-    if M.size and (M.min() < 0 or M.max() >= q):
+    if side != M.shape[1] or side % q:
         return False
     rows = normalize_dm(DifferenceMatrix(group_field, side // q, M)).entries
     if _group_order(rows, group_field) != side:

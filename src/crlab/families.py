@@ -86,10 +86,12 @@ def cr1_extended_hamming(m: int) -> FamilyInstance:
     [2^m, 2^m - m - 1, 4]."""
     if m < 2:
         raise ValueError("need m >= 2")
+    budgets.check_enum((m + 1) << m, f"CR.1 generator (m = {m}) entries")
     f = field_create(2, 1)
     n = 2 ** m
-    rows = [[(j >> i) & 1 for j in range(n)] for i in range(m)]
-    rows.append([1] * n)
+    rows = np.empty((m + 1, n), dtype=f.dtype)
+    for i in range(m + 1):  # bit i of n + j: the bits of j, then all ones
+        rows[i] = np.arange(n, 2 * n) >> i & 1
     tw = LinearCode(f, MatGF(f, rows))
     notes = ()
     if m == 2:

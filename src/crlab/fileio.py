@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -168,15 +168,13 @@ def read_gfc(path) -> ParsedCode:
             f"{path}:{lineno}: expected {m + 1} modulus coefficients, "
             f"got {len(coeffs)}")
     try:
-        canonical = field_create(p, m)
-        field = (canonical if tuple(coeffs) == canonical.modulus
-                 else field_from_modulus(p, m, coeffs))
+        field = field_from_modulus(p, m, coeffs)
     except ValueError as exc:
         raise GfcParseError(f"{path}:{lineno}: {exc}") from exc
-    if tuple(coeffs) != canonical.modulus:
-        warnings.append(
-            f"non-canonical modulus {tuple(coeffs)} accepted "
-            f"(canonical is {canonical.modulus})")
+    canonical = field_create(p, m).modulus
+    if tuple(coeffs) != canonical:
+        warnings.append(f"non-canonical modulus {tuple(coeffs)} accepted "
+                        f"(canonical is {canonical})")
 
     lineno, head = lines[1]
     parts = head.split()
@@ -194,11 +192,11 @@ def read_gfc(path) -> ParsedCode:
     # the rows fill one array, which MatGF shares once it is read-only.  A
     # row of n entries has at least 2n - 1 characters: with less text than
     # k such rows, some row is short and the loop raises at it, so nothing
-    # is stored and no array larger than the text is allocated
+    # is stored and no array sized by k or n is allocated
     fits = sum(len(body) for _, body in lines[2:]) >= k * (2 * n - 1)
-    entries = np.zeros((k if fits else 0, n), dtype=field.dtype)
     step = max(1, _STAGE_CELLS // n)
-    stage = np.empty((step if fits else 0, n), dtype=np.int64)
+    entries = np.zeros((k, n) if fits else (0, 1), dtype=field.dtype)
+    stage = np.empty((step, n) if fits else (0, 1), dtype=np.int64)
     bad = np.zeros(k, dtype=bool)
     for lo in range(0, k, step):
         block = stage[:k - lo]
@@ -415,9 +413,7 @@ def _jsonable(value):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):  # bool is an int
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -426,42 +422,46 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {value!r}")
 
 
+def ia_dict(ia) -> dict | None:
+    """An intersection array as its {"b", "c"} object; None for none."""
+    return None if ia is None else {"b": list(ia.b), "c": list(ia.c)}
+
+
+def matches_list(matches) -> list:
+    """(family, params) pairs as {"family", "params"} objects."""
+    return [{"family": f, "params": p} for f, p in matches]
+
+
+def checks_list(checks) -> list:
+    """ConditionCheck items as {"name", "applicable", ...} objects."""
+    return [{"name": ch.name, "applicable": ch.applicable,
+             "satisfied": ch.satisfied, "witnesses": _jsonable(ch.witnesses)}
+            for ch in checks]
+
+
 def report_to_dict(report: CodeReport) -> dict:
-    ia = None
-    if report.ia is not None:
-        ia = {"b": list(report.ia.b), "c": list(report.ia.c),
-              "a": list(report.ia.a)}
+    ia = ia_dict(report.ia)
+    if ia is not None:
+        ia["a"] = list(report.ia.a)
     cond = None
     if report.conditions is not None:
-        c = report.conditions
+        c, t = report.conditions, report.conditions.complement_valuations
         cond = {
             "side": c.side,
             "n": c.n, "k": c.k, "N": c.N, "d": c.d,
             "s_multiplicity": c.s_multiplicity,
-            "checks": [
-                {"name": ch.name, "applicable": ch.applicable,
-                 "satisfied": ch.satisfied,
-                 "witnesses": _jsonable(ch.witnesses)}
-                for ch in c.checks
-            ],
-            "complement_valuations": None,
-            "power_decomp": list(c.power_decomp) if c.power_decomp else None,
-            "weight_counts": list(c.weight_counts) if c.weight_counts else None,
-        }
-        if c.complement_valuations is not None:
-            t = c.complement_valuations
-            cond["complement_valuations"] = {
+            "checks": checks_list(c.checks),
+            "complement_valuations": None if t is None else {
                 "val_d": t.val_d, "val_delta": t.val_delta,
                 "val_dc": t.val_dc, "d_c": t.d_c, "n_c": t.n_c,
                 "valuation_equalities": [t.val_eq_d, t.val_eq_c],
                 "gcd_equalities": [t.gcd_eq_d, t.gcd_eq_c],
-                "checks": [
-                    {"name": ch.name, "applicable": ch.applicable,
-                     "satisfied": ch.satisfied,
-                     "witnesses": _jsonable(ch.witnesses)}
-                    for ch in t.checks
-                ],
-            }
+                "checks": checks_list(t.checks),
+            },
+            "power_decomp": list(c.power_decomp) if c.power_decomp else None,
+            "weight_counts": list(c.weight_counts) if c.weight_counts else None,
+        }
+    v = report.cr_violation
     return {
         "schema": 1,
         "n": report.n, "k": report.k, "q": report.q,
@@ -473,17 +473,12 @@ def report_to_dict(report: CodeReport) -> dict:
         "external_distance": report.external_distance,
         "intersection_array": ia,
         "completely_regular": report.completely_regular,
-        "cr_violation": (None if report.cr_violation is None
-                         else {"level": report.cr_violation[0],
-                               "syndrome_a": report.cr_violation[1],
-                               "counts_a": list(report.cr_violation[2]),
-                               "syndrome_b": report.cr_violation[3],
-                               "counts_b": list(report.cr_violation[4])}),
+        "cr_violation": None if v is None else dict(
+            asdict(v), counts_a=list(v.counts_a), counts_b=list(v.counts_b)),
         "antipodal_dual": report.antipodal_dual,
         "uniformly_packed": report.uniformly_packed,
         "oa_strength": report.oa_strength,
-        "family_matches": [{"family": fam, "params": _jsonable(params)}
-                           for fam, params in report.family_matches],
+        "family_matches": matches_list(report.family_matches),
         "conditions": cond,
         "warnings": list(report.warnings),
     }

@@ -4,7 +4,8 @@ Entries are canonical element codes.  A matrix holds one read-only 2-d
 array, ``rows``, in ``FieldSpec.dtype``; it may have zero rows (the null
 space of a full-rank square matrix) and always has a column.  Entries
 outside [0, q), non-integral floats and integers past int64 raise
-ValueError; nothing is truncated or wrapped.  The cached RREF depends on
+ValueError (:func:`element_array`, which ``is_difference_matrix`` also
+applies); nothing is truncated or wrapped.  The cached RREF depends on
 ``rows`` never changing, so a caller's writeable array is copied, and a
 read-only one in the field's dtype is shared.  Elimination works one
 pivot at a time on whole rows with ``mul_array`` and ``digit_add``.  A
@@ -40,28 +41,34 @@ import numpy as np
 from .field import FieldSpec, digit_add
 
 
+def element_array(field: FieldSpec, rows) -> np.ndarray:
+    """rows as a 2-d array, with columns, of exact integers in [0, q) (an
+    integer array is not copied); ValueError if it is no such array."""
+    a = np.asarray(rows)
+    if a.dtype.kind not in "iu":
+        # floats, bools and Python ints past int64 pass only when the
+        # conversion is exact: no truncation, no overflow
+        with np.errstate(invalid="ignore"):
+            try:
+                exact = a.astype(np.intp)
+            except (TypeError, ValueError, OverflowError):
+                exact = None
+        if exact is None or not np.array_equal(exact, a):
+            raise ValueError("entries are not all integers")
+        a = exact
+    if a.ndim != 2 or a.shape[1] < 1:
+        raise ValueError(f"not a 2-d matrix with columns: {a.shape}")
+    if a.size and not (0 <= a.min() and a.max() < field.q):
+        raise ValueError(f"entries not all in GF({field.q})")
+    return a
+
+
 class MatGF:
     __slots__ = ("field", "rows", "nrows", "ncols", "_rref_cache", "_rank",
                  "_units")
 
     def __init__(self, field: FieldSpec, rows):
-        a = np.asarray(rows)
-        if a.dtype.kind not in "iu":
-            # floats, bools and Python ints past int64 pass only when the
-            # conversion is exact: no truncation, no overflow
-            with np.errstate(invalid="ignore"):
-                try:
-                    exact = a.astype(np.intp)
-                except (TypeError, ValueError, OverflowError):
-                    exact = None
-            if exact is None or not np.array_equal(exact, a):
-                raise ValueError("entries are not all integers")
-            a = exact
-        if a.ndim != 2 or a.shape[1] < 1:
-            raise ValueError(f"not a 2-d matrix with columns: {a.shape}")
-        if a.size and not (0 <= a.min() and a.max() < field.q):
-            raise ValueError(f"entries not all in GF({field.q})")
-        a = a.astype(field.dtype, copy=False)
+        a = element_array(field, rows).astype(field.dtype, copy=False)
         if a is rows and a.flags.writeable:
             a = a.copy()
         a.flags.writeable = False

@@ -18,13 +18,14 @@ the syndrome budget does not apply to it.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from . import conditions
 from .codes import (LinearCode, is_antipodal_two_weight,
                     max_column_multiplicity)
 from .families import family_match
-from .regularity import IntersectionArray, dual_regularity, packing_radius
+from .regularity import (IntersectionArray, RegularityViolation,
+                         dual_regularity, packing_radius)
 
 
 @dataclass
@@ -56,7 +57,7 @@ class CodeReport:
     subconstituents: dict
     ia: IntersectionArray | None
     completely_regular: bool
-    cr_violation: tuple | None
+    cr_violation: RegularityViolation | None
     antipodal_dual: bool
     uniformly_packed: bool
     oa_strength: int
@@ -81,7 +82,7 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
                           dual_wd.nonzero_weights, code.dual)
     rho, ia = reg.rho, reg.ia
 
-    report = CodeReport(
+    return CodeReport(
         n=code.n, k=code.k, q=code.q, d=d, e=e,
         weight_distribution=wd.sparse(),
         dual_weights=dual_wd.nonzero_weights,
@@ -90,7 +91,7 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
                          for l, c in enumerate(reg.level_sizes)},
         ia=ia,
         completely_regular=ia is not None,
-        cr_violation=astuple(reg.violation) if reg.violation else None,
+        cr_violation=reg.violation,
         antipodal_dual=is_antipodal_two_weight(dual_wd, code.n),
         uniformly_packed=rho == s,
         oa_strength=code.n if dual_wd.d is None else dual_wd.d - 1,
@@ -100,7 +101,6 @@ def build_code_report(code: LinearCode, warnings=()) -> CodeReport:
         rho_source="delsarte" if reg.profile is None else "profile",
         warnings=tuple(warnings),
     )
-    return report
 
 
 def _conditions_side(code, wd, dual, dual_wd) -> ConditionsSide | None:
@@ -114,9 +114,8 @@ def _conditions_side(code, wd, dual, dual_wd) -> ConditionsSide | None:
     else:
         return None
 
-    k = tw.k
+    k, d = tw.k, tw_wd.d
     N = q ** k
-    d = tw_wd.d
     s_mult = max_column_multiplicity(tw)
     checks = conditions.bound_checks(n, N, d, q)
     complement_valuations = None
@@ -127,8 +126,7 @@ def _conditions_side(code, wd, dual, dual_wd) -> ConditionsSide | None:
             # d_c = s q^(k-1) - n <= 0: the complementary construction
             # degenerates (difference-matrix-type codes); nothing to check
             complement_valuations = None
-    power_decomp = None
-    weight_counts = None
+    power_decomp = weight_counts = None
     # multiplicity 1 means projective: no two columns are proportional,
     # and max_column_multiplicity raises on a zero column
     if s_mult == 1:

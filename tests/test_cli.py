@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -880,6 +881,38 @@ def test_complement_command(tmp_path, capsys):
     assert run(["complement", str(twice), "--s", "1"]) == 1
 
 
+def test_complement_charges_its_generator_entries(tmp_path, monkeypatch,
+                                                  capsys):
+    """complement charges the k n_c entries of G_c, n_c = s P - n, before
+    it builds them: Bose-Bush 4 ([6,3]_4, P = 21) at s = 2 needs
+    3 * 36 = 108 of them, and a budget of 107 refuses it."""
+    path = tmp_path / "bb4.gfc"
+    fileio.write_gfc(path, cr4_bose_bush(4).two_weight_code)
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "108")
+    assert run(["complement", str(path), "--s", "2"]) == 0
+    assert fileio.read_gfc(str(path) + ".comp").code.n == 36
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "107")
+    capsys.readouterr()
+    assert run(["complement", str(path), "--s", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: complementary generator entries needs 108 items, over the "
+        f"limit 107 (raise {budgets.ENUM_BUDGET_VAR} to allow)\n")
+
+
+def test_ext_hamming_charges_its_generator_entries(monkeypatch, capsys):
+    """ext-hamming charges the (m + 1) 2^m entries of its generator before
+    it builds them: 80 at m = 4."""
+    argv = ["construct", "--family", "ext-hamming", "--m", "4"]
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "80")
+    assert run(argv) == 0
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, "79")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: CR.1 generator (m = 4) entries needs 80 items, over the "
+        "limit 79 ")
+
+
 def test_complement_zero_column_fails_once(tmp_path, capsys):
     """No s completes a code with a zero column: one failure line, no
     minimal-s line, exit 1.  A too-small s still names the minimal one."""
@@ -927,6 +960,48 @@ def _fresh_interpreter(script, argv, cwd, text=True):
     return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
                           env=env, capture_output=True, text=text,
                           timeout=120)
+
+
+# a code line whose n is past what an array shape holds, over short rows
+HUGE_HEADER = ("field 2 1 poly 1 1\ncode 3 1099999999999999999999\n"
+               "1 0 1\n1 1 0\n0 1 1\n")
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    (["report", "huge.gfc"], 2,
+     "huge.gfc:3: expected 1099999999999999999999 entries, got 3"),
+    (["dual", "huge.gfc"], 2,
+     "huge.gfc:3: expected 1099999999999999999999 entries, got 3"),
+    (["complement", "huge.gfc", "--s", "1"], 2,
+     "huge.gfc:3: expected 1099999999999999999999 entries, got 3"),
+    (["complement", "bb4.gfc", "--s", str(10 ** 20)], 1,
+     "complementary generator entries needs 6299999999999999999982 items"),
+    (["construct", "--family", "ext-hamming", "--m", "30"], 1,
+     "CR.1 generator (m = 30) entries needs 33285996544 items"),
+], ids=["report-huge-n", "dual-huge-n", "complement-huge-n",
+        "complement-huge-s", "ext-hamming-m30"])
+def test_console_script_refuses_at_once(argv, status, message, tmp_path):
+    """Inputs past any feasible size get an error line and their exit
+    status from the console script within 10 s, never a traceback.  When
+    the package is not installed, its entry point crlab.cli:main runs in
+    a new interpreter instead."""
+    (tmp_path / "huge.gfc").write_text(HUGE_HEADER)
+    fileio.write_gfc(tmp_path / "bb4.gfc", cr4_bose_bush(4).two_weight_code)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(budgets.ENUM_BUDGET_VAR, None)
+    script = shutil.which("crlab")
+    command = [script] if script else [
+        sys.executable, "-c",
+        "import sys; from crlab.cli import main; sys.exit(main())"]
+    start = time.perf_counter()
+    proc = subprocess.run(command + argv, cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == status, proc.stderr
+    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 10
 
 
 def _first_in_fresh_process(argv, cwd) -> tuple:

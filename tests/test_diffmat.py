@@ -202,6 +202,28 @@ def test_side_4096_is_held_once_in_one_byte_entries():
     assert peak < dm.entries.nbytes + (2 << 20)
 
 
+def test_one_element_check_for_matrices_and_difference_matrices():
+    """MatGF and is_difference_matrix share one test of which arrays are
+    matrices over GF(q): a non-integral float, an integer past int64 and a
+    0 x 0 array are refused by both, and exact floats, bools and unsigned
+    or narrow integers pass both.  A non-square matrix is a matrix but no
+    difference matrix."""
+    dm = difference_matrix(2, 1, 1)
+    f, D = dm.group_field, dm.entries
+    huge = D.astype(object)
+    huge[0, 0] = 2 ** 70
+    for bad in (D + 0.5, huge, np.zeros((0, 0), dtype=int)):
+        assert not is_difference_matrix(bad, f)
+        with pytest.raises(ValueError):
+            MatGF(f, bad)
+    assert not is_difference_matrix(D[:3], f)
+    assert MatGF(f, D[:3]).nrows == 3
+    for good in (D.astype(float), D.astype(bool), D.astype(np.uint64),
+                 D.astype(np.int32)):
+        assert is_difference_matrix(good, f)
+        assert MatGF(f, good) == MatGF(f, D)
+
+
 def test_side_4096_check_keys_the_rows_once():
     """`dm --verify` at side 4096 holds the normalized rows and one map
     from row bytes to position, about 2 x 16 MB at its peak (a second
