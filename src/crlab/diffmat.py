@@ -220,10 +220,11 @@ def difference_matrix(p: int, l: int, h: int) -> DifferenceMatrix:
     """D(p^l, p^h) from the shortened multiplication table of GF(p^(l+h))."""
     if l < 1 or h < 1:
         raise ValueError("l and h must be >= 1")
-    # named as powers: Python prints no int of more than 4300 digits
-    budgets.check_enum(p ** (2 * (l + h)),
-                       f"difference matrix D({p}^{l},{p}^{h}) entries",
-                       (p, 2 * (l + h)))
+    # named as powers: Python prints no int of more than 4300 digits;
+    # p^e has at least e (bits(p) - 1) + 1 bits
+    what, e = f"difference matrix D({p}^{l},{p}^{h}) entries", 2 * (l + h)
+    budgets.check_enum_bits(e * (p.bit_length() - 1) + 1, what, (p, e))
+    budgets.check_enum(p ** e, what, (p, e))
     big, small, phi = shortening(p, l, h)
     # the intp products are formed 2^16 entries at a time
     elements = np.arange(big.q)

@@ -86,7 +86,9 @@ def cr1_extended_hamming(m: int) -> FamilyInstance:
     [2^m, 2^m - m - 1, 4]."""
     if m < 2:
         raise ValueError("need m >= 2")
-    budgets.check_enum((m + 1) << m, f"CR.1 generator (m = {m}) entries")
+    what = f"CR.1 generator (m = {m}) entries"
+    budgets.check_enum_bits(m + (m + 1).bit_length(), what)
+    budgets.check_enum((m + 1) << m, what)
     f = field_create(2, 1)
     n = 2 ** m
     rows = np.empty((m + 1, n), dtype=f.dtype)
@@ -117,14 +119,18 @@ def cr2_dm_dual(p: int, l: int, h: int) -> FamilyInstance:
         raise ValueError("l and h must be >= 1")
     if h % l:
         raise ValueError("need l | h for a linear difference-matrix code")
+    # the completely regular dual's (n - k) x n generator is the largest
+    # object built when the dual is read (``cr_code``, ``construct -o``),
+    # named as powers: Python prints no int of more than 4300 digits.
+    # n = p^(l+h) has at least (l+h)(bits(p) - 1) + 1 bits, and n - k - 1
+    # >= n/2 wherever that bound can refuse, so the entries have at least
+    # twice that less 2
+    what = f"CR.2 dual generator for D({p}^{l},{p}^{h}) entries"
+    budgets.check_enum_bits(2 * (l + h) * (p.bit_length() - 1), what)
     q, mu = p ** l, p ** h
     n = q * mu
     k_dim = (l + h) // l
-    # the completely regular dual's (n - k) x n generator is the largest
-    # object built when the dual is read (``cr_code``, ``construct -o``)
-    # named as powers: Python prints no int of more than 4300 digits
-    budgets.check_enum(n * (n - k_dim - 1),
-                       f"CR.2 dual generator for D({p}^{l},{p}^{h}) entries")
+    budgets.check_enum(n * (n - k_dim - 1), what)
     big, small, phi = shortening(p, l, h)
     elements = np.arange(big.q)
     rows = [[1] * n] + [phi[big.mul_array(big.pow(big.alpha, j), elements)]

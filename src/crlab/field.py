@@ -13,9 +13,9 @@ For m = 1 the same search runs on the moduli x - g for g = 1, 2, ...,
 so alpha = g is the smallest primitive root.  A candidate is certified
 by exponentiation (x^(q-1) = 1 and x^((q-1)/l) != 1 for every prime
 l | q - 1), so the rejected candidates cost O(log q) products each rather
-than a walk of up to q - 1 powers.  For m <= 3 the products are Python
-ints on coefficient tuples; larger m uses numpy m x m matrices of
-multiplication by powers of x.
+than a walk of up to q - 1 powers.  One certificate serves every degree:
+it takes the candidates in blocks of 32, as stacks of m x m matrices of
+multiplication by powers of x, and the first primitive one wins.
 
 The supported field order is bounded by Q_LIMIT = 2^20.  Each field
 holds one log and one antilog table, read-only intp arrays built once at
@@ -180,81 +180,46 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _times_x(low, p: int) -> np.ndarray:
-    """The m x m int64 matrix of multiplication by x modulo the monic
-    modulus with low coefficients low: row j holds the digits of x^(j+1).
-    A digit row v times the matrix of x^L, whose row j holds x^(L+j), is
-    v x^L, and the matrix of x^(L+L') is the product of those of x^L and
-    x^L'.  Every entry is below p, so a product of two such matrices sums
-    at most m (p-1)^2 < 2^41 for q <= Q_LIMIT."""
-    m = len(low)
-    mat = np.eye(m, k=1, dtype=np.int64)
-    mat[m - 1] = [-c % p for c in low]
+def _times_x(lows, p: int) -> np.ndarray:
+    """The m x m int64 matrices of multiplication by x modulo the monic
+    moduli with low coefficients lows (one row, or a stack of rows): row
+    j of each holds the digits of x^(j+1).  A digit row v times the
+    matrix of x^L, whose row j holds x^(L+j), is v x^L, and the matrix of
+    x^(L+L') is the product of those of x^L and x^L'.  Every entry is
+    below p, so a product of two such matrices sums at most m (p-1)^2 <
+    2^41 for q <= Q_LIMIT."""
+    lows = np.asarray(lows, dtype=np.int64)
+    m = lows.shape[-1]
+    mat = np.zeros(lows.shape + (m,), dtype=np.int64)
+    mat[..., :-1, 1:] = np.eye(m - 1, dtype=np.int64)
+    mat[..., -1, :] = -lows % p
     return mat
 
 
-def _matrix_power_is_one(low, p: int, e: int) -> bool:
-    """Whether x^e = 1 modulo the monic modulus with low coefficients low,
-    by square-and-multiply on the m x m matrices of :func:`_times_x`:
-    x^e = 1 when row 0 of its matrix is (1, 0, ...)."""
-    acc, base = np.eye(len(low), dtype=np.int64), _times_x(low, p)
-    while e:
-        if e & 1:
-            acc = acc @ base % p
-        base = base @ base % p
-        e >>= 1
-    return acc[0, 0] == 1 and not acc[0, 1:].any()
+def _has_order(lows, p: int, n: int) -> np.ndarray:
+    """Boolean mask over the rows of lows (a C x m array of low
+    coefficients of monic moduli): whether x has multiplicative order
+    exactly n modulo each, that is x^n = 1 and x^(n/l) != 1 for every
+    prime l | n.  With n = q - 1 its q - 1 powers are distinct units, so
+    the quotient ring is a field: the modulus is irreducible and
+    primitive.  A modulus that x divides never reaches x^e = 1.
 
-
-def _int_power_is_one(low, p: int, e: int) -> bool:
-    """Whether x^e = 1 modulo the monic modulus with low coefficients low,
-    for m = len(low) <= 3, by square-and-multiply on coefficient tuples
-    of Python ints: a product is a dozen int operations, where a numpy
-    call on an m x m matrix costs microseconds."""
-    t = [-c % p for c in low]  # x^m = t_0 + t_1 x + ... + t_(m-1) x^(m-1)
-    if len(t) == 1:
-        return pow(t[0], e, p) == 1
-    if len(t) == 2:
-        t0, t1 = t
-
-        def mul(a, b):
-            a0, a1 = a
-            b0, b1 = b
-            c2 = a1 * b1
-            return (a0 * b0 + c2 * t0) % p, (a0 * b1 + a1 * b0 + c2 * t1) % p
-    else:
-        t0, t1, t2 = t
-
-        def mul(a, b):
-            a0, a1, a2 = a
-            b0, b1, b2 = b
-            c4 = a2 * b2  # x^4 = t_0 x + t_1 x^2 + t_2 x^3, then x^3 folds
-            c3 = (a1 * b2 + a2 * b1 + c4 * t2) % p
-            return ((a0 * b0 + c3 * t0) % p,
-                    (a0 * b1 + a1 * b0 + c4 * t0 + c3 * t1) % p,
-                    (a0 * b2 + a1 * b1 + a2 * b0 + c4 * t1 + c3 * t2) % p)
-    one = (1,) + (0,) * (len(t) - 1)
-    acc, base = one, (0, 1) + (0,) * (len(t) - 2)
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        e >>= 1
-    return acc == one
-
-
-def _is_primitive(low, p: int, q: int) -> bool:
-    """Whether x has multiplicative order exactly q - 1 modulo the monic
-    modulus with low coefficients low: x^(q-1) = 1 and x^((q-1)/l) != 1
-    for every prime l | q - 1.  Then its q - 1 powers are distinct units,
-    so the quotient ring is a field: the modulus is irreducible and
-    primitive.  Degrees m <= 3 exponentiate with Python ints, larger ones
-    with numpy matrices."""
-    if low[0] == 0:
-        return False
-    is_one = _int_power_is_one if len(low) <= 3 else _matrix_power_is_one
-    return is_one(low, p, q - 1) and not any(
-        is_one(low, p, (q - 1) // l) for l in _prime_factors(q - 1))
+    The C matrices of x are squared once per bit of n, and every exponent
+    shares those squarings: for each it carries only row 0 of x^e, the
+    C digit rows of x^e times the C squares.  s - s // p * p is s mod p,
+    and on arrays it is cheaper than %."""
+    exps = [n] + [n // l for l in _prime_factors(n)]
+    base = _times_x(lows, p)
+    one = np.eye(1, base.shape[-1], dtype=np.int64)  # the digits of x^0
+    rows = np.tile(one, (len(exps), len(base), 1, 1))
+    for bit in range(n.bit_length()):
+        hit = [e >> bit & 1 == 1 for e in exps]
+        step = rows[hit] @ base
+        rows[hit] = step - step // p * p
+        base = base @ base
+        base -= base // p * p
+    is_one = (rows == one).all(axis=(2, 3))
+    return is_one[0] & ~is_one[1:].any(axis=0)
 
 
 def _antilog(low, p: int, q: int) -> np.ndarray:
@@ -409,6 +374,8 @@ def _field_order(p: int, m: int) -> int:
 
 _FIELD_CACHE: dict[tuple[int, int], FieldSpec] = {}
 
+_BLOCK = 32  # candidate moduli certified per call of _has_order
+
 
 def field_create(p: int, m: int) -> FieldSpec:
     """The canonical GF(p^m): lexicographically smallest primitive modulus;
@@ -422,12 +389,17 @@ def field_create(p: int, m: int) -> FieldSpec:
         return cached
 
     q = _field_order(p, m)
-    if m == 1:
-        lows = ([p - g] for g in range(1, p))
+    count = p - 1 if m == 1 else q
+    for start in range(0, count, _BLOCK):
+        index = np.arange(start, min(start + _BLOCK, count))
+        lows = ((p - 1 - index)[:, None] if m == 1
+                else index[:, None] // p ** np.arange(m) % p)
+        lows = lows[lows[:, 0] != 0]  # x divides no primitive modulus
+        hits = np.flatnonzero(_has_order(lows, p, q - 1))
+        if hits.size:
+            low = lows[hits[0]].tolist()
+            break
     else:
-        lows = (_digits(v, p, m) for v in range(q))
-    low = next((low for low in lows if _is_primitive(low, p, q)), None)
-    if low is None:
         raise ArithmeticError(f"no primitive polynomial found for GF({q})")
     spec = FieldSpec(p, m, tuple(low) + (1,), _antilog(low, p, q))
 
@@ -453,7 +425,7 @@ def field_from_modulus(p: int, m: int, coeffs) -> FieldSpec:
     if coeffs == canonical.modulus:
         return canonical
 
-    if not _is_primitive(coeffs[:m], p, q):
+    if not _has_order([coeffs[:m]], p, q - 1)[0]:
         raise ValueError(
             f"modulus {coeffs} is not a primitive polynomial over GF({p})"
         )

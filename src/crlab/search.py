@@ -279,20 +279,27 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     p, m = prime_power(q)
-    P = (q ** r - 1) // (q - 1)
     n_min = max(r, 2)
     # the cheap refusals come first, so that no count below is summed
-    # over a huge n_max or P.  A node's weights are one int with a field
-    # of `width` bytes per message; no field passes the depth, so adding
-    # a column's hits never carries into the next field.  A set holds at
+    # over a huge n_max or P, and P = (q^r - 1)/(q - 1) >= q^(r-1), of at
+    # least `bits` bits, is formed only once it is known to be small or
+    # n_max is as long.  A node's weights are one int with a field of
+    # `width` bytes per message; no field passes the depth, so adding a
+    # column's hits never carries into the next field.  A set holds at
     # most P columns, so a set census descends no deeper than P
-    deepest = min(n_max, P) if projective else n_max
+    bits = (r - 1) * (q.bit_length() - 1) + 1
+    deepest = n_max
+    if projective and n_max.bit_length() >= bits:
+        deepest = min(n_max, (q ** r - 1) // (q - 1))
     width = next((w for w in _FIELD_FORMATS if deepest < 1 << 8 * w), None)
     if width is None:
         raise budgets.BudgetExceeded(
             f"census would descend to depth {deepest}, past its 8-byte "
             f"weight fields")
-    budgets.check_enum(P * P, f"census incidence table of PG({r - 1},{q})")
+    what = f"census incidence table of PG({r - 1},{q})"
+    budgets.check_enum_bits(2 * bits - 1, what)
+    P = (q ** r - 1) // (q - 1)
+    budgets.check_enum(P * P, what)
     # every searched tuple holds B0; the rest is a set (multiset) of
     # n - r points drawn from the P - r (P) others
     if projective:

@@ -967,6 +967,20 @@ HUGE_HEADER = ("field 2 1 poly 1 1\ncode 3 1099999999999999999999\n"
                "1 0 1\n1 1 0\n0 1 1\n")
 
 
+# run argv[1:] as a child and print its exit status, stderr, wall time
+# and peak RSS; a new wrapper per command, so that the peak is its own
+_PEAK_WRAPPER = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.run(sys.argv[1:], capture_output=True, text=True,
+                      timeout=60)
+print(json.dumps({
+    "status": proc.returncode, "stderr": proc.stderr,
+    "seconds": time.perf_counter() - start,
+    "peak_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))
+"""
+
+
 @pytest.mark.parametrize("argv, status, message", [
     (["report", "huge.gfc"], 2,
      "huge.gfc:3: expected 1099999999999999999999 entries, got 3"),
@@ -978,13 +992,29 @@ HUGE_HEADER = ("field 2 1 poly 1 1\ncode 3 1099999999999999999999\n"
      "complementary generator entries needs 6299999999999999999982 items"),
     (["construct", "--family", "ext-hamming", "--m", "30"], 1,
      "CR.1 generator (m = 30) entries needs 33285996544 items"),
+    (["search", "classify", "--q", "2", "--r", "100000000", "--n-max", "3"],
+     1, "census incidence table of PG(99999999,2) needs at least "
+     "2^199999998 items"),
+    (["construct", "--family", "dm-dual", "--q", "2", "--l", "1", "--h",
+      "100000000"], 1,
+     "CR.2 dual generator for D(2^1,2^100000000) entries needs at least "
+     "2^200000001 items"),
+    (["dm", "--p", "2", "--l", "1", "--h", "100000000"], 1,
+     "difference matrix D(2^1,2^100000000) entries needs 2^200000002 items"),
+    (["construct", "--family", "ext-hamming", "--m", "1000000000"], 1,
+     "CR.1 generator (m = 1000000000) entries needs at least 2^1000000029 "
+     "items"),
 ], ids=["report-huge-n", "dual-huge-n", "complement-huge-n",
-        "complement-huge-s", "ext-hamming-m30"])
+        "complement-huge-s", "ext-hamming-m30", "census-huge-r",
+        "dm-dual-huge-h", "dm-huge-h", "ext-hamming-huge-m"])
 def test_console_script_refuses_at_once(argv, status, message, tmp_path):
     """Inputs past any feasible size get an error line and their exit
-    status from the console script within 10 s, never a traceback.  When
-    the package is not installed, its entry point crlab.cli:main runs in
-    a new interpreter instead."""
+    status from the console script within 10 s, never a traceback, and
+    the child peaks below 80 MB.  A count that is a power of a huge
+    exponent is refused from the exponent, before any power is formed
+    (forming 2^(2 10^8) as a Python int and squaring it took over 60 s,
+    or 169 MB).  When the package is not installed, its entry point
+    crlab.cli:main runs in a new interpreter instead."""
     (tmp_path / "huge.gfc").write_text(HUGE_HEADER)
     fileio.write_gfc(tmp_path / "bb4.gfc", cr4_bose_bush(4).two_weight_code)
     src = os.path.dirname(os.path.dirname(os.path.abspath(crlab.__file__)))
@@ -994,14 +1024,15 @@ def test_console_script_refuses_at_once(argv, status, message, tmp_path):
     command = [script] if script else [
         sys.executable, "-c",
         "import sys; from crlab.cli import main; sys.exit(main())"]
-    start = time.perf_counter()
-    proc = subprocess.run(command + argv, cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == status, proc.stderr
-    assert proc.stderr.startswith(f"error: {message}"), proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert elapsed < 10
+    proc = subprocess.run([sys.executable, "-c", _PEAK_WRAPPER, *command,
+                           *argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["status"] == status, got["stderr"]
+    assert got["stderr"].startswith(f"error: {message}"), got["stderr"]
+    assert "Traceback" not in got["stderr"]
+    assert got["seconds"] < 10
+    assert got["peak_mb"] < 80
 
 
 def _first_in_fresh_process(argv, cwd) -> tuple:

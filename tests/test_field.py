@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from crlab import field
-from crlab.field import (PRIMALITY_LIMIT, Q_LIMIT, _antilog,
-                         _int_power_is_one, _matrix_power_is_one,
+from crlab.field import (PRIMALITY_LIMIT, Q_LIMIT, _antilog, _has_order,
                          _prime_factors, digit_add, field_create,
                          field_from_modulus, is_prime, prime_power)
 from oracles import field_matmul, trial_is_prime, trial_prime_power
@@ -80,19 +79,30 @@ def _candidates(p: int, m: int):
 
 
 # large fields within the supported q <= 2^20, pinned to the moduli the
-# power chain found
+# power chain found; the last five to those the one-modulus certificates
+# found before the batched one.  GF(1021^2)'s is candidate 1031, past the
+# first block
 LARGE_MODULI = {
     (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
     (3, 12): (2, 2, 2, 1, 2) + (0,) * 7 + (1,),
     (5, 8): (3, 2, 1, 0, 0, 0, 0, 0, 1),
     (17, 4): (11, 1, 0, 0, 1),
     (1048573, 1): (1048571, 1),
+    (1021, 2): (10, 1, 1),
+    (101, 3): (3, 1, 0, 1),
+    (31, 4): (17, 2, 0, 0, 1),
+    (13, 5): (2, 4, 0, 0, 0, 1),
+    (7, 7): (2, 6, 0, 0, 0, 0, 0, 1),
 }
 
 
-def test_large_field_moduli_pinned():
+def test_large_field_moduli_pinned(monkeypatch):
     """Canonical moduli and a full table of the largest supported fields:
-    every power of alpha once, and alpha^(q-1) = 1."""
+    every power of alpha once, and alpha^(q-1) = 1.  A private cache,
+    emptied after each field: the two tables of a field near 2^20 take
+    40 MB."""
+    cache = {}
+    monkeypatch.setattr(field, "_FIELD_CACHE", cache)
     for (p, m), coeffs in LARGE_MODULI.items():
         f = field_create(p, m)
         assert f.modulus == coeffs
@@ -100,6 +110,7 @@ def test_large_field_moduli_pinned():
         assert powers[0] == 1
         assert np.array_equal(np.sort(powers), np.arange(1, f.q))
         assert f.mul(powers[-1], f.alpha) == 1
+        cache.clear()
 
 
 def _prime_powers(limit: int):
@@ -195,33 +206,58 @@ def test_tables_are_read_only(p, m):
     assert not f.antilog[z:].any()
 
 
+def _matrix_power_is_one(low, p: int, e: int) -> bool:
+    """Whether x^e = 1 modulo the monic modulus with low coefficients low,
+    one modulus at a time: square-and-multiply on the m x m matrix whose
+    row j holds the digits of x^(j+1), and x^e = 1 when row 0 of its
+    power is (1, 0, ...)."""
+    m = len(low)
+    base = np.eye(m, k=1, dtype=np.int64)
+    base[m - 1] = [-c % p for c in low]
+    acc = np.eye(m, dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = acc @ base % p
+        base = base @ base % p
+        e >>= 1
+    return acc[0, 0] == 1 and not acc[0, 1:].any()
+
+
+def _matrix_has_order(low, p: int, n: int) -> bool:
+    return _matrix_power_is_one(low, p, n) and not any(
+        _matrix_power_is_one(low, p, n // l) for l in _prime_factors(n))
+
+
 def _matrix_modulus(p: int, m: int) -> list:
-    """The canonical search run on the numpy matrix certificate."""
+    """The canonical search run on the one-modulus matrix certificate."""
     q = p ** m
-    primes = _prime_factors(q - 1)
     lows = ([p - g] for g in range(1, p)) if m == 1 else (
         [v // p ** i % p for i in range(m)] for v in itertools.count())
     return next(low for low in lows
-                if low[0] and _matrix_power_is_one(low, p, q - 1)
-                and not any(_matrix_power_is_one(low, p, (q - 1) // l)
-                            for l in primes))
+                if low[0] and _matrix_has_order(low, p, q - 1))
 
 
-def test_int_certificate_matches_matrix_certificate(monkeypatch):
-    """Degrees m <= 3 exponentiate with Python ints.  On random moduli and
-    exponents they agree with the numpy matrices, and on a seeded sample
-    of large p (p < 1100 for m = 2, p < 120 for m = 3, the largest of each
-    included) the search finds the modulus, and so the antilog table,
-    that the matrix certificate finds."""
+def test_batched_certificate_matches_matrix_certificate(monkeypatch):
+    """The batched certificate decides every row of a block as the
+    one-modulus matrix certificate decides it alone: on random moduli and
+    exponents, one modulus at a time and as one block at each field's
+    q - 1, and on a seeded sample of large p (p < 1100 for m = 2, p < 120
+    for m = 3, the largest of each included) the search finds the
+    modulus, and so the antilog table, that the matrix certificate
+    finds."""
     rng = random.Random(22)
     for p, m in ((2, 2), (3, 3), (5, 1), (7, 2), (1021, 2), (101, 3),
                  (1048573, 1)):
+        lows = []
         for _ in range(40):
             low = [rng.randrange(p) for _ in range(m)]
             e = rng.choice([p ** m - 1, (p ** m - 1) // 2 or 1,
                             rng.randrange(1, 1 << 24)])
-            assert _int_power_is_one(low, p, e) == \
-                _matrix_power_is_one(low, p, e), (p, low, e)
+            lows.append(low)
+            assert _has_order([low], p, e).tolist() == \
+                [_matrix_has_order(low, p, e)], (p, low, e)
+        assert _has_order(lows, p, p ** m - 1).tolist() == \
+            [_matrix_has_order(low, p, p ** m - 1) for low in lows], (p, m)
     sample = []
     for m, bound, count in ((2, 1100, 4), (3, 120, 4), (1, 1 << 20, 2)):
         primes = [p for p in range(2, bound)
