@@ -17,7 +17,7 @@ from .conditions import (power_decomposition, two_weight_counts,
 from .families import (FamilyInstance, cr1_extended_hamming, cr2_dm_dual,
                        cr3_mds_dual, cr4_bose_bush, cr5_delsarte,
                        cr6_denniston, family_match)
-from .search import classify_report, search_antipodal_duals, search_arcs
+from .search import search_antipodal_duals, search_arcs
 from .report import CodeReport, build_code_report
 
 __version__ = "0.1.0"
@@ -35,6 +35,6 @@ __all__ = [
     "cardinality_window_check", "complement_valuation_check",
     "FamilyInstance", "cr1_extended_hamming", "cr2_dm_dual", "cr3_mds_dual",
     "cr4_bose_bush", "cr5_delsarte", "cr6_denniston", "family_match",
-    "classify_report", "search_antipodal_duals", "search_arcs",
+    "search_antipodal_duals", "search_arcs",
     "CodeReport", "build_code_report",
 ]

@@ -35,16 +35,6 @@ def _read(var: str, default: int) -> int:
     return value
 
 
-def enum_budget() -> int:
-    """Maximum number of codewords a direct enumeration may visit."""
-    return _read(ENUM_BUDGET_VAR, DEFAULT_ENUM_BUDGET)
-
-
-def synd_budget() -> int:
-    """Maximum number of syndromes a coset-leader BFS may visit."""
-    return _read(SYND_BUDGET_VAR, DEFAULT_SYND_BUDGET)
-
-
 def _amount(count: int, power) -> str:
     """count in decimal up to 256 bits (Python prints no int of more than
     4300 digits), past that as in :func:`_large`."""

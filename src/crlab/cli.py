@@ -315,20 +315,20 @@ def cmd_search_arcs(args, parser) -> int:
 
 def cmd_search_classify(args, parser) -> int:
     try:
-        table = search.classify_report(args.q, args.r, args.n_max,
-                                       projective=args.projective)
+        entries = search.search_antipodal_duals(args.q, args.r, args.n_max,
+                                                projective=args.projective)
     except ValueError as exc:
         parser.error(str(exc))
     if args.as_json:
         doc = {
-            "q": table.q, "r": table.r, "n_max": table.n_max,
-            "note": table.header_note,
-            "entries": [_census_entry_dict(e) for e in table.entries],
+            "q": args.q, "r": args.r, "n_max": args.n_max,
+            "note": search.CENSUS_NOTE,
+            "entries": [_census_entry_dict(e) for e in entries],
         }
         print(fileio.dumps_json(doc))
     else:
-        print(search.render_table(table))
-    unmatched = table.unmatched
+        print(search.render_table(entries))
+    unmatched = [e for e in entries if e.unmatched]
     if unmatched and args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         p, m = prime_power(args.q)

@@ -15,9 +15,9 @@ trailing generator rows are spanned once into a block of at most
 ``_BLOCK_CELLS`` cells; every message led by one of the remaining rows
 is a prefix word added to that whole block, so memory stays bounded by
 the block whatever q^k is.
-``codewords()`` still materialises every word as a tuple; it is the
-input of the brute-force oracles and the reference the kernel is tested
-against.
+``codewords()`` lists every word as a tuple, off the same
+:func:`crlab.field.span`; only the brute-force oracle of ``regularity``
+reads it.
 
 A point of PG(k-1, q) is a row of an array in the field's element dtype:
 its representative, scaled so that the first nonzero entry is 1.
@@ -154,7 +154,7 @@ class LinearCode:
         budgets.check_enum(self.q ** self.k,
                            f"enumerating [{self.n},{self.k}]_{self.q} code",
                            (self.q, self.k))
-        return list(_span(self.field, self.G))
+        return list(map(tuple, span(self.field, self.G.rows).tolist()))
 
     def weight_distribution(self) -> WeightDistribution:
         """Exact counts by direct enumeration: one message per scalar
@@ -180,19 +180,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
-
-
-def _span(field: FieldSpec, G: MatGF):
-    """Iterate all codewords by extending partial sums row by row."""
-    n = G.ncols
-    words = [(0,) * n]
-    add = field.add
-    mul = field.mul
-    for row in G.rows:
-        scaled = [tuple(mul(c, x) for x in row) for c in range(field.q)]
-        words = [tuple(add(a, b) for a, b in zip(w, s))
-                 for w in words for s in scaled]
-    return words
 
 
 def _weight_counts(field: FieldSpec, G: MatGF) -> list:
@@ -259,10 +246,6 @@ class CodewordMatrix:
         self.rows = rows
         self.N = len(rows)
         self.n = n
-
-    @classmethod
-    def from_code(cls, code: LinearCode) -> "CodewordMatrix":
-        return cls(code.field, code.codewords())
 
     def __repr__(self):
         return f"CodewordMatrix({self.N} x {self.n} over GF({self.field.q}))"

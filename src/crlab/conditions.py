@@ -23,11 +23,6 @@ class ConditionCheck:
     satisfied: bool | None
     witnesses: dict = dc_field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        """Holds unless the check applies and fails."""
-        return (not self.applicable) or bool(self.satisfied)
-
 
 def p_valuation(a: int, p: int) -> int:
     """Largest gamma with p^gamma dividing a (a > 0)."""

@@ -317,7 +317,7 @@ def family_match(n: int, k: int, q: int, dual_weights,
                     and dual_weights == frozenset({q * (h - 1), n}):
                 out.append(("CR6", {"q": q, "h": h}))
     if out and ia is not None \
-            and not ia.same_array(delsarte_ia(n, q, n - k, 1, dual_weights)):
+            and ia != delsarte_ia(n, q, n - k, 1, dual_weights):
         return []
     return out
 

@@ -21,21 +21,21 @@ The supported field order is bounded by Q_LIMIT = 2^20.  Each field
 holds one log and one antilog table, read-only intp arrays built once at
 creation (see :class:`FieldSpec`).  The scalar operations (``mul``,
 ``inv``, ``pow``, ``trace``) read single entries of them and return
-Python ints; :meth:`FieldSpec.mul_array` and
-:meth:`FieldSpec.inv_array` index them with whole arrays, for the weight
-kernel, the RREF's row operations, the difference-matrix multiplication
-table and the syndrome deltas.  The antilog table is built by block
-doubling: the digits of x^0 .. x^(L-1) times the matrix of x^L give the
-next L powers, one array product per doubling for every degree m.
+Python ints; :meth:`FieldSpec.mul_array` indexes them with whole arrays,
+for the weight kernel, the RREF's row operations, the difference-matrix
+multiplication table and the syndrome deltas.  The antilog table is
+built by block doubling: the digits of x^0 .. x^(L-1) times the matrix
+of x^L give the next L powers, one array product per doubling for every
+degree m.
 
 Addition is digit-wise mod p on these encodings, and so is addition of
 any vector of field elements packed in base q = p^m: such a vector is a
 base-p integer with one digit per coordinate coefficient.  That
 digit-wise sum (and difference) lives only in :func:`digit_add`, which
 works on Python ints and on integer numpy arrays alike.  The element
-methods ``add``/``sub``/``neg`` call it on ints, :func:`span` and the
-row operations of ``matrix`` on arrays, and the q x q group tables of
-``diffmat`` come from :func:`digit_table`, which is built on it.
+method ``add`` calls it on ints, :func:`span` and the row operations of
+``matrix`` on arrays, and the q x q group tables of ``diffmat`` come
+from :func:`digit_table`, which is built on it.
 
 :func:`span` forms every combination of a few rows, with coefficients
 from the field or a subset of it: the block of the point-word kernel
@@ -155,14 +155,6 @@ def span(f: "FieldSpec", rows, coeffs=None) -> np.ndarray:
         block = digit_add(mults[:, None], block, f.p, f.m)
         block = block.reshape(-1, rows.shape[1])
     return block
-
-
-def _digits(value: int, p: int, m: int) -> list[int]:
-    out = []
-    for _ in range(m):
-        out.append(value % p)
-        value //= p
-    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -292,12 +284,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return digit_add(a, b, self.p, self.m)
 
-    def neg(self, a: int) -> int:
-        return digit_add(0, a, self.p, self.m, -1)
-
-    def sub(self, a: int, b: int) -> int:
-        return digit_add(a, b, self.p, self.m, -1)
-
     def mul(self, a: int, b: int) -> int:
         log = self.log
         return self.antilog.item(log.item(a) + log.item(b))
@@ -306,15 +292,6 @@ class FieldSpec:
         """Elementwise a*b over integer arrays of elements (broadcasting
         as usual), as intp."""
         return self.antilog[self.log[a] + self.log[b]]
-
-    def inv_array(self, a) -> np.ndarray:
-        """Elementwise inverse over an integer array of nonzero elements,
-        as intp; ZeroDivisionError if any element is zero.  alpha^-l is
-        alpha^(q-1-l)."""
-        a = np.asarray(a)
-        if not a.all():
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.antilog[self.q - 1 - self.log[a]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -339,12 +316,6 @@ class FieldSpec:
             x = self.pow(x, self.p)
             acc = self.add(acc, x)
         return acc
-
-    # -- encodings ----------------------------------------------------------
-
-    def coeffs(self, a: int) -> tuple:
-        """Little-endian coefficient vector of the element, length m."""
-        return tuple(_digits(a, self.p, self.m))
 
     # -- identity -----------------------------------------------------------
 

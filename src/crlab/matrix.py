@@ -141,9 +141,6 @@ class MatGF:
         return (isinstance(other, MatGF) and self.field == other.field
                 and np.array_equal(self.rows, other.rows))
 
-    def __hash__(self):
-        return hash((self.field, self.rows.shape, self.rows.tobytes()))
-
     def __repr__(self):
         return f"MatGF({self.nrows}x{self.ncols} over GF({self.field.q}))"
 

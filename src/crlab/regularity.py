@@ -137,9 +137,6 @@ class IntersectionArray:
             sizes.append(size)
         return tuple(sizes)
 
-    def same_array(self, other: "IntersectionArray") -> bool:
-        return self.rho == other.rho and self.b == other.b and self.c == other.c
-
     def __str__(self):
         bs = ",".join(str(x) for x in self.b)
         cs = ",".join(str(x) for x in self.c)
@@ -259,11 +256,12 @@ def _scatter(conv, sources, deltas, p: int, ndigits: int, orbit) -> None:
 
     The pairs of sources and deltas are counted on cells, so a target is
     counted once for every source of S that reaches it, in runs of about
-    max(cells, 2^12) pairs per np.bincount.  A large space with no map
-    instead adds one distinct delta to a run of at most size/16 sources,
-    or every distinct delta to one source, per fancy-index add: no index
-    repeats within one, and the temporaries stay a fraction of a buffer.
-    :func:`_scatter_cheaper` counts these calls."""
+    max(cells, 2^12) pairs per np.bincount.  A large space with no map,
+    which in production means q = 2 (every q > 2 space past _MAPPED has
+    one), instead adds one distinct delta to a run of at most size/16
+    sources, or every distinct delta to one source, per fancy-index add:
+    no index repeats within one, and the temporaries stay a fraction of a
+    buffer.  :func:`_scatter_cheaper` counts these calls."""
     size = conv.size
     conv.fill(0)
     if orbit is None and size > _COUNTED:
@@ -631,8 +629,9 @@ class BruteResult:
 def brute_subconstituents(code: LinearCode) -> BruteResult:
     """Independent oracle: distance to the code for every vector of the
     full space, then the neighbor-count definition checked over vectors.
-    Only feasible for q^n <= 2^20.  It starts from ``code.codewords()``
-    and never touches syndromes, the parity-check matrix or the dual.
+    Only feasible for q^n <= 2^20.  It starts from ``code.codewords()``,
+    the rows of :func:`crlab.field.span`, and never touches syndromes,
+    the parity-check matrix or the dual.
 
     Vectors are packed in radix q (coordinate i weighs q^i), so the space
     viewed as a (q^(n-1-i), q, q^i) array has the coordinate-i lines of

@@ -231,7 +231,6 @@ class CensusEntry:
     completely_regular: bool
     ia: IntersectionArray | None
     dual_k: int
-    dual_d_ge3: bool               # multiset has no repeated point
     trivial: bool
     trivial_reason: str
     families: tuple                # (family, params) pairs
@@ -436,7 +435,6 @@ def _census_entry(key, chosen, count, repetition_of, points, q,
         q=q, r=r, n=n, weights=weights,
         rho=rho if rho is not None else -1,
         completely_regular=cr, ia=ia, dual_k=n - r,
-        dual_d_ge3=len(set(chosen)) == n,
         trivial=bool(reasons),
         trivial_reason="; ".join(reasons),
         families=fams,
@@ -464,31 +462,15 @@ def _repetition_annotation(chosen, n, weights, q, r) -> tuple:
     return (s, matches) if matches else ()
 
 
-@dataclass(frozen=True)
-class ClassifyTable:
-    q: int
-    r: int
-    n_max: int
-    entries: tuple
-    header_note: str = ("family matching is parameter-level "
-                        "(n, k, q, weights, intersection array)")
-
-    @property
-    def unmatched(self) -> tuple:
-        return tuple(e for e in self.entries if e.unmatched)
+CENSUS_NOTE = ("family matching is parameter-level "
+               "(n, k, q, weights, intersection array)")
 
 
-def classify_report(q: int, r: int, n_max: int,
-                    projective: bool = False) -> ClassifyTable:
-    entries = search_antipodal_duals(q, r, n_max, projective=projective)
-    return ClassifyTable(q=q, r=r, n_max=n_max, entries=tuple(entries))
-
-
-def render_table(table: ClassifyTable) -> str:
-    lines = ["#" + table.header_note,
+def render_table(entries) -> str:
+    lines = ["#" + CENSUS_NOTE,
              "\t".join(["n", "weights", "dual_k", "rho", "CR", "IA",
                         "families", "count", "status"])]
-    for e in table.entries:
+    for e in entries:
         fams = ",".join(f"{f}{p}" for f, p in e.families) or "-"
         if e.repetition_of:
             s, matches = e.repetition_of

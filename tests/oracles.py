@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from crlab.codes import LinearCode
+from crlab.codes import CodewordMatrix, LinearCode
 from crlab.diffmat import (DifferenceMatrix, is_additive_group,
                            is_difference_matrix)
 from crlab.families import _char2_field
@@ -57,6 +57,31 @@ def trial_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def coeffs(f: FieldSpec, a: int) -> tuple:
+    """Little-endian coefficient vector of the element a, length m."""
+    return tuple(a // f.p ** i % f.p for i in range(f.m))
+
+
+def tuple_span(f: FieldSpec, rows, n: int, scalars=None) -> list:
+    """Every combination of the rows of length n, coefficients from
+    scalars (all of GF(q) when None), as tuples of Python ints: each row
+    extends every partial sum by each of its multiples, so row 0 is most
+    significant."""
+    words = [(0,) * n]
+    for row in rows:
+        scaled = [tuple(f.mul(c, x) for x in row)
+                  for c in (range(f.q) if scalars is None else scalars)]
+        words = [tuple(f.add(a, b) for a, b in zip(w, s))
+                 for w in words for s in scaled]
+    return words
+
+
+def codeword_matrix(code: LinearCode) -> CodewordMatrix:
+    """All q^k codewords of the code as a CodewordMatrix, by tuple_span."""
+    return CodewordMatrix(code.field, tuple_span(code.field, code.G.rows,
+                                                 code.n))
+
+
 def field_matmul(f: FieldSpec, a, b) -> np.ndarray:
     """a @ b over the field for 2-d integer arrays of elements, as intp.
 
@@ -79,7 +104,7 @@ def loop_subfield_embedding(big: FieldSpec, small: FieldSpec) -> list:
     out = []
     for e in range(small.q):
         acc = 0
-        for i, d in enumerate(small.coeffs(e)):
+        for i, d in enumerate(coeffs(small, e)):
             acc = big.add(acc, big.mul(d, big.pow(root, i)))
         out.append(acc)
     return out
@@ -189,13 +214,15 @@ def antipodal_form_check(code: LinearCode) -> FormVerdict:
     subcode hold each of its symbols exactly n - d* times, d* its
     minimum weight.  True exactly when the code is antipodal two-weight."""
     f = code.field
-    full = next((w for w in code.codewords() if all(w)), None)
+    full = next((w for w in tuple_span(f, code.G.rows, code.n) if all(w)),
+                None)
     if full is None:
         return FormVerdict(False, "no codeword without zero coordinates; "
                                   "cannot normalize an all-ones row")
     scale = [f.inv(x) for x in full]
     scaled = LinearCode(f, MatGF(f, f.mul_array(code.G.rows, scale)))
-    star = [w for w in scaled.codewords() if w[0] == 0 and any(w)]
+    star = [w for w in tuple_span(f, scaled.G.rows, code.n)
+            if w[0] == 0 and any(w)]
     if not star:
         return FormVerdict(False, "first-coordinate-zero subcode is trivial")
     mu = code.n - min(sum(1 for x in w if x) for w in star)

@@ -230,10 +230,12 @@ def test_syndrome_budget_covers_profiles_only(tmp_path, capsys, monkeypatch):
     assert captured.out == "" and budgets.SYND_BUDGET_VAR in captured.err
 
 
-def test_report_refuses_a_syndrome_space_too_long_to_print(tmp_path, capsys):
+def test_report_refuses_a_syndrome_space_too_long_to_print(tmp_path, capsys,
+                                                          monkeypatch):
     """The [716,1] all-ones code over GF(2^20) has 1048576^715 syndromes,
     a count of more than 4300 digits: the refusal names it as q^r and
     exits 1 instead of failing to print it."""
+    monkeypatch.delenv(budgets.SYND_BUDGET_VAR, raising=False)
     f = field_create(2, 20)
     path = tmp_path / "ones716.gfc"
     fileio.write_gfc(path, LinearCode.from_rows(f, [[1] * 716]))
@@ -242,7 +244,7 @@ def test_report_refuses_a_syndrome_space_too_long_to_print(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: profile of [716,1]_1048576 code needs 1048576^715 "
-        f"syndromes, over the limit {budgets.synd_budget()} "
+        f"syndromes, over the limit {budgets.DEFAULT_SYND_BUDGET} "
         f"(raise {budgets.SYND_BUDGET_VAR} to allow)\n")
 
 
@@ -291,7 +293,7 @@ def test_difference_matrix_too_long_to_print_is_refused(argv, what, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {what}, over the limit {budgets.enum_budget()} "
+        f"error: {what}, over the limit {budgets.DEFAULT_ENUM_BUDGET} "
         f"(raise {budgets.ENUM_BUDGET_VAR} to allow)\n")
 
 
@@ -673,6 +675,22 @@ def test_search_classify_command(capsys):
                 "--n-max", "6", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert all(not e["unmatched"] for e in doc["entries"])
+
+
+def test_search_classify_dumps_unmatched_entries(tmp_path, capsys,
+                                                 monkeypatch):
+    """With family matching switched off, the PG(2, 4) hyperovals are an
+    UNMATCHED entry: the command exits 1 and writes its example columns
+    as a generator."""
+    from crlab import search
+    monkeypatch.setattr(search, "family_match", lambda *args: [])
+    assert run(["search", "classify", "--q", "4", "--r", "3", "--n-max", "6",
+                "--projective", "--dump-dir", str(tmp_path)]) == 1
+    path = tmp_path / "unmatched_4_3_0.gfc"
+    assert capsys.readouterr().out.splitlines()[-1] == f"dumped {path}"
+    code = fileio.read_gfc(str(path)).code
+    assert (code.n, code.k, code.q) == (6, 3, 4)
+    assert code.weight_distribution().nonzero_weights == (4, 6)
 
 
 def test_dual_command(tmp_path, capsys):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from conftest import (column_point_counts, min_distance, normalize_point,
                       row_space_equal)
-from oracles import concatenate, equidistant_check, field_matmul, krawtchouk
+from oracles import (concatenate, equidistant_check, field_matmul, krawtchouk,
+                     tuple_span)
 
 from crlab import budgets, codes, matrix
 from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
@@ -527,7 +528,7 @@ def test_auto_enumerates_the_smaller_side(monkeypatch):
 
 def _counts_from_codewords(code):
     counts = [0] * (code.n + 1)
-    for w in code.codewords():
+    for w in tuple_span(code.field, code.G.rows, code.n):
         counts[sum(1 for x in w if x)] += 1
     return tuple(counts)
 
@@ -583,6 +584,22 @@ def test_weight_kernel_head_tail_split(monkeypatch, cells):
             fresh = LinearCode(code.field, code.G)
             assert fresh.weight_distribution().counts == \
                 _counts_from_codewords(code), code
+
+
+def test_codewords_match_tuple_span(family_grid, monkeypatch):
+    """codewords() lists the rows of field.span as tuples of ints, in the
+    tuple oracle's order (row 0 most significant), on the grid sides with
+    q^k <= 2^12 and the random kernel cases; it is charged q^k words."""
+    codes_ = [c for entry in family_grid for c in (entry.tw, entry.cr)
+              if c.q ** c.k <= 1 << 12] + _kernel_cases()
+    for code in codes_:
+        got = code.codewords()
+        assert got == tuple_span(code.field, code.G.rows, code.n), code
+        assert all(type(x) is int for x in got[-1]), code
+    bb = bose_bush_4()
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, str(4 ** 3 - 1))
+    with pytest.raises(budgets.BudgetExceeded):
+        bb.codewords()
 
 
 def _point_words_oracle(code):

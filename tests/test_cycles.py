@@ -56,7 +56,7 @@ CALLS = {
     "arcs-16-18": lambda: search.search_arcs(16, 18),
     "arcs-5-6-count": lambda: search.search_arcs(5, 6, count_all=True),
     "census-3-3-9": lambda: search.search_antipodal_duals(3, 3, 9),
-    "census-4-3-6-projective": lambda: search.classify_report(
+    "census-4-3-6-projective": lambda: search.search_antipodal_duals(
         4, 3, 6, projective=True),
     "family-complete-regularity": lambda: complete_regularity(
         cr6_denniston(8, 2).cr_code),

@@ -95,7 +95,7 @@ def test_closed_form_matches_profile(sides):
     for s in qualifying:
         assert s.result is not None, s.label
         assert s.result.ia is not None, s.label
-        assert s.result.ia.same_array(s.closed), \
+        assert s.result.ia == s.closed, \
             (s.label, s.result.ia, s.closed)
     assert len(sides) == 258 and len(qualifying) == 99
     kinds = {s.label[0] for s in qualifying}
@@ -113,12 +113,11 @@ def test_closed_form_none_exactly_below_the_bound(sides):
                and s.result.is_completely_regular]
     assert outside
     assert delsarte_ia(7, 2, 3, 0, (4, 6)) is None
-    assert delsarte_ia(7, 2, 3, 1, (4,)).same_array(
-        IntersectionArray(1, (7,), (1,), n=7, q=2))
+    assert delsarte_ia(7, 2, 3, 1, (4,)) == IntersectionArray(
+        1, (7,), (1,), n=7, q=2)
     # the whole space: no dual weights, rho = 0
     whole = LinearCode.from_rows(field_create(3, 1), np.eye(4, dtype=int))
-    assert delsarte_ia(4, 3, 0, 0, ()).same_array(
-        complete_regularity(whole).ia)
+    assert delsarte_ia(4, 3, 0, 0, ()) == complete_regularity(whole).ia
 
 
 def _char_poly(ia: IntersectionArray, x: int) -> int:
@@ -158,9 +157,9 @@ def test_grid_duals_have_distance_3_or_4(family_grid):
         d = min_distance(entry.cr)
         assert d in (3, 4), (entry.label, d)
         weights = entry.tw_wd.nonzero_weights
-        assert entry.instance.predicted_ia.same_array(delsarte_ia(
-            entry.cr.n, entry.cr.q, entry.tw.k, packing_radius(d), weights))
-        assert entry.instance.predicted_ia.same_array(entry.cr_result.ia)
+        assert entry.instance.predicted_ia == delsarte_ia(
+            entry.cr.n, entry.cr.q, entry.tw.k, packing_radius(d), weights)
+        assert entry.instance.predicted_ia == entry.cr_result.ia
 
 
 def _family_parameter_sets():
@@ -194,7 +193,7 @@ def test_closed_form_matches_family_formulas():
         weights = expected_weights(kind, params)
         want = expected_ia(kind, params)
         got = delsarte_ia(want.n, want.q, k, 1, weights)
-        assert got is not None and got.same_array(want), (kind, params)
+        assert got is not None and got == want, (kind, params)
         assert max(weights) == want.n
         count += 1
     assert count == 7635

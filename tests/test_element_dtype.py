@@ -11,7 +11,7 @@ from oracles import field_matmul, loop_phi_table
 from test_matrix import loop_rref
 
 from crlab import codes, diffmat, fileio
-from crlab.field import field_create
+from crlab.field import digit_add, field_create
 from crlab.matrix import MatGF
 
 # q = 2, 3, 4, 49, 128, 256, 2187 and 2^20
@@ -27,7 +27,7 @@ def loop_null_space(f, rows, ncols):
         v = [0] * ncols
         v[j] = 1
         for i, c in enumerate(pivots):
-            v[c] = f.neg(red[i][j])
+            v[c] = digit_add(0, red[i][j], f.p, f.m, -1)
         out.append(v)
     return out
 
@@ -35,8 +35,9 @@ def loop_null_space(f, rows, ncols):
 def loop_normalize(f, rows):
     """Each row shifted by its first entry, then the first row taken off
     every row, one element at a time."""
-    shifted = [[f.sub(x, r[0]) for x in r] for r in rows]
-    return [[f.sub(x, y) for x, y in zip(r, shifted[0])] for r in shifted]
+    shifted = [[digit_add(x, r[0], f.p, f.m, -1) for x in r] for r in rows]
+    return [[digit_add(x, y, f.p, f.m, -1) for x, y in zip(r, shifted[0])]
+            for r in shifted]
 
 
 def assert_elements(f, array, want, label):

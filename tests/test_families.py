@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import min_distance, row_space_equal
 from oracles import (antipodal_form_check, bush_closed_form_matrix,
-                     simplex_partition)
+                     codeword_matrix, simplex_partition)
 from test_acceptance import expected_ia
 from test_codes import transform_oracle
 
@@ -144,8 +144,8 @@ def test_cr2_constructs_sides_the_stacking_refused(p, l, h):
     assert inst.two_weight_code.k == (l + h) // l + 1
     ia = complete_regularity(inst.cr_code).ia
     assert ia is not None
-    assert ia.same_array(expected_ia("dm-dual", {"p": p, "l": l, "h": h}))
-    assert ia.same_array(inst.predicted_ia)
+    assert ia == expected_ia("dm-dual", {"p": p, "l": l, "h": h})
+    assert ia == inst.predicted_ia
 
 
 def test_cr3_region():
@@ -289,8 +289,8 @@ def test_delsarte_ia_pinned_values():
     assert ia.b == (196, 135) and ia.c == (1, 84)
     ia = delsarte_ia(10, 8, 3, 1, (8, 10))
     assert ia.b == (70, 63) and ia.c == (1, 10)
-    assert cr6_denniston(8, 4).predicted_ia.same_array(
-        delsarte_ia(28, 8, 3, 1, (24, 28)))
+    assert cr6_denniston(8, 4).predicted_ia == delsarte_ia(
+        28, 8, 3, 1, (24, 28))
 
 
 def test_antipodal_form_check_families():
@@ -333,7 +333,7 @@ def test_simplex_partition_dm_code():
 
 def test_simplex_partition_bose_bush_not_pdm():
     bb = cr4_bose_bush(4).two_weight_code
-    sp = simplex_partition(CodewordMatrix.from_code(bb), 4)
+    sp = simplex_partition(codeword_matrix(bb), 4)
     assert sp.is_simplex_partition and len(sp.classes) == 16
     assert not sp.pdm          # n = 6 < q(n - d) = 8
 
@@ -353,7 +353,7 @@ def test_simplex_partition_full_distance_rows():
     # weights {n}: mu = n - d = 0, so no non-constant row meets the
     # symbol clause and the n % mu test is never reached
     f = field_create(3, 1)
-    built = CodewordMatrix.from_code(LinearCode(f, MatGF(f, [[1, 2]])))
+    built = codeword_matrix(LinearCode(f, MatGF(f, [[1, 2]])))
     sp = simplex_partition(built, 3)
     assert sp.is_simplex_partition and sp.symbol_multiplicity_ok is False
 
@@ -402,7 +402,7 @@ def test_additive_group_matches_tuple_span():
                   (rows[1:], built.field, False),
                   (rows[:-1], built.field, False),
                   (rows + rows[:3], built.field, True)]
-    bb = CodewordMatrix.from_code(cr4_bose_bush(4).two_weight_code)
+    bb = codeword_matrix(cr4_bose_bush(4).two_weight_code)
     cases.append((bb.rows, bb.field, True))
     cases.append((bb.rows + ((1,) + (0,) * (bb.n - 1),), bb.field, False))
     gf2 = field_create(2, 1)

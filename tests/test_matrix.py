@@ -6,7 +6,7 @@ from conftest import row_space_equal
 from oracles import field_matmul
 
 from crlab import families
-from crlab.field import field_create
+from crlab.field import digit_add, field_create
 from crlab.matrix import MatGF, _dual_generator, _rref, _unit_columns
 
 
@@ -31,7 +31,7 @@ def loop_rref(f, rows, ncols):
         for i in range(len(work)):
             if i != rank and work[i][col]:
                 c = work[i][col]
-                work[i] = [f.sub(a, f.mul(c, b))
+                work[i] = [digit_add(a, f.mul(c, b), f.p, f.m, -1)
                            for a, b in zip(work[i], work[rank])]
         pivots.append(col)
         rank += 1

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import CONSTRUCT_SPEC, RANDOM_CODE_SHAPES, build_instance
+from oracles import codeword_matrix, tuple_span
 
 from crlab import budgets, families, regularity
 from crlab.codes import CodewordMatrix, LinearCode
@@ -102,7 +103,7 @@ def test_brute_agrees_with_syndrome_method():
         b = brute_subconstituents(code)
         assert a.is_completely_regular == b.is_completely_regular
         if a.ia is not None:
-            assert a.ia.same_array(b.ia)
+            assert a.ia == b.ia
 
 
 def test_subconstituent_sizes_match_brute_histogram(family_grid):
@@ -166,7 +167,7 @@ def test_damaged_code_regression():
 
 def test_oa_strength_hadamard():
     had = cr1_extended_hamming(3).two_weight_code
-    assert oa_strength(CodewordMatrix.from_code(had), 2) == 3
+    assert oa_strength(codeword_matrix(had), 2) == 3
 
 
 def test_oa_strength_full_space():
@@ -177,7 +178,7 @@ def test_oa_strength_full_space():
 
 def test_oa_strength_bose_bush():
     bb = cr4_bose_bush(4).two_weight_code
-    assert oa_strength(CodewordMatrix.from_code(bb), 4) >= 2
+    assert oa_strength(codeword_matrix(bb), 4) >= 2
 
 
 def test_oa_strength_unbalanced_column():
@@ -207,8 +208,7 @@ def test_report_oa_strength_matches_brute_force(family_grid):
         if c.q ** c.k * 2 ** c.n > 1 << 17 or c.q ** (c.n - c.k) > 1 << 16:
             continue
         rep = build_code_report(c)
-        assert rep.oa_strength == oa_strength(CodewordMatrix.from_code(c),
-                                              c.q), c
+        assert rep.oa_strength == oa_strength(codeword_matrix(c), c.q), c
         checked += 1
     assert checked >= 50
     assert build_code_report(zero_col).oa_strength == 0
@@ -241,7 +241,7 @@ def test_odd_characteristic_matches_brute():
     brute = brute_subconstituents(code)
     assert res.is_completely_regular == brute.is_completely_regular
     if res.ia:
-        assert res.ia.same_array(brute.ia)
+        assert res.ia == brute.ia
 
 
 def test_random_codes_syndrome_vs_brute():
@@ -255,7 +255,7 @@ def test_random_codes_syndrome_vs_brute():
         assert a.profile.rho == b.rho
         assert a.is_completely_regular == b.is_completely_regular
         if a.ia is not None:
-            assert a.ia.same_array(b.ia)
+            assert a.ia == b.ia
 
 
 # -- the full-space oracle against the digit loop ----------------------------
@@ -269,7 +269,8 @@ def _digit_loop_subconstituents(code):
     powers = [q ** i for i in range(n)]
     levels = np.full(space, -1, dtype=np.int8)
     sources = np.array([sum(x * pw for x, pw in zip(w, powers))
-                        for w in code.codewords()], dtype=np.int64)
+                        for w in tuple_span(code.field, code.G.rows, n)],
+                       dtype=np.int64)
     levels[sources] = 0
     frontier = sources
     depth = 0
@@ -447,9 +448,12 @@ FORCED_PLANS = {"scatter": lambda *args: True,
 FORCED_MAPS = {"mapped": 0, "unmapped": float("inf")}
 
 
-def forced_profile(code, plan, cells="mapped"):
+def forced_profile(code, plan=None, cells="mapped"):
+    """The profile on FORCED_PLANS[plan] (the per-level choice when plan
+    is None) and FORCED_MAPS[cells]."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularity, "_scatter_cheaper", FORCED_PLANS[plan])
+        if plan is not None:
+            mp.setattr(regularity, "_scatter_cheaper", FORCED_PLANS[plan])
         mp.setattr(regularity, "_MAPPED", FORCED_MAPS[cells])
         return SyndromeProfile(code)
 
@@ -562,15 +566,27 @@ def test_kernel_matches_loops_on_random_codes():
             assert_matches_loops(code.dual(), label=(q, seed, "dual"))
 
 
-def test_kernel_matches_loops_past_the_counted_spaces():
-    """Spaces over regularity._COUNTED syndromes scatter by fancy-index
-    adds, one shift to a run of cells or every shift to one cell: odd p,
-    prime and extension fields, and p = 2."""
+def test_kernel_matches_loops_past_the_counted_spaces(monkeypatch):
+    """Spaces over regularity._COUNTED syndromes with no orbit map scatter
+    by fancy-index adds, one shift to a run of cells or every shift to
+    one cell: odd p, prime and extension fields, and p = 2.  Only p = 2
+    has no map in production, so the odd p profiles choose their plan
+    on one syndrome a cell; every case takes that branch."""
+    scatter, fancy = regularity._scatter, []
+
+    def spy(conv, sources, deltas, p, ndigits, orbit):
+        fancy.append(orbit is None and conv.size > regularity._COUNTED)
+        scatter(conv, sources, deltas, p, ndigits, orbit)
+
+    monkeypatch.setattr(regularity, "_scatter", spy)
     for i, (q, n, k) in enumerate(((3, 12, 2), (9, 7, 2), (5, 9, 2),
                                    (2, 19, 3))):
         code = random_q_code(q, n, k, 1800 + i)
         assert code.q ** (code.n - code.k) > regularity._COUNTED
-        assert_matches_loops(code, label=(q, n, k))
+        fancy.clear()
+        prof = forced_profile(code, cells="unmapped" if q > 2 else "mapped")
+        assert prof.orbit is None and any(fancy), (q, n, k)
+        assert_matches_loops(code, prof, label=(q, n, k))
 
 
 def test_kernel_counts_at_the_count_dtype_limits():

@@ -10,12 +10,11 @@ from oracles import field_matmul
 
 from crlab import budgets, cli, regularity, search
 from crlab.codes import LinearCode, projective_points
-from crlab.field import field_create, prime_power
+from crlab.field import digit_add, field_create, prime_power
 from crlab.matrix import MatGF
 from crlab.regularity import brute_subconstituents, complete_regularity
-from crlab.search import (PlaneGeometry, SymmetryCountError,
-                          classify_report, render_table,
-                          search_antipodal_duals, search_arcs)
+from crlab.search import (CENSUS_NOTE, PlaneGeometry, SymmetryCountError,
+                          render_table, search_antipodal_duals, search_arcs)
 
 
 def is_arc(field, points) -> bool:
@@ -254,10 +253,11 @@ def _collinear_masks(field, points):
     when i == j).  A point k != i lies on the line through i and j iff the
     cross products i x k and i x j are proportional; each is scaled to
     lead with 1, in scalar field arithmetic."""
-    mul, sub = field.mul, field.sub
+    mul = field.mul
 
     def line_key(u, v):
-        line = [sub(mul(u[a], v[b]), mul(u[b], v[a]))
+        line = [digit_add(mul(u[a], v[b]), mul(u[b], v[a]), field.p,
+                          field.m, -1)
                 for a, b in ((1, 2), (2, 0), (0, 1))]
         scale = field.inv(next(x for x in line if x))
         return tuple(mul(scale, x) for x in line)
@@ -363,7 +363,7 @@ def test_census_projective_flag():
     proj_entries = search_antipodal_duals(2, 2, 4, projective=True)
     assert {(e.n, e.weights) for e in proj_entries} <= \
         {(e.n, e.weights) for e in all_entries}
-    assert all(e.dual_d_ge3 for e in proj_entries)
+    assert all(len(set(e.example_columns)) == e.n for e in proj_entries)
 
 
 def test_census_budget_cap():
@@ -388,10 +388,12 @@ def test_census_budget_projective_counts_middle_levels():
 
 
 def test_classify_report_rendering():
-    table = classify_report(2, 3, 6)
-    text = render_table(table)
-    assert "families" in text.splitlines()[1]
-    assert table.unmatched == ()
+    entries = search_antipodal_duals(2, 3, 6)
+    lines = render_table(entries).splitlines()
+    assert lines[0] == "#" + CENSUS_NOTE
+    assert "families" in lines[1]
+    assert len(lines) == 2 + len(entries)
+    assert not any(e.unmatched for e in entries)
 
 
 def test_census_deterministic():
@@ -421,7 +423,7 @@ def test_census_regularity_confirmed_by_brute_oracle():
             assert brute.rho == e.rho, (q, r, e.n)
             assert brute.is_completely_regular == e.completely_regular
             if e.ia is not None:
-                assert brute.ia.same_array(e.ia)
+                assert brute.ia == e.ia
         assert checked, (q, r, n_max, projective)
 
 
