@@ -7,7 +7,8 @@ call and reused, since parsing leaves no state on it.  A one-shot shell
 
 Exit codes: 0 on success, 1 when a requested check or verification came
 back negative (a violated bound, an UNMATCHED census entry, an invalid
-difference matrix, a failed complement), 2 on usage or parse errors.
+difference matrix, a failed complement), 2 on usage or parse errors (a
+ValueError that reaches ``main`` is a usage error).
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def main(argv=None) -> int:
     except (fileio.GfcParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 @functools.cache
@@ -134,12 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_construct(args, parser) -> int:
     builder, required = _FAMILIES[args.family]
     _need(parser, args, *required)
-    try:
-        inst = getattr(families, builder)(
-            *(getattr(args, name) for name in required))
-    except ValueError as exc:
-        parser.error(str(exc))
-
+    inst = getattr(families, builder)(
+        *(getattr(args, name) for name in required))
     tw = inst.two_weight_code
     dual_k = tw.n - tw.k
     if args.as_json:
@@ -245,10 +244,7 @@ def cmd_report(args, parser) -> int:
 
 
 def cmd_dm(args, parser) -> int:
-    try:
-        dm = diffmat.difference_matrix(args.p, args.l, args.h)
-    except ValueError as exc:
-        parser.error(str(exc))
+    dm = diffmat.difference_matrix(args.p, args.l, args.h)
     side = dm.side
     print(f"D({dm.q},{dm.mu}): {side}x{side} over GF({dm.q})")
     if side <= 32:
@@ -301,10 +297,7 @@ def cmd_bounds(args, parser) -> int:
 
 
 def cmd_search_arcs(args, parser) -> int:
-    try:
-        res = search.search_arcs(args.q, args.size, count_all=args.count)
-    except ValueError as exc:
-        parser.error(str(exc))
+    res = search.search_arcs(args.q, args.size, count_all=args.count)
     print(f"exists: {str(res.exists).lower()}")
     if args.count:
         print(f"canonical arcs of size {args.size}: {res.count}")
@@ -314,11 +307,8 @@ def cmd_search_arcs(args, parser) -> int:
 
 
 def cmd_search_classify(args, parser) -> int:
-    try:
-        entries = search.search_antipodal_duals(args.q, args.r, args.n_max,
-                                                projective=args.projective)
-    except ValueError as exc:
-        parser.error(str(exc))
+    entries = search.search_antipodal_duals(args.q, args.r, args.n_max,
+                                            projective=args.projective)
     if args.as_json:
         doc = {
             "q": args.q, "r": args.r, "n_max": args.n_max,

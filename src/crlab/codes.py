@@ -15,9 +15,6 @@ trailing generator rows are spanned once into a block of at most
 ``_BLOCK_CELLS`` cells; every message led by one of the remaining rows
 is a prefix word added to that whole block, so memory stays bounded by
 the block whatever q^k is.
-``codewords()`` lists every word as a tuple, off the same
-:func:`crlab.field.span`; only the brute-force oracle of ``regularity``
-reads it.
 
 A point of PG(k-1, q) is a row of an array in the field's element dtype:
 its representative, scaled so that the first nonzero entry is 1.
@@ -145,16 +142,6 @@ class LinearCode:
         return dual
 
     # -- enumeration ------------------------------------------------------
-
-    def codewords(self):
-        """All q^k codewords, in message order (messages counted base q).
-
-        Subject to the enumeration budget.
-        """
-        budgets.check_enum(self.q ** self.k,
-                           f"enumerating [{self.n},{self.k}]_{self.q} code",
-                           (self.q, self.k))
-        return list(map(tuple, span(self.field, self.G.rows).tolist()))
 
     def weight_distribution(self) -> WeightDistribution:
         """Exact counts by direct enumeration: one message per scalar
@@ -323,6 +310,17 @@ def projective_points(field: FieldSpec, k: int) -> np.ndarray:
         field.dtype)
 
 
+def point_index(q: int, rows) -> np.ndarray:
+    """The position in :func:`projective_points` order of each canonical
+    row (first nonzero entry 1) of a (N, k) array, q^k fitting an int64:
+    a row with t coordinates after its leading 1 reads q^t + x in base
+    q, and it is point (q^t - 1)/(q - 1) + x."""
+    rows = np.asarray(rows, dtype=np.int64)
+    place = q ** np.arange(rows.shape[1] - 1, -1, -1)
+    lead = place[(rows != 0).argmax(axis=1)]
+    return rows @ place - lead + (lead - 1) // (q - 1)
+
+
 def _column_points(G: MatGF) -> tuple:
     """(points, first, counts) of the multiset of projective points that
     the columns of G form: the distinct points as rows, in lexicographic
@@ -391,13 +389,10 @@ def complementary_generator(G: MatGF, s: int) -> MatGF:
             f"point {tuple(points[i].tolist())} occurs {counts[i]} times, "
             f"more than s = {s}")
     every = projective_points(f, G.nrows)
-    # rows in lexicographic order are digit strings in increasing base-q
-    # value, below q^k <= q * len(every), which fits an int64
-    place = f.q ** np.arange(G.nrows - 1, -1, -1)
     budgets.check_enum(G.nrows * (s * len(every) - G.ncols),
                        "complementary generator entries")
     need = np.full(len(every), s)
-    need[np.searchsorted(every @ place, points @ place)] -= counts
+    need[point_index(f.q, points)] -= counts
     cols = np.repeat(every, need, axis=0)
     if not len(cols):
         raise ValueError("degenerate: n_c = 0 (nothing left to complete)")

@@ -96,17 +96,12 @@ def cardinality_window_check(n: int, N: int, d: int, q: int) -> list[ConditionCh
         "window_lower", True, left <= N,
         {"left": left, "N": N, "equality": left == N}))
 
-    upper = max_distance_bound(n, d, q)
-    if not upper.applicable:
-        out.append(ConditionCheck("window_upper", False, None,
-                                  upper.witnesses))
-        right_eq = False
-    else:
-        right = upper.witnesses["bound"]
-        right_eq = N == right
-        out.append(ConditionCheck(
-            "window_upper", True, N <= right,
-            {"right": right, "N": N, "equality": right_eq}))
+    upper = max_distance_holds(n, d, q, N)
+    right_eq = upper.applicable and upper.witnesses["equality"]
+    out.append(ConditionCheck(
+        "window_upper", upper.applicable, upper.satisfied,
+        {"right": upper.witnesses["bound"], "N": N, "equality": right_eq}
+        if upper.applicable else upper.witnesses))
 
     if right_eq:
         n_back = Fraction(N * (q * (d + 1) - 1) - q * q * d, N * (q - 1))

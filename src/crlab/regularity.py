@@ -93,7 +93,7 @@ import numpy as np
 
 from . import budgets
 from .codes import LinearCode, CodewordMatrix
-from .field import digit_add, is_prime
+from .field import digit_add, is_prime, span
 
 
 @dataclass(frozen=True)
@@ -263,6 +263,7 @@ def _scatter(conv, sources, deltas, p: int, ndigits: int, orbit) -> None:
     no index repeats within one, and the temporaries stay a fraction of a
     buffer.  :func:`_scatter_cheaper` counts these calls."""
     size = conv.size
+    counted, fancy = _runs(size, deltas.size)
     conv.fill(0)
     if orbit is None and size > _COUNTED:
         shifts, mults = np.unique(deltas, return_counts=True)
@@ -270,18 +271,22 @@ def _scatter(conv, sources, deltas, p: int, ndigits: int, orbit) -> None:
             for x in sources.tolist():
                 conv[digit_add(shifts, x, p, ndigits)] += mults
         else:
-            run = size >> 4
-            for lo in range(0, sources.size, run):
-                part = sources[lo:lo + run]
+            for lo in range(0, sources.size, fancy):
+                part = sources[lo:lo + fancy]
                 for d, c in zip(shifts.tolist(), mults.tolist()):
                     conv[digit_add(part, d, p, ndigits)] += c
         return
-    run = max(size, 1 << 12) // deltas.size or 1
-    for lo in range(0, sources.size, run):
-        moved = digit_add(sources[lo:lo + run, None], deltas, p, ndigits)
+    for lo in range(0, sources.size, counted):
+        moved = digit_add(sources[lo:lo + counted, None], deltas, p, ndigits)
         if orbit is not None:
             moved = orbit[moved]
         conv += np.bincount(moved.ravel(), minlength=size)
+
+
+def _runs(cells: int, total: int) -> tuple:
+    """Sources per np.bincount and per fancy-index add of :func:`_scatter`
+    on `cells` cells (syndromes, for the adds) by |D| = total deltas."""
+    return max(cells, 1 << 12) // total or 1, cells >> 4
 
 
 def _scatter_cheaper(sources: int, total: int, distinct: int, cells: int,
@@ -302,12 +307,13 @@ def _scatter_cheaper(sources: int, total: int, distinct: int, cells: int,
     1.5 (p - 1) ns per syndrome for each digit, and a gathered step adds
     _EXPAND per syndrome."""
     digit = 1 if p == 2 else 5 * ndigits
+    counted, fancy = _runs(cells, total)
     if gathered or size <= _COUNTED:
-        calls = -(-sources // (max(cells, 1 << 12) // total or 1))
+        calls = -(-sources // counted)
     elif sources < distinct:
         calls = sources
     else:
-        calls = distinct * -(-sources // (size >> 4))
+        calls = distinct * -(-sources // fancy)
     pair = digit + 4 + (_GATHER if gathered else 0)
     scatter = calls * (digit + 3) * 1500 + sources * total * pair
     transform = ndigits * (p * p * 1500 + size * (p - 1) * 1.5)
@@ -629,9 +635,9 @@ class BruteResult:
 def brute_subconstituents(code: LinearCode) -> BruteResult:
     """Independent oracle: distance to the code for every vector of the
     full space, then the neighbor-count definition checked over vectors.
-    Only feasible for q^n <= 2^20.  It starts from ``code.codewords()``,
-    the rows of :func:`crlab.field.span`, and never touches syndromes,
-    the parity-check matrix or the dual.
+    Only feasible for q^n <= 2^20.  It starts from the rows of
+    :func:`crlab.field.span`, charged to the enumeration budget, and
+    never touches syndromes, the parity-check matrix or the dual.
 
     Vectors are packed in radix q (coordinate i weighs q^i), so the space
     viewed as a (q^(n-1-i), q, q^i) array has the coordinate-i lines of
@@ -640,14 +646,15 @@ def brute_subconstituents(code: LinearCode) -> BruteResult:
     x's lines once per depth d: on unreached vectors that sum's support
     is level d + 1 and it is their down count; on level d - 1 it is the
     up count."""
-    q, n = code.q, code.n
+    q, n, k = code.q, code.n, code.k
     space = q ** n
     if space > BRUTE_LIMIT:
         raise ValueError(
             f"brute subconstituent scan needs q^n = {space} > {BRUTE_LIMIT}")
 
     levels = np.full(space, -1, dtype=np.int8)
-    words = np.array(code.codewords(), dtype=np.int64)
+    budgets.check_enum(q ** k, f"enumerating [{n},{k}]_{q} code", (q, k))
+    words = span(code.field, code.G.rows)
     levels[words @ q ** np.arange(n, dtype=np.int64)] = 0
     # a sum read off a vector outside level d is at most n(q - 1); on
     # level d it counts the vector itself, may wrap, and is never read

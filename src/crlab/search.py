@@ -58,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import budgets
-from .codes import LinearCode, point_words, projective_points
+from .codes import LinearCode, point_index, point_words, projective_points
 from .field import FieldSpec, field_create, prime_power
 from .regularity import IntersectionArray, dual_regularity
 from .families import family_match
@@ -125,13 +125,6 @@ def _row_masks(table) -> list:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _indices(points: np.ndarray, vectors) -> list:
-    """The row index in points of each of the vectors, which must all be
-    points of it."""
-    hit = (points[:, None, :] == np.asarray(vectors)).all(axis=2)
-    return hit.argmax(axis=0).tolist()
-
-
 def _as_tuples(points: np.ndarray, chosen) -> tuple:
     """The chosen rows of points as tuples of Python ints."""
     return tuple(map(tuple, points[list(chosen)].tolist()))
@@ -172,7 +165,7 @@ def search_arcs(q: int, target_size: int, count_all: bool = False) -> ArcSearchR
     if target_size < 4:
         arc, forbidden = [], 0
     else:
-        arc = _indices(geom.points, FRAME)
+        arc = point_index(q, FRAME).tolist()
         forbidden = functools.reduce(operator.or_, (
             pair_line[i][j] for i, j in itertools.combinations(arc, 2)))
 
@@ -320,7 +313,7 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     fmt, nbytes = _FIELD_FORMATS[width], P * width
     field = field_create(p, m)
     points = projective_points(field, r)
-    basis = sorted(_indices(points, np.eye(r, dtype=np.intp)))
+    basis = sorted(point_index(q, np.eye(r, dtype=np.intp)).tolist())
 
     # a message's weight is shared by its nonzero multiples, so one
     # representative per scalar class gives every weight value.  r points

@@ -702,6 +702,30 @@ def test_dual_command(tmp_path, capsys):
     assert (parsed.code.n, parsed.code.k) == (4, 3)
 
 
+@pytest.mark.parametrize("command,owner,name", [
+    ("report", cli, "build_code_report"), ("dual", LinearCode, "dual")],
+    ids=["report", "dual"])
+def test_value_error_under_a_command_is_a_usage_error(command, owner, name,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    """A ValueError from a command's library call reaches main's one
+    handler: exit 2 with the usage line and a ``crlab: error:`` line,
+    never a traceback."""
+    path = tmp_path / "bb4.gfc"
+    fileio.write_gfc(path, cr4_bose_bush(4).two_weight_code)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused by the library")
+    monkeypatch.setattr(owner, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        run([command, str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("usage: crlab ")
+    assert out.err.endswith("\ncrlab: error: refused by the library\n")
+    assert "Traceback" not in out.err and not out.out
+
+
 def damaged_ext_hamming() -> LinearCode:
     """The [8,4]_2 extended Hamming code lengthened by a duplicated
     column, which makes it not completely regular."""

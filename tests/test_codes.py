@@ -15,10 +15,11 @@ from crlab.codes import (CodewordMatrix, LinearCode, complementary_code,
                          complementary_generator, is_antipodal_two_weight,
                          is_projective, krawtchouk_column,
                          macwilliams, max_column_multiplicity,
-                         projective_dual_transform, projective_points,
-                         WeightDistribution)
+                         point_index, projective_dual_transform,
+                         projective_points, WeightDistribution)
 from crlab.families import cr4_bose_bush, random_code
-from crlab.field import field_create
+from crlab.field import field_create, prime_power, span
+from crlab.regularity import brute_subconstituents
 from crlab.matrix import MatGF
 
 
@@ -318,9 +319,10 @@ def test_complementary_bose_bush():
 def test_complementary_weight_sums_exhaustive():
     bb = bose_bush_4()
     cc = complementary_code(bb, 1)
-    for wa, wb in zip((sum(1 for x in w if x) for w in bb.codewords()),
-                      (sum(1 for x in w if x) for w in cc.codewords())):
-        assert (wa + wb) in (0, 16)
+    bb_words = tuple_span(bb.field, bb.G.rows, bb.n)
+    cc_words = tuple_span(cc.field, cc.G.rows, cc.n)
+    for a, b in zip(bb_words, cc_words):
+        assert sum(1 for x in a + b if x) in (0, 16)
 
 
 def test_complementary_degenerate_full_point_set():
@@ -587,19 +589,31 @@ def test_weight_kernel_head_tail_split(monkeypatch, cells):
 
 
 def test_codewords_match_tuple_span(family_grid, monkeypatch):
-    """codewords() lists the rows of field.span as tuples of ints, in the
-    tuple oracle's order (row 0 most significant), on the grid sides with
-    q^k <= 2^12 and the random kernel cases; it is charged q^k words."""
+    """The rows of field.span are the tuple oracle's words, in its order
+    (row 0 most significant), on the grid sides with q^k <= 2^12 and the
+    random kernel cases.  The brute-force oracle, which starts from those
+    rows, is charged q^k words."""
     codes_ = [c for entry in family_grid for c in (entry.tw, entry.cr)
               if c.q ** c.k <= 1 << 12] + _kernel_cases()
     for code in codes_:
-        got = code.codewords()
+        got = list(map(tuple, span(code.field, code.G.rows).tolist()))
         assert got == tuple_span(code.field, code.G.rows, code.n), code
-        assert all(type(x) is int for x in got[-1]), code
     bb = bose_bush_4()
     monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, str(4 ** 3 - 1))
-    with pytest.raises(budgets.BudgetExceeded):
-        bb.codewords()
+    with pytest.raises(budgets.BudgetExceeded, match="enumerating"):
+        brute_subconstituents(bb)
+    monkeypatch.setenv(budgets.ENUM_BUDGET_VAR, str(4 ** 3))
+    assert brute_subconstituents(bb).levels.size == 4 ** 6
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_point_index_is_the_row_position(q):
+    """point_index gives every point of PG(k-1, q) its row position in
+    projective_points, for k = 1 .. 4."""
+    f = field_create(*prime_power(q))
+    for k in range(1, 5):
+        points = projective_points(f, k)
+        assert point_index(q, points).tolist() == list(range(len(points)))
 
 
 def _point_words_oracle(code):
