@@ -368,7 +368,7 @@ def cmd_complement(args, parser) -> int:
         s_min = max_column_multiplicity(code)
         comp = complementary_code(code, args.s)
     except ValueError as exc:
-        print(f"complement failed: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         if s_min is not None:
             print(f"(minimal feasible s is {s_min})", file=sys.stderr)
         return 1

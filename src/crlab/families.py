@@ -246,6 +246,8 @@ def cr6_denniston(q: int, h: int) -> FamilyInstance:
     u = h.bit_length() - 1
     if h < 2 or (1 << u) != h or h > q // 2:
         raise ValueError("need h = 2^u with 2 <= h <= q/2")
+    # the quadratic form is evaluated over the whole q x q grid
+    budgets.check_enum(q * q, f"Denniston quadratic form grid over GF({q})")
     c = denniston_quadratic_c(f)
 
     # membership table of H, the span of the u powers over {0, 1}

@@ -16,14 +16,20 @@ and brought back to exact counts by double counting.
   all the census looks at -- come from q - 1 times fewer messages.
   Only the multisets that hold the standard basis are visited;
   PGL(r, q) carries every ordered basis of points to it.  One
-  depth-first pass covers every size up to n_max: at each node the
-  weights of the messages that miss some chosen column drive both the
-  prunes and the completion test.  A node holds its message weights as
-  one int with a field of ``width`` bytes per message, ``width`` the
-  fewest of 1, 2, 4 or 8 bytes that holds the deepest level (n_max, or
-  P for a set census with n_max > P); no weight passes the depth, so a
-  child adds its column's packed hits without a carry, and a node reads
-  its fields once, sorted.  A completed multiset has weights
+  depth-first pass covers every size up to n_max.  It walks blocks of
+  nodes of one depth, a node being a row of its chosen indices and its
+  message weights, unsigned ints of ``width`` bytes, the fewest of 1, 2,
+  4 or 8 that hold the deepest level (n_max, or P for a set census with
+  n_max > P); no weight passes the depth, so a child adds its column's
+  hits without overflow.  A few whole-block numpy operations prune a
+  block, the weights of the messages that miss some chosen column
+  driving both the prunes and the completion test, and one gather
+  expands its live nodes into the next block.  A block holds at most
+  256 KiB of weights and indices (or the at most P children of one
+  node); a block whose children would pass that expands its first
+  parents and pushes the rest back, so the nodes of each depth are still
+  met in lexicographic order, and the walk holds at most one block per
+  depth plus the one it expands.  A completed multiset has weights
   {d, n} with d >= 1, so its columns span GF(q)^r: a nonzero message
   orthogonal to all of them would have weight 0.  No rank is computed.
 
@@ -46,12 +52,10 @@ family fits.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,8 +70,8 @@ from .families import family_match
 ARC_Q_MAX = 16          # the ovals of PG(2, 13) count in 0.4 s, and the
                         # 1.2e8 hyperovals of PG(2, 16) in about 20 s
 CENSUS_CANDIDATE_CAP = 1 << 26    # multisets that hold the standard basis
-# memoryview formats of the census's unsigned per-message weight fields
-_FIELD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# bytes of the weights and indices of one block of census nodes
+_BLOCK_BYTES = 1 << 18
 
 
 class SymmetryCountError(RuntimeError):
@@ -275,15 +279,15 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     # the cheap refusals come first, so that no count below is summed
     # over a huge n_max or P, and P = (q^r - 1)/(q - 1) >= q^(r-1), of at
     # least `bits` bits, is formed only once it is known to be small or
-    # n_max is as long.  A node's weights are one int with a field of
-    # `width` bytes per message; no field passes the depth, so adding a
-    # column's hits never carries into the next field.  A set holds at
-    # most P columns, so a set census descends no deeper than P
+    # n_max is as long.  A node's weights are unsigned ints of `width`
+    # bytes; no weight passes the depth, so adding a column's hits never
+    # overflows.  A set holds at most P columns, so a set census descends
+    # no deeper than P
     bits = (r - 1) * (q.bit_length() - 1) + 1
     deepest = n_max
     if projective and n_max.bit_length() >= bits:
         deepest = min(n_max, (q ** r - 1) // (q - 1))
-    width = next((w for w in _FIELD_FORMATS if deepest < 1 << 8 * w), None)
+    width = next((w for w in (1, 2, 4, 8) if deepest < 1 << 8 * w), None)
     if width is None:
         raise budgets.BudgetExceeded(
             f"census would descend to depth {deepest}, past its 8-byte "
@@ -310,7 +314,6 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
         raise budgets.BudgetExceeded(
             f"census would scan about {candidates} {kind} that contain "
             f"the standard basis, over the cap {CENSUS_CANDIDATE_CAP}")
-    fmt, nbytes = _FIELD_FORMATS[width], P * width
     field = field_create(p, m)
     points = projective_points(field, r)
     basis = sorted(point_index(q, np.eye(r, dtype=np.intp)).tolist())
@@ -320,57 +323,91 @@ def search_antipodal_duals(q: int, r: int, n_max: int,
     # are dependent iff some message misses all of them; the table is
     # symmetric, so misses[i] holds the messages that miss point i
     orthogonal, misses = _incidence(field, points)
-    # hits[i] holds 1 in the field of each message that hits point i
-    hits = [int.from_bytes(row.tobytes(), sys.byteorder)
-            for row in (~orthogonal).astype(f"u{width}")]
+    # hits[i, j] is 1 when message j hits point i
+    hits = (~orthogonal).astype(f"u{width}")
+    # a tuple passes no basis index without taking it, so after column j
+    # it takes one from j (j + 1 in a set) up to the next basis index, or
+    # up to the last point once it holds the basis: children[j] marks them
+    column = np.arange(P)
+    following = np.array(basis + [P - 1])[
+        np.searchsorted(basis, column, "right")]
+    children = ((column >= column[:, None] + projective)
+                & (column <= following[:, None]))
+    child_count = children.sum(1)
+    index = np.min_scalar_type(P - 1)
     orbit = math.prod((q ** r - q ** i) // (q - 1) for i in range(r))
 
     shares: dict = {}      # census key -> sum of 1 / beta over survivors
     first: dict = {}       # census key -> its first survivor's indices
     repetition: dict = {}  # census key -> its repetition annotation
 
-    # depth first over (chosen, start, packed weights, covered), children
-    # pushed in reverse so that tuples are met in lexicographic order.  A
-    # nested function calling itself would hold the tables and codes in a
+    # depth first over blocks of nodes of one depth, one node a row of
+    # (chosen indices, message weights).  A block's children are pushed
+    # above what is left of it, so the nodes of each depth are met in
+    # lexicographic order.  Point 0 is (0, ..., 0, 1), the first basis
+    # index, so every tuple that holds the basis starts with it.  A nested
+    # function calling itself would hold the tables and codes in a
     # reference cycle that only the cycle collector frees.
-    stack = [((), 0, 0, 0)]
+    stack = [(np.zeros((1, 1), index), hits[:1], False)] if n_max >= r else []
     while stack:
-        chosen, start, packed, covered = stack.pop()
-        depth = len(chosen)
-        if r - covered > n_max - depth:
-            continue
-        weights = sorted(memoryview(
-            packed.to_bytes(nbytes, sys.byteorder)).cast(fmt))
-        # weights[:k] are the messages that miss some chosen column
-        k = bisect.bisect_left(weights, depth)
-        # the full weight must stay reachable by some message
-        if depth and k == P:
-            continue
-        low, high = (weights[0], weights[k - 1]) if k else (0, 0)
-        # messages already missed must finish on one common weight
-        if high - low > n_max - depth:
-            continue
-        if covered == r and depth >= n_min and low == high >= 1:
-            key = _census_key(field, points, chosen, low, r)
-            rep = _repetition_annotation(chosen, depth, (low, depth), q, r)
-            if key not in first:
-                first[key] = chosen
-                repetition[key] = rep
-                shares[key] = Fraction(0)
-            elif repetition[key] != rep:
-                raise SymmetryCountError(
-                    f"census key {key} has survivors {first[key]} and "
-                    f"{chosen} with repetition annotations "
-                    f"{repetition[key]} and {rep}")
-            shares[key] += Fraction(1, _independent_tuples(chosen, misses, r))
-        if depth < n_max:
-            # a tuple that passes a basis index without taking it never
-            # holds B0
-            stop = basis[covered] if covered < r else P - 1
-            stack.extend((chosen + (i,), i if not projective else i + 1,
-                          packed + hits[i],
-                          covered + (i == stop and covered < r))
-                         for i in range(stop, start - 1, -1))
+        chosen, weights, pruned = stack.pop()
+        depth = chosen.shape[1]
+        last = chosen[:, -1]
+        if not pruned:
+            # no weight passes the depth; high is the greatest weight
+            # below it, that of the messages that miss some chosen column
+            below = weights < depth
+            high = (weights * below).max(1)
+            # the full weight must stay reachable by some message
+            live = ~below.all(1)
+            # with n_max - depth columns left to take, the tuple must
+            # already hold `need` basis indices: all those up to its last
+            need = r - (n_max - depth)
+            if need > 0:
+                live &= last >= basis[need - 1]
+            low = weights.min(1)
+            # messages already missed must finish on one common weight;
+            # low is depth when none is missed, and high - low < depth
+            if n_max - depth < depth:
+                live &= high <= low.astype(np.intp) + (n_max - depth)
+            if depth >= n_min:
+                done = live & (last >= basis[-1]) & (low == high) & (high > 0)
+                for row, d in zip(chosen[done].tolist(), low[done].tolist()):
+                    chosen_t = tuple(row)
+                    key = _census_key(field, points, chosen_t, d, r)
+                    rep = _repetition_annotation(chosen_t, depth, (d, depth),
+                                                 q, r)
+                    if key not in first:
+                        first[key] = chosen_t
+                        repetition[key] = rep
+                        shares[key] = Fraction(0)
+                    elif repetition[key] != rep:
+                        raise SymmetryCountError(
+                            f"census key {key} has survivors {first[key]} "
+                            f"and {chosen_t} with repetition annotations "
+                            f"{repetition[key]} and {rep}")
+                    shares[key] += Fraction(
+                        1, _independent_tuples(chosen_t, misses, r))
+            if depth == n_max:
+                continue
+            chosen, weights, last = chosen[live], weights[live], last[live]
+            if not len(last):
+                continue
+        # the parents whose children fit one block go first, and at least
+        # one: its at most P children fit the P x P hits table
+        ends = np.cumsum(child_count[last])
+        rows = _BLOCK_BYTES // (P * width + (depth + 1) * index.itemsize)
+        if ends[-1] > rows:
+            head = max(1, int(np.searchsorted(ends, rows, "right")))
+            if head < len(last):
+                stack.append((chosen[head:], weights[head:], True))
+                chosen, weights, last = (chosen[:head], weights[:head],
+                                         last[:head])
+        parent, i = np.nonzero(children[last])
+        kids = np.empty((len(i), depth + 1), index)
+        kids[:, :depth] = chosen[parent]
+        kids[:, depth] = i
+        stack.append((kids, weights[parent] + hits[i], False))
 
     entries = [_census_entry(
         key, first[key],

@@ -962,7 +962,7 @@ def test_complement_zero_column_fails_once(tmp_path, capsys):
     path.write_text("field 3 1 poly 1 1\ncode 2 4\n1 0 1 0\n0 1 1 0\n")
     assert run(["complement", str(path), "--s", "1"]) == 1
     assert capsys.readouterr().err == \
-        "complement failed: generator column 3 is zero\n"
+        "error: generator column 3 is zero\n"
     f = field_create(2, 1)
     twice = tmp_path / "twice.gfc"
     fileio.write_gfc(twice, LinearCode(f, MatGF(f, [(1, 1, 0), (0, 0, 1)])))
@@ -1046,9 +1046,13 @@ print(json.dumps({
     (["construct", "--family", "ext-hamming", "--m", "1000000000"], 1,
      "CR.1 generator (m = 1000000000) entries needs at least 2^1000000029 "
      "items"),
+    # the q x q grid of the quadratic form, 2 GiB of int64 cells
+    (["construct", "--family", "denniston", "--q", "16384", "--h", "16"], 1,
+     "Denniston quadratic form grid over GF(16384) needs 268435456 items"),
 ], ids=["report-huge-n", "dual-huge-n", "complement-huge-n",
         "complement-huge-s", "ext-hamming-m30", "census-huge-r",
-        "dm-dual-huge-h", "dm-huge-h", "ext-hamming-huge-m"])
+        "dm-dual-huge-h", "dm-huge-h", "ext-hamming-huge-m",
+        "denniston-huge-q"])
 def test_console_script_refuses_at_once(argv, status, message, tmp_path):
     """Inputs past any feasible size get an error line and their exit
     status from the console script within 10 s, never a traceback, and

@@ -57,23 +57,40 @@ def test_hyperoval_witnesses_pinned():
         (1, 14, 12), (1, 15, 7))
 
 
-@pytest.mark.parametrize("argv,digest", [
+CENSUS_DIGESTS = [
     (["--q", "2", "--r", "3", "--n-max", "8"],
      "3880bf13a72046f99a68335903e35cf8a37f306b357f5b97b15328e9b81a71f8"),
     (["--q", "3", "--r", "3", "--n-max", "9"],
      "008ce0ed86c5d0c12291ee6d0f66057cfc48c2c83b7c5884095779d45a4cbae1"),
     (["--q", "4", "--r", "3", "--n-max", "6", "--projective"],
      "a2a4d145fdd7efbe828717638d8d7a8026597194e56897feff20caffd26e17cc"),
-    # the first census whose weight fields take two bytes
+    # the first census whose weights take two bytes
     (["--q", "2", "--r", "2", "--n-max", "256"],
      "a955a4dbfbcfc5776f16e487ac0ce5dac7e8e29ee508fd8e3d4389c7782801b5"),
-])
+]
+# census block sizes in bytes that split nearly every block: one parent
+# per block, and a few
+SMALL_BLOCKS = [1, 200]
+
+
+@pytest.mark.parametrize("argv,digest", CENSUS_DIGESTS)
 def test_census_json_pinned(argv, digest, capsys):
     """The census JSON is byte-stable: these are the sha256 digests of
     the stdout the search has always printed."""
     assert cli.main(["search", "classify", *argv, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("block_bytes", SMALL_BLOCKS)
+def test_census_json_pinned_in_small_blocks(monkeypatch, capsys,
+                                            block_bytes):
+    """Splitting the census's blocks changes no byte of its JSON."""
+    monkeypatch.setattr(search, "_BLOCK_BYTES", block_bytes)
+    for argv, digest in CENSUS_DIGESTS:
+        assert cli.main(["search", "classify", *argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_census_witnesses_pinned():
@@ -459,15 +476,9 @@ CLASSIFY_POINTS = [(2, 3, 8, False), (2, 4, 10, False), (3, 3, 9, False),
                    (4, 3, 7, False), (4, 3, 6, True), (5, 3, 6, True)]
 
 
-@pytest.mark.parametrize("q,r,n_max,projective",
-                         COMPARISON_POINTS + CLASSIFY_POINTS)
-def test_reduced_census_matches_full_census(q, r, n_max, projective):
-    """The fixed-basis census gives every entry field of the search over
-    all tuples, counts and repetition annotations included; its example
-    is the full search's whenever that one holds the standard basis."""
-    reduced = search_antipodal_duals(q, r, n_max, projective=projective)
-    full = _full_census(q, r, n_max, projective)
-
+def _assert_matches_full_census(reduced, full, r):
+    """Every entry field of the fixed-basis census is the full search's,
+    and so is its example whenever the full search's holds the basis."""
     def fields(e):
         return dataclasses.replace(e, example_columns=None)
     assert [fields(e) for e in reduced] == [fields(e) for e in full]
@@ -476,6 +487,33 @@ def test_reduced_census_matches_full_census(q, r, n_max, projective):
         assert basis <= set(mine.example_columns)
         if basis <= set(theirs.example_columns):
             assert mine.example_columns == theirs.example_columns
+
+
+@pytest.mark.parametrize("q,r,n_max,projective",
+                         COMPARISON_POINTS + CLASSIFY_POINTS)
+def test_reduced_census_matches_full_census(q, r, n_max, projective):
+    """The fixed-basis census gives every entry field of the search over
+    all tuples, counts and repetition annotations included; its example
+    is the full search's whenever that one holds the standard basis."""
+    reduced = search_antipodal_duals(q, r, n_max, projective=projective)
+    _assert_matches_full_census(reduced, _full_census(q, r, n_max,
+                                                      projective), r)
+
+
+@pytest.mark.parametrize("q,r,n_max,projective",
+                         COMPARISON_POINTS + CLASSIFY_POINTS)
+def test_census_in_small_blocks_matches_full_census(monkeypatch, q, r, n_max,
+                                                    projective):
+    """Blocks split down to one parent, or a few, still meet the nodes of
+    each depth in lexicographic order: the entries, examples included,
+    are those of unsplit blocks, and match the full search."""
+    whole = search_antipodal_duals(q, r, n_max, projective=projective)
+    full = _full_census(q, r, n_max, projective)
+    for block_bytes in SMALL_BLOCKS:
+        monkeypatch.setattr(search, "_BLOCK_BYTES", block_bytes)
+        split = search_antipodal_duals(q, r, n_max, projective=projective)
+        assert split == whole, block_bytes
+        _assert_matches_full_census(split, full, r)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
